@@ -78,9 +78,8 @@ def main():
     plan = am.make_plan(t_train, k=1)
     dist = am.evolve_distribution(t_train, plan)
     rng = np.random.default_rng(0)
-    draws = am.sample_weights(dist, 64, rng)
-    found = max((int(w) for w in draws),
-                key=lambda w: (t_train.counts[w], -w))
+    _, _, best = am.search(dist, t_train, 64, rng)
+    found = int(best[-1])
     print(f"\nsampled optimization, 64 measurements at k=1: best found "
           f"weight {found:#07x} with train "
           f"{100.0 * t_train.counts[found] / t_train.n_samples:.2f}%, "

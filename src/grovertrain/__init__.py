@@ -8,8 +8,8 @@ Modules:
     datasets  Basis-encoded datasets: line-image tasks, IDX ingestion,
               3x3 downsampling, correctness predicates.
     amplify   Amplification planning (angle, iterations, padding), the
-              closed-form evolved weight distribution, sampling and
-              shot-based evaluation, search drivers.
+              closed-form evolved weight distribution, and the one search
+              kernel (sample, score exactly or by shots, best so far).
     statevec  Dense statevector simulation of the same pipeline.
     theory    Query-count calculators and the best-parallel-copies rule
               with its brute-force validator.
@@ -20,11 +20,10 @@ Modules:
 __version__ = "0.1.0"
 
 from . import amplify, boolcirc, datasets, statevec, tasks, theory
-from .amplify import (AccuracyTable, DegenerateAngleError, ExperimentConfig,
-                      GroverPlan, OptimizeResult, WeightDistribution,
-                      accuracy_table, evolve_distribution, grover_iterations,
-                      make_plan, optimize, pad_auxiliary, sample_weights,
-                      theta_exact, theta_shots, uniform_random_search)
+from .amplify import (AccuracyTable, DegenerateAngleError, GroverPlan,
+                      WeightDistribution, accuracy_table, evolve_distribution,
+                      grover_iterations, make_plan, pad_auxiliary,
+                      sample_weights, search, theta_exact, theta_shots)
 from .boolcirc import (Gate, GateList, ModelCircuit, RGate, compile_circuit,
                        edge_detection_model, eval_all_weights, eval_circuit,
                        parse_circuit, serialize_circuit, simplified_ed_model,

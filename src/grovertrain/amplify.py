@@ -2,9 +2,10 @@
 
 The optimizer never touches gradients: it sweeps every weight assignment to
 get exact per-weight correct counts, plans a Grover amplification (angle,
-iteration count, auxiliary padding), evolves the closed-form weight
-distribution, samples candidate weights from it, and keeps the best one under
-shot-based or exact evaluation.
+iteration count, auxiliary padding), and evolves the closed-form weight
+distribution. `search` is the one search loop: it samples candidate weights
+from a distribution, scores them from the table exactly or by shots, and
+keeps the best so far.
 
 Closed form being evolved: starting uniform over all (weight, sample^k)
 basis states, g amplification rounds leave total probability
@@ -21,8 +22,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boolcirc import ModelCircuit, eval_all_weights, eval_circuit, index_to_bits, unpack_lanes
-from .datasets import Dataset, is_correct, packed_correct_mask
+from .boolcirc import ModelCircuit, eval_all_weights, unpack_lanes
+from .datasets import Dataset, packed_correct_mask
 
 # relative slack when comparing an exact state ratio against sin(angle)^2:
 # the angle itself is a rounded float, so boundary cases (ratio exactly 1/4
@@ -31,6 +32,10 @@ _RATIO_SLACK = 1e-12
 
 AUTO_PAD_TARGET_THETA = math.pi / 6
 AUTO_PAD_RESIDUAL_THRESHOLD = 0.9
+
+# search() holds at most this many shot uniforms at once (one candidate's
+# shots if that is more), however many candidates it scores
+_SHOT_BLOCK = 1 << 20
 
 
 class DegenerateAngleError(ValueError):
@@ -109,28 +114,6 @@ class WeightDistribution:
 
     def __len__(self) -> int:
         return len(self.p)
-
-
-@dataclass
-class ExperimentConfig:
-    """Settings for one optimization run."""
-    task: str
-    k: int = 1
-    m_meas: int = 1
-    eval_shots: int | None = None     # None: exact accuracy per candidate
-    seed: int = 0
-    use_exact_theta: bool = True
-    theta_shot_count: int = 1000      # used when use_exact_theta is False
-    branch_m: int = 0
-    pad: str | int = "auto"           # "auto" or explicit auxiliary count
-    strict_theta: bool = False        # arcsin(estimate) instead of arcsin(sqrt)
-    out_dir: str | None = None
-
-    def __post_init__(self):
-        if self.m_meas < 1:
-            raise ValueError("measurement budget must be >= 1")
-        if self.eval_shots is not None and self.eval_shots < 1:
-            raise ValueError("evaluation shots must be >= 1")
 
 
 def accuracy_table(model: ModelCircuit, d: Dataset) -> AccuracyTable:
@@ -335,75 +318,38 @@ def sample_weights(dist: WeightDistribution, m_meas: int,
     return rng.choice(len(dist.p), size=m_meas, replace=True, p=dist.p)
 
 
-def exact_accuracy(w_index: int, model: ModelCircuit, d: Dataset) -> float:
-    """Exact accuracy of one weight on one dataset."""
-    w = index_to_bits(w_index, model.weight_width)
-    hits = sum(is_correct(d.predicate, s.y, eval_circuit(model, w, s.x))
-               for s in d.samples)
-    return hits / len(d)
+def search(dist: WeightDistribution, table: AccuracyTable, m_meas: int,
+           rng: np.random.Generator, eval_shots: int | None = None
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sample m_meas weights, score each, and track the best so far.
 
-
-def evaluate(w_index: int, model: ModelCircuit, d: Dataset, shots: int,
-             rng: np.random.Generator) -> float:
-    """Shot-based accuracy estimate: mean of `shots` Bernoulli(J(w)) draws."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    j = exact_accuracy(w_index, model, d)
-    return float(np.mean(rng.random(shots) < j))
-
-
-@dataclass
-class OptimizeResult:
-    best_weight: int
-    best_estimate: float
-    trace: list[tuple[int, int, float]]  # (draw_index, weight_index, estimate)
-    plan: GroverPlan | None              # None for uniform random search
-
-
-def _search(dist: WeightDistribution, cfg: ExperimentConfig,
-            model: ModelCircuit, train: Dataset,
-            rng: np.random.Generator, table: AccuracyTable,
-            plan: GroverPlan | None) -> OptimizeResult:
-    draws = sample_weights(dist, cfg.m_meas, rng)
-    trace = []
-    best_w, best_est = None, -1.0
-    for i, w in enumerate(map(int, draws)):
-        if cfg.eval_shots is None:
-            est = table.counts[w] / table.n_samples
-        else:
-            est = float(np.mean(rng.random(cfg.eval_shots)
-                                < table.counts[w] / table.n_samples))
-        trace.append((i, w, est))
-        if est > best_est or (est == best_est and w < best_w):
-            best_w, best_est = w, est
-    return OptimizeResult(best_w, best_est, trace, plan)
-
-
-def optimize(cfg: ExperimentConfig, model: ModelCircuit,
-             train: Dataset) -> OptimizeResult:
-    """Full pipeline: table sweep, plan, evolve, sample, evaluate, argmax.
-
-    Ties in the final argmax go to the smallest weight index. The RNG is one
-    PCG64 stream seeded with cfg.seed; angle estimation (when shot-based),
-    weight sampling, and evaluation consume it in that order.
+    Each draw is scored by its exact correct count, or, with eval_shots, by
+    the hits among eval_shots Bernoulli(J(w)) shots. Returns (draws,
+    estimates, best_so_far): the drawn weight indices, their accuracy
+    estimates, and after each draw the best weight found up to it. Ties go
+    to the smallest weight index. The RNG stream is consumed as all draws
+    first, then each candidate's shots in draw order.
     """
-    rng = np.random.default_rng(cfg.seed)
-    table = accuracy_table(model, train)
-    plan = make_plan(table, cfg.k, pad=cfg.pad, m=cfg.branch_m,
-                     theta_shot_count=(None if cfg.use_exact_theta
-                                       else cfg.theta_shot_count),
-                     rng=rng, use_sqrt=not cfg.strict_theta)
-    dist = evolve_distribution(table, plan)
-    return _search(dist, cfg, model, train, rng, table, plan)
-
-
-def uniform_random_search(cfg: ExperimentConfig, model: ModelCircuit,
-                          train: Dataset) -> OptimizeResult:
-    """The same sample-evaluate-argmax pipeline over the uniform distribution."""
-    rng = np.random.default_rng(cfg.seed)
-    table = accuracy_table(model, train)
-    dist = uniform_distribution(model.weight_width)
-    return _search(dist, cfg, model, train, rng, table, None)
+    if eval_shots is not None and eval_shots < 1:
+        raise ValueError("evaluation shots must be >= 1")
+    draws = sample_weights(dist, m_meas, rng)
+    if eval_shots is None:
+        scores = table.counts[draws]
+        estimates = scores / table.n_samples
+    else:
+        j = table.counts[draws] / table.n_samples
+        scores = np.empty(m_meas, dtype=np.int64)
+        rows = max(1, _SHOT_BLOCK // eval_shots)
+        for a in range(0, m_meas, rows):
+            shots = rng.random((min(rows, m_meas - a), eval_shots))
+            scores[a:a + rows] = np.count_nonzero(
+                shots < j[a:a + rows, None], axis=1)
+            del shots  # free this block before the next one is drawn
+        estimates = scores / eval_shots
+    n_w = len(dist.p)
+    # one key orders by score, then by smaller index: ties go to the smallest
+    key = np.maximum.accumulate(scores * n_w + (n_w - 1 - draws))
+    return draws, estimates, n_w - 1 - key % n_w
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +381,8 @@ def distribution_csv(dist: WeightDistribution,
     return "\n".join(lines) + "\n"
 
 
-def trace_csv(trace: list[tuple[int, int, float]]) -> str:
+def trace_csv(draws: np.ndarray, estimates: np.ndarray) -> str:
     lines = ["draw_index,weight_index,estimate"]
-    for d, w, est in trace:
+    for d, (w, est) in enumerate(zip(draws.tolist(), estimates.tolist())):
         lines.append(f"{d},{w},{_fmt(est)}")
     return "\n".join(lines) + "\n"

@@ -229,34 +229,20 @@ def cmd_shots_curve(args) -> int:
     else:
         dist = am.uniform_distribution(bundle.model.weight_width)
         label = "urs"
-    n_train = float(t_train.n_samples)
-    n_test = float(t_test.n_samples)
-    max_b = budgets[-1]
+    at_budget = np.array(budgets) - 1
     train_acc = np.zeros((args.runs, len(budgets)))
     test_acc = np.zeros((args.runs, len(budgets)))
     outputs = []
     for rep in range(args.runs):
         rng = np.random.default_rng([args.seed, rep])
-        draws = am.sample_weights(dist, max_b, rng)
-        trace = []
-        best_w, best_e = -1, -1.0
-        bi = 0
-        for i, w in enumerate(map(int, draws)):
-            j = t_train.counts[w] / n_train
-            if args.eval_shots is None:
-                est = j
-            else:
-                est = float(np.mean(rng.random(args.eval_shots) < j))
-            trace.append((i, w, est))
-            if est > best_e or (est == best_e and w < best_w):
-                best_w, best_e = w, est
-            if bi < len(budgets) and i + 1 == budgets[bi]:
-                train_acc[rep, bi] = t_train.counts[best_w] / n_train
-                test_acc[rep, bi] = t_test.counts[best_w] / n_test
-                bi += 1
+        draws, estimates, best = am.search(dist, t_train, budgets[-1], rng,
+                                           args.eval_shots)
+        best = best[at_budget]
+        train_acc[rep] = t_train.counts[best] / t_train.n_samples
+        test_acc[rep] = t_test.counts[best] / t_test.n_samples
         if args.dump_traces:
             outputs.append(_write(out / f"trace_rep{rep}.csv",
-                                  am.trace_csv(trace)))
+                                  am.trace_csv(draws, estimates)))
     lines = ["budget,mean_train,std_train,mean_test,std_test"]
     for bi, b in enumerate(budgets):
         lines.append(

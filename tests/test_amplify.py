@@ -309,51 +309,91 @@ class TestSamplingAndSearch:
         with pytest.raises(ValueError):
             am.sample_weights(dist, 0, np.random.default_rng(0))
 
-    def test_exact_accuracy_matches_table(self, sed_bundle, sed_train_table):
-        for wi in range(16):
-            j = am.exact_accuracy(wi, sed_bundle.model, sed_bundle.train)
-            assert j == sed_train_table.counts[wi] / sed_train_table.n_samples
+    def test_search_toy_finds_perfect_weight(self, toy_bundle):
+        t = am.accuracy_table(toy_bundle.model, toy_bundle.train)
+        plan = am.make_plan(t, 1)
+        assert plan.residual == 1.0
+        draws, est, best = am.search(am.evolve_distribution(t, plan), t, 8,
+                                     np.random.default_rng(0))
+        assert draws.shape == est.shape == best.shape == (8,)
+        assert best[-1] == 0
+        assert est[draws == best[-1]][0] == 1.0
 
-    def test_shot_evaluation_concentrates(self, toy_bundle):
-        rng = np.random.default_rng(11)
-        est = am.evaluate(0, toy_bundle.model, toy_bundle.full, 50_000, rng)
-        j = am.exact_accuracy(0, toy_bundle.model, toy_bundle.full)
+    def test_search_is_deterministic(self, sed_train_table):
+        t = sed_train_table
+        dist = am.evolve_distribution(t, am.make_plan(t, 1))
+        for shots in (None, 64):
+            r1 = am.search(dist, t, 12, np.random.default_rng(9), shots)
+            r2 = am.search(dist, t, 12, np.random.default_rng(9), shots)
+            for x, y in zip(r1, r2):
+                assert np.array_equal(x, y)
+
+    def test_search_prefix_best_and_tie_break(self, sed_train_table):
+        t = sed_train_table
+        dist = am.uniform_distribution(t.weight_width)
+        draws, est, best = am.search(dist, t, 40, np.random.default_rng(2))
+        assert len(set(est.tolist())) < len(est)  # ties do occur here
+        for i in range(len(draws)):
+            top = est[:i + 1].max()
+            assert best[i] == draws[:i + 1][est[:i + 1] == top].min()
+
+    def test_config_validation(self, toy_table):
+        dist = am.uniform_distribution(toy_table.weight_width)
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError):
+            am.search(dist, toy_table, 0, rng)
+        with pytest.raises(ValueError):
+            am.search(dist, toy_table, 4, rng, eval_shots=0)
+
+    def test_shot_evaluation_concentrates(self, sed_train_table):
+        t = sed_train_table  # weight 1 has accuracy 0.525
+        dist = am.WeightDistribution(np.eye(len(t.counts))[1], 0, 0, 0.0)
+        _, est, _ = am.search(dist, t, 1, np.random.default_rng(11), 50_000)
+        j = t.counts[1] / t.n_samples
         sigma = math.sqrt(max(j * (1 - j), 0.25) / 50_000)
-        assert abs(est - j) <= 5 * sigma + 1e-12
-        with pytest.raises(ValueError):
-            am.evaluate(0, toy_bundle.model, toy_bundle.full, 0, rng)
+        assert abs(est[0] - j) <= 5 * sigma + 1e-12
 
-    def test_optimize_toy_finds_perfect_weight(self, toy_bundle):
-        cfg = am.ExperimentConfig(task="toy", k=1, m_meas=8, seed=0)
-        res = am.optimize(cfg, toy_bundle.model, toy_bundle.train)
-        assert res.best_weight == 0
-        assert res.best_estimate == 1.0
-        assert len(res.trace) == 8
-        assert res.plan is not None and res.plan.residual == 1.0
+    def test_shot_blocks_match_scalar_loop(self, sed_train_table):
+        # 300k shots per draw: 3 rows per block of 2**20 uniforms, so the
+        # 8 draws span three blocks
+        t = sed_train_table
+        dist = am.uniform_distribution(t.weight_width)
+        got = am.search(dist, t, 8, np.random.default_rng(4), 300_000)
+        want = reference_search(dist, t, 8, np.random.default_rng(4), 300_000)
+        for x, y in zip(got, want):
+            assert np.array_equal(x, y)
 
-    def test_optimize_is_deterministic(self, sed_bundle):
-        cfg = am.ExperimentConfig(task="simplified-ed", m_meas=12, seed=9,
-                                  eval_shots=64)
-        r1 = am.optimize(cfg, sed_bundle.model, sed_bundle.train)
-        r2 = am.optimize(cfg, sed_bundle.model, sed_bundle.train)
-        assert r1.trace == r2.trace
-        assert (r1.best_weight, r1.best_estimate) == (r2.best_weight,
-                                                      r2.best_estimate)
+    @settings(max_examples=60, deadline=None)
+    @given(small_tables, st.data(), st.integers(1, 40),
+           st.one_of(st.none(), st.integers(1, 50)), st.integers(0, 2**32))
+    def test_search_matches_per_draw_loop(self, t, data, m_meas, shots, seed):
+        weights = data.draw(st.lists(st.integers(0, 4), min_size=len(t.counts),
+                                     max_size=len(t.counts))
+                            .filter(lambda ws: sum(ws) > 0))
+        p = np.array(weights, dtype=np.float64)
+        dist = am.WeightDistribution(p / p.sum(), 0, 0, 0.0)
+        got = am.search(dist, t, m_meas, np.random.default_rng(seed), shots)
+        want = reference_search(dist, t, m_meas, np.random.default_rng(seed),
+                                shots)
+        for x, y in zip(got, want):
+            assert np.array_equal(x, y)
 
-    def test_search_prefix_best_and_tie_break(self, sed_bundle):
-        cfg = am.ExperimentConfig(task="simplified-ed", m_meas=40, seed=2)
-        res = am.uniform_random_search(cfg, sed_bundle.model, sed_bundle.train)
-        best = max(res.trace, key=lambda row: (row[2], -row[1]))
-        assert res.best_estimate == best[2]
-        assert res.best_weight == min(w for _, w, e in res.trace
-                                      if e == res.best_estimate)
-        assert res.plan is None
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            am.ExperimentConfig(task="toy", m_meas=0)
-        with pytest.raises(ValueError):
-            am.ExperimentConfig(task="toy", eval_shots=0)
+def reference_search(dist, t, m_meas, rng, eval_shots):
+    """Per-draw loop that search() replaces: sample everything, then score
+    each draw in turn, keeping the best with ties to the smallest index."""
+    draws = am.sample_weights(dist, m_meas, rng)
+    est, best = [], []
+    best_w, best_e = -1, -1.0
+    for w in map(int, draws):
+        j = t.counts[w] / t.n_samples
+        e = j if eval_shots is None else float(
+            np.mean(rng.random(eval_shots) < j))
+        if e > best_e or (e == best_e and w < best_w):
+            best_w, best_e = w, e
+        est.append(e)
+        best.append(best_w)
+    return draws, np.array(est), np.array(best)
 
 
 class TestCsvEmission:
@@ -377,7 +417,7 @@ class TestCsvEmission:
         assert out.splitlines()[1] == "0,0.5,1,0,1,0.125"
 
     def test_trace_layout(self):
-        out = am.trace_csv([(0, 5, 0.5), (1, 2, 1.0)])
+        out = am.trace_csv(np.array([5, 2]), np.array([0.5, 1.0]))
         assert out == ("draw_index,weight_index,estimate\n"
                        "0,5,0.5\n"
                        "1,2,1\n")

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -149,6 +150,21 @@ class TestShotsCurve:
                    "urs", "--budget", "1,16", "--runs", "2",
                    "--out", str(out)) == 0
         assert (out / "shots_curve.csv").stat().st_size > 0
+
+    # demos/03_shots_curves.py's three runs; the goldens are the curves it
+    # wrote before the search loop was vectorized
+    @pytest.mark.parametrize("golden,argv", [
+        ("sed_curve", ["--task", "simplified-ed", "--k", "1"]),
+        ("edge_k4", ["--task", "edge", "--k", "4",
+                     "--budget", "5,10,15,20,30,40,60"]),
+        ("edge_urs", ["--task", "edge", "--method", "urs",
+                      "--budget", "50,100,200,400,900"]),
+    ])
+    def test_demo_curves_match_goldens(self, tmp_path, golden, argv):
+        assert run("shots-curve", *argv, "--runs", "20", "--seed", "0",
+                   "--out", str(tmp_path)) == 0
+        want = Path(__file__).parent / "data" / f"{golden}.csv"
+        assert (tmp_path / "shots_curve.csv").read_bytes() == want.read_bytes()
 
     def test_validation(self, tmp_path):
         out = str(tmp_path / "o")
