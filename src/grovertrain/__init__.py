@@ -1,6 +1,6 @@
 """Gradient-free training of Boolean reversible models by amplitude
 amplification, simulated two ways: a closed-form evolution over exact
-accuracy tables and a dense statevector simulator, which must agree.
+accuracy tables and a statevector simulator, which must agree.
 
 Modules:
     boolcirc  Boolean circuit IR, bit-parallel weight sweeps, reversible
@@ -10,7 +10,8 @@ Modules:
     amplify   Amplification planning (angle, iterations, padding), the
               closed-form evolved weight distribution, and the one search
               kernel (sample, score exactly or by shots, best so far).
-    statevec  Dense statevector simulation of the same pipeline.
+    statevec  Statevector simulation of the same pipeline, stored on the
+              basis states it can reach.
     theory    Query-count calculators and the best-parallel-copies rule
               with its brute-force validator.
     tasks     Named model+dataset bundles with fixed splits.

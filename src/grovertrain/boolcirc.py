@@ -14,9 +14,8 @@ Text serialization (one gate per line, parsed by `parse_circuit`):
     XOR t0 <- w0 x0    # OP out <- in1 in2 ...
 
 Ops: NOT (1 input), COPY (1), XOR (>=2), AND (>=2), OR (>=2), MAJ (exactly 3,
-majority vote). An add-with-carry of three bits is the pair (MAJ for the carry,
-XOR for the sum); `emit_add3` builds it. Weight wires are w0..w{dw-1}, input
-wires x0..x{dx-1}; every other wire is defined by exactly one gate.
+majority vote). Weight wires are w0..w{dw-1}, input wires x0..x{dx-1}; every
+other wire is defined by exactly one gate.
 
 Compilation targets the reversible gate set {X, CNOT, multi-controlled X}. Each
 Boolean op has a gate sequence whose effect is `target ^= f(inputs)`, so a
@@ -114,11 +113,6 @@ class ModelCircuit:
     def output_width(self) -> int:
         return len(self.output_wires)
 
-    @property
-    def aux_width(self) -> int:
-        """Count of named intermediate values (defined wires)."""
-        return len(self.gates)
-
 
 def eval_circuit(circuit: ModelCircuit, w, x) -> tuple[int, ...]:
     """Evaluate the circuit on one weight / input pair of bit tuples."""
@@ -212,88 +206,6 @@ def unpack_lanes(packed: np.ndarray, n_lanes: int) -> np.ndarray:
     """Packed uint64 words -> uint8 array of the first n_lanes bits."""
     as_bytes = packed.astype("<u8").view("u1")
     return np.unpackbits(as_bytes, bitorder="little")[:n_lanes]
-
-
-# ---------------------------------------------------------------------------
-# generic building blocks
-
-def conv1x3(w, x) -> int:
-    """Width-3 matching kernel: 1 iff w equals x bitwise (XNOR of each pair,
-    AND across positions)."""
-    w, x = tuple(w), tuple(x)
-    if len(w) != 3 or len(x) != 3:
-        raise ValueError("conv1x3 takes width-3 bit vectors")
-    return int(all(wi == xi for wi, xi in zip(w, x)))
-
-
-def maxpool(x) -> int:
-    """OR of all input bits."""
-    x = tuple(x)
-    if not x:
-        raise ValueError("maxpool needs at least one bit")
-    return int(any(x))
-
-
-def fc_row(w, x) -> tuple[int, int]:
-    """Count of positions where w_j AND x_j, as 2 bits (carry, sum) -
-    most significant first, so (1,0) means two hits."""
-    w, x = tuple(w), tuple(x)
-    if len(w) != 3 or len(x) != 3:
-        raise ValueError("fc_row takes width-3 bit vectors")
-    hits = [wi & xi for wi, xi in zip(w, x)]
-    total = sum(hits)
-    return (total >> 1 & 1, total & 1)
-
-
-def relu(s: int, x) -> tuple[int, ...]:
-    """Gate x by the sign bit: every output bit is (not s) AND x_j."""
-    if s not in (0, 1):
-        raise ValueError("sign bit must be 0 or 1")
-    return tuple(0 if s else xi for xi in x)
-
-
-def emit_add3(gates: list[Gate], a: str, b: str, c: str,
-              sum_wire: str, carry_wire: str) -> None:
-    """Append an add-with-carry of three bits: sum = a^b^c, carry = maj(a,b,c)."""
-    gates.append(Gate("MAJ", carry_wire, (a, b, c)))
-    gates.append(Gate("XOR", sum_wire, (a, b, c)))
-
-
-def conv1x3_circuit() -> ModelCircuit:
-    """conv1x3 as a circuit: d_w=3, d_x=3, one output."""
-    gates = []
-    for j in range(3):
-        gates.append(Gate("XOR", f"d{j}", (f"w{j}", f"x{j}")))
-        gates.append(Gate("NOT", f"e{j}", (f"d{j}",)))
-    gates.append(Gate("AND", "o0", ("e0", "e1", "e2")))
-    return ModelCircuit(3, 3, gates, ("o0",))
-
-
-def maxpool_circuit(width: int) -> ModelCircuit:
-    """OR of `width` input bits (weight register is a single ignored bit)."""
-    if width < 2:
-        raise ValueError("maxpool circuit needs width >= 2")
-    gates = [Gate("OR", "o0", tuple(f"x{j}" for j in range(width)))]
-    return ModelCircuit(1, width, gates, ("o0",))
-
-
-def fc_row_circuit() -> ModelCircuit:
-    """Three weighted hits summed to (carry, sum): d_w=3, d_x=3, two outputs."""
-    gates = [Gate("AND", f"h{j}", (f"w{j}", f"x{j}")) for j in range(3)]
-    emit_add3(gates, "h0", "h1", "h2", "o_sum", "o_carry")
-    return ModelCircuit(3, 3, gates, ("o_carry", "o_sum"))
-
-
-def relu_circuit(width: int) -> ModelCircuit:
-    """Sign-gated pass-through; x0 is the sign bit, x1.. the payload."""
-    if width < 1:
-        raise ValueError("relu circuit needs at least one payload bit")
-    gates = [Gate("NOT", "ns", ("x0",))]
-    outs = []
-    for j in range(width):
-        gates.append(Gate("AND", f"o{j}", ("ns", f"x{j + 1}")))
-        outs.append(f"o{j}")
-    return ModelCircuit(1, width + 1, gates, tuple(outs))
 
 
 # ---------------------------------------------------------------------------

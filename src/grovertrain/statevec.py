@@ -1,21 +1,24 @@
-"""Dense statevector simulation of the amplified weight search.
+"""Statevector simulation of the amplified weight search, on its support.
 
-The simulator holds one complex128 amplitude per basis state (capped at 26
-qubits) and runs the full quantum pipeline end to end: uniform weight
+The simulator runs the full quantum pipeline end to end: uniform weight
 register, k parallel data registers carrying the dataset in superposition,
 the compiled reversible model writing predictions per register, a phase
 oracle marking all-correct states, and inversion-about-the-mean diffusion.
 Its weight marginal is the ground truth the closed-form evolution in
-`amplify` is checked against.
+`amplify` is checked against. Every gate is an X, CNOT or multi-controlled X
+and only permutes basis states, so the state never leaves the
+2^d_w * (N + n_aux)^k basis states of |Psi_0>. It is stored on those alone:
+an int64 basis index and a complex128 amplitude each (at most 2^26 of them,
+on at most 62 qubits).
 
 Qubit convention: qubit q is bit q of the basis index (LSB first). The global
 layout puts the weight register at the lowest qubits, so the weight marginal
-is a single reshape-and-sum away. Then come the k data copies, each holding
-input bits, label bits, and (only when auxiliary padding is present) one
-realness flag; then one prediction block per copy; then a shared ancilla pool
-for the compiled model. Auxiliary padding occupies otherwise-unused basis
-states of the data registers with the flag at 0, so padded states can never
-satisfy the oracle.
+is one `bincount` over the low index bits. Then come the k data copies, each
+holding input bits, label bits, and (only when auxiliary padding is present)
+one realness flag; then one prediction block per copy; then a shared ancilla
+pool for the compiled model. Auxiliary padding occupies otherwise-unused
+basis states of the data registers with the flag at 0, so padded states can
+never satisfy the oracle.
 """
 from __future__ import annotations
 
@@ -27,7 +30,8 @@ import numpy as np
 from .boolcirc import GateList, ModelCircuit, RGate, bits_to_index, compile_circuit
 from .datasets import Dataset
 
-MAX_QUBITS = 26
+MAX_QUBITS = 62  # basis indices and masks stay below the int64 sign bit
+MAX_SUPPORT = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -48,66 +52,54 @@ class SystemLayout:
     n_qubits: int
 
 
-class QuantumState:
-    """Dense statevector over n_qubits (complex128, 2**n amplitudes)."""
+def _bit_mask(qubits) -> int:
+    mask = 0
+    for q in qubits:
+        mask |= 1 << q
+    return mask
 
-    def __init__(self, n_qubits: int, amps: np.ndarray | None = None):
+
+class QuantumState:
+    """State over n_qubits stored on its support: basis index idx[i] (int64)
+    carries amplitude amps[i] (complex128); every other amplitude is zero."""
+
+    def __init__(self, n_qubits: int, idx, amps):
         if n_qubits < 1 or n_qubits > MAX_QUBITS:
             raise ValueError(f"qubit count must lie in [1, {MAX_QUBITS}]")
         self.n_qubits = n_qubits
-        if amps is None:
-            self.amps = np.zeros(1 << n_qubits, dtype=np.complex128)
-            self.amps[0] = 1.0
-        else:
-            amps = np.asarray(amps, dtype=np.complex128)
-            if amps.shape != (1 << n_qubits,):
-                raise ValueError("amplitude vector has wrong length")
-            self.amps = amps
-        self._idx = np.arange(1 << n_qubits, dtype=np.int64)
+        self.idx = np.asarray(idx, dtype=np.int64)
+        self.amps = np.asarray(amps, dtype=np.complex128)
+        if self.idx.shape != self.amps.shape or self.idx.ndim != 1:
+            raise ValueError("index and amplitude arrays differ in length")
+
+    def dense(self) -> np.ndarray:
+        """The full 2**n_qubits amplitude vector (for small states)."""
+        out = np.zeros(1 << self.n_qubits, dtype=np.complex128)
+        out[self.idx] = self.amps
+        return out
 
     def norm(self) -> float:
         return float(np.sqrt((np.abs(self.amps) ** 2).sum()))
 
-    def copy(self) -> "QuantumState":
-        return QuantumState(self.n_qubits, self.amps.copy())
-
-    def _mask(self, qubits) -> np.ndarray:
-        m = np.ones(len(self.amps), dtype=bool)
-        for q in qubits:
-            m &= (self._idx >> q) & 1 == 1
-        return m
-
-    def apply_rgate(self, gate: RGate) -> None:
-        """Flip `target` on basis states where all controls are 1."""
-        m = self._mask(gate.controls)
-        src = self._idx[m & ((self._idx >> gate.target) & 1 == 0)]
-        dst = src | (1 << gate.target)
-        tmp = self.amps[src].copy()
-        self.amps[src] = self.amps[dst]
-        self.amps[dst] = tmp
-
     def apply_gates(self, gates) -> None:
+        """Flip each gate's target on basis states where all its controls
+        are 1. The amplitudes stay where they are; their indices move."""
         for g in gates:
-            self.apply_rgate(g)
+            m = _bit_mask(g.controls)
+            self.idx ^= ((self.idx & m) == m) << g.target
 
     def apply_phase_flip(self, qubits) -> None:
         """Multiply by -1 every basis state with all `qubits` at 1."""
-        self.amps[self._mask(qubits)] *= -1.0
+        m = _bit_mask(qubits)
+        self.amps[(self.idx & m) == m] *= -1.0
 
     def marginal(self, qubits) -> np.ndarray:
         """Probability distribution over a register (its bit 0 first)."""
-        probs = np.abs(self.amps) ** 2
-        out = np.zeros(1 << len(qubits))
-        sub = np.zeros(len(self.amps), dtype=np.int64)
+        sub = np.zeros(len(self.idx), dtype=np.int64)
         for pos, q in enumerate(qubits):
-            sub |= ((self._idx >> q) & 1) << pos
-        np.add.at(out, sub, probs)
-        return out
-
-    def weight_marginal(self, d_w: int) -> np.ndarray:
-        """Fast marginal for the weight register at qubits [0, d_w)."""
-        probs = np.abs(self.amps) ** 2
-        return probs.reshape(-1, 1 << d_w).sum(axis=0)
+            sub |= ((self.idx >> q) & 1) << pos
+        return np.bincount(sub, weights=np.abs(self.amps) ** 2,
+                           minlength=1 << len(qubits))
 
     def measure_register(self, qubits, rng: np.random.Generator) -> int:
         """One Born-rule measurement outcome for the given register."""
@@ -137,23 +129,24 @@ def build_layout(model: ModelCircuit, k: int, n_aux: int,
     return SystemLayout(weight, tuple(full), anc, q)
 
 
-def _copy_register_vector(d: Dataset, n_aux: int, width: int) -> np.ndarray:
-    """Amplitudes of one data copy: real samples |x, y, flag=1> plus n_aux
-    distinct padded basis states |p, flag=0>, all at equal weight."""
-    vec = np.zeros(1 << width, dtype=np.complex128)
-    amp = 1.0 / math.sqrt(len(d) + n_aux)
+def _copy_register_vector(d: Dataset, n_aux: int
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """Nonzero amplitudes of one data copy, by ascending basis index: real
+    samples |x, y, flag=1> plus n_aux distinct padded basis states
+    |p, flag=0>, all at equal weight."""
     data_width = d.d_x + d.d_y
+    if n_aux > 1 << data_width:
+        raise ValueError("more padding states requested than the data "
+                         "register has basis states")
     flag_bit = 1 << data_width if n_aux > 0 else 0
-    for s in d.samples:
-        idx = bits_to_index(s.x + s.y)
-        vec[idx | flag_bit] += amp
-    if n_aux > 0:
-        if n_aux > 1 << data_width:
-            raise ValueError("more padding states requested than the data "
-                             "register has basis states")
-        for p in range(n_aux):
-            vec[p] += amp
-    return vec
+    real = [bits_to_index(s.x + s.y) | flag_bit for s in d.samples]
+    idx = np.sort(np.concatenate([np.array(real, dtype=np.int64),
+                                  np.arange(n_aux, dtype=np.int64)]))
+    if np.any(idx[1:] == idx[:-1]):
+        # two equal samples would share one basis state and break the norm
+        raise ValueError("dataset repeats a sample")
+    return idx, np.full(len(idx), 1.0 / math.sqrt(len(idx)),
+                        dtype=np.complex128)
 
 
 def prepare_initial(model: ModelCircuit, d: Dataset, k: int, n_aux: int = 0,
@@ -161,11 +154,14 @@ def prepare_initial(model: ModelCircuit, d: Dataset, k: int, n_aux: int = 0,
                     ) -> tuple[QuantumState, SystemLayout]:
     """|Psi_0>: uniform weights, k dataset superpositions, predictions written.
 
-    Builds the product state by Kronecker products (low register last, so the
-    weight register varies fastest), then runs the compiled model once per
-    copy with weight, input, output, and ancilla qubits remapped into place.
-    min_anc grows the shared ancilla pool beyond what the compiled model
-    needs (the decode oracle borrows one ancilla per copy from it).
+    Builds the product state on its support, one copy at a time: the copy's
+    nonzero basis states are broadcast against the registers below it (so
+    the weight register varies fastest, as with Kronecker products), then
+    the compiled model runs on that copy with weight, input, output, and
+    ancilla qubits remapped into place. The model leaves later copies'
+    registers alone, so running it before they exist saves work and changes
+    nothing. min_anc grows the shared ancilla pool beyond what the compiled
+    model needs (the decode oracle borrows one ancilla per copy from it).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -176,32 +172,21 @@ def prepare_initial(model: ModelCircuit, d: Dataset, k: int, n_aux: int = 0,
     if layout.n_qubits > MAX_QUBITS:
         raise ValueError(
             f"system needs {layout.n_qubits} qubits, cap is {MAX_QUBITS}")
-    copy_width = (model.input_width + model.output_width
-                  + (1 if n_aux > 0 else 0))
-    copy_vec = _copy_register_vector(d, n_aux, copy_width)
-    w_vec = np.full(1 << model.weight_width,
-                    1.0 / math.sqrt(1 << model.weight_width),
-                    dtype=np.complex128)
-    rest = 1 << (layout.n_qubits - model.weight_width - k * copy_width)
-    zeros = np.zeros(rest, dtype=np.complex128)
-    zeros[0] = 1.0
-    vec = w_vec
-    for _ in range(k):
-        vec = np.kron(copy_vec, vec)
-    vec = np.kron(zeros, vec)
-    state = QuantumState(layout.n_qubits, vec)
+    copy_idx, copy_amps = _copy_register_vector(d, n_aux)
+    support = (1 << model.weight_width) * len(copy_idx) ** k
+    if support > MAX_SUPPORT:
+        raise ValueError(f"system has {support} basis states in its support, "
+                         f"cap is {MAX_SUPPORT}")
+    n_w = 1 << model.weight_width
+    state = QuantumState(layout.n_qubits, np.arange(n_w),
+                         np.full(n_w, 1.0 / math.sqrt(n_w)))
+    anc_base = model.weight_width + model.input_width + len(gl.out_qubits)
     for copy in layout.copies:
-        mapping = {}
-        for i, q in enumerate(layout.weight):
-            mapping[i] = q
-        base = model.weight_width
-        for i, q in enumerate(copy.x):
-            mapping[base + i] = q
-        for i, q in enumerate(gl.out_qubits):
-            mapping[q] = copy.out[i]
-        anc_base = model.weight_width + model.input_width + len(gl.out_qubits)
-        for i, q in enumerate(layout.anc):
-            mapping[anc_base + i] = q
+        state.idx = ((copy_idx[:, None] << copy.x[0]) | state.idx).ravel()
+        state.amps = (copy_amps[:, None] * state.amps).ravel()
+        mapping = dict(enumerate(layout.weight + copy.x))
+        mapping.update(zip(gl.out_qubits, copy.out))
+        mapping.update(enumerate(layout.anc, anc_base))
         state.apply_gates(gl.remap(mapping).gates)
     return state, layout
 
@@ -269,7 +254,9 @@ def _apply_decode_oracle(state: QuantumState, layout: SystemLayout) -> None:
 
 
 def apply_diffusion(state: QuantumState, psi0: np.ndarray) -> None:
-    """Reflect about the prepared state: psi <- 2 <psi0|psi> psi0 - psi."""
+    """Reflect about the prepared state: psi <- 2 <psi0|psi> psi0 - psi.
+    Each oracle ends with its gates reversed, so state.idx is back in its
+    prepared order and psi0 lines up with state.amps."""
     overlap = np.vdot(psi0, state.amps)
     state.amps = 2.0 * overlap * psi0 - state.amps
 
@@ -291,7 +278,7 @@ def grover_run(model: ModelCircuit, d: Dataset, k: int, g: int,
     for _ in range(g):
         apply_oracle(state, layout, d.predicate)
         apply_diffusion(state, psi0)
-    marginal = state.weight_marginal(model.weight_width)
+    marginal = state.marginal(layout.weight)
     if return_state:
         return marginal, state, layout
     return marginal
@@ -300,6 +287,6 @@ def grover_run(model: ModelCircuit, d: Dataset, k: int, g: int,
 def statevector_csv(state: QuantumState) -> str:
     """CSV dump of the amplitudes: basis_index,re,im (12 significant digits)."""
     lines = ["basis_index,re,im"]
-    for i, a in enumerate(state.amps):
+    for i, a in enumerate(state.dense()):
         lines.append(f"{i},{a.real:.12g},{a.imag:.12g}")
     return "\n".join(lines) + "\n"

@@ -1,14 +1,8 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from grovertrain import boolcirc as bc
-
-
-def all_bits(width):
-    return itertools.product((0, 1), repeat=width)
 
 
 class TestIndexBits:
@@ -41,36 +35,6 @@ class TestGateValidation:
             bc.ModelCircuit(1, 1, g, ("t",))
         with pytest.raises(ValueError):
             bc.ModelCircuit(1, 1, [bc.Gate("NOT", "u", ("nowhere",))], ("u",))
-
-
-class TestPureOps:
-    def test_conv_fires_only_on_exact_match(self):
-        assert bc.conv1x3((1, 1, 1), (1, 1, 1)) == 1
-        assert bc.conv1x3((1, 1, 1), (1, 0, 1)) == 0
-        assert bc.conv1x3((0, 1, 0), (0, 1, 0)) == 1
-        for w in all_bits(3):
-            for x in all_bits(3):
-                assert bc.conv1x3(w, x) == int(w == x)
-
-    def test_maxpool_is_or(self):
-        assert bc.maxpool((1, 0, 0)) == 1
-        assert bc.maxpool((0, 0, 0)) == 0
-        assert bc.maxpool((1, 1, 1)) == 1
-
-    def test_fc_row_counts_joint_hits_in_binary(self):
-        assert bc.fc_row((1, 1, 1), (1, 1, 1)) == (1, 1)
-        assert bc.fc_row((0, 0, 0), (1, 0, 1)) == (0, 0)
-        assert bc.fc_row((1, 0, 1), (1, 1, 1)) == (1, 0)
-        for w in all_bits(3):
-            for x in all_bits(3):
-                carry, s = bc.fc_row(w, x)
-                hits = sum(wi & xi for wi, xi in zip(w, x))
-                assert 2 * carry + s == hits
-
-    def test_relu_gates_on_sign(self):
-        assert bc.relu(1, (1, 0, 1)) == (0, 0, 0)
-        assert bc.relu(0, (1, 0, 1)) == (1, 0, 1)
-        assert bc.relu(0, (0, 0, 0)) == (0, 0, 0)
 
 
 class TestModelOracles:

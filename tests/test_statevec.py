@@ -2,17 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from grovertrain import amplify as am
 from grovertrain import boolcirc as bc
 from grovertrain import datasets as ds
 from grovertrain import statevec as sv
+from grovertrain import tasks
+
+
+def from_dense(n_qubits, amps):
+    """State holding the nonzero entries of a full amplitude vector."""
+    amps = np.asarray(amps, dtype=np.complex128)
+    idx = np.flatnonzero(amps)
+    return sv.QuantumState(n_qubits, idx, amps[idx])
 
 
 def basis_state(n_qubits, index):
-    amps = np.zeros(1 << n_qubits, dtype=np.complex128)
-    amps[index] = 1.0
-    return sv.QuantumState(n_qubits, amps)
+    return sv.QuantumState(n_qubits, [index], [1.0])
 
 
 def decode_task():
@@ -31,15 +38,15 @@ def decode_task():
 class TestQuantumState:
     def test_qubit_cap(self):
         with pytest.raises(ValueError):
-            sv.QuantumState(0)
+            sv.QuantumState(0, [0], [1.0])
         with pytest.raises(ValueError):
-            sv.QuantumState(sv.MAX_QUBITS + 1)
+            sv.QuantumState(sv.MAX_QUBITS + 1, [0], [1.0])
 
     def test_initial_state_and_amp_validation(self):
-        s = sv.QuantumState(3)
-        assert s.amps[0] == 1.0 and np.count_nonzero(s.amps) == 1
+        s = sv.QuantumState(3, [0], [1.0])
+        assert s.dense()[0] == 1.0 and np.count_nonzero(s.dense()) == 1
         with pytest.raises(ValueError):
-            sv.QuantumState(2, np.ones(3, dtype=np.complex128))
+            sv.QuantumState(2, [0, 1], np.ones(3, dtype=np.complex128))
 
     def test_gates_act_like_classical_bit_flips(self):
         gates = [bc.RGate((), 2), bc.RGate((0,), 1), bc.RGate((0, 2), 3),
@@ -48,20 +55,20 @@ class TestQuantumState:
             s = basis_state(4, start)
             bits = [(start >> q) & 1 for q in range(4)]
             for g in gates:
-                s.apply_rgate(g)
+                s.apply_gates([g])
                 if all(bits[c] for c in g.controls):
                     bits[g.target] ^= 1
             want = sum(b << q for q, b in enumerate(bits))
-            assert s.amps[want] == 1.0
-            assert np.count_nonzero(s.amps) == 1
+            assert s.dense()[want] == 1.0
+            assert np.count_nonzero(s.dense()) == 1
 
     def test_phase_flip_targets_exactly_matching_states(self):
         amps = np.full(8, 1 / math.sqrt(8), dtype=np.complex128)
-        s = sv.QuantumState(3, amps.copy())
+        s = from_dense(3, amps)
         s.apply_phase_flip((0, 2))
         for i in range(8):
             flipped = (i & 1) and (i >> 2) & 1
-            assert s.amps[i] == (-amps[i] if flipped else amps[i])
+            assert s.dense()[i] == (-amps[i] if flipped else amps[i])
 
     def test_marginal_orders_bits_low_first(self):
         s = basis_state(3, 0b010)
@@ -73,9 +80,9 @@ class TestQuantumState:
         rng = np.random.default_rng(0)
         amps = rng.normal(size=32) + 1j * rng.normal(size=32)
         amps /= np.linalg.norm(amps)
-        s = sv.QuantumState(5, amps)
-        assert np.allclose(s.weight_marginal(2), s.marginal([0, 1]),
-                           atol=1e-15)
+        s = from_dense(5, amps)
+        by_reshape = (np.abs(amps) ** 2).reshape(-1, 4).sum(axis=0)
+        assert np.allclose(s.marginal([0, 1]), by_reshape, atol=1e-15)
 
     def test_measurement_is_deterministic_on_basis_states(self):
         s = basis_state(3, 0b101)
@@ -86,7 +93,7 @@ class TestQuantumState:
         rng = np.random.default_rng(1)
         amps = rng.normal(size=16) + 1j * rng.normal(size=16)
         amps /= np.linalg.norm(amps)
-        s = sv.QuantumState(4, amps)
+        s = from_dense(4, amps)
         s.apply_gates([bc.RGate((0,), 3), bc.RGate((1, 2), 0),
                        bc.RGate((), 2)])
         assert abs(s.norm() - 1.0) < 1e-12
@@ -99,12 +106,12 @@ class TestHandRolledSearch:
         n = 3
         marked = 5
         amps = np.full(8, 1 / math.sqrt(8), dtype=np.complex128)
-        state = sv.QuantumState(n, amps.copy())
+        state = from_dense(n, amps)
         psi0 = state.amps.copy()
         for _ in range(2):
-            state.amps[marked] *= -1.0
+            state.amps[state.idx == marked] *= -1.0
             sv.apply_diffusion(state, psi0)
-        p = np.abs(state.amps) ** 2
+        p = np.abs(state.dense()) ** 2
         assert p[marked] == pytest.approx(121 / 128, abs=1e-12)
 
 
@@ -138,11 +145,12 @@ class TestLayoutAndPreparation:
                 idx |= bc.bits_to_index(s.y) << lay.copies[0].y[0]
                 idx |= bc.bits_to_index(yhat) << lay.copies[0].out[0]
                 expected[idx] = 0.5
-        assert np.allclose(state.amps, expected, atol=1e-12)
+        assert np.allclose(state.dense(), expected, atol=1e-12)
 
     def test_prepared_state_with_padding(self, toy_bundle):
         model, d = toy_bundle.model, toy_bundle.full
         state, lay = sv.prepare_initial(model, d, k=1, n_aux=2)
+        amps = state.dense()
         copy = lay.copies[0]
         amp = (1 / math.sqrt(2)) * (1 / math.sqrt(4))
         # padded basis states keep flag=0; the model still writes its
@@ -153,7 +161,7 @@ class TestLayoutAndPreparation:
                 yhat = bc.eval_circuit(model, (wi,), x_bits)
                 idx = wi | (p << copy.x[0])
                 idx |= bc.bits_to_index(yhat) << copy.out[0]
-                assert state.amps[idx] == pytest.approx(amp, abs=1e-12)
+                assert amps[idx] == pytest.approx(amp, abs=1e-12)
         # real samples carry the flag
         s0 = d.samples[0]
         idx = 0
@@ -162,7 +170,7 @@ class TestLayoutAndPreparation:
         idx |= 1 << copy.flag
         yhat = bc.eval_circuit(model, (0,), s0.x)
         idx |= bc.bits_to_index(yhat) << copy.out[0]
-        assert state.amps[idx] == pytest.approx(amp, abs=1e-12)
+        assert amps[idx] == pytest.approx(amp, abs=1e-12)
         assert abs(state.norm() - 1.0) < 1e-12
 
     def test_preparation_validation(self, toy_bundle):
@@ -174,13 +182,24 @@ class TestLayoutAndPreparation:
             sv.prepare_initial(model, one, k=1, n_aux=0)
         with pytest.raises(ValueError):
             sv.prepare_initial(model, d, k=1, n_aux=5)  # 4 basis states only
+        twice = ds.Dataset(d.samples + d.samples[:1], d.d_x, d.d_y,
+                           d.class_count)
+        with pytest.raises(ValueError, match="repeats"):
+            sv.prepare_initial(model, twice, k=1)
 
     def test_qubit_budget_enforced(self):
+        # 55 qubits fit an int64 index, but 2^20 weights x 9^2 sample pairs
+        # exceed the support cap of 2^26 basis states
         model = bc.tiny_mnist_model()
-        d = ds.Dataset([ds.Sample((0,) * 9, (0, 0)),
-                        ds.Sample((1,) * 9, (0, 1))], 9, 2, 3)
-        with pytest.raises(ValueError):
-            sv.prepare_initial(model, d, k=1)
+        d = ds.Dataset([ds.Sample(bc.index_to_bits(i, 9), (0, i & 1))
+                        for i in range(9)], 9, 2, 3)
+        with pytest.raises(ValueError, match="support"):
+            sv.prepare_initial(model, d, k=2)
+
+    def test_index_width_enforced(self, edge_bundle):
+        # edge at k=4 needs 63 qubits, one more than an int64 index holds
+        with pytest.raises(ValueError, match="63 qubits"):
+            sv.prepare_initial(edge_bundle.model, edge_bundle.train, k=4)
 
     def test_min_anc_grows_pool(self, toy_bundle):
         model, d = toy_bundle.model, toy_bundle.full
@@ -193,46 +212,47 @@ class TestOracles:
     def test_exact_match_phase_pattern(self, toy_bundle):
         model, d = toy_bundle.model, toy_bundle.full
         state, lay = sv.prepare_initial(model, d, k=1)
-        before = state.amps.copy()
+        before = state.dense()
         sv.apply_oracle(state, lay, "exact-match")
+        after = state.dense()
         copy = lay.copies[0]
         for idx in np.flatnonzero(np.abs(before) > 1e-14):
             y = (idx >> copy.y[0]) & 1
             out = (idx >> copy.out[0]) & 1
             sign = -1.0 if y == out else 1.0
-            assert state.amps[idx] == pytest.approx(sign * before[idx],
-                                                    abs=1e-14)
+            assert after[idx] == pytest.approx(sign * before[idx], abs=1e-14)
 
     def test_padded_states_never_flip(self, toy_bundle):
         model, d = toy_bundle.model, toy_bundle.full
         state, lay = sv.prepare_initial(model, d, k=1, n_aux=2)
-        before = state.amps.copy()
+        before = state.dense()
         sv.apply_oracle(state, lay, "exact-match")
+        after = state.dense()
         flag = lay.copies[0].flag
         for idx in np.flatnonzero(np.abs(before) > 1e-14):
             if not (idx >> flag) & 1:
-                assert state.amps[idx] == before[idx]
+                assert after[idx] == before[idx]
 
     def test_oracle_applied_twice_is_identity(self, toy_bundle):
         model, d = toy_bundle.model, toy_bundle.full
         state, lay = sv.prepare_initial(model, d, k=2, n_aux=1)
-        before = state.amps.copy()
+        before = state.dense()
         sv.apply_oracle(state, lay, "exact-match")
         sv.apply_oracle(state, lay, "exact-match")
-        assert np.allclose(state.amps, before, atol=1e-13)
+        assert np.allclose(state.dense(), before, atol=1e-13)
 
     def test_decode_phase_pattern(self):
         model, d = decode_task()
         state, lay = sv.prepare_initial(model, d, k=1, min_anc=1)
-        before = state.amps.copy()
+        before = state.dense()
         sv.apply_oracle(state, lay, "tiny-mnist-decode")
+        after = state.dense()
         copy = lay.copies[0]
         for idx in np.flatnonzero(np.abs(before) > 1e-14):
             y = tuple((idx >> q) & 1 for q in copy.y)
             out = tuple((idx >> q) & 1 for q in copy.out)
             sign = -1.0 if ds.is_correct("tiny-mnist-decode", y, out) else 1.0
-            assert state.amps[idx] == pytest.approx(sign * before[idx],
-                                                    abs=1e-14)
+            assert after[idx] == pytest.approx(sign * before[idx], abs=1e-14)
 
     def test_decode_needs_ancillas(self):
         model, d = decode_task()
@@ -256,11 +276,11 @@ class TestDiffusionAndFullRuns:
         psi0 /= np.linalg.norm(psi0)
         amps = rng.normal(size=16) + 1j * rng.normal(size=16)
         amps /= np.linalg.norm(amps)
-        s = sv.QuantumState(4, amps.copy())
+        s = from_dense(4, amps)
         sv.apply_diffusion(s, psi0)
         assert abs(s.norm() - 1.0) < 1e-12
         sv.apply_diffusion(s, psi0)
-        assert np.allclose(s.amps, amps, atol=1e-12)
+        assert np.allclose(s.dense(), amps, atol=1e-12)
 
     def test_zero_rounds_keep_weights_uniform(self, toy_bundle):
         model, d = toy_bundle.model, toy_bundle.full
@@ -319,10 +339,77 @@ class TestDiffusionAndFullRuns:
             assert state.measure_register(lay.weight, rng) == 0
 
 
+def crosscheck(model, d, k):
+    """Closed form vs gate-level run: (deviation, norm drift, mass, qubits)."""
+    table = am.accuracy_table(model, d)
+    plan = am.make_plan(table, k)
+    p = am.evolve_distribution(table, plan).p
+    marg, state, lay = sv.grover_run(model, d, k, plan.g, plan.n_aux,
+                                     return_state=True)
+    return (float(np.max(np.abs(marg - p))), abs(state.norm() - 1.0),
+            float(marg.sum()), lay.n_qubits)
+
+
+@st.composite
+def small_instances(draw):
+    """Random small circuit, distinct samples labelled by a random teacher
+    weight with some label bits flipped, and a copy count k <= 3."""
+    n_w, n_x = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    wires = [f"w{i}" for i in range(n_w)] + [f"x{i}" for i in range(n_x)]
+    gates = []
+    for gi in range(draw(st.integers(1, 6))):
+        op = draw(st.sampled_from(("NOT", "COPY", "XOR", "AND", "OR", "MAJ")))
+        arity = {"NOT": 1, "COPY": 1, "MAJ": 3}.get(op, 2)
+        ins = tuple(draw(st.sampled_from(wires)) for _ in range(arity))
+        gates.append(bc.Gate(op, f"t{gi}", ins))
+        wires.append(f"t{gi}")
+    outs = draw(st.permutations([g.out for g in gates]))
+    n_out = draw(st.integers(1, min(2, len(outs))))
+    model = bc.ModelCircuit(n_w, n_x, gates, tuple(outs[:n_out]))
+    teacher = bc.index_to_bits(draw(st.integers(0, (1 << n_w) - 1)), n_w)
+    xs = draw(st.lists(st.integers(0, (1 << n_x) - 1), min_size=2,
+                       max_size=1 << n_x, unique=True))
+    samples = []
+    for xi in xs:
+        x = bc.index_to_bits(xi, n_x)
+        y = bc.eval_circuit(model, teacher, x)
+        flip = draw(st.lists(st.booleans(), min_size=len(y), max_size=len(y)))
+        samples.append(ds.Sample(x, tuple(b ^ f for b, f in zip(y, flip))))
+    d = ds.Dataset(samples, n_x, model.output_width, 2)
+    return model, d, draw(st.integers(1, 3))
+
+
+class TestLargeAndRandomInstances:
+    """Closed form vs gate-level run, within 1e-9, on instances of 23 to 33
+    qubits and on random small ones."""
+
+    @pytest.mark.parametrize("task,k,n_qubits", [
+        ("edge", 1, 24), ("simplified-ed", 2, 29), ("toy", 8, 33),
+        ("decode", 3, 23)])
+    def test_matches_closed_form(self, task, k, n_qubits):
+        if task == "decode":
+            model, d = decode_task()
+        else:
+            bundle = tasks.load_task(task)
+            model, d = bundle.model, bundle.train
+        dev, drift, mass, got_qubits = crosscheck(model, d, k)
+        assert got_qubits == n_qubits
+        assert dev <= 1e-9 and drift <= 1e-9 and abs(mass - 1.0) <= 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_instances())
+    def test_random_instances_match_closed_form(self, instance):
+        model, d, k = instance
+        try:
+            dev, drift, mass, _ = crosscheck(model, d, k)
+        except am.DegenerateAngleError:
+            assume(False)  # every state is a solution: nothing to amplify
+        assert dev <= 1e-9 and drift <= 1e-9 and abs(mass - 1.0) <= 1e-9
+
+
 class TestCsv:
     def test_statevector_layout(self):
-        s = basis_state(1, 1)
-        s.amps[0] = 0.5j
+        s = from_dense(1, [0.5j, 1.0])
         assert sv.statevector_csv(s) == ("basis_index,re,im\n"
                                          "0,0,0.5\n"
                                          "1,1,0\n")
