@@ -13,12 +13,16 @@ sin^2((2g+1)theta) on the solution states (those where all k parallel copies
 are real samples predicted correctly) and the rest on the others, uniformly
 within each group. A weight with c correct samples out of N owns c^k of the
 solution states, which is where the exponential k-fold sharpening comes from.
+All of it sees a weight only through c, so it runs on the count histogram (at
+most N+1 distinct counts) in exact integers, each scaled by one power of two
+before it becomes a float: small shares may underflow to 0, none overflow.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -45,7 +49,7 @@ class DegenerateAngleError(ValueError):
 
 @dataclass
 class AccuracyTable:
-    """Exact correct-prediction counts for every weight assignment."""
+    """Exact correct counts for every weight; `histogram` tallies them."""
     counts: np.ndarray  # int64, length 2**weight_width
     n_samples: int
     weight_width: int
@@ -67,14 +71,38 @@ class AccuracyTable:
         arr = self.counts.astype(np.float64)
         return arr / arr.sum()
 
+    @cached_property
+    def histogram(self) -> np.ndarray:
+        """Number of weights with each correct count 0..N; computed once."""
+        return np.bincount(self.counts, minlength=self.n_samples + 1)
 
-@dataclass
+
+@dataclass(frozen=True)
 class SolutionStats:
-    """Exact solution-state counts for a k-parallel configuration."""
-    counts_pow: np.ndarray | list  # c_i**k, exact integers
-    total: int                     # |S| = sum of counts_pow
-    n_states: int                  # 2**d_w * (N + n_aux)**k
-    states_per_weight: int         # (N + n_aux)**k
+    """Exact solution-state counts for a k-parallel configuration. Padded
+    samples are never solutions, so only the state counts depend on n_aux."""
+    pow_by_count: list[int]  # c**k for c = 0..N, 0 where no weight has c
+    total: int               # |S| = sum over c of histogram[c] * c**k
+    k: int
+    n_weights: int           # 2**d_w
+    n_samples: int           # N
+    n_aux: int = 0
+
+    def __post_init__(self):
+        if self.n_aux < 0:
+            raise ValueError("n_aux must be >= 0")
+
+    @property
+    def states_per_weight(self) -> int:  # (N + n_aux)**k
+        return (self.n_samples + self.n_aux) ** self.k
+
+    @property
+    def n_states(self) -> int:  # T = 2**d_w * (N + n_aux)**k
+        return self.n_weights * self.states_per_weight
+
+    @property
+    def scale(self) -> int:  # 2**e with T / 2**e < 2**1023: floats stay finite
+        return 1 << max(0, self.n_states.bit_length() - 1023)
 
 
 @dataclass
@@ -130,51 +158,39 @@ def accuracy_table(model: ModelCircuit, d: Dataset) -> AccuracyTable:
 
 
 def solution_stats(t: AccuracyTable, k: int, n_aux: int = 0) -> SolutionStats:
-    """Exact k-parallel solution counts: weight i owns counts[i]**k solution
-    states out of (N + n_aux)**k; padded samples are never solutions."""
+    """Exact k-parallel solution counts: a weight with c correct samples owns
+    c**k solution states out of (N + n_aux)**k."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if n_aux < 0:
-        raise ValueError("n_aux must be >= 0")
-    per_weight = (t.n_samples + n_aux) ** k
-    n_states = (1 << t.weight_width) * per_weight
-    if t.n_samples ** k < 2 ** 62:  # exact in int64
-        pow_arr = t.counts ** k
-        total = sum(int(v) for v in pow_arr)
-        return SolutionStats(pow_arr, total, n_states, per_weight)
-    pow_list = [int(c) ** k for c in t.counts]
-    return SolutionStats(pow_list, sum(pow_list), n_states, per_weight)
+    mult = t.histogram.tolist()
+    pow_by_count = [c ** k if m else 0 for c, m in enumerate(mult)]
+    total = sum(m * s for m, s in zip(mult, pow_by_count))
+    return SolutionStats(pow_by_count, total, k, 1 << t.weight_width,
+                         t.n_samples, n_aux)
 
 
 def theta_exact(n_solutions: int, n_total: int, use_sqrt: bool = True) -> float:
-    """Rotation angle from the exact solution ratio.
+    """Rotation angle from the solution ratio n_solutions / n_total (exact
+    state counts, or hits among shots).
 
     use_sqrt=True gives arcsin(sqrt(ratio)) (the amplitude angle); False gives
     arcsin(ratio), reproducing planners that feed the raw probability in.
     """
-    if n_solutions <= 0:
-        raise DegenerateAngleError("no solution states: angle undefined")
     if n_solutions >= n_total:
-        raise DegenerateAngleError("every state is a solution: nothing to amplify")
+        raise DegenerateAngleError("solution ratio is 1: nothing to amplify")
     ratio = n_solutions / n_total
+    if ratio <= 0.0:  # no solutions, or fewer than float64 can resolve
+        raise DegenerateAngleError("solution ratio is 0: angle undefined")
     return math.asin(math.sqrt(ratio)) if use_sqrt else math.asin(ratio)
 
 
-def theta_shots(t: AccuracyTable, k: int, n_aux: int, shots: int,
-                rng: np.random.Generator, use_sqrt: bool = True) -> float:
+def theta_shots(stats: SolutionStats, shots: int, rng: np.random.Generator,
+                use_sqrt: bool = True) -> float:
     """Rotation angle from `shots` Bernoulli samples of the solution ratio."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    stats = solution_stats(t, k, n_aux)
-    p = stats.total / stats.n_states
-    mean = float(np.mean(rng.random(shots) < p))
-    if mean <= 0.0:
-        raise DegenerateAngleError(
-            "estimated solution probability 0: add shots or pad the dataset")
-    if mean >= 1.0:
-        raise DegenerateAngleError(
-            "estimated solution probability 1: angle degenerate at pi/2")
-    return math.asin(math.sqrt(mean)) if use_sqrt else math.asin(mean)
+    hits = rng.random(shots) < stats.total / stats.n_states
+    return theta_exact(int(np.count_nonzero(hits)), shots, use_sqrt)
 
 
 def grover_iterations(theta: float, m: int = 0) -> int:
@@ -193,7 +209,7 @@ def rotation_residual(theta: float, g: int) -> float:
     return math.sin((2 * g + 1) * theta) ** 2
 
 
-def pad_auxiliary(t: AccuracyTable, k: int, target_max_theta: float,
+def pad_auxiliary(stats: SolutionStats, target_max_theta: float,
                   use_sqrt: bool = True) -> int:
     """Smallest auxiliary-sample count bringing the angle down to the target.
 
@@ -204,22 +220,18 @@ def pad_auxiliary(t: AccuracyTable, k: int, target_max_theta: float,
     """
     if not 0 < target_max_theta <= math.pi / 4:
         raise ValueError("target angle must lie in (0, pi/4]")
-    stats = solution_stats(t, k, 0)
     if stats.total == 0:
         raise DegenerateAngleError("no solution states: padding cannot help")
     s = math.sin(target_max_theta)
     limit = Fraction((s * s if use_sqrt else s) * (1 + _RATIO_SLACK))
-    n_w = 1 << t.weight_width
-    total = Fraction(stats.total)
 
     def ok(n: int) -> bool:
-        return total / (n_w * (t.n_samples + n) ** k) <= limit
+        return Fraction(stats.total, replace(stats, n_aux=n).n_states) <= limit
 
-    if ok(0):
-        return 0
-    # float guess for (N+n)**k >= |S| / (2**d_w * limit), then exact adjust
-    need = (stats.total / (n_w * float(limit))) ** (1.0 / k)
-    n = max(0, math.ceil(need) - t.n_samples - 2)
+    # log-space guess for (N+n)**k >= |S| / (2**d_w * limit), then exact adjust
+    need = math.exp((math.log(stats.total)
+                     - math.log(stats.n_weights * limit)) / stats.k)
+    n = max(0, math.ceil(need) - stats.n_samples - 2)
     while not ok(n):
         n += 1
     while n > 0 and ok(n - 1):
@@ -231,9 +243,8 @@ def leakage_bound(stats: SolutionStats, residual: float) -> float:
     """Upper bound on |p_i - s_i/|S|| for the evolved distribution: the
     non-solution mass (1 - residual) spread anywhere can move a weight's
     probability by at most its own share plus one full weight's state block."""
-    share_max = max(float(v) for v in
-                    (stats.counts_pow if isinstance(stats.counts_pow, list)
-                     else stats.counts_pow.tolist())) / stats.total
+    scale = stats.scale
+    share_max = (max(stats.pow_by_count) / scale) / (stats.total / scale)
     spill = stats.states_per_weight / (stats.n_states - stats.total)
     return (1.0 - residual) * (share_max + spill)
 
@@ -249,59 +260,47 @@ def make_plan(t: AccuracyTable, k: int, *, pad: str | int = "auto",
     comes from the exact ratio, or from `theta_shot_count` Bernoulli samples
     when given (rng required then).
     """
-    def angle(n_aux: int) -> float:
-        if theta_shot_count is None:
-            stats = solution_stats(t, k, n_aux)
-            return theta_exact(stats.total, stats.n_states, use_sqrt)
-        if rng is None:
-            raise ValueError("shot-based angle estimation needs an rng")
-        return theta_shots(t, k, n_aux, theta_shot_count, rng, use_sqrt)
+    stats = solution_stats(t, k)
 
-    if pad == "auto":
-        n_aux = 0
-        theta = angle(0)
+    def plan_for(n_aux: int) -> GroverPlan:
+        padded = replace(stats, n_aux=n_aux)
+        if theta_shot_count is None:
+            theta = theta_exact(padded.total, padded.n_states, use_sqrt)
+        elif rng is None:
+            raise ValueError("shot-based angle estimation needs an rng")
+        else:
+            theta = theta_shots(padded, theta_shot_count, rng, use_sqrt)
         g = grover_iterations(theta, m)
-        if rotation_residual(theta, g) < AUTO_PAD_RESIDUAL_THRESHOLD:
-            n_aux = pad_auxiliary(t, k, AUTO_PAD_TARGET_THETA, use_sqrt)
-            if n_aux > 0:
-                theta = angle(n_aux)
-                g = grover_iterations(theta, m)
-    else:
-        n_aux = int(pad)
-        theta = angle(n_aux)
-        g = grover_iterations(theta, m)
-    residual = rotation_residual(theta, g)
-    stats = solution_stats(t, k, n_aux)
-    return GroverPlan(k=k, n_aux=n_aux, theta=theta, m=m, g=g,
-                      residual=residual, n_solutions=stats.total,
-                      n_states=stats.n_states,
-                      leakage_bound=leakage_bound(stats, residual))
+        residual = rotation_residual(theta, g)
+        return GroverPlan(k, n_aux, theta, m, g, residual, padded.total,
+                          padded.n_states, leakage_bound(padded, residual))
+
+    plan = plan_for(0 if pad == "auto" else int(pad))
+    if pad == "auto" and plan.residual < AUTO_PAD_RESIDUAL_THRESHOLD:
+        n_aux = pad_auxiliary(stats, AUTO_PAD_TARGET_THETA, use_sqrt)
+        if n_aux > 0:
+            plan = plan_for(n_aux)
+    return plan
 
 
 def evolve_distribution(t: AccuracyTable, plan: GroverPlan) -> WeightDistribution:
     """Closed-form weight distribution after the planned amplification.
 
     p_i = s_i * residual/|S| + ((N+n_aux)**k - s_i) * (1-residual)/(T - |S|)
-    where s_i = c_i**k and T is the total state count. At residual exactly 1
-    this reduces to s_i/|S| with no leakage term (and at k=1 it is then
+    where s_i = c_i**k and T is the total state count, computed once per
+    count c = 0..N and scattered to the weights. At residual exactly 1 this
+    reduces to s_i/|S| with no leakage term (and at k=1 it is then
     bit-identical to normalized_accuracy)."""
     stats = solution_stats(t, plan.k, plan.n_aux)
-    if stats.total <= 0:
-        raise DegenerateAngleError("no solution states")
-    if stats.total >= stats.n_states:
-        raise DegenerateAngleError("every state is a solution")
-    if isinstance(stats.counts_pow, list):
-        s_float = np.fromiter((float(v) for v in stats.counts_pow),
-                              np.float64, count=len(stats.counts_pow))
-    else:
-        s_float = stats.counts_pow.astype(np.float64)
-    if plan.residual == 1.0:
-        p = s_float / s_float.sum()
-    else:
-        a = plan.residual / stats.total
-        b = (1.0 - plan.residual) / (stats.n_states - stats.total)
-        p = s_float * a + (float(stats.states_per_weight) - s_float) * b
-        p /= p.sum()
+    theta_exact(stats.total, stats.n_states)  # raises unless 0 < |S|/T < 1
+    scale = stats.scale
+    s = np.array([v / scale for v in stats.pow_by_count])
+    if plan.residual != 1.0:
+        a = plan.residual / (stats.total / scale)
+        b = (1.0 - plan.residual) / ((stats.n_states - stats.total) / scale)
+        s = s * a + (stats.states_per_weight / scale - s) * b
+    p = s[t.counts]
+    p /= p.sum()
     return WeightDistribution(p, plan.k, plan.g, plan.residual)
 
 

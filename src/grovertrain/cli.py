@@ -32,8 +32,7 @@ from .datasets import dataset_to_csv
 from .tasks import TASK_NAMES, TaskError, load_task
 
 _INT_KEYS = {"k", "shots", "eval_shots", "runs", "seed", "branch_m", "k_max"}
-_BOOL_KEYS = {"exact_theta", "strict_ratio_theta", "dump_statevector",
-              "dump_traces"}
+_BOOL_KEYS = {"strict_ratio_theta", "dump_statevector", "dump_traces"}
 _STR_KEYS = {"task", "budget", "pad", "out", "mnist_dir", "epsilons",
              "method", "split"}
 _ALL_KEYS = _INT_KEYS | _BOOL_KEYS | _STR_KEYS
@@ -141,16 +140,6 @@ def _write_manifest(out: Path, command: str, args, outputs: list[Path],
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _angle_mode(args) -> int | None:
-    """Resolve the exact-vs-shot angle choice; returns shot count or None."""
-    shots = getattr(args, "shots", None)
-    if shots is not None and args.exact_theta:
-        raise ConfigError("--shots and --exact-theta are mutually exclusive")
-    if shots is not None and shots < 1:
-        raise ConfigError("--shots must be >= 1")
-    return shots
-
-
 def cmd_gen_data(args) -> int:
     t0 = time.monotonic()
     out = _out_dir(args, "gen-data")
@@ -189,13 +178,14 @@ def cmd_jtable(args) -> int:
 def cmd_distribution(args) -> int:
     t0 = time.monotonic()
     out = _out_dir(args, "distribution")
-    shots = _angle_mode(args)
+    if args.shots is not None and args.shots < 1:
+        raise ConfigError("--shots must be >= 1")
     pad = _parse_pad(args.pad)
     bundle = load_task(args.task, args.mnist_dir)
     table = am.accuracy_table(bundle.model, bundle.full)
     rng = np.random.default_rng(args.seed)
     plan = am.make_plan(table, args.k, pad=pad, m=args.branch_m,
-                        theta_shot_count=shots, rng=rng,
+                        theta_shot_count=args.shots, rng=rng,
                         use_sqrt=not args.strict_ratio_theta)
     dist = am.evolve_distribution(table, plan)
     outputs = [_write(out / "distribution.csv",
@@ -297,7 +287,7 @@ def cmd_theory(args) -> int:
         raise ConfigError("--k-max must be >= 1")
     bundle = load_task(args.task, args.mnist_dir)
     table = am.accuracy_table(bundle.model, bundle.full)
-    C = float(bundle.class_count)
+    C = float(bundle.full.class_count)
     rows, bounds, k_stars = [], [], []
     for eps in epsilons:
         alpha, beta = th.alpha_beta(table, eps)
@@ -357,8 +347,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1, help="parallel dataset copies")
     p.add_argument("--shots", type=int, default=None,
                    help="estimate the rotation angle from this many samples")
-    p.add_argument("--exact-theta", action="store_true",
-                   help="force the exact rotation angle (the default)")
     p.add_argument("--strict-ratio-theta", action="store_true",
                    help="set the angle to arcsin of the solution ratio "
                         "itself rather than of its square root")

@@ -40,7 +40,6 @@ class TaskBundle:
     full: Dataset
     train: Dataset
     test: Dataset
-    class_count: int
 
 
 class TaskError(ValueError):
@@ -81,21 +80,19 @@ def load_task(name: str, mnist_dir: str | None = None,
     if name == "toy":
         d = Dataset(samples=(Sample((0,), (0,)), Sample((1,), (1,))),
                     d_x=1, d_y=1, class_count=2)
-        return TaskBundle("toy", toy_xor_model(), d, d, d, 2)
+        return TaskBundle("toy", toy_xor_model(), d, d, d)
     if name == "edge":
         full = gen_edge_detection()
         train, test = split(full, 400, seed=split_seed)
-        return TaskBundle("edge", edge_detection_model(), full, train, test,
-                          full.class_count)
+        return TaskBundle("edge", edge_detection_model(), full, train, test)
     if name == "simplified-ed":
         full = gen_simplified_ed()
         train, test = split(full, 400, seed=split_seed)
         return TaskBundle("simplified-ed", simplified_ed_model(), full, train,
-                          test, full.class_count)
+                          test)
     if name == "tiny-mnist":
         train, test = _load_tiny_mnist(mnist_dir)
         # no merged view: the same downsampled image may carry different
         # majority labels in the two source splits, so "full" means train
-        return TaskBundle("tiny-mnist", tiny_mnist_model(), train, train,
-                          test, train.class_count)
+        return TaskBundle("tiny-mnist", tiny_mnist_model(), train, train, test)
     raise TaskError(f"unknown task {name!r}; choose from {', '.join(TASK_NAMES)}")

@@ -73,7 +73,8 @@ class TestSolutionStats:
     def test_small_exact(self):
         t = table_from_counts([2, 0, 3, 1], 4)
         s = am.solution_stats(t, 2, n_aux=1)
-        assert list(s.counts_pow) == [4, 0, 9, 1]
+        assert t.histogram.tolist() == [1, 1, 1, 1, 0]
+        assert [s.pow_by_count[c] for c in t.counts] == [4, 0, 9, 1]
         assert s.total == 14
         assert s.states_per_weight == 25
         assert s.n_states == 4 * 25
@@ -81,9 +82,32 @@ class TestSolutionStats:
     def test_big_integer_path(self):
         t = table_from_counts([512, 100], 512)
         s = am.solution_stats(t, 8)
-        assert isinstance(s.counts_pow, list)
+        h = t.histogram
+        assert np.flatnonzero(h).tolist() == [100, 512]
+        assert h[[100, 512]].tolist() == [1, 1]
+        assert (s.pow_by_count[100], s.pow_by_count[512]) == (100 ** 8,
+                                                              512 ** 8)
+        assert sum(s.pow_by_count) == s.total
         assert s.total == 512 ** 8 + 100 ** 8
         assert s.n_states == 2 * 512 ** 8
+
+    def test_histogram_groups_repeated_counts(self):
+        t = table_from_counts([512, 100, 100, 512, 7, 100, 512, 512], 512)
+        h = t.histogram
+        assert len(h) == 513 and int(h.sum()) == 8
+        assert np.flatnonzero(h).tolist() == [7, 100, 512]
+        assert h[[7, 100, 512]].tolist() == [1, 3, 4]
+        s = am.solution_stats(t, 9)
+        assert s.total == 7 ** 9 + 3 * 100 ** 9 + 4 * 512 ** 9
+        assert s.total == sum(int(c) ** 9 for c in t.counts)
+
+    def test_padding_changes_only_state_counts(self):
+        t = table_from_counts([2, 0, 3, 1], 4)
+        s = am.solution_stats(t, 3)
+        padded = am.solution_stats(t, 3, n_aux=2)
+        assert (padded.pow_by_count, padded.total) == \
+            (s.pow_by_count, s.total)
+        assert padded.n_states == 4 * 6 ** 3
 
     def test_validation(self):
         t = table_from_counts([1, 0], 2)
@@ -109,7 +133,7 @@ class TestAngles:
     def test_shot_angle_concentrates(self):
         t = table_from_counts([1, 0], 2)  # solution ratio 1/4
         rng = np.random.default_rng(7)
-        theta = am.theta_shots(t, 1, 0, 200_000, rng)
+        theta = am.theta_shots(am.solution_stats(t, 1), 200_000, rng)
         # 5 sigma around the exact ratio, pushed through asin(sqrt(.))
         sigma = math.sqrt(0.25 * 0.75 / 200_000)
         lo = math.asin(math.sqrt(0.25 - 5 * sigma))
@@ -117,18 +141,18 @@ class TestAngles:
         assert lo < theta < hi
 
     def test_shot_angle_is_seed_deterministic(self):
-        t = table_from_counts([1, 0], 2)
-        a = am.theta_shots(t, 1, 0, 100, np.random.default_rng(3))
-        b = am.theta_shots(t, 1, 0, 100, np.random.default_rng(3))
+        stats = am.solution_stats(table_from_counts([1, 0], 2), 1)
+        a = am.theta_shots(stats, 100, np.random.default_rng(3))
+        b = am.theta_shots(stats, 100, np.random.default_rng(3))
         assert a == b
 
     def test_shot_angle_degenerate_raises(self):
         t = table_from_counts([1] + [0] * 63, 16)  # ratio 1/1024
         rng = np.random.default_rng(0)
         with pytest.raises(am.DegenerateAngleError):
-            am.theta_shots(t, 1, 0, 1, rng)
+            am.theta_shots(am.solution_stats(t, 1), 1, rng)
         with pytest.raises(ValueError):
-            am.theta_shots(t, 1, 0, 0, rng)
+            am.theta_shots(am.solution_stats(t, 1), 0, rng)
 
 
 class TestIterationsAndResidual:
@@ -158,23 +182,26 @@ class TestIterationsAndResidual:
                 assert res >= math.cos(theta) ** 2 - 1e-12
 
 
+def pad_for(t, k, target):
+    return am.pad_auxiliary(am.solution_stats(t, k), target)
+
+
 class TestPadding:
     def test_pinned_pad_counts(self, toy_table, sed_train_table):
-        assert am.pad_auxiliary(toy_table, 1, am.AUTO_PAD_TARGET_THETA) == 2
-        assert am.pad_auxiliary(sed_train_table, 1,
-                                am.AUTO_PAD_TARGET_THETA) == 400
+        assert pad_for(toy_table, 1, am.AUTO_PAD_TARGET_THETA) == 2
+        assert pad_for(sed_train_table, 1, am.AUTO_PAD_TARGET_THETA) == 400
 
     def test_no_padding_when_angle_already_small(self, edge_table):
-        assert am.pad_auxiliary(edge_table, 1, am.AUTO_PAD_TARGET_THETA) == 0
+        assert pad_for(edge_table, 1, am.AUTO_PAD_TARGET_THETA) == 0
 
     def test_validation(self, toy_table):
         with pytest.raises(ValueError):
-            am.pad_auxiliary(toy_table, 1, 0.0)
+            pad_for(toy_table, 1, 0.0)
         with pytest.raises(ValueError):
-            am.pad_auxiliary(toy_table, 1, math.pi / 3)
+            pad_for(toy_table, 1, math.pi / 3)
         empty = table_from_counts([0, 0], 2)
         with pytest.raises(am.DegenerateAngleError):
-            am.pad_auxiliary(empty, 1, am.AUTO_PAD_TARGET_THETA)
+            pad_for(empty, 1, am.AUTO_PAD_TARGET_THETA)
 
     @settings(max_examples=60, deadline=None)
     @given(small_tables, st.integers(1, 3))
@@ -182,7 +209,7 @@ class TestPadding:
         if int(t.counts.sum()) == 0:
             return
         target = am.AUTO_PAD_TARGET_THETA
-        n = am.pad_auxiliary(t, k, target)
+        n = pad_for(t, k, target)
         limit = Fraction(math.sin(target) ** 2 * (1 + 1e-12))
         n_w = 1 << t.weight_width
         total = Fraction(sum(int(c) ** k for c in t.counts))
@@ -265,7 +292,8 @@ class TestPlansAndEvolution:
         plan = am.make_plan(edge_table, 4)
         stats = am.solution_stats(edge_table, 4)
         dist = am.evolve_distribution(edge_table, plan)
-        share = np.array([float(v) for v in stats.counts_pow]) / stats.total
+        share = (np.array([float(v) for v in stats.pow_by_count])
+                 / stats.total)[edge_table.counts]
         dev = float(np.max(np.abs(dist.p - share)))
         assert dev <= plan.leakage_bound * (1 + 1e-9) + 1e-15
 
@@ -284,6 +312,38 @@ class TestPlansAndEvolution:
             sorted_p = dist.p[order]
             assert np.all(np.diff(sorted_p) >= -1e-15)
 
+    @pytest.mark.parametrize("pad", ["auto", 0])
+    def test_bytes_match_per_weight_formula(self, edge_table, pad):
+        for k in range(1, 113):
+            plan = am.make_plan(edge_table, k, pad=pad)
+            got = am.evolve_distribution(edge_table, plan).p
+            want = reference_evolve(edge_table, plan)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), k
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_tables, st.integers(1, 40), st.sampled_from(["auto", 0, 3]))
+    def test_bytes_match_per_weight_formula_small(self, t, k, pad):
+        try:
+            plan = am.make_plan(t, k, pad=pad)
+        except am.DegenerateAngleError:
+            return
+        got = am.evolve_distribution(t, plan).p
+        want = reference_evolve(t, plan)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("task,k", [("edge", 113), ("edge", 200),
+                                        ("toy", 1030)])
+    def test_large_k_stays_finite(self, task, k, edge_table, toy_table):
+        # float(c**k) overflows here, so the per-weight formula cannot run
+        t = {"edge": edge_table, "toy": toy_table}[task]
+        for pad in ("auto", 0):
+            plan = am.make_plan(t, k, pad=pad)
+            p = am.evolve_distribution(t, plan).p
+            assert np.all(np.isfinite(p)) and abs(p.sum() - 1.0) <= 1e-12
+            assert math.isfinite(plan.leakage_bound)
+            if task == "edge":
+                assert int(np.argmax(p)) == 136
+
     def test_lossless_multi_copy_matches_power_law(self):
         # counts [7, 1] with 3 padding samples put the 2-copy solution ratio
         # at exactly (49+1)/(2*10^2) = 1/4, so one rotation is lossless and
@@ -296,6 +356,21 @@ class TestPlansAndEvolution:
         s = t.counts.astype(np.float64) ** 2
         assert np.array_equal(dist.p, s / s.sum())
         assert dist.p[0] == 0.98
+
+
+def reference_evolve(t, plan):
+    """Per-weight closed form that the count histogram replaces: one
+    float(c**k) per weight, exact |S| and T, then normalise."""
+    s = np.array([float(int(c) ** plan.k) for c in t.counts])
+    total = sum(int(c) ** plan.k for c in t.counts)
+    per_weight = (t.n_samples + plan.n_aux) ** plan.k
+    n_states = len(t.counts) * per_weight
+    if plan.residual == 1.0:
+        return s / s.sum()
+    a = plan.residual / total
+    b = (1.0 - plan.residual) / (n_states - total)
+    p = s * a + (float(per_weight) - s) * b
+    return p / p.sum()
 
 
 class TestSamplingAndSearch:

@@ -12,16 +12,16 @@ class TestBuiltinTasks:
         assert len(toy_bundle.full) == 2
         assert toy_bundle.train is toy_bundle.full
         assert toy_bundle.test is toy_bundle.full
-        assert toy_bundle.class_count == 2
+        assert toy_bundle.full.class_count == 2
         assert toy_bundle.model.weight_width == 1
 
     def test_line_tasks(self, edge_bundle, sed_bundle):
         assert len(edge_bundle.full) == 512
         assert len(edge_bundle.train) == 400
         assert len(edge_bundle.test) == 112
-        assert edge_bundle.class_count == 4
+        assert edge_bundle.full.class_count == 4
         assert edge_bundle.model.weight_width == 8
-        assert sed_bundle.class_count == 2
+        assert sed_bundle.full.class_count == 2
         assert sed_bundle.model.weight_width == 4
 
     def test_split_seed_changes_membership(self):
@@ -45,7 +45,7 @@ class TestImageTask:
     def test_loads_from_explicit_directory(self, tmp_path):
         d = make_synthetic_idx_dir(tmp_path, n_train=300, n_test=100)
         bundle = tasks.load_task("tiny-mnist", mnist_dir=str(d))
-        assert bundle.class_count == 3
+        assert bundle.full.class_count == 3
         assert bundle.train.predicate == "tiny-mnist-decode"
         assert bundle.full is bundle.train
         assert bundle.model.weight_width == 20
