@@ -18,7 +18,8 @@ holding input bits, label bits, and (only when auxiliary padding is present)
 one realness flag; then one prediction block per copy; then a shared ancilla
 pool for the compiled model. Auxiliary padding occupies otherwise-unused
 basis states of the data registers with the flag at 0, so padded states can
-never satisfy the oracle.
+never satisfy the oracle. When there are more padded samples than the input
+and label bits have basis states, padding qubits above the flag hold the rest.
 """
 from __future__ import annotations
 
@@ -41,6 +42,7 @@ class CopyRegisters:
     y: tuple[int, ...]
     flag: int | None
     out: tuple[int, ...]
+    pad: tuple[int, ...] = ()  # extra padding bits above the flag
 
 
 @dataclass(frozen=True)
@@ -111,6 +113,8 @@ class QuantumState:
 def build_layout(model: ModelCircuit, k: int, n_aux: int,
                  n_anc: int) -> SystemLayout:
     has_flag = n_aux > 0
+    data_width = model.input_width + model.output_width
+    n_pad = max(0, (n_aux - 1).bit_length() - data_width) if has_flag else 0
     q = model.weight_width
     weight = tuple(range(q))
     copies = []
@@ -120,11 +124,12 @@ def build_layout(model: ModelCircuit, k: int, n_aux: int,
         flag = None
         if has_flag:
             flag = q; q += 1
-        copies.append([x, y, flag])
+        pad = tuple(range(q, q + n_pad)); q += n_pad
+        copies.append([x, y, flag, pad])
     full = []
     for regs in copies:
         out = tuple(range(q, q + model.output_width)); q += model.output_width
-        full.append(CopyRegisters(regs[0], regs[1], regs[2], out))
+        full.append(CopyRegisters(regs[0], regs[1], regs[2], out, regs[3]))
     anc = tuple(range(q, q + n_anc)); q += n_anc
     return SystemLayout(weight, tuple(full), anc, q)
 
@@ -133,15 +138,14 @@ def _copy_register_vector(d: Dataset, n_aux: int
                           ) -> tuple[np.ndarray, np.ndarray]:
     """Nonzero amplitudes of one data copy, by ascending basis index: real
     samples |x, y, flag=1> plus n_aux distinct padded basis states
-    |p, flag=0>, all at equal weight."""
+    |p, flag=0>, all at equal weight. Padded index p fills the x, y bits
+    first and carries its higher bits on the padding qubits above the flag."""
     data_width = d.d_x + d.d_y
-    if n_aux > 1 << data_width:
-        raise ValueError("more padding states requested than the data "
-                         "register has basis states")
     flag_bit = 1 << data_width if n_aux > 0 else 0
     real = [bits_to_index(s.x + s.y) | flag_bit for s in d.samples]
-    idx = np.sort(np.concatenate([np.array(real, dtype=np.int64),
-                                  np.arange(n_aux, dtype=np.int64)]))
+    p = np.arange(n_aux, dtype=np.int64)
+    padded = (p & (flag_bit - 1)) | ((p >> data_width) << (data_width + 1))
+    idx = np.sort(np.concatenate([np.array(real, dtype=np.int64), padded]))
     if np.any(idx[1:] == idx[:-1]):
         # two equal samples would share one basis state and break the norm
         raise ValueError("dataset repeats a sample")
@@ -165,6 +169,8 @@ def prepare_initial(model: ModelCircuit, d: Dataset, k: int, n_aux: int = 0,
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if n_aux < 0:
+        raise ValueError("n_aux must be >= 0")
     if len(d) + n_aux < 2:
         raise ValueError("need at least two states per data register")
     gl = compiled if compiled is not None else compile_circuit(model)

@@ -173,6 +173,21 @@ class TestLayoutAndPreparation:
         assert amps[idx] == pytest.approx(amp, abs=1e-12)
         assert abs(state.norm() - 1.0) < 1e-12
 
+    def test_padding_beyond_the_data_register(self, toy_bundle):
+        # x and y give 4 basis states; 5 padded samples need one more qubit
+        model, d = toy_bundle.model, toy_bundle.full
+        state, lay = sv.prepare_initial(model, d, k=1, n_aux=5)
+        copy = lay.copies[0]
+        assert copy.flag == 3 and copy.pad == (4,)
+        assert lay.n_qubits == 1 + 1 + 1 + 1 + 1 + 1
+        assert len(state.idx) == 2 * (2 + 5)
+        assert abs(state.norm() - 1.0) < 1e-12
+        flag = (state.idx >> copy.flag) & 1
+        pad = (state.idx >> copy.pad[0]) & 1
+        assert flag.sum() == 2 * 2 and pad.sum() == 2 * 1
+        assert not np.any(flag & pad)
+        assert sv.build_layout(model, k=1, n_aux=4, n_anc=0).copies[0].pad == ()
+
     def test_preparation_validation(self, toy_bundle):
         model, d = toy_bundle.model, toy_bundle.full
         with pytest.raises(ValueError):
@@ -180,8 +195,8 @@ class TestLayoutAndPreparation:
         one = ds.Dataset([d.samples[0]], d.d_x, d.d_y, d.class_count)
         with pytest.raises(ValueError):
             sv.prepare_initial(model, one, k=1, n_aux=0)
-        with pytest.raises(ValueError):
-            sv.prepare_initial(model, d, k=1, n_aux=5)  # 4 basis states only
+        with pytest.raises(ValueError, match="n_aux"):
+            sv.prepare_initial(model, d, k=1, n_aux=-1)
         twice = ds.Dataset(d.samples + d.samples[:1], d.d_x, d.d_y,
                            d.class_count)
         with pytest.raises(ValueError, match="repeats"):
