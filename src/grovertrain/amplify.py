@@ -41,6 +41,9 @@ AUTO_PAD_RESIDUAL_THRESHOLD = 0.9
 # shots if that is more), however many candidates it scores
 _SHOT_BLOCK = 1 << 20
 
+# CSV writers join at most this many rows at a time
+_CSV_BLOCK = 1 << 16
+
 
 class DegenerateAngleError(ValueError):
     """Raised when no rotation angle is usable: the solution set is empty,
@@ -145,15 +148,25 @@ class WeightDistribution:
 
 
 def accuracy_table(model: ModelCircuit, d: Dataset) -> AccuracyTable:
-    """Exact correct counts for every weight, by bit-parallel full sweep."""
+    """Exact correct counts for every weight, by bit-parallel full sweep.
+
+    Each sample's packed correctness mask is unpacked into a uint8
+    accumulator, which is flushed into the int64 counts every 255 samples,
+    before it could wrap.
+    """
     if model.input_width != d.d_x or model.output_width != d.d_y:
         raise ValueError("model widths do not match dataset")
     n_w = 1 << model.weight_width
     counts = np.zeros(n_w, dtype=np.int64)
-    for s in d.samples:
-        outs = eval_all_weights(model, s.x)
-        mask = packed_correct_mask(d.predicate, s.y, outs)
-        counts += unpack_lanes(mask, n_w)
+    acc = np.zeros(n_w, dtype=np.uint8)
+    for i, s in enumerate(d.samples, 1):
+        mask = packed_correct_mask(d.predicate, s.y,
+                                   eval_all_weights(model, s.x))
+        acc += unpack_lanes(mask, n_w)
+        if i % 255 == 0:
+            counts += acc
+            acc[:] = 0
+    counts += acc
     return AccuracyTable(counts, len(d), model.weight_width)
 
 
@@ -358,26 +371,47 @@ def _fmt(v: float) -> str:
     return f"{v:.12g}"
 
 
+def _csv(head: str, tails: list[str], counts: np.ndarray) -> str:
+    """`head`, then the row f"{i},{tails[counts[i]]}" for every weight i.
+
+    A row depends on its weight only through the weight's correct count, so
+    each tail is formatted once per count. Rows are joined _CSV_BLOCK at a
+    time, so no per-weight list lives for the whole file.
+    """
+    blocks = [head]
+    for a in range(0, len(counts), _CSV_BLOCK):
+        block = counts[a:a + _CSV_BLOCK].tolist()
+        blocks.append("".join([f"{i},{tails[c]}"
+                               for i, c in enumerate(block, a)]))
+    return "".join(blocks)
+
+
 def jtable_csv(t: AccuracyTable) -> str:
-    lines = ["weight_index,correct_count,accuracy"]
     n = float(t.n_samples)
-    for i, c in enumerate(t.counts):
-        lines.append(f"{i},{int(c)},{_fmt(int(c) / n)}")
-    return "\n".join(lines) + "\n"
+    tails = [f"{c},{_fmt(c / n)}\n" for c in range(t.n_samples + 1)]
+    return _csv("weight_index,correct_count,accuracy\n", tails, t.counts)
 
 
-def distribution_csv(dist: WeightDistribution,
-                     jhat: np.ndarray | None = None) -> str:
-    head = "weight_index,probability,k,g,residual"
-    if jhat is not None:
-        head += ",jhat"
-    lines = [head]
-    for i, p in enumerate(dist.p):
-        row = f"{i},{_fmt(p)},{dist.k},{dist.g},{_fmt(dist.residual)}"
-        if jhat is not None:
-            row += f",{_fmt(jhat[i])}"
-        lines.append(row)
-    return "\n".join(lines) + "\n"
+def distribution_csv(dist: WeightDistribution, table: AccuracyTable) -> str:
+    """The distribution with the table's normalized accuracy as jhat.
+
+    dist.p must depend on the weight only through its correct count in
+    `table`, as every evolved or uniform distribution does.
+    """
+    counts = table.counts
+    if len(dist.p) != len(counts):
+        raise ValueError("distribution and table sizes differ")
+    p_by_count = np.zeros(table.n_samples + 1)
+    p_by_count[counts] = dist.p
+    if not np.array_equal(p_by_count[counts], dist.p):
+        raise ValueError("probabilities must depend on the weight only "
+                         "through its correct count")
+    # c / counts.sum() is bit for bit what normalized_accuracy() gives c
+    jhat = np.arange(table.n_samples + 1) / counts.sum()
+    mid = f",{dist.k},{dist.g},{_fmt(dist.residual)},"
+    tails = [f"{_fmt(p)}{mid}{_fmt(j)}\n"
+             for p, j in zip(p_by_count.tolist(), jhat.tolist())]
+    return _csv("weight_index,probability,k,g,residual,jhat\n", tails, counts)
 
 
 def trace_csv(draws: np.ndarray, estimates: np.ndarray) -> str:

@@ -28,6 +28,7 @@ output so the pool is reused.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,62 +151,112 @@ def eval_circuit(circuit: ModelCircuit, w, x) -> tuple[int, ...]:
 
 # ---------------------------------------------------------------------------
 # bulk evaluation over every weight at once (bit-parallel)
+#
+# Lane L of word j stands for weight index 64*j + L. Within one sweep the
+# input bits are constants, so they are folded through the gates: AND with 0
+# gives 0, OR with 1 gives 1, XOR with 1 is a NOT, and every other constant
+# operand drops out. Only gates whose value still depends on w cost a pass
+# over the words.
 
-def _weight_bit_words(bit: int, n_words: int) -> np.ndarray:
-    """Packed value of weight bit `bit` across all lanes of all words."""
-    if bit < 6:
-        return np.full(n_words, _LANE_PATTERNS[bit], dtype=np.uint64)
-    words = np.arange(n_words, dtype=np.uint64)
-    sel = (words >> np.uint64(bit - 6)) & np.uint64(1)
-    return np.where(sel == 1, np.uint64(0xFFFFFFFFFFFFFFFF), np.uint64(0))
+_ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+
+@functools.cache
+def _weight_words(width: int) -> tuple[np.ndarray, ...]:
+    """Packed value of each weight bit across all lanes of all words. Built
+    once per register width and shared read-only by every sweep."""
+    n_words = ((1 << width) + _WORD_BITS - 1) // _WORD_BITS
+    word = np.arange(n_words, dtype=np.uint64)
+    planes = []
+    for bit in range(width):
+        if bit < 6:
+            v = np.full(n_words, _LANE_PATTERNS[bit], dtype=np.uint64)
+        else:
+            v = np.where((word >> np.uint64(bit - 6)) & np.uint64(1),
+                         _ALL_ONES, np.uint64(0))
+        v.flags.writeable = False
+        planes.append(v)
+    return tuple(planes)
+
+
+def _chain(ufunc, words: list[np.ndarray]) -> np.ndarray:
+    """ufunc folded over the words, writing only into the array it made."""
+    if len(words) == 1:
+        return words[0]
+    r = ufunc(words[0], words[1])
+    for v in words[2:]:
+        ufunc(r, v, out=r)
+    return r
+
+
+def _fold_gate(op: str, args: list) -> int | np.ndarray:
+    """One gate over operands that are 0/1 constants or packed words."""
+    if op == "COPY":
+        return args[0]
+    if op == "MAJ":  # (a AND (b OR c)) OR (b AND c), folded the same way
+        a, b, c = args
+        a_and_bc = _fold_gate("AND", [a, _fold_gate("OR", [b, c])])
+        return _fold_gate("OR", [a_and_bc, _fold_gate("AND", [b, c])])
+    consts, words = [], []
+    for v in args:
+        (words if v.__class__ is np.ndarray else consts).append(v)
+    if op == "NOT":
+        return ~words[0] if words else 1 - consts[0]
+    if op == "XOR":
+        flip = sum(consts) & 1
+        if not words:
+            return flip
+        r = _chain(np.bitwise_xor, words)
+        return ~r if flip else r
+    if op == "AND":
+        if 0 in consts or not words:
+            return int(0 not in consts)
+        return _chain(np.bitwise_and, words)
+    if 1 in consts or not words:  # OR
+        return int(1 in consts)
+    return _chain(np.bitwise_or, words)
+
+
+@functools.cache
+def _wire_names(prefix: str, width: int) -> tuple[str, ...]:
+    return tuple(f"{prefix}{i}" for i in range(width))
 
 
 def eval_all_weights(circuit: ModelCircuit, x) -> list[np.ndarray]:
     """Evaluate the circuit for one x across all 2**weight_width weights.
 
-    Returns one packed uint64 array per output wire; lane L of word j holds the
-    output bit for weight index 64*j + L. Lanes past 2**weight_width are
-    meaningless and must be masked by the caller (see `unpack_lanes`).
+    Returns one packed uint64 array per output wire, owned by the caller; lane
+    L of word j holds the output bit for weight index 64*j + L. An output the
+    input bits fix is a word array of all zeros or all ones. Lanes past
+    2**weight_width are meaningless and must be masked by the caller (see
+    `unpack_lanes`).
     """
     x = tuple(x)
     if len(x) != circuit.input_width:
         raise ValueError(f"input width {len(x)} != {circuit.input_width}")
-    n_words = ((1 << circuit.weight_width) + _WORD_BITS - 1) // _WORD_BITS
-    ones = np.full(n_words, np.uint64(0xFFFFFFFFFFFFFFFF))
-    zeros = np.zeros(n_words, dtype=np.uint64)
-    vals: dict[str, np.ndarray] = {}
-    for i in range(circuit.weight_width):
-        vals[f"w{i}"] = _weight_bit_words(i, n_words)
-    for j, b in enumerate(x):
-        vals[f"x{j}"] = ones if b else zeros
+    weight_words = _weight_words(circuit.weight_width)
+    vals: dict[str, int | np.ndarray] = dict(
+        zip(_wire_names("w", circuit.weight_width), weight_words))
+    vals.update(zip(_wire_names("x", circuit.input_width),
+                    [1 if b else 0 for b in x]))
     for g in circuit.gates:
-        a = [vals[n] for n in g.ins]
-        if g.op == "NOT":
-            r = ~a[0]
-        elif g.op == "COPY":
-            r = a[0]
-        elif g.op == "XOR":
-            r = a[0]
-            for v in a[1:]:
-                r = r ^ v
-        elif g.op == "AND":
-            r = a[0]
-            for v in a[1:]:
-                r = r & v
-        elif g.op == "OR":
-            r = a[0]
-            for v in a[1:]:
-                r = r | v
-        else:  # MAJ
-            r = (a[0] & a[1]) | (a[0] & a[2]) | (a[1] & a[2])
-        vals[g.out] = r
-    return [vals[n] for n in circuit.output_wires]
+        vals[g.out] = _fold_gate(g.op, [vals[n] for n in g.ins])
+    outs = []
+    for name in circuit.output_wires:
+        v = vals[name]
+        if not isinstance(v, np.ndarray):
+            v = np.full(len(weight_words[0]), _ALL_ONES if v else 0,
+                        dtype=np.uint64)
+        elif not v.flags.writeable:  # a shared weight-bit word
+            v = v.copy()
+        outs.append(v)
+    return outs
 
 
 def unpack_lanes(packed: np.ndarray, n_lanes: int) -> np.ndarray:
     """Packed uint64 words -> uint8 array of the first n_lanes bits."""
-    as_bytes = packed.astype("<u8").view("u1")
-    return np.unpackbits(as_bytes, bitorder="little")[:n_lanes]
+    as_bytes = packed.astype("<u8", copy=False).view("u1")
+    return np.unpackbits(as_bytes, count=n_lanes, bitorder="little")
 
 
 # ---------------------------------------------------------------------------

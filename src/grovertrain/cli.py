@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -93,8 +94,8 @@ def _parse_epsilons(text: str) -> list[float]:
         eps = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as e:
         raise ConfigError(f"bad epsilon list {text!r}") from e
-    if not eps or min(eps) < 0:
-        raise ConfigError("epsilons must be nonnegative numbers")
+    if not eps or not all(0 <= e < math.inf for e in eps):
+        raise ConfigError("epsilons must be finite nonnegative numbers")
     return eps
 
 
@@ -108,6 +109,13 @@ def _parse_pad(text: str):
     if n < 0:
         raise ConfigError("--pad count must be >= 0")
     return n
+
+
+def _check_plan_flags(args) -> None:
+    if args.k < 1:
+        raise ConfigError("--k must be >= 1")
+    if args.branch_m < 0:
+        raise ConfigError("--branch-m must be >= 0")
 
 
 def _out_dir(args, command: str) -> Path:
@@ -178,6 +186,7 @@ def cmd_jtable(args) -> int:
 def cmd_distribution(args) -> int:
     t0 = time.monotonic()
     out = _out_dir(args, "distribution")
+    _check_plan_flags(args)
     if args.shots is not None and args.shots < 1:
         raise ConfigError("--shots must be >= 1")
     pad = _parse_pad(args.pad)
@@ -189,7 +198,7 @@ def cmd_distribution(args) -> int:
                         use_sqrt=not args.strict_ratio_theta)
     dist = am.evolve_distribution(table, plan)
     outputs = [_write(out / "distribution.csv",
-                      am.distribution_csv(dist, table.normalized_accuracy()))]
+                      am.distribution_csv(dist, table))]
     print(f"{args.task} k={plan.k}: n_aux={plan.n_aux} theta={plan.theta:.6g} "
           f"g={plan.g} residual={plan.residual:.6g} "
           f"leakage_bound={plan.leakage_bound:.3g} -> {out}")
@@ -200,6 +209,7 @@ def cmd_distribution(args) -> int:
 def cmd_shots_curve(args) -> int:
     t0 = time.monotonic()
     out = _out_dir(args, "shots-curve")
+    _check_plan_flags(args)
     budgets = _parse_budgets(args.budget)
     pad = _parse_pad(args.pad)
     if args.runs < 1:
@@ -290,7 +300,13 @@ def cmd_theory(args) -> int:
     C = float(bundle.full.class_count)
     rows, bounds, k_stars = [], [], []
     for eps in epsilons:
-        alpha, beta = th.alpha_beta(table, eps)
+        try:
+            alpha, beta = th.alpha_beta(table, eps)
+        except ValueError as e:  # epsilon admits every weight, or none scores
+            raise ConfigError(f"epsilon {eps:g}: {e}") from e
+        if beta > 1:
+            raise ConfigError(f"epsilon {eps:g} admits more weights than it "
+                              f"leaves out (beta = {beta:.6g} > 1)")
         k_star = th.optimal_k(alpha, beta, C)
         holds = th.k_star_condition(alpha, beta, C)
         print(f"epsilon={eps:g}: alpha={alpha:.6g} beta={beta:.6g} "
@@ -409,14 +425,13 @@ def main(argv=None) -> int:
         config = parse_config_file(known.config) if known.config else None
         parser = build_parser(config)
         args = parser.parse_args(argv)
+        if getattr(args, "seed", 0) < 0:
+            raise ConfigError("--seed must be >= 0")
         return args.func(args)
     except am.DegenerateAngleError as e:
         print(f"degenerate angle: {e}", file=sys.stderr)
         return 3
     except (ConfigError, TaskError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
 

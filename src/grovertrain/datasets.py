@@ -183,19 +183,25 @@ def write_idx(arr: np.ndarray) -> bytes:
     return head + arr.tobytes()
 
 
+# 3x3 block bands of a 28x28 image: rows/columns 0-8, 9-17 and 18-27
+_BLOCK_STARTS = np.array([0, 9, 18])
+_BLOCK_PIXELS = np.outer([9, 9, 10], [9, 9, 10]).ravel()
+
+
+def _downsample_bits(images: np.ndarray) -> np.ndarray:
+    """(n, 28, 28) grayscale -> (n, 9) bits: a block's bit is set when its
+    mean is >= 127.5, tested in integers as 2 * sum >= 255 * pixel count."""
+    if images.ndim != 3 or images.shape[1:] != (28, 28):
+        raise ValueError(f"expected 28x28 images, got {images.shape[1:]}")
+    rows = np.add.reduceat(images, _BLOCK_STARTS, axis=1, dtype=np.int32)
+    sums = np.add.reduceat(rows, _BLOCK_STARTS, axis=2).reshape(-1, 9)
+    return (2 * sums >= 255 * _BLOCK_PIXELS).astype(np.uint8)
+
+
 def downsample_3x3(image: np.ndarray) -> tuple[int, ...]:
     """28x28 grayscale -> 9 bits: 3x3 block means (block edges at
     floor(28*i/3): 9/9/10 pixel bands), thresholded at mean >= 127.5."""
-    if image.shape != (28, 28):
-        raise ValueError(f"expected 28x28 image, got {image.shape}")
-    edges = [0, 9, 18, 28]
-    bits = []
-    img = image.astype(np.float64)
-    for i in range(3):
-        for j in range(3):
-            block = img[edges[i]:edges[i + 1], edges[j]:edges[j + 1]]
-            bits.append(int(block.mean() >= 127.5))
-    return tuple(bits)
+    return tuple(_downsample_bits(np.asarray(image)[None])[0].tolist())
 
 
 def make_tiny_mnist(images: np.ndarray, labels: np.ndarray,
@@ -211,22 +217,16 @@ def make_tiny_mnist(images: np.ndarray, labels: np.ndarray,
         raise ValueError("split_name must be 'train' or 'test'")
     if len(images) != len(labels):
         raise ValueError("images/labels length mismatch")
-    votes: dict[tuple[int, ...], dict[int, int]] = {}
-    order: list[tuple[int, ...]] = []
-    for img, lab in zip(images, labels):
-        lab = int(lab)
-        if lab not in TINY_MNIST_CLASSES:
-            continue
-        bits = downsample_3x3(img)
-        if bits not in votes:
-            votes[bits] = {}
-            order.append(bits)
-        votes[bits][lab] = votes[bits].get(lab, 0) + 1
-    if not votes:
+    keep = np.isin(labels, TINY_MNIST_CLASSES)
+    if not keep.any():
         raise ValueError("no samples in classes 1/2/7")
+    votes: dict[tuple[int, ...], dict[int, int]] = {}
+    for bits, lab in zip(_downsample_bits(images[keep]).tolist(),
+                         labels[keep].tolist()):
+        tally = votes.setdefault(tuple(bits), {})
+        tally[lab] = tally.get(lab, 0) + 1
     samples = []
-    for bits in order:
-        tally = votes[bits]
+    for bits, tally in votes.items():  # dicts keep first-appearance order
         best = max(TINY_MNIST_CLASSES,
                    key=lambda c: (tally.get(c, 0), -c))  # ties -> smallest
         samples.append(Sample(bits, _DIGIT_TO_BITS[best]))

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from grovertrain import amplify as am
 from grovertrain import boolcirc as bc
 from grovertrain import datasets as ds
+from test_boolcirc import FOLDING_CIRCUITS, random_circuits
 
 
 def table_from_counts(counts, n_samples):
@@ -54,6 +55,35 @@ class TestAccuracyTable:
             hits = sum(int(bc.eval_circuit(m, w, s.x) == s.y)
                        for s in sub.samples)
             assert t.counts[wi] == hits
+
+    # sample counts around the uint8 accumulator's flush after 255 samples
+    @pytest.mark.parametrize("n_samples", [1, 2, 3, 255, 256, 257])
+    @pytest.mark.parametrize("n_w", [3, 6, 7])
+    @settings(max_examples=2, deadline=None)
+    @given(data=st.data())
+    def test_sweep_matches_per_weight_reference(self, n_w, n_samples, data):
+        pred = data.draw(st.sampled_from(["exact-match", "tiny-mnist-decode"]))
+        m = data.draw(st.one_of(
+            st.sampled_from([c for c in FOLDING_CIRCUITS
+                             if c.weight_width == n_w]),
+            random_circuits(n_w=st.just(n_w), n_x=st.integers(9, 10),
+                            n_out=st.just(2) if pred != "exact-match"
+                            else st.integers(1, 2))))
+        n_x = m.input_width
+        xs = data.draw(st.lists(st.integers(0, (1 << n_x) - 1),
+                                min_size=min(n_samples, 1 << n_x),
+                                max_size=n_samples, unique=True))
+        teacher = bc.index_to_bits(
+            data.draw(st.integers(0, (1 << n_w) - 1)), n_w)
+        samples = []
+        for xi in xs:
+            x = bc.index_to_bits(xi, n_x)
+            samples.append(ds.Sample(x, bc.eval_circuit(m, teacher, x)))
+        d = ds.Dataset(samples, n_x, m.output_width, 2, predicate=pred)
+        want = [sum(ds.is_correct(pred, s.y, bc.eval_circuit(
+                    m, bc.index_to_bits(wi, n_w), s.x)) for s in samples)
+                for wi in range(1 << n_w)]
+        assert am.accuracy_table(m, d).counts.tolist() == want
 
     def test_width_mismatch_rejected(self, toy_bundle, sed_bundle):
         with pytest.raises(ValueError):
@@ -471,6 +501,23 @@ def reference_search(dist, t, m_meas, rng, eval_shots):
     return draws, np.array(est), np.array(best)
 
 
+def reference_jtable_csv(t):
+    """Per-row references for the writers, which format once per count."""
+    lines = ["weight_index,correct_count,accuracy"]
+    n = float(t.n_samples)
+    for i, c in enumerate(t.counts):
+        lines.append(f"{i},{int(c)},{am._fmt(int(c) / n)}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_distribution_csv(dist, jhat):
+    lines = ["weight_index,probability,k,g,residual,jhat"]
+    for i, p in enumerate(dist.p):
+        lines.append(f"{i},{am._fmt(p)},{dist.k},{dist.g},"
+                     f"{am._fmt(dist.residual)},{am._fmt(jhat[i])}")
+    return "\n".join(lines) + "\n"
+
+
 class TestCsvEmission:
     def test_jtable_layout(self):
         t = table_from_counts([1, 3], 3)
@@ -480,16 +527,45 @@ class TestCsvEmission:
 
     def test_distribution_layout(self):
         dist = am.WeightDistribution(np.array([0.25, 0.75]), 2, 3, 0.5)
-        assert am.distribution_csv(dist) == (
-            "weight_index,probability,k,g,residual\n"
-            "0,0.25,2,3,0.5\n"
-            "1,0.75,2,3,0.5\n")
+        t = table_from_counts([1, 3], 3)
+        assert am.distribution_csv(dist, t) == (
+            "weight_index,probability,k,g,residual,jhat\n"
+            "0,0.25,2,3,0.5,0.25\n"
+            "1,0.75,2,3,0.5,0.75\n")
 
     def test_distribution_layout_with_overlay(self):
         dist = am.WeightDistribution(np.array([0.5, 0.5]), 1, 0, 1.0)
-        out = am.distribution_csv(dist, jhat=np.array([0.125, 0.875]))
+        out = am.distribution_csv(dist, table_from_counts([1, 7], 7))
         assert out.splitlines()[0] == "weight_index,probability,k,g,residual,jhat"
         assert out.splitlines()[1] == "0,0.5,1,0,1,0.125"
+        assert out.splitlines()[2] == "1,0.5,1,0,1,0.875"
+
+    def test_distribution_needs_a_matching_table(self):
+        dist = am.WeightDistribution(np.array([0.25, 0.75]), 1, 0, 1.0)
+        with pytest.raises(ValueError):  # p differs between equal counts
+            am.distribution_csv(dist, table_from_counts([2, 2], 3))
+        with pytest.raises(ValueError):
+            am.distribution_csv(dist, table_from_counts([0, 1, 2, 3], 3))
+
+    @pytest.mark.parametrize("task", ["toy", "edge", "simplified-ed"])
+    def test_writers_match_per_row_reference(self, task, toy_table,
+                                             edge_table, sed_train_table):
+        t = {"toy": toy_table, "edge": edge_table,
+             "simplified-ed": sed_train_table}[task]
+        assert am.jtable_csv(t) == reference_jtable_csv(t)
+        for k in ((1, 4, 8) if task == "edge" else (1, 4)):
+            dist = am.evolve_distribution(t, am.make_plan(t, k))
+            assert am.distribution_csv(dist, t) == \
+                reference_distribution_csv(dist, t.normalized_accuracy())
+
+    def test_writers_match_reference_across_join_blocks(self):
+        assert am._CSV_BLOCK < 1 << 17
+        rng = np.random.default_rng(4)
+        t = table_from_counts(rng.integers(0, 300, 1 << 17), 299)
+        assert am.jtable_csv(t) == reference_jtable_csv(t)
+        dist = am.evolve_distribution(t, am.make_plan(t, 3))
+        assert am.distribution_csv(dist, t) == \
+            reference_distribution_csv(dist, t.normalized_accuracy())
 
     def test_trace_layout(self):
         out = am.trace_csv(np.array([5, 2]), np.array([0.5, 1.0]))

@@ -91,6 +91,42 @@ class TestModelOracles:
             assert o_swap == (o[1], o[0])
 
 
+@st.composite
+def random_circuits(draw, n_w=st.integers(1, 3), n_x=st.integers(1, 3),
+                    n_out=st.integers(1, 2)):
+    n_w = draw(n_w)
+    n_x = draw(n_x)
+    wires = [f"w{i}" for i in range(n_w)] + [f"x{i}" for i in range(n_x)]
+    gates = []
+    n_out = draw(n_out)
+    n_gates = draw(st.integers(n_out, 8))
+    for gi in range(n_gates):
+        op = draw(st.sampled_from(("NOT", "COPY", "XOR", "AND", "OR", "MAJ")))
+        arity = {"NOT": 1, "COPY": 1, "XOR": 2, "AND": 2, "OR": 2, "MAJ": 3}[op]
+        ins = tuple(draw(st.sampled_from(wires)) for _ in range(arity))
+        name = f"t{gi}"
+        gates.append(bc.Gate(op, name, ins))
+        wires.append(name)
+    outs = draw(st.permutations([g.out for g in gates]))[:n_out]
+    return bc.ModelCircuit(n_w, n_x, gates, tuple(outs))
+
+
+# outputs that some inputs fix: to constants, or to a bare weight bit
+FOLDING_CIRCUITS = [
+    bc.ModelCircuit(7, 2, [bc.Gate("AND", "a", ("w6", "x0")),
+                           bc.Gate("OR", "b", ("x1", "w0", "w6"))],
+                    ("a", "b")),
+    bc.ModelCircuit(3, 2, [bc.Gate("MAJ", "m", ("x0", "x1", "w2")),
+                           bc.Gate("XOR", "p", ("x0", "x1", "x1"))],
+                    ("m", "p")),
+    bc.ModelCircuit(6, 2, [bc.Gate("NOT", "n", ("x1",)),
+                           bc.Gate("MAJ", "m", ("n", "w5", "x0"))],
+                    ("w5", "m")),
+    bc.ModelCircuit(2, 3, [bc.Gate("XOR", "q", ("x0", "w1", "x2")),
+                           bc.Gate("COPY", "c", ("x1",))], ("c", "q")),
+]
+
+
 class TestWeightSweep:
     @pytest.mark.parametrize("model_fn", [
         bc.toy_xor_model, bc.simplified_ed_model, bc.edge_detection_model])
@@ -113,6 +149,30 @@ class TestWeightSweep:
         for wi in (0, 1, 63, 64, 65, 2 ** 19, 2 ** 20 - 1):
             w = bc.index_to_bits(wi, 20)
             assert tuple(int(o[wi]) for o in outs) == bc.eval_circuit(m, w, x)
+
+    @pytest.mark.parametrize("m", FOLDING_CIRCUITS)
+    def test_folded_outputs_match_pointwise_eval(self, m):
+        n_w = 1 << m.weight_width
+        for xi in range(1 << m.input_width):
+            x = bc.index_to_bits(xi, m.input_width)
+            outs = [bc.unpack_lanes(p, n_w) for p in bc.eval_all_weights(m, x)]
+            for wi in range(n_w):
+                w = bc.index_to_bits(wi, m.weight_width)
+                assert tuple(int(o[wi]) for o in outs) == \
+                    bc.eval_circuit(m, w, x)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(st.sampled_from(FOLDING_CIRCUITS),
+                     random_circuits(n_w=st.integers(1, 8))), st.data())
+    def test_returned_words_are_the_callers(self, m, data):
+        x = tuple(data.draw(st.lists(st.integers(0, 1), min_size=m.input_width,
+                                     max_size=m.input_width)))
+        first = bc.eval_all_weights(m, x)
+        want = [o.copy() for o in first]
+        for o in first:
+            np.invert(o, out=o)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(bc.eval_all_weights(m, x), want))
 
 
 class TestSerialization:
@@ -229,25 +289,6 @@ class TestCompiler:
         for q in range(gl.n_qubits):
             expect = ((idx >> q) & 1).astype(np.uint8) if q < n_in else 0
             assert np.array_equal(bits[:, q], np.broadcast_to(expect, bits[:, q].shape))
-
-
-@st.composite
-def random_circuits(draw):
-    n_w = draw(st.integers(1, 3))
-    n_x = draw(st.integers(1, 3))
-    wires = [f"w{i}" for i in range(n_w)] + [f"x{i}" for i in range(n_x)]
-    gates = []
-    n_gates = draw(st.integers(1, 8))
-    for gi in range(n_gates):
-        op = draw(st.sampled_from(("NOT", "COPY", "XOR", "AND", "OR", "MAJ")))
-        arity = {"NOT": 1, "COPY": 1, "XOR": 2, "AND": 2, "OR": 2, "MAJ": 3}[op]
-        ins = tuple(draw(st.sampled_from(wires)) for _ in range(arity))
-        name = f"t{gi}"
-        gates.append(bc.Gate(op, name, ins))
-        wires.append(name)
-    n_out = draw(st.integers(1, min(2, len(gates))))
-    outs = draw(st.permutations([g.out for g in gates]))[:n_out]
-    return bc.ModelCircuit(n_w, n_x, gates, tuple(outs))
 
 
 class TestCompilerProperty:

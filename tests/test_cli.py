@@ -9,6 +9,9 @@ from grovertrain import cli
 from conftest import make_synthetic_idx_dir
 
 
+TASKS = ["toy", "edge", "simplified-ed"]
+
+
 def run(*argv):
     return cli.main(list(argv))
 
@@ -70,6 +73,16 @@ class TestJtable:
             assert run("jtable", "--task", "edge", "--out", str(out)) == 0
         assert (a / "jtable.csv").read_bytes() == (b / "jtable.csv").read_bytes()
 
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(TASKS), st.sampled_from(["full", "train", "test"]),
+           st.integers(-3, 3))
+    def test_numeric_flags_never_crash(self, tmp_path_factory, task, split,
+                                       seed):
+        out = tmp_path_factory.mktemp("jtable")
+        code = run("jtable", "--task", task, "--split", split, "--seed",
+                   str(seed), "--out", str(out))
+        assert code == (0 if seed >= 0 else 2)
+
 
 class TestDistribution:
     def test_writes_distribution_with_overlay(self, tmp_path, capsys):
@@ -111,10 +124,9 @@ class TestDistribution:
                    "1", "--seed", "1", "--out", str(tmp_path / "o")) == 3
 
     @settings(max_examples=40, deadline=None)
-    @given(st.sampled_from(["toy", "edge", "simplified-ed"]),
-           st.integers(1, 1100),
+    @given(st.sampled_from(TASKS), st.integers(-2, 1100),
            st.sampled_from(["auto"] + [str(n) for n in range(21)]),
-           st.integers(0, 3))
+           st.integers(-2, 3))
     def test_numeric_flags_never_crash(self, tmp_path_factory, task, k, pad,
                                        m):
         out = tmp_path_factory.mktemp("dist")
@@ -195,6 +207,28 @@ class TestShotsCurve:
         assert run("shots-curve", "--task", "toy", "--eval-shots", "0",
                    "--out", out) == 2
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(TASKS), st.sampled_from(["kpd", "urs"]),
+           st.integers(-2, 1100),
+           st.lists(st.integers(-1, 300), min_size=1, max_size=4),
+           st.integers(-1, 4), st.none() | st.integers(-1, 200),
+           st.integers(-2, 3))
+    def test_numeric_flags_never_crash(self, tmp_path_factory, task, method,
+                                       k, budgets, runs, eval_shots, m):
+        out = tmp_path_factory.mktemp("curve")
+        argv = ["shots-curve", "--task", task, "--method", method,
+                f"--k={k}", "--budget=" + ",".join(map(str, budgets)),
+                f"--runs={runs}", f"--branch-m={m}", "--out", str(out)]
+        if eval_shots is not None:
+            argv.append(f"--eval-shots={eval_shots}")
+        code = run(*argv)
+        assert code in (0, 2, 3)
+        if code == 0:
+            rows = (out / "shots_curve.csv").read_text().splitlines()[1:]
+            assert [int(r.split(",")[0]) for r in rows] == sorted(set(budgets))
+            assert all(0 <= float(v) <= 1 for r in rows
+                       for v in r.split(",")[1:])
+
 
 class TestVerifyOracle:
     def test_report_and_deviation(self, tmp_path, capsys):
@@ -260,6 +294,21 @@ class TestTheory:
                    "--out", out) == 2
         assert run("theory", "--task", "edge", "--epsilons", "zero",
                    "--out", out) == 2
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(TASKS), st.integers(-2, 12),
+           st.lists(st.floats(-0.1, 1.1) | st.floats()
+                    | st.sampled_from(["x", ""]), min_size=1, max_size=3))
+    def test_numeric_flags_never_crash(self, tmp_path_factory, task, k_max,
+                                       epsilons):
+        out = tmp_path_factory.mktemp("theory")
+        code = run("theory", "--task", task, f"--k-max={k_max}",
+                   "--epsilons=" + ",".join(map(str, epsilons)),
+                   "--out", str(out))
+        assert code in (0, 2, 3)
+        if code == 0:
+            rows = (out / "theory.csv").read_text().splitlines()[1:]
+            assert len(rows) == k_max * len([e for e in epsilons if e != ""])
 
 
 class TestConfigFile:

@@ -224,6 +224,24 @@ class TestDownsample:
         assert ds.downsample_3x3(img2)[8] == 0
 
 
+    def test_batch_matches_block_mean_rule(self):
+        # pixel values straddle the threshold, so block means land on both
+        # sides of 127.5 and exactly on it
+        rng = np.random.default_rng(8)
+        imgs = rng.integers(125, 131, size=(300, 28, 28), dtype=np.uint8)
+        imgs[0] = np.where(np.indices((28, 28)).sum(0) % 2, 127, 128)
+        edges = [0, 9, 18, 28]
+        for img in imgs:
+            want = tuple(int(img[edges[i]:edges[i + 1], edges[j]:edges[j + 1]]
+                             .astype(np.float64).mean() >= 127.5)
+                         for i in range(3) for j in range(3))
+            assert ds.downsample_3x3(img) == want
+        labels = np.full(len(imgs), 7, dtype=np.uint8)
+        d = ds.make_tiny_mnist(imgs, labels, "train")
+        assert [s.x for s in d.samples] == list(dict.fromkeys(
+            ds.downsample_3x3(img) for img in imgs))
+
+
 class TestMakeTinyMnist:
     def test_filters_other_digits(self):
         imgs = np.stack([img_from_bits((1,) + (0,) * 8),
