@@ -41,7 +41,7 @@ AUTO_PAD_RESIDUAL_THRESHOLD = 0.9
 # shots if that is more), however many candidates it scores
 _SHOT_BLOCK = 1 << 20
 
-# CSV writers join at most this many rows at a time
+# CSV writers build at most this many rows per byte block
 _CSV_BLOCK = 1 << 16
 
 
@@ -145,6 +145,14 @@ class WeightDistribution:
 
     def __len__(self) -> int:
         return len(self.p)
+
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """Cumulative probabilities scaled to end at exactly 1, as
+        Generator.choice builds them; computed once per distribution."""
+        c = self.p.cumsum()
+        c /= c[-1]
+        return c
 
 
 def accuracy_table(model: ModelCircuit, d: Dataset) -> AccuracyTable:
@@ -324,10 +332,15 @@ def uniform_distribution(weight_width: int) -> WeightDistribution:
 
 def sample_weights(dist: WeightDistribution, m_meas: int,
                    rng: np.random.Generator) -> np.ndarray:
-    """m_meas independent weight-index draws from the distribution."""
+    """m_meas independent weight-index draws from the distribution.
+
+    One uniform per draw is located in the cached CDF, which is the
+    algorithm of rng.choice(len(p), size=m_meas, p=p): the draws and the
+    RNG stream are the same, without re-checking and re-summing p per call.
+    """
     if m_meas < 1:
         raise ValueError("measurement budget must be >= 1")
-    return rng.choice(len(dist.p), size=m_meas, replace=True, p=dist.p)
+    return dist.cdf.searchsorted(rng.random(m_meas), side="right")
 
 
 def search(dist: WeightDistribution, table: AccuracyTable, m_meas: int,
@@ -371,28 +384,47 @@ def _fmt(v: float) -> str:
     return f"{v:.12g}"
 
 
-def _csv(head: str, tails: list[str], counts: np.ndarray) -> str:
-    """`head`, then the row f"{i},{tails[counts[i]]}" for every weight i.
+def _csv(head: str, tails: list[str], counts: np.ndarray) -> list[bytes]:
+    """`head`, then the row f"{i},{tails[counts[i]]}" for every weight i, as
+    a list of byte blocks of at most _CSV_BLOCK rows each.
 
     A row depends on its weight only through the weight's correct count, so
-    each tail is formatted once per count. Rows are joined _CSV_BLOCK at a
-    time, so no per-weight list lives for the whole file.
+    each tail is encoded once per count and NUL-padded to a common width.
+    A block is split where the index gains a digit (at 10**d), and each run
+    becomes a uint8 record matrix of fixed-width rows: the index's digits,
+    a comma, the padded tail. Dropping the NULs leaves the run's exact bytes.
+    Indices must fit in uint32.
     """
-    blocks = [head]
-    for a in range(0, len(counts), _CSV_BLOCK):
-        block = counts[a:a + _CSV_BLOCK].tolist()
-        blocks.append("".join([f"{i},{tails[c]}"
-                               for i, c in enumerate(block, a)]))
-    return "".join(blocks)
+    enc = [t.encode() for t in tails]
+    width = max(map(len, enc))
+    padded = np.zeros((len(enc), width), dtype=np.uint8)
+    for c, tail in enumerate(enc):
+        padded[c, :len(tail)] = np.frombuffer(tail, dtype=np.uint8)
+    n = len(counts)
+    cuts = sorted({*range(0, n, _CSV_BLOCK), n,
+                   *(10 ** d for d in range(1, len(str(n))) if 10 ** d < n)})
+    blocks = [head.encode()]
+    for a, b in zip(cuts, cuts[1:]):
+        d = len(str(a))
+        rec = np.empty((b - a, d + 1 + width), dtype=np.uint8)
+        v = np.arange(a, b, dtype=np.uint32)
+        for col in range(d - 1, -1, -1):
+            v, rec[:, col] = np.divmod(v, 10)
+        rec[:, :d] += ord("0")
+        rec[:, d] = ord(",")
+        rec[:, d + 1:] = padded[counts[a:b]]
+        blocks.append(rec.tobytes().replace(b"\0", b""))
+    return blocks
 
 
-def jtable_csv(t: AccuracyTable) -> str:
+def jtable_csv(t: AccuracyTable) -> list[bytes]:
     n = float(t.n_samples)
     tails = [f"{c},{_fmt(c / n)}\n" for c in range(t.n_samples + 1)]
     return _csv("weight_index,correct_count,accuracy\n", tails, t.counts)
 
 
-def distribution_csv(dist: WeightDistribution, table: AccuracyTable) -> str:
+def distribution_csv(dist: WeightDistribution,
+                     table: AccuracyTable) -> list[bytes]:
     """The distribution with the table's normalized accuracy as jhat.
 
     dist.p must depend on the weight only through its correct count in

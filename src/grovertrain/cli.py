@@ -4,9 +4,9 @@ Subcommands generate datasets, sweep exact accuracy tables, evolve and dump
 weight distributions, run shot-budget curves, cross-check the closed-form
 evolution against the statevector simulator, and evaluate the query-count
 calculators. Every run writes its CSV outputs plus a run_manifest.json
-(config snapshot, seed, version, output list, wall time) into the output
-directory. With a fixed (config, seed) pair the CSV outputs are
-byte-identical across reruns.
+(config snapshot, seed, version, output list, wall time, and for an
+amplified run the plan) into the output directory. With a fixed (config,
+seed) pair the CSV outputs are byte-identical across reruns.
 
 Configs can come from a flat key=value text file (--config PATH, '#' starts
 a comment, keys match flag names with '-' or '_'); explicit command-line
@@ -124,13 +124,24 @@ def _out_dir(args, command: str) -> Path:
     return out
 
 
-def _write(path: Path, text: str) -> Path:
-    path.write_text(text, encoding="utf-8", newline="")
+def _write(path: Path, data: str | list[bytes]) -> Path:
+    """Write text, or byte blocks one after another, to path."""
+    with open(path, "wb") as f:
+        f.writelines([data.encode()] if isinstance(data, str) else data)
     return path
 
 
+def _int_text(n: int) -> str:
+    """n in decimal, or in hex ("0x...") where str() refuses it for having
+    more digits than Python's int-to-str limit (4300 by default)."""
+    try:
+        return str(n)
+    except ValueError:
+        return hex(n)
+
+
 def _write_manifest(out: Path, command: str, args, outputs: list[Path],
-                    t0: float) -> None:
+                    t0: float, plan: am.GroverPlan | None = None) -> None:
     for p in outputs:
         if not p.exists() or p.stat().st_size == 0:
             raise RuntimeError(f"output {p} missing or empty")
@@ -144,6 +155,12 @@ def _write_manifest(out: Path, command: str, args, outputs: list[Path],
         "outputs": [p.name for p in outputs],
         "wall_time_s": round(time.monotonic() - t0, 3),
     }
+    if plan is not None:
+        manifest["plan"] = {
+            "theta": plan.theta, "g": plan.g, "residual": plan.residual,
+            "n_aux": plan.n_aux, "leakage_bound": plan.leakage_bound,
+            "n_solutions": _int_text(plan.n_solutions),
+            "n_states": _int_text(plan.n_states)}
     (out / "run_manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -202,7 +219,7 @@ def cmd_distribution(args) -> int:
     print(f"{args.task} k={plan.k}: n_aux={plan.n_aux} theta={plan.theta:.6g} "
           f"g={plan.g} residual={plan.residual:.6g} "
           f"leakage_bound={plan.leakage_bound:.3g} -> {out}")
-    _write_manifest(out, "distribution", args, outputs, t0)
+    _write_manifest(out, "distribution", args, outputs, t0, plan)
     return 0
 
 
@@ -227,6 +244,7 @@ def cmd_shots_curve(args) -> int:
         dist = am.evolve_distribution(t_train, plan)
         label = f"kpd:{args.k}"
     else:
+        plan = None
         dist = am.uniform_distribution(bundle.model.weight_width)
         label = "urs"
     at_budget = np.array(budgets) - 1
@@ -250,7 +268,7 @@ def cmd_shots_curve(args) -> int:
             f"{test_acc[:, bi].mean():.12g},{test_acc[:, bi].std():.12g}")
     outputs.insert(0, _write(out / "shots_curve.csv", "\n".join(lines) + "\n"))
     print(f"{args.task} {label}: budgets {budgets} x {args.runs} runs -> {out}")
-    _write_manifest(out, "shots-curve", args, outputs, t0)
+    _write_manifest(out, "shots-curve", args, outputs, t0, plan)
     return 0
 
 

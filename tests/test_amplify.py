@@ -414,6 +414,26 @@ class TestSamplingAndSearch:
         with pytest.raises(ValueError):
             am.sample_weights(dist, 0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+    def test_sample_weights_match_generator_choice(self, edge_table, seed):
+        # the stream Generator.choice(n, size=m, p=p) gives, draw for draw
+        t = edge_table
+        dists = [am.uniform_distribution(t.weight_width)]
+        dists += [am.evolve_distribution(t, am.make_plan(t, k))
+                  for k in (1, 4, 8)]
+        for p in ([0.0, 0.5, 0.0, 0.5], [0.0, 0.0, 0.0, 1.0],
+                  [0.25, 0.0, 0.75, 0.0, 0.0], [1.0, 0.0]):
+            dists.append(am.WeightDistribution(np.array(p), 0, 0, 0.0))
+        for dist in dists:
+            rng, want_rng = (np.random.default_rng(seed) for _ in range(2))
+            for m in (1, 5, 300):  # repeated calls reuse one cached cdf
+                want = want_rng.choice(len(dist.p), size=m, p=dist.p)
+                got = am.sample_weights(dist, m, rng)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+            assert rng.random() == want_rng.random()
+            assert np.all(dist.p[am.sample_weights(dist, 50, rng)] > 0)
+
     def test_search_toy_finds_perfect_weight(self, toy_bundle):
         t = am.accuracy_table(toy_bundle.model, toy_bundle.train)
         plan = am.make_plan(t, 1)
@@ -501,6 +521,23 @@ def reference_search(dist, t, m_meas, rng, eval_shots):
     return draws, np.array(est), np.array(best)
 
 
+def text(blocks):
+    """The text a writer's byte blocks make up."""
+    return b"".join(blocks).decode()
+
+
+def first_difference(got, want):
+    """None when the texts are equal, else the first differing line as
+    (line number, got, want): a failure then reports one row, not a diff
+    of two whole files."""
+    if got == want:
+        return None
+    g, w = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    i = next((i for i, (a, b) in enumerate(zip(g, w)) if a != b),
+             min(len(g), len(w)))
+    return i, g[i:i + 1], w[i:i + 1]
+
+
 def reference_jtable_csv(t):
     """Per-row references for the writers, which format once per count."""
     lines = ["weight_index,correct_count,accuracy"]
@@ -518,24 +555,30 @@ def reference_distribution_csv(dist, jhat):
     return "\n".join(lines) + "\n"
 
 
+def per_row_csv(tails, counts):
+    return "head\n" + "".join([f"{i},{tails[c]}"
+                               for i, c in enumerate(counts.tolist())])
+
+
 class TestCsvEmission:
     def test_jtable_layout(self):
         t = table_from_counts([1, 3], 3)
-        assert am.jtable_csv(t) == ("weight_index,correct_count,accuracy\n"
-                                    "0,1,0.333333333333\n"
-                                    "1,3,1\n")
+        assert text(am.jtable_csv(t)) == (
+            "weight_index,correct_count,accuracy\n"
+            "0,1,0.333333333333\n"
+            "1,3,1\n")
 
     def test_distribution_layout(self):
         dist = am.WeightDistribution(np.array([0.25, 0.75]), 2, 3, 0.5)
         t = table_from_counts([1, 3], 3)
-        assert am.distribution_csv(dist, t) == (
+        assert text(am.distribution_csv(dist, t)) == (
             "weight_index,probability,k,g,residual,jhat\n"
             "0,0.25,2,3,0.5,0.25\n"
             "1,0.75,2,3,0.5,0.75\n")
 
     def test_distribution_layout_with_overlay(self):
         dist = am.WeightDistribution(np.array([0.5, 0.5]), 1, 0, 1.0)
-        out = am.distribution_csv(dist, table_from_counts([1, 7], 7))
+        out = text(am.distribution_csv(dist, table_from_counts([1, 7], 7)))
         assert out.splitlines()[0] == "weight_index,probability,k,g,residual,jhat"
         assert out.splitlines()[1] == "0,0.5,1,0,1,0.125"
         assert out.splitlines()[2] == "1,0.5,1,0,1,0.875"
@@ -552,20 +595,57 @@ class TestCsvEmission:
                                              edge_table, sed_train_table):
         t = {"toy": toy_table, "edge": edge_table,
              "simplified-ed": sed_train_table}[task]
-        assert am.jtable_csv(t) == reference_jtable_csv(t)
+        assert first_difference(text(am.jtable_csv(t)),
+                                reference_jtable_csv(t)) is None
         for k in ((1, 4, 8) if task == "edge" else (1, 4)):
             dist = am.evolve_distribution(t, am.make_plan(t, k))
-            assert am.distribution_csv(dist, t) == \
+            assert first_difference(
+                text(am.distribution_csv(dist, t)),
                 reference_distribution_csv(dist, t.normalized_accuracy())
+            ) is None
 
     def test_writers_match_reference_across_join_blocks(self):
         assert am._CSV_BLOCK < 1 << 17
         rng = np.random.default_rng(4)
         t = table_from_counts(rng.integers(0, 300, 1 << 17), 299)
-        assert am.jtable_csv(t) == reference_jtable_csv(t)
+        assert first_difference(text(am.jtable_csv(t)),
+                                reference_jtable_csv(t)) is None
         dist = am.evolve_distribution(t, am.make_plan(t, 3))
-        assert am.distribution_csv(dist, t) == \
+        assert first_difference(
+            text(am.distribution_csv(dist, t)),
             reference_distribution_csv(dist, t.normalized_accuracy())
+        ) is None
+
+    @pytest.fixture(scope="class")
+    def long_rows(self):
+        """2^20 + 5 rows (indices cross every 10**d up to 10**6) over tails
+        of unequal width, and the per-row reference text."""
+        counts = np.random.default_rng(8).integers(0, 40, (1 << 20) + 5)
+        tails = [f"{c},{'9' * (c % 13)}\n" for c in range(40)]
+        return counts, tails, per_row_csv(tails, counts)
+
+    @pytest.mark.parametrize("block, n_rows", [
+        (None, None),      # the writers' own block size, all rows
+        (1000, None),      # blocks start exactly at 10**3 .. 10**6
+        (10, 100_003),     # every block boundary on a multiple of ten
+        (7, 20_011),       # 10**d falls inside a block, runs split there
+    ])
+    def test_records_match_per_row_reference(self, monkeypatch, long_rows,
+                                             block, n_rows):
+        counts, tails, want = long_rows
+        if n_rows is not None:
+            counts = counts[:n_rows]
+            want = per_row_csv(tails, counts)
+        if block is not None:
+            monkeypatch.setattr(am, "_CSV_BLOCK", block)
+        blocks = am._csv("head\n", tails, counts)
+        assert first_difference(text(blocks), want) is None
+        rows = [b.count(b"\n") for b in blocks[1:]]
+        assert sum(rows) == len(counts)
+        assert max(rows) <= am._CSV_BLOCK
+        for b in blocks[1:]:  # one index width per run
+            widths = {len(r.split(b",")[0]) for r in b.splitlines()}
+            assert len(widths) == 1
 
     def test_trace_layout(self):
         out = am.trace_csv(np.array([5, 2]), np.array([0.5, 1.0]))

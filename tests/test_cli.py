@@ -5,8 +5,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grovertrain import amplify as am
 from grovertrain import cli
 from conftest import make_synthetic_idx_dir
+from test_amplify import reference_distribution_csv, reference_jtable_csv
 
 
 TASKS = ["toy", "edge", "simplified-ed"]
@@ -103,6 +105,53 @@ class TestDistribution:
         assert (a / "distribution.csv").read_bytes() == \
             (b / "distribution.csv").read_bytes()
 
+    def test_write_path_matches_per_row_reference(self, tmp_path,
+                                                  edge_table):
+        # the byte blocks reach the file through cli._write unchanged
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run("jtable", "--task", "edge", "--out", str(a)) == 0
+        assert run("distribution", "--task", "edge", "--k", "4",
+                   "--out", str(b)) == 0
+        dist = am.evolve_distribution(edge_table, am.make_plan(edge_table, 4))
+        assert (a / "jtable.csv").read_bytes() == \
+            reference_jtable_csv(edge_table).encode()
+        assert (b / "distribution.csv").read_bytes() == \
+            reference_distribution_csv(
+                dist, edge_table.normalized_accuracy()).encode()
+
+    def test_manifest_records_the_plan(self, tmp_path, edge_table):
+        out = tmp_path / "o"
+        assert run("distribution", "--task", "edge", "--k", "4",
+                   "--out", str(out)) == 0
+        plan = am.make_plan(edge_table, 4)
+        assert read_manifest(out)["plan"] == {
+            "theta": plan.theta, "g": plan.g, "residual": plan.residual,
+            "n_aux": plan.n_aux, "leakage_bound": plan.leakage_bound,
+            "n_solutions": str(plan.n_solutions),
+            "n_states": str(plan.n_states)}
+        assert plan.n_states == 2 ** 8 * 512 ** 4
+
+    @pytest.mark.parametrize("command, split", [
+        (["distribution"], "full"),
+        (["shots-curve", "--budget", "1,4", "--runs", "2"], "train"),
+    ])
+    def test_manifest_plan_past_the_str_digit_limit(self, tmp_path,
+                                                    edge_bundle, command,
+                                                    split):
+        # T = 2^8 * (N + n_aux)^1700 has over 4400 decimal digits, past
+        # the 4300 that str() accepts
+        out = tmp_path / "o"
+        assert run(*command, "--task", "edge", "--k", "1700",
+                   "--out", str(out)) == 0
+        table = am.accuracy_table(edge_bundle.model,
+                                  getattr(edge_bundle, split))
+        plan = am.make_plan(table, 1700)
+        got = read_manifest(out)["plan"]
+        assert got["n_states"].startswith("0x")
+        assert int(got["n_states"], 16) == plan.n_states
+        assert int(got["n_solutions"], 16) == plan.n_solutions
+        assert got["g"] == plan.g
+
     def test_explicit_pad(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert run("distribution", "--task", "toy", "--pad", "6",
@@ -180,6 +229,18 @@ class TestShotsCurve:
                    "urs", "--budget", "1,16", "--runs", "2",
                    "--out", str(out)) == 0
         assert (out / "shots_curve.csv").stat().st_size > 0
+        assert "plan" not in read_manifest(out)
+
+    def test_amplified_search_records_the_plan(self, tmp_path,
+                                               sed_train_table):
+        out = tmp_path / "o"
+        assert run("shots-curve", "--task", "simplified-ed", "--k", "2",
+                   "--budget", "1,4", "--runs", "2", "--out", str(out)) == 0
+        plan = am.make_plan(sed_train_table, 2)
+        got = read_manifest(out)["plan"]
+        assert (got["theta"], got["g"], got["n_aux"]) == \
+            (plan.theta, plan.g, plan.n_aux)
+        assert int(got["n_solutions"]) == plan.n_solutions
 
     # demos/03_shots_curves.py's three runs; the goldens are the curves it
     # wrote before the search loop was vectorized
