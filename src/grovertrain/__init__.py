@@ -6,7 +6,7 @@ Modules:
     boolcirc  Boolean circuit IR, bit-parallel weight sweeps, reversible
               compilation to X/CNOT/multi-controlled-X gates.
     datasets  Basis-encoded datasets: line-image tasks, IDX ingestion,
-              3x3 downsampling, correctness predicates.
+              3x3 downsampling, the exact-match correctness mask.
     amplify   Amplification planning (angle, iterations, padding), the
               closed-form evolved weight distribution, and the one search
               kernel (sample, score exactly or by shots, best so far).

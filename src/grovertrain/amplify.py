@@ -168,8 +168,7 @@ def accuracy_table(model: ModelCircuit, d: Dataset) -> AccuracyTable:
     counts = np.zeros(n_w, dtype=np.int64)
     acc = np.zeros(n_w, dtype=np.uint8)
     for i, s in enumerate(d.samples, 1):
-        mask = packed_correct_mask(d.predicate, s.y,
-                                   eval_all_weights(model, s.x))
+        mask = packed_correct_mask(s.y, eval_all_weights(model, s.x))
         acc += unpack_lanes(mask, n_w)
         if i % 255 == 0:
             counts += acc

@@ -307,8 +307,13 @@ def simplified_ed_model() -> ModelCircuit:
 
 
 def tiny_mnist_model() -> ModelCircuit:
-    """Two masked-OR detectors over a 3x3 image: output t is the OR of
+    """Two masked-OR detectors over a 3x3 image: detector t is the OR of
     w[10t+3i+j] AND x[3i+j] over all cells, XOR a bias bit w[10t+9].
+
+    The detectors (o0, o1) name a digit: o0 set means 1, else o1 set means
+    2, else 7. Two more gates write that digit's canonical pattern, so the
+    outputs are (o0, c1) with c1 = NOT o0 AND o1: 1 -> (1,0), 2 -> (0,1),
+    7 -> (0,0), and exact match against the label is the digit test.
     20 weight bits, 9 input bits."""
     gates: list[Gate] = []
     for t in range(2):
@@ -319,7 +324,9 @@ def tiny_mnist_model() -> ModelCircuit:
             terms.append(name)
         gates.append(Gate("OR", f"m{t}", tuple(terms)))
         gates.append(Gate("XOR", f"o{t}", (f"m{t}", f"w{10 * t + 9}")))
-    return ModelCircuit(20, 9, gates, ("o0", "o1"))
+    gates.append(Gate("NOT", "n0", ("o0",)))
+    gates.append(Gate("AND", "c1", ("n0", "o1")))
+    return ModelCircuit(20, 9, gates, ("o0", "c1"))
 
 
 def toy_xor_model() -> ModelCircuit:
@@ -555,6 +562,8 @@ class _Compiler:
                 q = self.qubit.pop(wire)
                 self._write(wire, q)  # replay: q ^= value leaves q at zero
                 self.free_anc.append(q)
+            # a later output that reads this one reads its output qubit
+            self.qubit.setdefault(name, oq)
         gl = GateList(self.c.weight_width, self.c.input_width, out_qubits,
                       self.n_anc)
         anc_base = n_io + len(out_qubits)

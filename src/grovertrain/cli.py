@@ -180,16 +180,11 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _pick_split(bundle, split: str):
-    return {"full": bundle.full, "train": bundle.train,
-            "test": bundle.test}[split]
-
-
 def cmd_jtable(args) -> int:
     t0 = time.monotonic()
     out = _out_dir(args, "jtable")
     bundle = load_task(args.task, args.mnist_dir, split_seed=args.seed)
-    d = _pick_split(bundle, args.split)
+    d = getattr(bundle, args.split)  # one of --split's choices
     table = am.accuracy_table(bundle.model, d)
     outputs = [_write(out / "jtable.csv", am.jtable_csv(table))]
     best = int(np.argmax(table.counts))
@@ -233,8 +228,6 @@ def cmd_shots_curve(args) -> int:
         raise ConfigError("--runs must be >= 1")
     if args.eval_shots is not None and args.eval_shots < 1:
         raise ConfigError("--eval-shots must be >= 1")
-    if args.method not in ("kpd", "urs"):
-        raise ConfigError("--method must be kpd or urs")
     bundle = load_task(args.task, args.mnist_dir)
     t_train = am.accuracy_table(bundle.model, bundle.train)
     t_test = am.accuracy_table(bundle.model, bundle.test)
@@ -429,8 +422,14 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
         # subcommands parse into a fresh namespace, so defaults must be set
         # on each subparser itself, and only for flags it actually has
         for sp in sub.choices.values():
-            dests = {a.dest for a in sp._actions}
-            sp.set_defaults(**{k: v for k, v in config.items() if k in dests})
+            actions = {a.dest: a for a in sp._actions}
+            mine = {k: v for k, v in config.items() if k in actions}
+            for key, val in mine.items():
+                choices = actions[key].choices
+                if choices is not None and val not in choices:
+                    raise ConfigError(f"config {key}={val!r} is not one of "
+                                      f"{', '.join(choices)}")
+            sp.set_defaults(**mine)
     return parser
 
 

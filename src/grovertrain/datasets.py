@@ -2,19 +2,15 @@
 digits task, plus IDX file ingestion and deterministic splits.
 
 A sample is (x, y) with x and y little-indexed bit tuples; image bit 3*i+j is
-row i, column j of the 3x3 grid. Each dataset carries a correctness predicate
-id that defines when a model output counts as a correct prediction:
-
-* ``exact-match``       - prediction correct iff output bits equal y bits.
-* ``tiny-mnist-decode`` - outputs (o0, o1) decode to a digit (o0=1 -> 1,
-  else o1=1 -> 2, else 7) and the prediction is correct iff its digit equals
-  y's digit. Both (1,0) and (1,1) mean digit 1, so equality is on digits,
-  not bits.
+row i, column j of the 3x3 grid. A prediction is correct iff its output bits
+equal y's bits. The tiny-mnist labels are each digit's canonical pattern,
+1 -> (1,0), 2 -> (0,1), 7 -> (0,0), which `boolcirc.tiny_mnist_model` writes
+from its decoded detectors, so exact match there is digit equality.
 """
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +18,7 @@ IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
 TINY_MNIST_CLASSES = (1, 2, 7)
-# canonical output pattern (o0, o1) per digit; decode accepts (1,1) for 1 too
+# each digit's canonical output pattern, as tiny_mnist_model writes it
 _DIGIT_TO_BITS = {1: (1, 0), 2: (0, 1), 7: (0, 0)}
 
 
@@ -38,13 +34,10 @@ class Dataset:
     d_x: int
     d_y: int
     class_count: int
-    predicate: str = "exact-match"
 
     def __post_init__(self):
         if not self.samples:
             raise ValueError("dataset needs at least one sample")
-        if self.predicate not in ("exact-match", "tiny-mnist-decode"):
-            raise ValueError(f"unknown predicate {self.predicate!r}")
         seen: dict[tuple[int, ...], tuple[int, ...]] = {}
         for s in self.samples:
             if len(s.x) != self.d_x or len(s.y) != self.d_y:
@@ -56,37 +49,17 @@ class Dataset:
         return len(self.samples)
 
 
-def decode_digit(bits) -> int:
-    """Two output bits -> digit: o0 set means 1, else o1 set means 2, else 7."""
-    o0, o1 = bits
-    return 1 if o0 else (2 if o1 else 7)
-
-
-def is_correct(predicate: str, y, yhat) -> bool:
-    """Scalar correctness check for one prediction."""
-    if predicate == "exact-match":
-        return tuple(y) == tuple(yhat)
-    return decode_digit(y) == decode_digit(yhat)
-
-
-def packed_correct_mask(predicate: str, y, outs: list[np.ndarray]) -> np.ndarray:
+def packed_correct_mask(y, outs: list[np.ndarray]) -> np.ndarray:
     """Bit-parallel correctness over all weights at once.
 
     `outs` are packed uint64 output planes from boolcirc.eval_all_weights for
-    one sample; the result has lane L set iff weight L predicts y correctly.
+    one sample; the result has lane L set iff weight L's output equals y.
     """
-    if predicate == "exact-match":
-        mask = None
-        for b, yb in enumerate(y):
-            term = outs[b] if yb else ~outs[b]
-            mask = term if mask is None else mask & term
-        return mask
-    digit = decode_digit(y)
-    if digit == 1:
-        return outs[0].copy()
-    if digit == 2:
-        return ~outs[0] & outs[1]
-    return ~outs[0] & ~outs[1]
+    mask = None
+    for b, yb in enumerate(y):
+        term = outs[b] if yb else ~outs[b]
+        mask = term if mask is None else mask & term
+    return mask
 
 
 def _grid_bits(index: int) -> tuple[int, ...]:
@@ -137,7 +110,7 @@ def split(d: Dataset, n_train: int, seed: int) -> tuple[Dataset, Dataset]:
         raise ValueError(f"n_train must be in (0, {len(d)})")
     perm = np.random.default_rng(seed).permutation(len(d))
     pick = lambda idxs: Dataset([d.samples[i] for i in idxs], d.d_x, d.d_y,
-                                d.class_count, d.predicate)
+                                d.class_count)
     return pick(perm[:n_train]), pick(perm[n_train:])
 
 
@@ -230,7 +203,7 @@ def make_tiny_mnist(images: np.ndarray, labels: np.ndarray,
         best = max(TINY_MNIST_CLASSES,
                    key=lambda c: (tally.get(c, 0), -c))  # ties -> smallest
         samples.append(Sample(bits, _DIGIT_TO_BITS[best]))
-    return Dataset(samples, 9, 2, 3, predicate="tiny-mnist-decode")
+    return Dataset(samples, 9, 2, 3)
 
 
 def dataset_to_csv(d: Dataset) -> str:

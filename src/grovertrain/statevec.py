@@ -3,7 +3,8 @@
 The simulator runs the full quantum pipeline end to end: uniform weight
 register, k parallel data registers carrying the dataset in superposition,
 the compiled reversible model writing predictions per register, a phase
-oracle marking all-correct states, and inversion-about-the-mean diffusion.
+oracle marking the states where every copy's prediction equals its label,
+and inversion-about-the-mean diffusion.
 Its weight marginal is the ground truth the closed-form evolution in
 `amplify` is checked against. Every gate is an X, CNOT or multi-controlled X
 and only permutes basis states, so the state never leaves the
@@ -154,7 +155,7 @@ def _copy_register_vector(d: Dataset, n_aux: int
 
 
 def prepare_initial(model: ModelCircuit, d: Dataset, k: int, n_aux: int = 0,
-                    compiled: GateList | None = None, min_anc: int = 0
+                    compiled: GateList | None = None
                     ) -> tuple[QuantumState, SystemLayout]:
     """|Psi_0>: uniform weights, k dataset superpositions, predictions written.
 
@@ -164,8 +165,7 @@ def prepare_initial(model: ModelCircuit, d: Dataset, k: int, n_aux: int = 0,
     the compiled model runs on that copy with weight, input, output, and
     ancilla qubits remapped into place. The model leaves later copies'
     registers alone, so running it before they exist saves work and changes
-    nothing. min_anc grows the shared ancilla pool beyond what the compiled
-    model needs (the decode oracle borrows one ancilla per copy from it).
+    nothing.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -174,7 +174,7 @@ def prepare_initial(model: ModelCircuit, d: Dataset, k: int, n_aux: int = 0,
     if len(d) + n_aux < 2:
         raise ValueError("need at least two states per data register")
     gl = compiled if compiled is not None else compile_circuit(model)
-    layout = build_layout(model, k, n_aux, max(gl.n_anc, min_anc))
+    layout = build_layout(model, k, n_aux, gl.n_anc)
     if layout.n_qubits > MAX_QUBITS:
         raise ValueError(
             f"system needs {layout.n_qubits} qubits, cap is {MAX_QUBITS}")
@@ -207,51 +207,14 @@ def _comparator_gates(copy: CopyRegisters) -> list[RGate]:
     return gates
 
 
-def apply_oracle(state: QuantumState, layout: SystemLayout,
-                 predicate: str = "exact-match") -> None:
-    """Phase-flip basis states where every copy is a correctly predicted real
-    sample. Padded states (flag 0) are never flipped."""
-    if predicate == "exact-match":
-        controls = []
-        forward = []
-        for copy in layout.copies:
-            forward.extend(_comparator_gates(copy))
-            controls.extend(copy.out)
-            if copy.flag is not None:
-                controls.append(copy.flag)
-        state.apply_gates(forward)
-        state.apply_phase_flip(controls)
-        state.apply_gates(reversed(forward))
-    elif predicate == "tiny-mnist-decode":
-        _apply_decode_oracle(state, layout)
-    else:
-        raise ValueError(f"unknown predicate: {predicate}")
-
-
-def _apply_decode_oracle(state: QuantumState, layout: SystemLayout) -> None:
-    """Phase oracle for the 2-bit digit decoding: prediction and label agree
-    when bit0 is set on both, or bit0 is clear on both and bit1 matches.
-
-    Per copy, one pool ancilla accumulates the correctness bit (the two
-    agreement cases are disjoint, so two controlled flips add them), then one
-    multi-controlled phase fires on all correctness bits and flags.
-    """
-    if len(layout.anc) < len(layout.copies):
-        raise ValueError("decode oracle needs one ancilla per copy")
+def apply_oracle(state: QuantumState, layout: SystemLayout) -> None:
+    """Phase-flip basis states where every copy is a real sample whose
+    prediction equals its label. Padded states (flag 0) are never flipped."""
     controls = []
-    forward: list[RGate] = []
-    for j, copy in enumerate(layout.copies):
-        o0, o1 = copy.out
-        y0, y1 = copy.y
-        c = layout.anc[j]
-        forward.extend([
-            RGate((y1,), o1), RGate((), o1),   # o1 <- (o1 == y1)
-            RGate((o0, y0), c),                # c ^= o0 & y0
-            RGate((), o0), RGate((), y0),      # negate bit0 pair
-            RGate((o0, y0, o1), c),            # c ^= !o0 & !y0 & (o1 == y1)
-            RGate((), o0), RGate((), y0),      # restore bit0 pair
-        ])
-        controls.append(c)
+    forward = []
+    for copy in layout.copies:
+        forward.extend(_comparator_gates(copy))
+        controls.extend(copy.out)
         if copy.flag is not None:
             controls.append(copy.flag)
     state.apply_gates(forward)
@@ -278,11 +241,10 @@ def grover_run(model: ModelCircuit, d: Dataset, k: int, g: int,
     """
     if g < 0:
         raise ValueError("iteration count must be >= 0")
-    min_anc = k if d.predicate == "tiny-mnist-decode" else 0
-    state, layout = prepare_initial(model, d, k, n_aux, compiled, min_anc)
+    state, layout = prepare_initial(model, d, k, n_aux, compiled)
     psi0 = state.amps.copy()
     for _ in range(g):
-        apply_oracle(state, layout, d.predicate)
+        apply_oracle(state, layout)
         apply_diffusion(state, psi0)
     marginal = state.marginal(layout.weight)
     if return_state:

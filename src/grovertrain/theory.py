@@ -110,18 +110,24 @@ def queries_kpd(alpha: float, beta: float, C: float, k: int) -> float:
     return (1.0 + amp) * scale
 
 
+def _k_star(alpha: float, beta: float, C: float) -> int | None:
+    """m = floor(log_{a/b}(1/a)) + 1 when alpha/beta >= m**(1/(m-1)) *
+    sqrt(C), else None (also when alpha <= beta or m < 2)."""
+    _validate(alpha, beta, C)
+    if alpha <= beta:
+        return None
+    ratio = alpha / beta
+    m = math.floor(math.log(1.0 / alpha) / math.log(ratio)) + 1
+    if m < 2 or ratio < m ** (1.0 / (m - 1)) * math.sqrt(C):
+        return None
+    return m
+
+
 def k_star_condition(alpha: float, beta: float, C: float) -> bool:
     """Whether the closed-form best-k formula's applicability condition holds:
     alpha/beta >= m**(1/(m-1)) * sqrt(C) with m = floor(log_{a/b}(1/a)) + 1.
     Undefined (False) when alpha <= beta or m < 2."""
-    _validate(alpha, beta, C)
-    if alpha <= beta:
-        return False
-    ratio = alpha / beta
-    m = math.floor(math.log(1.0 / alpha) / math.log(ratio)) + 1
-    if m < 2:
-        return False
-    return ratio >= m ** (1.0 / (m - 1)) * math.sqrt(C)
+    return _k_star(alpha, beta, C) is not None
 
 
 def optimal_k(alpha: float, beta: float, C: float) -> int:
@@ -129,18 +135,11 @@ def optimal_k(alpha: float, beta: float, C: float) -> int:
     k* = floor(log_{alpha/beta}(1/alpha)) + 1 when the applicability condition
     holds, else 1. alpha <= beta makes the log base degenerate: returns 1 with
     a warning."""
-    _validate(alpha, beta, C)
+    m = _k_star(alpha, beta, C)
     if alpha <= beta:
         warnings.warn("alpha <= beta: parallel copies cannot help, using k=1",
                       stacklevel=2)
-        return 1
-    ratio = alpha / beta
-    m = math.floor(math.log(1.0 / alpha) / math.log(ratio)) + 1
-    if m < 2:
-        return 1
-    if ratio >= m ** (1.0 / (m - 1)) * math.sqrt(C):
-        return m
-    return 1
+    return m or 1
 
 
 def brute_force_optimal_k(alpha: float, beta: float, C: float,

@@ -317,7 +317,7 @@ def test_criterion_8(tmp_path):
     plan = am.make_plan(am.accuracy_table(toy.model, toy.train), 1)
     state, layout = sv.prepare_initial(toy.model, toy.train, 1, plan.n_aux)
     psi0 = state.amps.copy()
-    sv.apply_oracle(state, layout, toy.train.predicate)
+    sv.apply_oracle(state, layout)
     before = state.amps.copy()
     sv.apply_diffusion(state, psi0)
     sv.apply_diffusion(state, psi0)

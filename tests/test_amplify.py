@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from grovertrain import amplify as am
 from grovertrain import boolcirc as bc
 from grovertrain import datasets as ds
+from grovertrain import tasks
+from conftest import make_synthetic_idx_dir
 from test_boolcirc import FOLDING_CIRCUITS, random_circuits
 
 
@@ -41,9 +43,7 @@ class TestAccuracyTable:
         m, d = toy_bundle.model, toy_bundle.full
         for wi in range(2 ** m.weight_width):
             w = bc.index_to_bits(wi, m.weight_width)
-            hits = sum(ds.is_correct(d.predicate, s.y,
-                                     bc.eval_circuit(m, w, s.x))
-                       for s in d.samples)
+            hits = sum(bc.eval_circuit(m, w, s.x) == s.y for s in d.samples)
             assert toy_table.counts[wi] == hits
 
     def test_sweep_matches_pointwise_eval_on_subset(self, edge_bundle):
@@ -62,13 +62,10 @@ class TestAccuracyTable:
     @settings(max_examples=2, deadline=None)
     @given(data=st.data())
     def test_sweep_matches_per_weight_reference(self, n_w, n_samples, data):
-        pred = data.draw(st.sampled_from(["exact-match", "tiny-mnist-decode"]))
         m = data.draw(st.one_of(
             st.sampled_from([c for c in FOLDING_CIRCUITS
                              if c.weight_width == n_w]),
-            random_circuits(n_w=st.just(n_w), n_x=st.integers(9, 10),
-                            n_out=st.just(2) if pred != "exact-match"
-                            else st.integers(1, 2))))
+            random_circuits(n_w=st.just(n_w), n_x=st.integers(9, 10))))
         n_x = m.input_width
         xs = data.draw(st.lists(st.integers(0, (1 << n_x) - 1),
                                 min_size=min(n_samples, 1 << n_x),
@@ -79,11 +76,29 @@ class TestAccuracyTable:
         for xi in xs:
             x = bc.index_to_bits(xi, n_x)
             samples.append(ds.Sample(x, bc.eval_circuit(m, teacher, x)))
-        d = ds.Dataset(samples, n_x, m.output_width, 2, predicate=pred)
-        want = [sum(ds.is_correct(pred, s.y, bc.eval_circuit(
-                    m, bc.index_to_bits(wi, n_w), s.x)) for s in samples)
+        d = ds.Dataset(samples, n_x, m.output_width, 2)
+        want = [sum(bc.eval_circuit(m, bc.index_to_bits(wi, n_w), s.x) == s.y
+                    for s in samples)
                 for wi in range(1 << n_w)]
         assert am.accuracy_table(m, d).counts.tolist() == want
+
+    def test_tiny_mnist_counts_are_digit_decode_counts(self, tmp_path):
+        """Exact match on the canonical outputs counts what decoding the
+        detector wires (o0 set: 1, else o1 set: 2, else 7) and comparing
+        digits counts."""
+        idx = make_synthetic_idx_dir(tmp_path, n_train=300, n_test=100)
+        bundle = tasks.load_task("tiny-mnist", mnist_dir=str(idx))
+        raw = bc.ModelCircuit(20, 9, bundle.model.gates, ("o0", "o1"))
+        n_w = 1 << raw.weight_width
+        want = np.zeros(n_w, dtype=np.int64)
+        for s in bundle.train.samples:
+            o0, o1 = bc.eval_all_weights(raw, s.x)
+            # lanes whose detectors name the label's digit: 1, 2 or 7
+            same_digit = {(1, 0): o0, (0, 1): ~o0 & o1,
+                          (0, 0): ~o0 & ~o1}[s.y]
+            want += bc.unpack_lanes(same_digit, n_w)
+        got = am.accuracy_table(bundle.model, bundle.train).counts
+        assert np.array_equal(got, want)
 
     def test_width_mismatch_rejected(self, toy_bundle, sed_bundle):
         with pytest.raises(ValueError):

@@ -1,8 +1,19 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from grovertrain import boolcirc as bc
+
+
+# tiny-mnist's labels: each digit's canonical output pattern
+DIGIT_PATTERNS = {1: (1, 0), 2: (0, 1), 7: (0, 0)}
+
+
+def decode_digit(bits) -> int:
+    """The digit two tiny-mnist detector bits name: o0 set means 1, else o1
+    set means 2, else 7."""
+    o0, o1 = bits
+    return 1 if o0 else 2 if o1 else 7
 
 
 class TestIndexBits:
@@ -71,10 +82,36 @@ class TestModelOracles:
         w = (0,) * 20
         assert bc.eval_circuit(m, w, (1,) * 9) == (0, 0)
         w_bias = tuple(1 if i in (9, 19) else 0 for i in range(20))
-        assert bc.eval_circuit(m, w_bias, (0,) * 9) == (1, 1)
+        # both detectors fire: digit 1, written as its pattern (1,0)
+        assert bc.eval_circuit(m, w_bias, (0,) * 9) == (1, 0)
         w_one_mask = tuple(1 if i == 0 else 0 for i in range(20))
         x = tuple(1 if i == 0 else 0 for i in range(9))
         assert bc.eval_circuit(m, w_one_mask, x) == (1, 0)
+        w_second = tuple(1 if i == 19 else 0 for i in range(20))
+        assert bc.eval_circuit(m, w_second, (0,) * 9) == (0, 1)
+
+    def test_tiny_mnist_outputs_are_canonical_digit_patterns(self):
+        """The outputs are the canonical pattern of the digit that the two
+        detector wires decode to, on every weight and input."""
+        m = bc.tiny_mnist_model()
+        raw = bc.ModelCircuit(20, 9, m.gates, ("o0", "o1"))
+        inputs = [bc.index_to_bits(xi, 9) for xi in range(512)]
+        for x in inputs:  # all 2^20 weights at once, as packed words
+            (c0, c1), (o0, o1) = (bc.eval_all_weights(m, x),
+                                  bc.eval_all_weights(raw, x))
+            # the digit is 1 where o0 is set, 2 where o0 is clear and o1 set
+            assert np.array_equal(c0, o0) and np.array_equal(c1, ~o0 & o1)
+        rng = np.random.default_rng(17)
+        bias_only = [0, 1 << 9, 1 << 19, 1 << 9 | 1 << 19]
+        pairs = [(wi, x) for wi in bias_only for x in inputs]
+        pairs += [(int(wi), inputs[int(xi)]) for wi, xi in
+                  zip(rng.integers(0, 1 << 20, 300), rng.integers(0, 512, 300))]
+        for wi, x in pairs:
+            w = bc.index_to_bits(wi, 20)
+            out = bc.eval_circuit(m, w, x)
+            assert out in DIGIT_PATTERNS.values()
+            digit = decode_digit(bc.eval_circuit(raw, w, x))
+            assert out == DIGIT_PATTERNS[digit]
 
     def test_edge_transpose_symmetry(self):
         """Swapping the two kernel/bias groups and transposing the image
@@ -109,6 +146,15 @@ def random_circuits(draw, n_w=st.integers(1, 3), n_x=st.integers(1, 3),
         wires.append(name)
     outs = draw(st.permutations([g.out for g in gates]))[:n_out]
     return bc.ModelCircuit(n_w, n_x, gates, tuple(outs))
+
+
+# later outputs read the first one: as an XOR operand, through a NOT
+# borrowed on its output qubit, and as an AND control
+CHAINED_OUTPUTS = bc.ModelCircuit(
+    2, 2, [bc.Gate("OR", "a", ("w0", "x0")),
+           bc.Gate("XOR", "b", ("a", "x1")),
+           bc.Gate("NOT", "n", ("a",)),
+           bc.Gate("AND", "c", ("n", "w1", "b"))], ("a", "b", "c"))
 
 
 # outputs that some inputs fix: to constants, or to a bare weight bit
@@ -278,6 +324,20 @@ class TestCompiler:
             assert outs == bc.eval_circuit(m, w, x)
             assert clean and preserved
 
+    def test_tiny_mnist_reads_its_first_output_from_its_qubit(self):
+        # the canonicalising AND reads o0 from its output qubit; computing o0
+        # again would need 21 ancillas
+        m = bc.tiny_mnist_model()
+        gl = bc.compile_circuit(m)
+        assert gl.n_anc == 10
+        rng = np.random.default_rng(13)
+        for _ in range(40):
+            w = tuple(int(b) for b in rng.integers(0, 2, 20))
+            x = tuple(int(b) for b in rng.integers(0, 2, 9))
+            outs, clean, preserved = simulate_gatelist(gl, w, x)
+            assert outs == bc.eval_circuit(m, w, x)
+            assert clean and preserved
+
     def test_inverse_restores_identity(self):
         m = bc.simplified_ed_model()
         gl = bc.compile_circuit(m)
@@ -294,6 +354,7 @@ class TestCompiler:
 class TestCompilerProperty:
     @settings(max_examples=60, deadline=None)
     @given(random_circuits())
+    @example(CHAINED_OUTPUTS)
     def test_random_circuit_compiles_exactly(self, m):
         gl = bc.compile_circuit(m)
         bits = simulate_gatelist_all(gl)

@@ -409,6 +409,17 @@ class TestConfigFile:
         assert run("--config", str(tmp_path / "absent.cfg"), "gen-data",
                    "--out", out) == 2
 
+    @pytest.mark.parametrize("key", ["split", "method", "task"])
+    def test_values_outside_a_flags_choices(self, tmp_path, capsys, key):
+        argv = {"split": ["jtable", "--task", "toy"],
+                "method": ["shots-curve", "--task", "toy"],
+                "task": ["jtable"]}[key]
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key}=bogus\n")
+        assert run("--config", str(cfg), *argv,
+                   "--out", str(tmp_path / "o")) == 2
+        assert f"{key}='bogus'" in capsys.readouterr().err
+
     def test_boolean_parsing(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("dump-statevector=yes\n")

@@ -3,6 +3,7 @@ import pytest
 
 from grovertrain import boolcirc as bc
 from grovertrain import datasets as ds
+from test_boolcirc import decode_digit
 
 
 def img_from_bits(bits):
@@ -37,17 +38,12 @@ class TestDatasetValidation:
         d = ds.Dataset(samples, 2, 1, 2)
         assert len(d) == 2
 
-    def test_rejects_unknown_predicate(self):
-        with pytest.raises(ValueError):
-            ds.Dataset([ds.Sample((0,), (0,))], 1, 1, 2, predicate="fuzzy")
-
 
 class TestLineDetectionData:
     def test_full_task_shape(self):
         d = ds.gen_edge_detection()
         assert len(d) == 512
         assert (d.d_x, d.d_y, d.class_count) == (9, 2, 4)
-        assert d.predicate == "exact-match"
         assert len({s.x for s in d.samples}) == 512
 
     def test_label_counts(self):
@@ -99,7 +95,6 @@ class TestSplit:
         for part in (train, test):
             assert (part.d_x, part.d_y) == (d.d_x, d.d_y)
             assert part.class_count == d.class_count
-            assert part.predicate == d.predicate
 
     def test_deterministic_and_seed_sensitive(self):
         d = ds.gen_simplified_ed()
@@ -118,45 +113,34 @@ class TestSplit:
 
 
 class TestCorrectness:
-    def test_decode_digit(self):
-        assert ds.decode_digit((1, 0)) == 1
-        assert ds.decode_digit((1, 1)) == 1
-        assert ds.decode_digit((0, 1)) == 2
-        assert ds.decode_digit((0, 0)) == 7
-
-    def test_is_correct_exact_match(self):
-        assert ds.is_correct("exact-match", (0, 1), (0, 1))
-        assert not ds.is_correct("exact-match", (0, 1), (1, 1))
-
-    def test_is_correct_decode_equates_digit_aliases(self):
-        assert ds.is_correct("tiny-mnist-decode", (1, 0), (1, 1))
-        assert ds.is_correct("tiny-mnist-decode", (0, 0), (0, 0))
-        assert not ds.is_correct("tiny-mnist-decode", (0, 1), (0, 0))
-
     def test_packed_mask_matches_scalar_exact_match(self):
         m = bc.simplified_ed_model()
         d = ds.gen_simplified_ed()
         for s in d.samples[:16] + d.samples[200:208]:
             outs = bc.eval_all_weights(m, s.x)
-            mask = ds.packed_correct_mask(d.predicate, s.y, outs)
+            mask = ds.packed_correct_mask(s.y, outs)
             lanes = bc.unpack_lanes(mask, 2 ** m.weight_width)
             for wi in range(2 ** m.weight_width):
                 w = bc.index_to_bits(wi, m.weight_width)
                 yhat = bc.eval_circuit(m, w, s.x)
-                assert lanes[wi] == ds.is_correct(d.predicate, s.y, yhat)
+                assert lanes[wi] == (yhat == s.y)
 
     def test_packed_mask_matches_scalar_decode(self):
+        # exact match on tiny-mnist's outputs is digit equality of its
+        # detector wires
         m = bc.tiny_mnist_model()
-        probe_ws = [0, 1, 63, 64, 65, 2 ** 19, 2 ** 20 - 1]
+        raw = bc.ModelCircuit(20, 9, m.gates, ("o0", "o1"))
+        probe_ws = [0, 1, 63, 64, 65, 512, 2 ** 19, 2 ** 19 + 512, 2 ** 20 - 1]
         for y in ((1, 0), (0, 1), (0, 0)):
-            x = (1, 0, 1, 0, 1, 0, 1, 0, 1)
-            outs = bc.eval_all_weights(m, x)
-            mask = ds.packed_correct_mask("tiny-mnist-decode", y, outs)
-            lanes = bc.unpack_lanes(mask, 2 ** m.weight_width)
-            for wi in probe_ws:
-                w = bc.index_to_bits(wi, m.weight_width)
-                yhat = bc.eval_circuit(m, w, x)
-                assert lanes[wi] == ds.is_correct("tiny-mnist-decode", y, yhat)
+            for x in ((1, 0, 1, 0, 1, 0, 1, 0, 1), (0,) * 9):
+                outs = bc.eval_all_weights(m, x)
+                mask = ds.packed_correct_mask(y, outs)
+                lanes = bc.unpack_lanes(mask, 2 ** m.weight_width)
+                for wi in probe_ws:
+                    w = bc.index_to_bits(wi, m.weight_width)
+                    yhat = bc.eval_circuit(raw, w, x)
+                    assert lanes[wi] == (decode_digit(yhat) ==
+                                         decode_digit(y))
 
 
 class TestIdxFormat:
@@ -287,7 +271,6 @@ class TestMakeTinyMnist:
         imgs = np.stack([img_from_bits(p + (0,) * 6) for p in patterns])
         d = ds.make_tiny_mnist(imgs, np.array([1, 2, 7], np.uint8), "train")
         assert [s.y for s in d.samples] == [(1, 0), (0, 1), (0, 0)]
-        assert d.predicate == "tiny-mnist-decode"
         assert d.class_count == 3 and d.d_y == 2
 
     def test_keeps_first_appearance_order(self):

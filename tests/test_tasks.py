@@ -46,7 +46,7 @@ class TestImageTask:
         d = make_synthetic_idx_dir(tmp_path, n_train=300, n_test=100)
         bundle = tasks.load_task("tiny-mnist", mnist_dir=str(d))
         assert bundle.full.class_count == 3
-        assert bundle.train.predicate == "tiny-mnist-decode"
+        assert bundle.train.d_y == 2
         assert bundle.full is bundle.train
         assert bundle.model.weight_width == 20
         assert len(bundle.train) > 0 and len(bundle.test) > 0
