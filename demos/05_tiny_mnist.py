@@ -52,11 +52,12 @@ def main():
         print(f"using real digit data from "
               f"{os.environ['GROVERTRAIN_MNIST_DIR']}")
     else:
-        tmp = pathlib.Path(tempfile.mkdtemp(prefix="tiny_mnist_demo_"))
-        synthesize_idx(tmp)
-        bundle = tasks.load_task("tiny-mnist", mnist_dir=str(tmp))
-        print(f"no GROVERTRAIN_MNIST_DIR set; synthesized stand-in digits "
-              f"in {tmp}")
+        # load_task reads the files in full, so they can go right after
+        with tempfile.TemporaryDirectory(prefix="tiny_mnist_demo_") as tmp:
+            synthesize_idx(pathlib.Path(tmp))
+            bundle = tasks.load_task("tiny-mnist", mnist_dir=tmp)
+        print("no GROVERTRAIN_MNIST_DIR set; synthesized stand-in digits "
+              "in a temporary directory")
 
     model = bundle.model
     print(f"model: {model.weight_width} weight bits, 9-bit downsampled "

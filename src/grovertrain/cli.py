@@ -9,8 +9,8 @@ amplified run the plan) into the output directory. With a fixed (config,
 seed) pair the CSV outputs are byte-identical across reruns.
 
 Configs can come from a flat key=value text file (--config PATH, '#' starts
-a comment, keys match flag names with '-' or '_'); explicit command-line
-flags override file values.
+a comment, keys match flag names with '-' or '_'); each value is typed and
+checked by the flag it names, and explicit command-line flags override it.
 
 Exit codes: 0 success, 2 configuration error, 3 degenerate rotation angle.
 """
@@ -32,19 +32,37 @@ from . import theory as th
 from .datasets import dataset_to_csv
 from .tasks import TASK_NAMES, TaskError, load_task
 
-_INT_KEYS = {"k", "shots", "eval_shots", "runs", "seed", "branch_m", "k_max"}
-_BOOL_KEYS = {"strict_ratio_theta", "dump_statevector", "dump_traces"}
-_STR_KEYS = {"task", "budget", "pad", "out", "mnist_dir", "epsilons",
-             "method", "split"}
-_ALL_KEYS = _INT_KEYS | _BOOL_KEYS | _STR_KEYS
+_SWITCH_WORDS = (dict.fromkeys(("1", "true", "yes", "on"), True)
+                 | dict.fromkeys(("0", "false", "no", "off"), False))
 
 
 class ConfigError(ValueError):
     pass
 
 
-def parse_config_file(path: str) -> dict:
-    """Flat key=value file -> typed defaults dict."""
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag as a ConfigError, so main returns 2 for it."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer >= low."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"needs an integer, got {text!r}") from None
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {n}")
+        return n
+    return parse
+
+
+def parse_config_file(path: str) -> dict[str, str]:
+    """Flat key=value file -> {flag dest: value text}."""
     values = {}
     try:
         text = Path(path).read_text()
@@ -57,26 +75,26 @@ def parse_config_file(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{ln}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
-        key = key.strip().replace("-", "_")
-        val = val.strip()
-        if key not in _ALL_KEYS:
-            raise ConfigError(f"{path}:{ln}: unknown config key {key!r}")
-        if key in _INT_KEYS:
-            try:
-                values[key] = int(val)
-            except ValueError as e:
-                raise ConfigError(f"{path}:{ln}: {key} needs an integer") from e
-        elif key in _BOOL_KEYS:
-            low = val.lower()
-            if low in ("1", "true", "yes", "on"):
-                values[key] = True
-            elif low in ("0", "false", "no", "off"):
-                values[key] = False
-            else:
-                raise ConfigError(f"{path}:{ln}: {key} needs a boolean")
-        else:
-            values[key] = val
+        values[key.strip().replace("-", "_")] = val.strip()
     return values
+
+
+def _config_value(action: argparse.Action | None, key: str, text: str):
+    """Config text typed and checked the way its flag types and checks it."""
+    if action is None:
+        raise ConfigError(f"unknown config key {key!r}")
+    if action.nargs == 0:  # a switch
+        if text.lower() not in _SWITCH_WORDS:
+            raise ConfigError(f"config {key}={text!r} needs a boolean")
+        return _SWITCH_WORDS[text.lower()]
+    try:
+        value = action.type(text) if action.type else text
+    except argparse.ArgumentTypeError as e:
+        raise ConfigError(f"config {key}={text!r}: {e}") from e
+    if action.choices is not None and value not in action.choices:
+        raise ConfigError(f"config {key}={text!r} is not one of "
+                          f"{', '.join(action.choices)}")
+    return value
 
 
 def _parse_budgets(text: str) -> list[int]:
@@ -111,19 +129,6 @@ def _parse_pad(text: str):
     return n
 
 
-def _check_plan_flags(args) -> None:
-    if args.k < 1:
-        raise ConfigError("--k must be >= 1")
-    if args.branch_m < 0:
-        raise ConfigError("--branch-m must be >= 0")
-
-
-def _out_dir(args, command: str) -> Path:
-    out = Path(args.out) if args.out else Path("runs") / command
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _write(path: Path, data: str | list[bytes]) -> Path:
     """Write text, or byte blocks one after another, to path."""
     with open(path, "wb") as f:
@@ -140,15 +145,15 @@ def _int_text(n: int) -> str:
         return hex(n)
 
 
-def _write_manifest(out: Path, command: str, args, outputs: list[Path],
-                    t0: float, plan: am.GroverPlan | None = None) -> None:
+def _write_manifest(out: Path, args, outputs: list[Path], t0: float,
+                    plan: am.GroverPlan | None) -> None:
     for p in outputs:
         if not p.exists() or p.stat().st_size == 0:
             raise RuntimeError(f"output {p} missing or empty")
     config = {k: (str(v) if isinstance(v, Path) else v)
               for k, v in sorted(vars(args).items()) if k not in ("func",)}
     manifest = {
-        "command": command,
+        "command": args.command,
         "config": config,
         "seed": getattr(args, "seed", None),
         "version": __version__,
@@ -165,9 +170,9 @@ def _write_manifest(out: Path, command: str, args, outputs: list[Path],
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def cmd_gen_data(args) -> int:
-    t0 = time.monotonic()
-    out = _out_dir(args, "gen-data")
+# Each command writes into `out` and returns (output paths, plan or None).
+
+def cmd_gen_data(args, out: Path):
     bundle = load_task(args.task, args.mnist_dir, split_seed=args.seed)
     outputs = [
         _write(out / "dataset.csv", dataset_to_csv(bundle.full)),
@@ -176,13 +181,10 @@ def cmd_gen_data(args) -> int:
     ]
     print(f"{args.task}: {len(bundle.full)} samples "
           f"({len(bundle.train)} train / {len(bundle.test)} test) -> {out}")
-    _write_manifest(out, "gen-data", args, outputs, t0)
-    return 0
+    return outputs, None
 
 
-def cmd_jtable(args) -> int:
-    t0 = time.monotonic()
-    out = _out_dir(args, "jtable")
+def cmd_jtable(args, out: Path):
     bundle = load_task(args.task, args.mnist_dir, split_seed=args.seed)
     d = getattr(bundle, args.split)  # one of --split's choices
     table = am.accuracy_table(bundle.model, d)
@@ -191,16 +193,10 @@ def cmd_jtable(args) -> int:
     print(f"{args.task}/{args.split}: {len(table.counts)} weights, "
           f"best weight {best} at accuracy "
           f"{table.counts[best] / table.n_samples:.6g} -> {out}")
-    _write_manifest(out, "jtable", args, outputs, t0)
-    return 0
+    return outputs, None
 
 
-def cmd_distribution(args) -> int:
-    t0 = time.monotonic()
-    out = _out_dir(args, "distribution")
-    _check_plan_flags(args)
-    if args.shots is not None and args.shots < 1:
-        raise ConfigError("--shots must be >= 1")
+def cmd_distribution(args, out: Path):
     pad = _parse_pad(args.pad)
     bundle = load_task(args.task, args.mnist_dir)
     table = am.accuracy_table(bundle.model, bundle.full)
@@ -214,20 +210,12 @@ def cmd_distribution(args) -> int:
     print(f"{args.task} k={plan.k}: n_aux={plan.n_aux} theta={plan.theta:.6g} "
           f"g={plan.g} residual={plan.residual:.6g} "
           f"leakage_bound={plan.leakage_bound:.3g} -> {out}")
-    _write_manifest(out, "distribution", args, outputs, t0, plan)
-    return 0
+    return outputs, plan
 
 
-def cmd_shots_curve(args) -> int:
-    t0 = time.monotonic()
-    out = _out_dir(args, "shots-curve")
-    _check_plan_flags(args)
+def cmd_shots_curve(args, out: Path):
     budgets = _parse_budgets(args.budget)
     pad = _parse_pad(args.pad)
-    if args.runs < 1:
-        raise ConfigError("--runs must be >= 1")
-    if args.eval_shots is not None and args.eval_shots < 1:
-        raise ConfigError("--eval-shots must be >= 1")
     bundle = load_task(args.task, args.mnist_dir)
     t_train = am.accuracy_table(bundle.model, bundle.train)
     t_test = am.accuracy_table(bundle.model, bundle.test)
@@ -261,13 +249,10 @@ def cmd_shots_curve(args) -> int:
             f"{test_acc[:, bi].mean():.12g},{test_acc[:, bi].std():.12g}")
     outputs.insert(0, _write(out / "shots_curve.csv", "\n".join(lines) + "\n"))
     print(f"{args.task} {label}: budgets {budgets} x {args.runs} runs -> {out}")
-    _write_manifest(out, "shots-curve", args, outputs, t0, plan)
-    return 0
+    return outputs, plan
 
 
-def cmd_verify_oracle(args) -> int:
-    t0 = time.monotonic()
-    out = _out_dir(args, "verify-oracle")
+def cmd_verify_oracle(args, out: Path):
     report = ["closed-form evolution vs statevector simulation"]
     outputs = []
     worst = 0.0
@@ -296,20 +281,15 @@ def cmd_verify_oracle(args) -> int:
     outputs.insert(0, _write(out / "verify_oracle.txt", text))
     print(text, end="")
     print(f"worst deviation {worst:.3e} -> {out}")
-    _write_manifest(out, "verify-oracle", args, outputs, t0)
-    return 0
+    return outputs, None
 
 
-def cmd_theory(args) -> int:
-    t0 = time.monotonic()
-    out = _out_dir(args, "theory")
+def cmd_theory(args, out: Path):
     epsilons = _parse_epsilons(args.epsilons)
-    if args.k_max < 1:
-        raise ConfigError("--k-max must be >= 1")
     bundle = load_task(args.task, args.mnist_dir)
     table = am.accuracy_table(bundle.model, bundle.full)
     C = float(bundle.full.class_count)
-    rows, bounds, k_stars = [], [], []
+    rows = []
     for eps in epsilons:
         try:
             alpha, beta = th.alpha_beta(table, eps)
@@ -322,21 +302,19 @@ def cmd_theory(args) -> int:
         holds = th.k_star_condition(alpha, beta, C)
         print(f"epsilon={eps:g}: alpha={alpha:.6g} beta={beta:.6g} "
               f"k_star={k_star} condition_holds={holds}")
-        for k in range(1, args.k_max + 1):
-            rows.append(th.TheoryParams(eps, alpha, beta, C, k))
-            bounds.append(th.queries_kpd(alpha, beta, C, k))
-            k_stars.append(k_star)
-    outputs = [_write(out / "theory.csv", th.theory_csv(rows, bounds, k_stars))]
+        rows += [(eps, alpha, beta, C, k, th.queries_kpd(alpha, beta, C, k),
+                  k_star) for k in range(1, args.k_max + 1)]
+    outputs = [_write(out / "theory.csv", th.theory_csv(rows))]
     print(f"{args.task}: C={C:g}, {len(rows)} rows -> {out}")
-    _write_manifest(out, "theory", args, outputs, t0)
-    return 0
+    return outputs, None
 
 
-def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
-    """Build the argument parser; `config` entries become per-subcommand
-    defaults (each applied only where a flag with that name exists), so
-    explicit flags always win over config-file values."""
-    parser = argparse.ArgumentParser(
+def build_parser(config: dict[str, str] | None = None
+                 ) -> argparse.ArgumentParser:
+    """Build the argument parser. `config` maps flag dests to config-file
+    text; each value is typed and checked by its flag, then becomes a
+    default of every subcommand that has the flag, so explicit flags win."""
+    parser = _Parser(
         prog="grovertrain",
         description="Gradient-free training of Boolean models by amplitude "
                     "amplification: datasets, accuracy landscapes, evolved "
@@ -345,106 +323,107 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     parser.add_argument("--config", metavar="PATH",
                         help="flat key=value config file; flags override it")
     sub = parser.add_subparsers(dest="command", required=True)
+    positive, nonnegative = _int_at_least(1), _int_at_least(0)
 
-    def add_common(p, task=True, seed=True):
+    def command(name, func, summary, task=True, seed=True):
+        p = sub.add_parser(name, help=summary)
         if task:
-            p.add_argument("--task", required=False, default="simplified-ed",
+            p.add_argument("--task", default="simplified-ed",
                            choices=TASK_NAMES)
             p.add_argument("--mnist-dir", metavar="DIR",
                            help="directory with the four standard IDX files "
                                 "(needed by tiny-mnist)")
         if seed:
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=nonnegative, default=0)
         p.add_argument("--out", metavar="DIR",
                        help="output directory (default runs/<command>)")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("gen-data", help="write dataset/train/test CSVs")
-    add_common(p)
-    p.set_defaults(func=cmd_gen_data)
+    def plan_flags(p):
+        p.add_argument("--k", type=positive, default=1,
+                       help="parallel dataset copies")
+        p.add_argument("--pad", default="auto", metavar="auto|N",
+                       help="auxiliary padding samples (auto: pad when the "
+                            "rounded iteration count keeps too little mass)")
+        p.add_argument("--branch-m", type=nonnegative, default=0,
+                       help="rotation branch index in the iteration-count "
+                            "rule")
+        p.add_argument("--strict-ratio-theta", action="store_true",
+                       help="set the angle to arcsin of the solution ratio "
+                            "itself rather than of its square root")
 
-    p = sub.add_parser("jtable", help="exact accuracy table over all weights")
-    add_common(p)
+    command("gen-data", cmd_gen_data, "write dataset/train/test CSVs")
+
+    p = command("jtable", cmd_jtable, "exact accuracy table over all weights")
     p.add_argument("--split", choices=("full", "train", "test"),
                    default="full")
-    p.set_defaults(func=cmd_jtable)
 
-    p = sub.add_parser("distribution",
-                       help="evolved weight distribution for one plan")
-    add_common(p)
-    p.add_argument("--k", type=int, default=1, help="parallel dataset copies")
-    p.add_argument("--shots", type=int, default=None,
+    p = command("distribution", cmd_distribution,
+                "evolved weight distribution for one plan")
+    plan_flags(p)
+    p.add_argument("--shots", type=positive, default=None,
                    help="estimate the rotation angle from this many samples")
-    p.add_argument("--strict-ratio-theta", action="store_true",
-                   help="set the angle to arcsin of the solution ratio "
-                        "itself rather than of its square root")
-    p.add_argument("--pad", default="auto", metavar="auto|N",
-                   help="auxiliary padding samples (auto: pad when the "
-                        "rounded iteration count keeps too little mass)")
-    p.add_argument("--branch-m", type=int, default=0,
-                   help="rotation branch index in the iteration-count rule")
-    p.set_defaults(func=cmd_distribution)
 
-    p = sub.add_parser("shots-curve",
-                       help="best-found accuracy vs measurement budget")
-    add_common(p)
+    p = command("shots-curve", cmd_shots_curve,
+                "best-found accuracy vs measurement budget")
+    plan_flags(p)
     p.add_argument("--method", choices=("kpd", "urs"), default="kpd",
                    help="amplified sampling (kpd) or uniform random search")
-    p.add_argument("--k", type=int, default=1)
     p.add_argument("--budget", default="1,2,4,8,16,32,64,128",
                    help="comma-separated measurement budgets")
-    p.add_argument("--runs", type=int, default=20,
+    p.add_argument("--runs", type=positive, default=20,
                    help="repetitions per budget")
-    p.add_argument("--eval-shots", type=int, default=None,
+    p.add_argument("--eval-shots", type=positive, default=None,
                    help="shots per candidate evaluation (default: exact)")
-    p.add_argument("--pad", default="auto", metavar="auto|N")
-    p.add_argument("--branch-m", type=int, default=0)
-    p.add_argument("--strict-ratio-theta", action="store_true")
     p.add_argument("--dump-traces", action="store_true",
                    help="write per-repetition sampling traces")
-    p.set_defaults(func=cmd_shots_curve)
 
-    p = sub.add_parser("verify-oracle",
-                       help="closed form vs statevector on small instances")
-    add_common(p, task=False)
+    p = command("verify-oracle", cmd_verify_oracle,
+                "closed form vs statevector on small instances", task=False)
     p.add_argument("--dump-statevector", action="store_true",
                    help="also write final statevectors (large files)")
-    p.set_defaults(func=cmd_verify_oracle)
 
-    p = sub.add_parser("theory", help="query-count bounds and best k")
-    add_common(p, seed=False)
+    p = command("theory", cmd_theory, "query-count bounds and best k",
+                seed=False)
     p.add_argument("--epsilons", default="0",
                    help="comma-separated accuracy slacks")
-    p.add_argument("--k-max", type=int, default=8,
+    p.add_argument("--k-max", type=positive, default=8,
                    help="evaluate bounds for k = 1..k_max")
-    p.set_defaults(func=cmd_theory)
 
     if config:
-        # subcommands parse into a fresh namespace, so defaults must be set
-        # on each subparser itself, and only for flags it actually has
-        for sp in sub.choices.values():
-            actions = {a.dest: a for a in sp._actions}
-            mine = {k: v for k, v in config.items() if k in actions}
-            for key, val in mine.items():
-                choices = actions[key].choices
-                if choices is not None and val not in choices:
-                    raise ConfigError(f"config {key}={val!r} is not one of "
-                                      f"{', '.join(choices)}")
-            sp.set_defaults(**mine)
+        # every key is checked, also where the chosen command lacks its
+        # flag; subcommands parse into a fresh namespace, so the defaults
+        # go on each subparser that has the flag
+        subparsers = sub.choices.values()
+        actions = {a.dest: a for sp in subparsers for a in sp._actions
+                   if a.dest != "help"}
+        values = {key: _config_value(actions.get(key), key, text)
+                  for key, text in config.items()}
+        for sp in subparsers:
+            sp.set_defaults(**{a.dest: values[a.dest] for a in sp._actions
+                               if a.dest in values})
     return parser
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config")
-    known, _ = pre.parse_known_args(argv)
     try:
+        pre = _Parser(add_help=False)
+        pre.add_argument("--config")
+        known, _ = pre.parse_known_args(argv)
         config = parse_config_file(known.config) if known.config else None
-        parser = build_parser(config)
-        args = parser.parse_args(argv)
-        if getattr(args, "seed", 0) < 0:
-            raise ConfigError("--seed must be >= 0")
-        return args.func(args)
+        args = build_parser(config).parse_args(argv)
+        t0 = time.monotonic()
+        out = Path(args.out or Path("runs") / args.command)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            raise ConfigError(
+                f"cannot create output directory {out}: {e}") from e
+        outputs, plan = args.func(args, out)
+        _write_manifest(out, args, outputs, t0, plan)
+        return 0
     except am.DegenerateAngleError as e:
         print(f"degenerate angle: {e}", file=sys.stderr)
         return 3

@@ -14,29 +14,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .amplify import AccuracyTable
-
-
-@dataclass(frozen=True)
-class TheoryParams:
-    """One evaluated parameter point of the query-count calculators."""
-    epsilon: float
-    alpha: float
-    beta: float
-    C: float
-    k: int
-
-    def __post_init__(self):
-        if not 0 < self.alpha <= 1 or not 0 < self.beta <= 1:
-            raise ValueError("alpha and beta must lie in (0, 1]")
-        if self.C < 2:
-            raise ValueError("class count C must be >= 2")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
 
 
 def _validate(alpha: float, beta: float | None, C: float) -> None:
@@ -157,13 +138,10 @@ def brute_force_optimal_k(alpha: float, beta: float, C: float,
     return best_k
 
 
-def theory_csv(rows: list[TheoryParams], bounds: list[float],
-               k_stars: list[int]) -> str:
-    """CSV of evaluated points: epsilon,alpha,beta,C,k,bound_value,k_star."""
-    if not len(rows) == len(bounds) == len(k_stars):
-        raise ValueError("rows, bounds and k_stars must align")
+def theory_csv(rows: list[tuple]) -> str:
+    """CSV of evaluated points, one (epsilon, alpha, beta, C, k, bound_value,
+    k_star) tuple per row."""
     lines = ["epsilon,alpha,beta,C,k,bound_value,k_star"]
-    for p, b, ks in zip(rows, bounds, k_stars):
-        lines.append(f"{p.epsilon:.12g},{p.alpha:.12g},{p.beta:.12g},"
-                     f"{p.C:.12g},{p.k},{b:.12g},{ks}")
+    lines += [f"{eps:.12g},{alpha:.12g},{beta:.12g},{C:.12g},{k},{b:.12g},{ks}"
+              for eps, alpha, beta, C, k, b, ks in rows]
     return "\n".join(lines) + "\n"

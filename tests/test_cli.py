@@ -1,5 +1,9 @@
+import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -406,6 +410,10 @@ class TestConfigFile:
         assert run("--config", str(cfg), "gen-data", "--out", out) == 2
         cfg.write_text("k=three\n")
         assert run("--config", str(cfg), "distribution", "--out", out) == 2
+        # a key is checked by its flag even where the command lacks it
+        assert run("--config", str(cfg), "gen-data", "--out", out) == 2
+        cfg.write_text("help=1\n")
+        assert run("--config", str(cfg), "gen-data", "--out", out) == 2
         assert run("--config", str(tmp_path / "absent.cfg"), "gen-data",
                    "--out", out) == 2
 
@@ -433,12 +441,85 @@ class TestConfigFile:
 
 
 class TestParserSurface:
-    def test_unknown_task_and_method_are_parse_errors(self, tmp_path):
-        with pytest.raises(SystemExit):
-            run("jtable", "--task", "imagenet")
-        with pytest.raises(SystemExit):
-            run("shots-curve", "--method", "annealing")
+    def test_unknown_task_and_method_are_parse_errors(self, tmp_path,
+                                                      capsys):
+        assert run("jtable", "--task", "imagenet") == 2
+        assert "config error: argument --task" in capsys.readouterr().err
+        assert run("shots-curve", "--method", "annealing") == 2
+        assert "config error: argument --method" in capsys.readouterr().err
 
-    def test_command_is_required(self):
-        with pytest.raises(SystemExit):
-            run()
+    def test_command_is_required(self, capsys):
+        assert run() == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            run("--help")
+        assert e.value.code == 0
+        assert "shots-curve" in capsys.readouterr().out
+
+    def test_shared_flags_agree_across_subcommands(self):
+        # a config value is typed by the first flag with its dest and then
+        # becomes the default of every subcommand that has that dest
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        by_dest = {}
+        for sp in sub.choices.values():
+            for a in sp._actions:
+                by_dest.setdefault(a.dest, []).append(a)
+        shared = {d: acts for d, acts in by_dest.items() if len(acts) > 1}
+        assert {"task", "seed", "out", "k", "pad", "branch_m",
+                "strict_ratio_theta"} <= set(shared)
+        for dest, acts in shared.items():
+            first = acts[0]
+            for a in acts[1:]:
+                assert a.type is first.type, dest
+                assert a.default == first.default, dest
+                assert a.choices == first.choices, dest
+
+
+class TestOutputDirectory:
+    def test_unwritable_out_is_a_config_error(self, tmp_path, capsys):
+        blocker = tmp_path / "F"
+        blocker.write_text("a regular file\n")
+        assert run("gen-data", "--task", "toy",
+                   "--out", str(blocker / "sub")) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: cannot create output directory")
+
+    def test_rejected_flag_creates_no_directory(self, tmp_path):
+        out = tmp_path / "D"
+        assert run("distribution", "--k", "0", "--out", str(out)) == 2
+        assert not out.exists()
+
+    def test_default_directory_is_named_after_the_command(self, tmp_path,
+                                                          monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run("gen-data", "--task", "toy") == 0
+        assert read_manifest(tmp_path / "runs" / "gen-data")["command"] == \
+            "gen-data"
+
+
+class TestConsoleEntry:
+    """`python -m grovertrain.cli` goes through sys.exit(main())."""
+
+    @pytest.mark.parametrize("case", ["bad-flag", "config-choice",
+                                      "unwritable-out"])
+    def test_bad_input_exits_two_with_one_line(self, tmp_path, case):
+        (tmp_path / "F").write_text("a regular file\n")
+        (tmp_path / "bad.cfg").write_text("split=bogus\n")
+        argv = {"bad-flag": ["distribution", "--k", "three"],
+                "config-choice": ["--config", "bad.cfg", "jtable"],
+                "unwritable-out": ["gen-data", "--task", "toy",
+                                   "--out", "F/sub"]}[case]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ,
+                   PYTHONPATH=src + (os.pathsep + path if path else ""))
+        proc = subprocess.run([sys.executable, "-m", "grovertrain.cli",
+                               *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: ")

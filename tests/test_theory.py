@@ -12,19 +12,6 @@ def table_from_counts(counts, n_samples):
     return am.AccuracyTable(np.array(counts, dtype=np.int64), n_samples, width)
 
 
-class TestParams:
-    def test_validation(self):
-        th.TheoryParams(0.1, 0.5, 0.5, 4, 1)
-        with pytest.raises(ValueError):
-            th.TheoryParams(0.1, 0.0, 0.5, 4, 1)
-        with pytest.raises(ValueError):
-            th.TheoryParams(0.1, 0.5, 1.5, 4, 1)
-        with pytest.raises(ValueError):
-            th.TheoryParams(0.1, 0.5, 0.5, 1, 1)
-        with pytest.raises(ValueError):
-            th.TheoryParams(0.1, 0.5, 0.5, 4, 0)
-
-
 class TestEpsilonOptimalSet:
     def test_zero_epsilon_keeps_only_the_best(self):
         t = table_from_counts([3, 7, 7, 1], 8)
@@ -113,6 +100,8 @@ class TestQueryBounds:
         with pytest.raises(ValueError):
             th.queries_kpd(0.5, 0.0, 4, 2)
         with pytest.raises(ValueError):
+            th.queries_kpd(0.5, 1.5, 4, 2)
+        with pytest.raises(ValueError):
             th.queries_kpd(0.5, 0.5, 4, 0)
 
 
@@ -168,12 +157,6 @@ class TestBestCopyCount:
 
 class TestTheoryCsv:
     def test_layout(self):
-        rows = [th.TheoryParams(0.1, 0.5, 0.25, 4, 2)]
-        out = th.theory_csv(rows, [14.5], [2])
+        out = th.theory_csv([(0.1, 0.5, 0.25, 4, 2, 14.5, 2)])
         assert out == ("epsilon,alpha,beta,C,k,bound_value,k_star\n"
                        "0.1,0.5,0.25,4,2,14.5,2\n")
-
-    def test_alignment_enforced(self):
-        rows = [th.TheoryParams(0.1, 0.5, 0.25, 4, 2)]
-        with pytest.raises(ValueError):
-            th.theory_csv(rows, [1.0, 2.0], [2])
