@@ -1,6 +1,6 @@
 """Downsampled handwritten-digit classification end to end: IDX ingestion,
-a bit-parallel exhaustive sweep over all 2^20 weights, and a short sampled
-optimization run.
+an exact accuracy table over all 2^20 weights (contracted at the model's
+two 10-bit weight groups), and a short sampled optimization run.
 
 If GROVERTRAIN_MNIST_DIR points at the four standard IDX files the real
 digits are used (the exhaustive optimum then lands near 86% train / 83%

@@ -3,10 +3,11 @@ amplification, simulated two ways: a closed-form evolution over exact
 accuracy tables and a statevector simulator, which must agree.
 
 Modules:
-    boolcirc  Boolean circuit IR, bit-parallel weight sweeps, reversible
-              compilation to X/CNOT/multi-controlled-X gates.
+    boolcirc  Boolean circuit IR, exact correct counts for every weight
+              (contracted at the weight groups), reversible compilation to
+              X/CNOT/multi-controlled-X gates.
     datasets  Basis-encoded datasets: line-image tasks, IDX ingestion,
-              3x3 downsampling, the exact-match correctness mask.
+              3x3 downsampling.
     amplify   Amplification planning (angle, iterations, padding), the
               closed-form evolved weight distribution, and the one search
               kernel (sample, score exactly or by shots, best so far).
@@ -26,9 +27,8 @@ from .amplify import (AccuracyTable, DegenerateAngleError, GroverPlan,
                       grover_iterations, make_plan, pad_auxiliary,
                       sample_weights, search, theta_exact, theta_shots)
 from .boolcirc import (Gate, GateList, ModelCircuit, RGate, compile_circuit,
-                       edge_detection_model, eval_all_weights, eval_circuit,
-                       parse_circuit, serialize_circuit, simplified_ed_model,
-                       tiny_mnist_model, toy_xor_model)
+                       correct_counts, edge_detection_model, eval_circuit,
+                       simplified_ed_model, tiny_mnist_model, toy_xor_model)
 from .datasets import (Dataset, Sample, gen_edge_detection, gen_simplified_ed,
                        make_tiny_mnist, parse_idx, split, write_idx)
 from .statevec import (QuantumState, apply_diffusion, apply_oracle,

@@ -26,8 +26,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .boolcirc import ModelCircuit, eval_all_weights, unpack_lanes
-from .datasets import Dataset, packed_correct_mask
+from .boolcirc import ModelCircuit, correct_counts
+from .datasets import Dataset
 
 # relative slack when comparing an exact state ratio against sin(angle)^2:
 # the angle itself is a rounded float, so boundary cases (ratio exactly 1/4
@@ -156,25 +156,13 @@ class WeightDistribution:
 
 
 def accuracy_table(model: ModelCircuit, d: Dataset) -> AccuracyTable:
-    """Exact correct counts for every weight, by bit-parallel full sweep.
-
-    Each sample's packed correctness mask is unpacked into a uint8
-    accumulator, which is flushed into the int64 counts every 255 samples,
-    before it could wrap.
-    """
+    """Exact correct counts for every weight (`boolcirc.correct_counts`)."""
     if model.input_width != d.d_x or model.output_width != d.d_y:
         raise ValueError("model widths do not match dataset")
-    n_w = 1 << model.weight_width
-    counts = np.zeros(n_w, dtype=np.int64)
-    acc = np.zeros(n_w, dtype=np.uint8)
-    for i, s in enumerate(d.samples, 1):
-        mask = packed_correct_mask(s.y, eval_all_weights(model, s.x))
-        acc += unpack_lanes(mask, n_w)
-        if i % 255 == 0:
-            counts += acc
-            acc[:] = 0
-    counts += acc
-    return AccuracyTable(counts, len(d), model.weight_width)
+    xs = np.array([s.x for s in d.samples], dtype=bool)
+    ys = np.array([s.y for s in d.samples], dtype=bool)
+    return AccuracyTable(correct_counts(model, xs, ys), len(d),
+                         model.weight_width)
 
 
 def solution_stats(t: AccuracyTable, k: int, n_aux: int = 0) -> SolutionStats:

@@ -1,21 +1,18 @@
-"""Reversible Boolean model circuits: classical evaluation, bulk weight sweeps,
-and compilation to reversible gate lists.
+"""Reversible Boolean model circuits: classical evaluation, exact correct
+counts over every weight, and compilation to reversible gate lists.
 
 A model circuit maps a weight bit vector w and an input bit vector x to an
 output bit vector through named single-assignment gates. Bit vectors are
 tuples of 0/1 with index 0 first; `bits_to_index`/`index_to_bits` convert to
 integers with bit j carrying weight 2**j.
 
-Text serialization (one gate per line, parsed by `parse_circuit`):
-
-    weights 4          # weight register width
-    inputs 9           # input register width
-    outputs o0 o1      # ordered output wire names
-    XOR t0 <- w0 x0    # OP out <- in1 in2 ...
-
 Ops: NOT (1 input), COPY (1), XOR (>=2), AND (>=2), OR (>=2), MAJ (exactly 3,
 majority vote). Weight wires are w0..w{dw-1}, input wires x0..x{dx-1}; every
 other wire is defined by exactly one gate.
+
+`eval_circuit` evaluates one (w, x) pair and is the reference; `eval_wires`
+runs the gates over broadcastable bool arrays, and `correct_counts` uses it
+to count, for every weight at once, the samples a weight predicts exactly.
 
 Compilation targets the reversible gate set {X, CNOT, multi-controlled X}. Each
 Boolean op has a gate sequence whose effect is `target ^= f(inputs)`, so a
@@ -29,17 +26,13 @@ output so the pool is reused.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 _OPS = {"NOT": (1, 1), "COPY": (1, 1), "XOR": (2, None), "AND": (2, None),
         "OR": (2, None), "MAJ": (3, 3)}
-
-_WORD_BITS = 64
-# lane patterns for weight bits 0..5 inside one 64-lane word
-_LANE_PATTERNS = [0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
-                  0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000]
 
 
 def bits_to_index(bits) -> int:
@@ -150,113 +143,153 @@ def eval_circuit(circuit: ModelCircuit, w, x) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# bulk evaluation over every weight at once (bit-parallel)
+# correct counts over every weight at once
 #
-# Lane L of word j stands for weight index 64*j + L. Within one sweep the
-# input bits are constants, so they are folded through the gates: AND with 0
-# gives 0, OR with 1 gives 1, XOR with 1 is a NOT, and every other constant
-# operand drops out. Only gates whose value still depends on w cost a pass
-# over the words.
+# A wire's support is the set of weight bits it reads, directly or through
+# other gates. When the register splits into two groups that meet only in
+# the last gates (tiny-mnist's two detectors, edge's row and column kernels),
+# a weight's count is a sum over samples of accept(a, b), where a and b are
+# the patterns on the wires each group hands to those gates. Each group is
+# evaluated over its own 2**|group| weights, and the two meet in one matrix
+# product per pattern of the side with fewer boundary bits: a contraction
+# along a narrow cut. A one-group register is the same contraction against
+# an empty second group, which makes it a gather and a column sum. Products
+# run in float64, exact for counts below 2**53.
 
-_ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
+_BINARY = {"XOR": operator.xor, "AND": operator.and_, "OR": operator.or_}
 
-
-@functools.cache
-def _weight_words(width: int) -> tuple[np.ndarray, ...]:
-    """Packed value of each weight bit across all lanes of all words. Built
-    once per register width and shared read-only by every sweep."""
-    n_words = ((1 << width) + _WORD_BITS - 1) // _WORD_BITS
-    word = np.arange(n_words, dtype=np.uint64)
-    planes = []
-    for bit in range(width):
-        if bit < 6:
-            v = np.full(n_words, _LANE_PATTERNS[bit], dtype=np.uint64)
-        else:
-            v = np.where((word >> np.uint64(bit - 6)) & np.uint64(1),
-                         _ALL_ONES, np.uint64(0))
-        v.flags.writeable = False
-        planes.append(v)
-    return tuple(planes)
+# samples are taken in chunks whose group wire arrays hold at most this many
+# booleans each
+_CHUNK_BOOLS = 1 << 22
 
 
-def _chain(ufunc, words: list[np.ndarray]) -> np.ndarray:
-    """ufunc folded over the words, writing only into the array it made."""
-    if len(words) == 1:
-        return words[0]
-    r = ufunc(words[0], words[1])
-    for v in words[2:]:
-        ufunc(r, v, out=r)
-    return r
+def eval_wires(gates, vals: dict) -> dict:
+    """Run `gates` in order over broadcastable numpy bool arrays.
 
-
-def _fold_gate(op: str, args: list) -> int | np.ndarray:
-    """One gate over operands that are 0/1 constants or packed words."""
-    if op == "COPY":
-        return args[0]
-    if op == "MAJ":  # (a AND (b OR c)) OR (b AND c), folded the same way
-        a, b, c = args
-        a_and_bc = _fold_gate("AND", [a, _fold_gate("OR", [b, c])])
-        return _fold_gate("OR", [a_and_bc, _fold_gate("AND", [b, c])])
-    consts, words = [], []
-    for v in args:
-        (words if v.__class__ is np.ndarray else consts).append(v)
-    if op == "NOT":
-        return ~words[0] if words else 1 - consts[0]
-    if op == "XOR":
-        flip = sum(consts) & 1
-        if not words:
-            return flip
-        r = _chain(np.bitwise_xor, words)
-        return ~r if flip else r
-    if op == "AND":
-        if 0 in consts or not words:
-            return int(0 not in consts)
-        return _chain(np.bitwise_and, words)
-    if 1 in consts or not words:  # OR
-        return int(1 in consts)
-    return _chain(np.bitwise_or, words)
-
-
-@functools.cache
-def _wire_names(prefix: str, width: int) -> tuple[str, ...]:
-    return tuple(f"{prefix}{i}" for i in range(width))
-
-
-def eval_all_weights(circuit: ModelCircuit, x) -> list[np.ndarray]:
-    """Evaluate the circuit for one x across all 2**weight_width weights.
-
-    Returns one packed uint64 array per output wire, owned by the caller; lane
-    L of word j holds the output bit for weight index 64*j + L. An output the
-    input bits fix is a word array of all zeros or all ones. Lanes past
-    2**weight_width are meaningless and must be masked by the caller (see
-    `unpack_lanes`).
+    `vals` maps every wire the gates read but do not define to its value;
+    each gate's output wire is added to it, and it is returned.
     """
-    x = tuple(x)
-    if len(x) != circuit.input_width:
-        raise ValueError(f"input width {len(x)} != {circuit.input_width}")
-    weight_words = _weight_words(circuit.weight_width)
-    vals: dict[str, int | np.ndarray] = dict(
-        zip(_wire_names("w", circuit.weight_width), weight_words))
-    vals.update(zip(_wire_names("x", circuit.input_width),
-                    [1 if b else 0 for b in x]))
+    for g in gates:
+        a = [vals[n] for n in g.ins]
+        if g.op == "NOT":
+            r = ~a[0]
+        elif g.op == "COPY":
+            r = a[0]
+        elif g.op == "MAJ":
+            r = (a[0] & a[1]) | (a[2] & (a[0] | a[1]))
+        else:
+            r = functools.reduce(_BINARY[g.op], a)
+        vals[g.out] = r
+    return vals
+
+
+def _supports(circuit: ModelCircuit) -> dict[str, int]:
+    """Every wire's weight support, as a bit mask over the register."""
+    sup = {f"w{i}": 1 << i for i in range(circuit.weight_width)}
+    sup.update((f"x{j}", 0) for j in range(circuit.input_width))
     for g in circuit.gates:
-        vals[g.out] = _fold_gate(g.op, [vals[n] for n in g.ins])
-    outs = []
-    for name in circuit.output_wires:
-        v = vals[name]
-        if not isinstance(v, np.ndarray):
-            v = np.full(len(weight_words[0]), _ALL_ONES if v else 0,
-                        dtype=np.uint64)
-        elif not v.flags.writeable:  # a shared weight-bit word
-            v = v.copy()
-        outs.append(v)
-    return outs
+        sup[g.out] = functools.reduce(operator.or_, (sup[n] for n in g.ins))
+    return sup
 
 
-def unpack_lanes(packed: np.ndarray, n_lanes: int) -> np.ndarray:
-    """Packed uint64 words -> uint8 array of the first n_lanes bits."""
-    as_bytes = packed.astype("<u8", copy=False).view("u1")
-    return np.unpackbits(as_bytes, count=n_lanes, bitorder="little")
+def weight_groups(circuit: ModelCircuit) -> list[tuple[int, ...]]:
+    """The weight bits of each group `correct_counts` evaluates on its own:
+    the maximal gate-output supports strictly inside the register when there
+    are exactly two and they partition it, otherwise the whole register."""
+    full = (1 << circuit.weight_width) - 1
+    sup = _supports(circuit)
+    inner = {sup[g.out] for g in circuit.gates} - {full}
+    top = [m for m in inner if not any(m != o and (m & o) == m for o in inner)]
+    if not (len(top) == 2 and top[0] | top[1] == full and not top[0] & top[1]):
+        top = [full]
+    return sorted(tuple(i for i in range(circuit.weight_width) if m >> i & 1)
+                  for m in top)
+
+
+def _boundary_codes(gates, bits, names, xs) -> np.ndarray:
+    """(samples, 2**len(bits)) ints: bit j is wire names[j] of one group,
+    for each sample and each weight of the group (bit k of the local index
+    is weight bit bits[k])."""
+    local = np.arange(1 << len(bits))
+    vals = {f"w{i}": (local >> k & 1).astype(bool) for k, i in enumerate(bits)}
+    vals.update((f"x{j}", xs[:, j, None]) for j in range(xs.shape[1]))
+    eval_wires(gates, vals)
+    dtype = np.min_scalar_type((1 << len(names)) - 1)
+    code = np.zeros((len(xs), len(local)), dtype=dtype)
+    for j, name in enumerate(names):
+        code |= vals[name].astype(dtype) << j
+    return code
+
+
+def _accept(circuit, gates, boundary, xs, ys) -> np.ndarray:
+    """accept[s, a, b]: the outputs equal sample s's label when the groups'
+    boundary wires carry patterns a and b."""
+    vals = {f"x{j}": xs[:, j, None, None] for j in range(xs.shape[1])}
+    for shape, names in (((1, -1, 1), boundary[0]), ((1, 1, -1), boundary[1])):
+        pattern = np.arange(1 << len(names))
+        for j, name in enumerate(names):
+            vals[name] = (pattern >> j & 1).astype(bool).reshape(shape)
+    eval_wires(gates, vals)
+    accept = np.ones((len(xs), 1 << len(boundary[0]), 1 << len(boundary[1])),
+                     dtype=bool)
+    for o, name in enumerate(circuit.output_wires):
+        accept &= vals[name] == ys[:, o, None, None]
+    return accept
+
+
+def correct_counts(circuit: ModelCircuit, xs, ys) -> np.ndarray:
+    """For every weight index, how many samples the circuit predicts exactly.
+
+    Sample s is input bits xs[s] with label bits ys[s] (0/1 or bool rows).
+    Returns an int64 array of length 2**weight_width.
+    """
+    xs = np.asarray(xs, dtype=bool)
+    ys = np.asarray(ys, dtype=bool)
+    if (xs.ndim != 2 or xs.shape[1] != circuit.input_width
+            or ys.shape != (len(xs), circuit.output_width)):
+        raise ValueError(f"expected inputs (n, {circuit.input_width}) and "
+                         f"labels (n, {circuit.output_width}), got "
+                         f"{xs.shape} and {ys.shape}")
+    sup = _supports(circuit)
+    bits = (weight_groups(circuit) + [()])[:2]  # one group: the other is empty
+    masks = [sum(1 << i for i in b) for b in bits]
+    # the group whose support holds the wire, None for input-only and
+    # crossing wires
+    home = {n: next((k for k, m in enumerate(masks)
+                     if s and not s & ~m), None) for n, s in sup.items()}
+    cross = [g for g in circuit.gates if home[g.out] is None]
+    read = {n for g in cross for n in g.ins}.union(circuit.output_wires)
+    boundary = [[n for n in sup if n in read and home[n] == k] for k in (0, 1)]
+    gates = [[g for g in circuit.gates if not sup[g.out] & ~m] for m in masks]
+    # the group with fewer boundary bits has its patterns looped over
+    loop = int(len(boundary[1]) <= len(boundary[0]))
+    rest = 1 - loop
+    counts = np.zeros((1 << len(bits[loop]), 1 << len(bits[rest])))
+    rows = max(1, _CHUNK_BOOLS >> max(map(len, bits)))
+    for a in range(0, len(xs), rows):
+        x, y = xs[a:a + rows], ys[a:a + rows]
+        code = [_boundary_codes(gates[k], bits[k], boundary[k], x)
+                for k in (0, 1)]
+        accept = _accept(circuit, cross, boundary, x, y)
+        if loop == 0:
+            accept = accept.transpose(0, 2, 1)
+        for p in range(accept.shape[2]):
+            hit = code[loop] == p
+            if hit.any():
+                got = np.take_along_axis(accept[:, :, p], code[rest], axis=1)
+                counts += hit.T.astype(np.float64) @ got.astype(np.float64)
+    # counts[l, r] -> weight index: bit k of l is weight bit bits[loop][k],
+    # bit k of r is bits[rest][k]. Runs of consecutive weight bits stay one
+    # axis, so when the looped group holds the high bits this is a reshape.
+    runs: list[list[int]] = []  # [highest weight bit, bit count] per axis
+    for b in bits[loop][::-1] + bits[rest][::-1]:
+        if runs and runs[-1][0] - runs[-1][1] == b:
+            runs[-1][1] += 1
+        else:
+            runs.append([b, 1])
+    perm = sorted(range(len(runs)), key=lambda i: -runs[i][0])
+    return counts.astype(np.int64).reshape([1 << n for _, n in runs]) \
+        .transpose(perm).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -332,44 +365,6 @@ def tiny_mnist_model() -> ModelCircuit:
 def toy_xor_model() -> ModelCircuit:
     """One-bit model o = w XOR x (the smallest interesting instance)."""
     return ModelCircuit(1, 1, [Gate("XOR", "o0", ("w0", "x0"))], ("o0",))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def serialize_circuit(circuit: ModelCircuit) -> str:
-    lines = [f"weights {circuit.weight_width}", f"inputs {circuit.input_width}",
-             "outputs " + " ".join(circuit.output_wires)]
-    for g in circuit.gates:
-        lines.append(f"{g.op} {g.out} <- " + " ".join(g.ins))
-    return "\n".join(lines) + "\n"
-
-
-def parse_circuit(text: str) -> ModelCircuit:
-    weights = inputs = None
-    outputs: tuple[str, ...] = ()
-    gates: list[Gate] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tok = line.split()
-        try:
-            if tok[0] == "weights":
-                weights = int(tok[1])
-            elif tok[0] == "inputs":
-                inputs = int(tok[1])
-            elif tok[0] == "outputs":
-                outputs = tuple(tok[1:])
-            else:
-                if tok[2] != "<-":
-                    raise ValueError("expected '<-'")
-                gates.append(Gate(tok[0], tok[1], tuple(tok[3:])))
-        except (IndexError, ValueError) as e:
-            raise ValueError(f"line {lineno}: cannot parse {raw!r}: {e}") from e
-    if weights is None or inputs is None or not outputs:
-        raise ValueError("missing weights/inputs/outputs header")
-    return ModelCircuit(weights, inputs, gates, outputs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Benchmark datasets: 3x3 line-detection tasks and a 3-class downsampled
-digits task, plus IDX file ingestion and deterministic splits.
+"""Benchmark datasets: 3x3 line-detection tasks and a 3-class digits task
+downsampled to 3x3 blocks, plus IDX file ingestion and deterministic splits.
 
 A sample is (x, y) with x and y little-indexed bit tuples; image bit 3*i+j is
 row i, column j of the 3x3 grid. A prediction is correct iff its output bits
@@ -47,19 +47,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.samples)
-
-
-def packed_correct_mask(y, outs: list[np.ndarray]) -> np.ndarray:
-    """Bit-parallel correctness over all weights at once.
-
-    `outs` are packed uint64 output planes from boolcirc.eval_all_weights for
-    one sample; the result has lane L set iff weight L's output equals y.
-    """
-    mask = None
-    for b, yb in enumerate(y):
-        term = outs[b] if yb else ~outs[b]
-        mask = term if mask is None else mask & term
-    return mask
 
 
 def _grid_bits(index: int) -> tuple[int, ...]:
@@ -162,19 +149,14 @@ _BLOCK_PIXELS = np.outer([9, 9, 10], [9, 9, 10]).ravel()
 
 
 def _downsample_bits(images: np.ndarray) -> np.ndarray:
-    """(n, 28, 28) grayscale -> (n, 9) bits: a block's bit is set when its
-    mean is >= 127.5, tested in integers as 2 * sum >= 255 * pixel count."""
+    """(n, 28, 28) grayscale -> (n, 9) bits: 3x3 block means (block edges at
+    floor(28*i/3): 9/9/10 pixel bands), thresholded at mean >= 127.5 and
+    tested in integers as 2 * sum >= 255 * pixel count."""
     if images.ndim != 3 or images.shape[1:] != (28, 28):
         raise ValueError(f"expected 28x28 images, got {images.shape[1:]}")
     rows = np.add.reduceat(images, _BLOCK_STARTS, axis=1, dtype=np.int32)
     sums = np.add.reduceat(rows, _BLOCK_STARTS, axis=2).reshape(-1, 9)
     return (2 * sums >= 255 * _BLOCK_PIXELS).astype(np.uint8)
-
-
-def downsample_3x3(image: np.ndarray) -> tuple[int, ...]:
-    """28x28 grayscale -> 9 bits: 3x3 block means (block edges at
-    floor(28*i/3): 9/9/10 pixel bands), thresholded at mean >= 127.5."""
-    return tuple(_downsample_bits(np.asarray(image)[None])[0].tolist())
 
 
 def make_tiny_mnist(images: np.ndarray, labels: np.ndarray,
@@ -188,8 +170,9 @@ def make_tiny_mnist(images: np.ndarray, labels: np.ndarray,
     """
     if split_name not in ("train", "test"):
         raise ValueError("split_name must be 'train' or 'test'")
-    if len(images) != len(labels):
-        raise ValueError("images/labels length mismatch")
+    if labels.ndim != 1 or len(images) != len(labels):
+        raise ValueError(f"expected one label per image, got labels of "
+                         f"shape {labels.shape} for {len(images)} images")
     keep = np.isin(labels, TINY_MNIST_CLASSES)
     if not keep.any():
         raise ValueError("no samples in classes 1/2/7")

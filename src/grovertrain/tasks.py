@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import gzip
 import os
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,14 +47,20 @@ class TaskError(ValueError):
     """Unknown task name or unusable task inputs (a configuration error)."""
 
 
-def _read_idx(directory: Path, stem: str) -> bytes:
-    plain = directory / stem
-    if plain.exists():
-        return plain.read_bytes()
-    gz = directory / (stem + ".gz")
-    if gz.exists():
-        return gzip.decompress(gz.read_bytes())
-    raise TaskError(f"missing IDX file {stem}[.gz] in {directory}")
+def _read_idx(directory: Path, stem: str):
+    """Parse one IDX file, plain or gzipped; an unreadable one is a TaskError
+    naming the file."""
+    path = directory / stem
+    if not path.exists():
+        path = directory / (stem + ".gz")
+    if not path.exists():
+        raise TaskError(f"missing IDX file {stem}[.gz] in {directory}")
+    try:
+        data = path.read_bytes()
+        return parse_idx(gzip.decompress(data) if path.suffix == ".gz"
+                         else data)
+    except (ValueError, EOFError, gzip.BadGzipFile, zlib.error) as e:
+        raise TaskError(f"cannot read IDX file {path}: {e}") from e
 
 
 def _load_tiny_mnist(mnist_dir: str | None) -> tuple[Dataset, Dataset]:
@@ -67,9 +74,13 @@ def _load_tiny_mnist(mnist_dir: str | None) -> tuple[Dataset, Dataset]:
     out = []
     for split_name in ("train", "test"):
         img_stem, lab_stem = _IDX_FILES[split_name]
-        images = parse_idx(_read_idx(directory, img_stem))
-        labels = parse_idx(_read_idx(directory, lab_stem))
-        out.append(make_tiny_mnist(images, labels, split_name))
+        images = _read_idx(directory, img_stem)
+        labels = _read_idx(directory, lab_stem)
+        try:
+            out.append(make_tiny_mnist(images, labels, split_name))
+        except ValueError as e:
+            raise TaskError(f"{img_stem} and {lab_stem} in {directory}: "
+                            f"{e}") from e
     return out[0], out[1]
 
 

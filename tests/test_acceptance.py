@@ -277,9 +277,13 @@ def _check_compiled_exhaustive(model):
     for xi in range(1 << gl.n_x):
         x_bits = bc.index_to_bits(xi, gl.n_x)
         planes = _compiled_planes(gl, x_bits, lanes, wplanes)
-        outs = bc.eval_all_weights(model, x_bits)
+        want = [0] * len(gl.out_qubits)
+        for lane in range(lanes):
+            w_bits = bc.index_to_bits(lane, gl.n_w)
+            for b, bit in enumerate(bc.eval_circuit(model, w_bits, x_bits)):
+                want[b] |= bit << lane
         for b, q in enumerate(gl.out_qubits):
-            if planes[q] != int(outs[b][0]) & full:
+            if planes[q] != want[b]:
                 return False, f"output {b} differs at x index {xi}"
         for i in range(gl.n_w):
             if planes[i] != wplanes[i]:

@@ -10,7 +10,8 @@ from grovertrain import boolcirc as bc
 from grovertrain import datasets as ds
 from grovertrain import tasks
 from conftest import make_synthetic_idx_dir
-from test_boolcirc import FOLDING_CIRCUITS, random_circuits
+from test_boolcirc import FOLDING_CIRCUITS, random_circuits, \
+    tiny_mnist_weights
 
 
 def table_from_counts(counts, n_samples):
@@ -56,7 +57,7 @@ class TestAccuracyTable:
                        for s in sub.samples)
             assert t.counts[wi] == hits
 
-    # sample counts around the uint8 accumulator's flush after 255 samples
+    # sample counts from one up to past 256
     @pytest.mark.parametrize("n_samples", [1, 2, 3, 255, 256, 257])
     @pytest.mark.parametrize("n_w", [3, 6, 7])
     @settings(max_examples=2, deadline=None)
@@ -89,14 +90,17 @@ class TestAccuracyTable:
         idx = make_synthetic_idx_dir(tmp_path, n_train=300, n_test=100)
         bundle = tasks.load_task("tiny-mnist", mnist_dir=str(idx))
         raw = bc.ModelCircuit(20, 9, bundle.model.gates, ("o0", "o1"))
-        n_w = 1 << raw.weight_width
-        want = np.zeros(n_w, dtype=np.int64)
+        want = np.zeros((1024, 1024), dtype=np.int64)
         for s in bundle.train.samples:
-            o0, o1 = bc.eval_all_weights(raw, s.x)
-            # lanes whose detectors name the label's digit: 1, 2 or 7
+            vals = tiny_mnist_weights()
+            vals.update((f"x{j}", np.bool_(b)) for j, b in enumerate(s.x))
+            vals = bc.eval_wires(raw.gates, vals)
+            o0, o1 = vals["o0"], vals["o1"]
+            # weights whose detectors name the label's digit: 1, 2 or 7
             same_digit = {(1, 0): o0, (0, 1): ~o0 & o1,
                           (0, 0): ~o0 & ~o1}[s.y]
-            want += bc.unpack_lanes(same_digit, n_w)
+            want += same_digit
+        want = want.ravel()
         got = am.accuracy_table(bundle.model, bundle.train).counts
         assert np.array_equal(got, want)
 

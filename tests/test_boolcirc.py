@@ -16,6 +16,29 @@ def decode_digit(bits) -> int:
     return 1 if o0 else 2 if o1 else 7
 
 
+def sweep(m, x):
+    """Every weight's outputs on input x through the array evaluator:
+    (2**weight_width, output_width) bools, row i for weight index i."""
+    idx = np.arange(1 << m.weight_width)
+    vals = {f"w{i}": (idx >> i & 1).astype(bool)
+            for i in range(m.weight_width)}
+    vals.update((f"x{j}", np.bool_(b)) for j, b in enumerate(x))
+    vals = bc.eval_wires(m.gates, vals)
+    return np.stack([np.broadcast_to(vals[n], idx.shape)
+                     for n in m.output_wires], axis=1)
+
+
+def tiny_mnist_weights():
+    """tiny-mnist's weight wires over all 2**20 weights, as arrays that
+    broadcast to (1024, 1024): axis 0 runs over bits 10..19 and axis 1 over
+    bits 0..9, so a flattened result is indexed by weight index."""
+    i = np.arange(1024)
+    vals = {f"w{b}": (i >> b & 1).astype(bool) for b in range(10)}
+    vals.update((f"w{10 + b}", (i[:, None] >> b & 1).astype(bool))
+                for b in range(10))
+    return vals
+
+
 class TestIndexBits:
     def test_round_trip(self):
         for width in (1, 3, 8):
@@ -96,11 +119,17 @@ class TestModelOracles:
         m = bc.tiny_mnist_model()
         raw = bc.ModelCircuit(20, 9, m.gates, ("o0", "o1"))
         inputs = [bc.index_to_bits(xi, 9) for xi in range(512)]
-        for x in inputs:  # all 2^20 weights at once, as packed words
-            (c0, c1), (o0, o1) = (bc.eval_all_weights(m, x),
-                                  bc.eval_all_weights(raw, x))
+        assert m.output_wires == ("o0", "c1")
+        xi = np.arange(512)
+        for chunk in np.array_split(xi, 32):  # all 2^20 weights at once
+            vals = tiny_mnist_weights()
+            vals.update((f"x{j}", (chunk >> j & 1).astype(bool)[:, None, None])
+                        for j in range(9))
+            vals = bc.eval_wires(m.gates, vals)
             # the digit is 1 where o0 is set, 2 where o0 is clear and o1 set
-            assert np.array_equal(c0, o0) and np.array_equal(c1, ~o0 & o1)
+            assert np.array_equal(
+                np.broadcast_to(vals["c1"], (len(chunk), 1024, 1024)),
+                ~vals["o0"] & vals["o1"])
         rng = np.random.default_rng(17)
         bias_only = [0, 1 << 9, 1 << 19, 1 << 9 | 1 << 19]
         pairs = [(wi, x) for wi in bias_only for x in inputs]
@@ -148,6 +177,44 @@ def random_circuits(draw, n_w=st.integers(1, 3), n_x=st.integers(1, 3),
     return bc.ModelCircuit(n_w, n_x, gates, tuple(outs))
 
 
+@st.composite
+def two_group_circuits(draw):
+    """Two random sub-circuits on disjoint, interleaved weight registers,
+    each ending in a gate that reads its whole register, joined by a head
+    gate that reads both of those, maybe more of their wires, and maybe an
+    input. Returns (circuit, bits of one group, bits of the other)."""
+    n_a, n_b, n_x = draw(st.integers(1, 4)), draw(st.integers(1, 4)), \
+        draw(st.integers(1, 3))
+    perm = draw(st.permutations(range(n_a + n_b)))
+    regs = (sorted(perm[:n_a]), sorted(perm[n_a:]))
+    xs = [f"x{j}" for j in range(n_x)]
+    gates, tops, extra = [], [], []
+    for tag, reg in zip("ab", regs):
+        wires = [f"w{i}" for i in reg] + xs
+        for gi in range(draw(st.integers(0, 4))):
+            op = draw(st.sampled_from(("NOT", "COPY", "XOR", "AND", "OR",
+                                       "MAJ")))
+            arity = {"NOT": 1, "COPY": 1, "MAJ": 3}.get(op, 2)
+            ins = tuple(draw(st.sampled_from(wires)) for _ in range(arity))
+            gates.append(bc.Gate(op, f"{tag}{gi}", ins))
+            wires.append(f"{tag}{gi}")
+        top = f"{tag}top"
+        gates.append(bc.Gate(draw(st.sampled_from(("XOR", "AND", "OR"))), top,
+                             tuple(f"w{i}" for i in reg)
+                             + (draw(st.sampled_from(wires)),)))
+        tops.append(top)
+        extra += [w for w in wires if w not in xs]
+    ins = tops + draw(st.lists(st.sampled_from(extra), max_size=2)) \
+        + draw(st.lists(st.sampled_from(xs), max_size=1))
+    op = "MAJ" if len(ins) == 3 and draw(st.booleans()) else \
+        draw(st.sampled_from(("XOR", "AND", "OR")))
+    gates.append(bc.Gate(op, "head", tuple(ins)))
+    outs = ("head",) + tuple(draw(st.lists(st.sampled_from(extra + tops),
+                                           max_size=1)))
+    m = bc.ModelCircuit(n_a + n_b, n_x, gates, outs)
+    return m, tuple(regs[0]), tuple(regs[1])
+
+
 # later outputs read the first one: as an XOR operand, through a NOT
 # borrowed on its output qubit, and as an AND control
 CHAINED_OUTPUTS = bc.ModelCircuit(
@@ -173,6 +240,13 @@ FOLDING_CIRCUITS = [
 ]
 
 
+def reference_counts(m, xs, ys):
+    """Per-weight counts of exact matches, one eval_circuit call per pair."""
+    return [sum(bc.eval_circuit(m, bc.index_to_bits(wi, m.weight_width), x)
+                == tuple(y) for x, y in zip(xs, ys))
+            for wi in range(1 << m.weight_width)]
+
+
 class TestWeightSweep:
     @pytest.mark.parametrize("model_fn", [
         bc.toy_xor_model, bc.simplified_ed_model, bc.edge_detection_model])
@@ -182,64 +256,84 @@ class TestWeightSweep:
         n_w = 1 << m.weight_width
         for _ in range(4):
             x = tuple(int(b) for b in rng.integers(0, 2, m.input_width))
-            outs = [bc.unpack_lanes(p, n_w) for p in bc.eval_all_weights(m, x)]
+            outs = sweep(m, x)
             for _ in range(16):
                 wi = int(rng.integers(0, n_w))
                 w = bc.index_to_bits(wi, m.weight_width)
-                assert tuple(int(o[wi]) for o in outs) == bc.eval_circuit(m, w, x)
+                assert tuple(map(int, outs[wi])) == bc.eval_circuit(m, w, x)
 
     def test_tiny_mnist_lane_alignment(self):
+        # weight indices at the edges of bit groups and of the register
         m = bc.tiny_mnist_model()
         x = tuple(int(b) for b in np.random.default_rng(5).integers(0, 2, 9))
-        outs = [bc.unpack_lanes(p, 1 << 20) for p in bc.eval_all_weights(m, x)]
-        for wi in (0, 1, 63, 64, 65, 2 ** 19, 2 ** 20 - 1):
+        outs = sweep(m, x)
+        for wi in (0, 1, 63, 64, 65, 1023, 1024, 2 ** 19, 2 ** 20 - 1):
             w = bc.index_to_bits(wi, 20)
-            assert tuple(int(o[wi]) for o in outs) == bc.eval_circuit(m, w, x)
+            assert tuple(map(int, outs[wi])) == bc.eval_circuit(m, w, x)
 
     @pytest.mark.parametrize("m", FOLDING_CIRCUITS)
     def test_folded_outputs_match_pointwise_eval(self, m):
         n_w = 1 << m.weight_width
         for xi in range(1 << m.input_width):
             x = bc.index_to_bits(xi, m.input_width)
-            outs = [bc.unpack_lanes(p, n_w) for p in bc.eval_all_weights(m, x)]
+            outs = sweep(m, x)
             for wi in range(n_w):
                 w = bc.index_to_bits(wi, m.weight_width)
-                assert tuple(int(o[wi]) for o in outs) == \
-                    bc.eval_circuit(m, w, x)
+                assert tuple(map(int, outs[wi])) == bc.eval_circuit(m, w, x)
 
     @settings(max_examples=40, deadline=None)
     @given(st.one_of(st.sampled_from(FOLDING_CIRCUITS),
                      random_circuits(n_w=st.integers(1, 8))), st.data())
     def test_returned_words_are_the_callers(self, m, data):
-        x = tuple(data.draw(st.lists(st.integers(0, 1), min_size=m.input_width,
-                                     max_size=m.input_width)))
-        first = bc.eval_all_weights(m, x)
-        want = [o.copy() for o in first]
-        for o in first:
-            np.invert(o, out=o)
-        assert all(np.array_equal(a, b)
-                   for a, b in zip(bc.eval_all_weights(m, x), want))
+        rows = st.lists(st.lists(st.integers(0, 1), min_size=m.input_width,
+                                 max_size=m.input_width), min_size=1,
+                        max_size=4)
+        xs = data.draw(rows)
+        ys = data.draw(st.lists(
+            st.lists(st.integers(0, 1), min_size=m.output_width,
+                     max_size=m.output_width),
+            min_size=len(xs), max_size=len(xs)))
+        first = bc.correct_counts(m, xs, ys)
+        want = first.copy()
+        np.negative(first, out=first)
+        assert np.array_equal(bc.correct_counts(m, xs, ys), want)
+        assert want.tolist() == reference_counts(m, xs, ys)
 
 
-class TestSerialization:
-    def test_round_trip_all_models(self):
-        rng = np.random.default_rng(2)
-        for m in (bc.toy_xor_model(), bc.simplified_ed_model(),
-                  bc.edge_detection_model(), bc.tiny_mnist_model()):
-            m2 = bc.parse_circuit(bc.serialize_circuit(m))
-            assert m2.weight_width == m.weight_width
-            assert m2.input_width == m.input_width
-            for _ in range(6):
-                w = tuple(int(b) for b in rng.integers(0, 2, m.weight_width))
-                x = tuple(int(b) for b in rng.integers(0, 2, m.input_width))
-                assert bc.eval_circuit(m, w, x) == bc.eval_circuit(m2, w, x)
+class TestCorrectCounts:
+    @pytest.mark.parametrize("model_fn, groups", [
+        (bc.tiny_mnist_model, [tuple(range(10)), tuple(range(10, 20))]),
+        (bc.edge_detection_model, [(0, 1, 2, 3), (4, 5, 6, 7)]),
+        (bc.simplified_ed_model, [(0, 1, 2, 3)]),
+        (bc.toy_xor_model, [(0,)])])
+    def test_task_weight_groups(self, model_fn, groups):
+        assert bc.weight_groups(model_fn()) == groups
 
-    def test_parse_errors(self):
+    @settings(max_examples=150, deadline=None)
+    @given(two_group_circuits(), st.data())
+    def test_two_groups_match_per_weight_reference(self, case, data):
+        m, a, b = case
+        assert bc.weight_groups(m) == sorted([a, b])
+        n_x = m.input_width
+        xs = [bc.index_to_bits(xi, n_x) for xi in data.draw(st.lists(
+            st.integers(0, (1 << n_x) - 1), min_size=1, max_size=12))]
+        ys = [bc.index_to_bits(yi, m.output_width) for yi in data.draw(
+            st.lists(st.integers(0, (1 << m.output_width) - 1),
+                     min_size=len(xs), max_size=len(xs)))]
+        want = reference_counts(m, xs, ys)
+        assert bc.correct_counts(m, xs, ys).tolist() == want
+        with pytest.MonkeyPatch.context() as mp:  # one sample per chunk
+            mp.setattr(bc, "_CHUNK_BOOLS", 1)
+            assert bc.correct_counts(m, xs, ys).tolist() == want
+
+    def test_rejects_mismatched_rows(self):
+        m = bc.edge_detection_model()
         with pytest.raises(ValueError):
-            bc.parse_circuit("weights 1\ninputs 1\n")
+            bc.correct_counts(m, [(0,) * 8], [(0, 0)])
         with pytest.raises(ValueError):
-            bc.parse_circuit("weights 1\ninputs 1\noutputs o\n"
-                             "FROB o <- w0 x0\n")
+            bc.correct_counts(m, [(0,) * 9], [(0,)])
+        with pytest.raises(ValueError):
+            bc.correct_counts(m, [(0,) * 9] * 2, [(0, 0)])
 
 
 def simulate_gatelist(gl, w_bits, x_bits):
@@ -367,13 +461,3 @@ class TestCompilerProperty:
                       for i in range(m.input_width))
             got = tuple(int(bits[state, q]) for q in gl.out_qubits)
             assert got == bc.eval_circuit(m, w, x)
-
-    @settings(max_examples=30, deadline=None)
-    @given(random_circuits())
-    def test_random_circuit_serializes(self, m):
-        m2 = bc.parse_circuit(bc.serialize_circuit(m))
-        for state in range(1 << (m.weight_width + m.input_width)):
-            w = tuple((state >> i) & 1 for i in range(m.weight_width))
-            x = tuple((state >> (m.weight_width + i)) & 1
-                      for i in range(m.input_width))
-            assert bc.eval_circuit(m, w, x) == bc.eval_circuit(m2, w, x)

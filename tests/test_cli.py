@@ -1,4 +1,5 @@
 import argparse
+import gzip
 import json
 import math
 import os
@@ -6,11 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from grovertrain import amplify as am
 from grovertrain import cli
+from grovertrain import datasets as ds
 from conftest import make_synthetic_idx_dir
 from test_amplify import reference_distribution_csv, reference_jtable_csv
 
@@ -88,6 +91,39 @@ class TestJtable:
         code = run("jtable", "--task", task, "--split", split, "--seed",
                    str(seed), "--out", str(out))
         assert code == (0 if seed >= 0 else 2)
+
+    @pytest.mark.parametrize("case", [
+        "bad-magic", "no-1-2-7-labels", "count-mismatch", "not-28x28",
+        "labels-hold-images", "truncated-gz", "not-gzip", "corrupt-gz"])
+    def test_bad_image_files_exit_two(self, tmp_path, capsys, case):
+        idx = make_synthetic_idx_dir(tmp_path / "idx", n_train=300,
+                                     n_test=100)
+        images = idx / "train-images-idx3-ubyte"
+        labels = idx / "train-labels-idx1-ubyte"
+        if case == "bad-magic":
+            images.write_bytes(b"\0\0\x08\x04" + images.read_bytes()[4:])
+        elif case == "no-1-2-7-labels":
+            labels.write_bytes(ds.write_idx(np.full(300, 3, np.uint8)))
+        elif case == "count-mismatch":
+            labels.write_bytes(ds.write_idx(np.full(299, 1, np.uint8)))
+        elif case == "not-28x28":
+            images.write_bytes(ds.write_idx(np.zeros((300, 27, 28),
+                                                     np.uint8)))
+        elif case == "labels-hold-images":
+            labels.write_bytes(images.read_bytes())
+        else:
+            packed = gzip.compress(images.read_bytes())
+            packed = {"truncated-gz": packed[:len(packed) // 2],
+                      "not-gzip": b"not gzip data",
+                      "corrupt-gz": packed[:40] + bytes([packed[40] ^ 0xFF])
+                      + packed[41:]}[case]
+            images.unlink()
+            images = images.with_name(images.name + ".gz")
+            images.write_bytes(packed)
+        assert run("jtable", "--task", "tiny-mnist", "--mnist-dir", str(idx),
+                   "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and images.name in err
 
 
 class TestDistribution:

@@ -17,6 +17,13 @@ def img_from_bits(bits):
     return img
 
 
+def downsample(img):
+    """One image's 9 bits, through the tiny-mnist builder."""
+    d = ds.make_tiny_mnist(np.asarray(img)[None], np.array([1], np.uint8),
+                           "train")
+    return d.samples[0].x
+
+
 class TestDatasetValidation:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -114,33 +121,31 @@ class TestSplit:
 
 class TestCorrectness:
     def test_packed_mask_matches_scalar_exact_match(self):
+        # one sample's counts are its per-weight correctness mask
         m = bc.simplified_ed_model()
         d = ds.gen_simplified_ed()
         for s in d.samples[:16] + d.samples[200:208]:
-            outs = bc.eval_all_weights(m, s.x)
-            mask = ds.packed_correct_mask(s.y, outs)
-            lanes = bc.unpack_lanes(mask, 2 ** m.weight_width)
+            mask = bc.correct_counts(m, [s.x], [s.y])
             for wi in range(2 ** m.weight_width):
                 w = bc.index_to_bits(wi, m.weight_width)
                 yhat = bc.eval_circuit(m, w, s.x)
-                assert lanes[wi] == (yhat == s.y)
+                assert mask[wi] == (yhat == s.y)
 
     def test_packed_mask_matches_scalar_decode(self):
         # exact match on tiny-mnist's outputs is digit equality of its
         # detector wires
         m = bc.tiny_mnist_model()
         raw = bc.ModelCircuit(20, 9, m.gates, ("o0", "o1"))
-        probe_ws = [0, 1, 63, 64, 65, 512, 2 ** 19, 2 ** 19 + 512, 2 ** 20 - 1]
+        probe_ws = [0, 1, 63, 64, 65, 512, 1023, 1024, 2 ** 19,
+                    2 ** 19 + 512, 2 ** 20 - 1]
         for y in ((1, 0), (0, 1), (0, 0)):
             for x in ((1, 0, 1, 0, 1, 0, 1, 0, 1), (0,) * 9):
-                outs = bc.eval_all_weights(m, x)
-                mask = ds.packed_correct_mask(y, outs)
-                lanes = bc.unpack_lanes(mask, 2 ** m.weight_width)
+                mask = bc.correct_counts(m, [x], [y])
                 for wi in probe_ws:
                     w = bc.index_to_bits(wi, m.weight_width)
                     yhat = bc.eval_circuit(raw, w, x)
-                    assert lanes[wi] == (decode_digit(yhat) ==
-                                         decode_digit(y))
+                    assert mask[wi] == (decode_digit(yhat) ==
+                                        decode_digit(y))
 
 
 class TestIdxFormat:
@@ -182,31 +187,30 @@ class TestIdxFormat:
 class TestDownsample:
     def test_shape_check(self):
         with pytest.raises(ValueError):
-            ds.downsample_3x3(np.zeros((27, 28), dtype=np.uint8))
+            downsample(np.zeros((27, 28), dtype=np.uint8))
 
     def test_extremes(self):
-        assert ds.downsample_3x3(np.zeros((28, 28), dtype=np.uint8)) == (0,) * 9
-        assert ds.downsample_3x3(np.full((28, 28), 255, np.uint8)) == (1,) * 9
+        assert downsample(np.zeros((28, 28), dtype=np.uint8)) == (0,) * 9
+        assert downsample(np.full((28, 28), 255, np.uint8)) == (1,) * 9
 
     def test_threshold_is_inclusive_at_midpoint(self):
-        assert ds.downsample_3x3(np.full((28, 28), 128, np.uint8)) == (1,) * 9
-        assert ds.downsample_3x3(np.full((28, 28), 127, np.uint8)) == (0,) * 9
+        assert downsample(np.full((28, 28), 128, np.uint8)) == (1,) * 9
+        assert downsample(np.full((28, 28), 127, np.uint8)) == (0,) * 9
 
     def test_block_geometry(self):
         for bit in range(9):
             bits = tuple(int(b == bit) for b in range(9))
-            assert ds.downsample_3x3(img_from_bits(bits)) == bits
+            assert downsample(img_from_bits(bits)) == bits
 
     def test_wide_last_band(self):
         # the last row/column band spans 10 pixels (18..27), so 45 lit pixels
         # average to 114.75 there; a 9-pixel band would wrongly read 141.7
         img = np.zeros((28, 28), dtype=np.uint8)
         img[18:27, 18:27] = 255  # 81 of 100 pixels
-        assert ds.downsample_3x3(img)[8] == 1
+        assert downsample(img)[8] == 1
         img2 = np.zeros((28, 28), dtype=np.uint8)
         img2[18:23, 18:27] = 255  # 45 of 100 pixels
-        assert ds.downsample_3x3(img2)[8] == 0
-
+        assert downsample(img2)[8] == 0
 
     def test_batch_matches_block_mean_rule(self):
         # pixel values straddle the threshold, so block means land on both
@@ -219,11 +223,11 @@ class TestDownsample:
             want = tuple(int(img[edges[i]:edges[i + 1], edges[j]:edges[j + 1]]
                              .astype(np.float64).mean() >= 127.5)
                          for i in range(3) for j in range(3))
-            assert ds.downsample_3x3(img) == want
+            assert downsample(img) == want
         labels = np.full(len(imgs), 7, dtype=np.uint8)
         d = ds.make_tiny_mnist(imgs, labels, "train")
         assert [s.x for s in d.samples] == list(dict.fromkeys(
-            ds.downsample_3x3(img) for img in imgs))
+            downsample(img) for img in imgs))
 
 
 class TestMakeTinyMnist:
@@ -249,6 +253,8 @@ class TestMakeTinyMnist:
         imgs = np.stack([img_from_bits((0,) * 9)])
         with pytest.raises(ValueError):
             ds.make_tiny_mnist(imgs, np.array([1, 2], dtype=np.uint8), "train")
+        with pytest.raises(ValueError):  # a label file that holds images
+            ds.make_tiny_mnist(imgs, np.ones((1, 5, 5), np.uint8), "train")
 
     def test_majority_vote_merges_duplicates(self):
         bits = (1, 0, 1, 0, 0, 0, 0, 0, 0)
