@@ -20,8 +20,8 @@ def main():
     print(f"model: {model.weight_width} weight bit(s), "
           f"{model.input_width} input bit(s), "
           f"{model.output_width} output bit(s)")
-    for s in train.samples:
-        print(f"  sample x={s.x} y={s.y}")
+    for x, y in zip(train.x.tolist(), train.y.tolist()):
+        print(f"  sample x={tuple(x)} y={tuple(y)}")
 
     table = am.accuracy_table(model, train)
     print("\nexact accuracy per weight:")

@@ -6,8 +6,7 @@ Modules:
     boolcirc  Boolean circuit IR, exact correct counts for every weight
               (contracted at the weight groups), reversible compilation to
               X/CNOT/multi-controlled-X gates.
-    datasets  Basis-encoded datasets: line-image tasks, IDX ingestion,
-              3x3 downsampling.
+    datasets  Input and label bit arrays: line images, IDX digits at 3x3.
     amplify   Amplification planning (angle, iterations, padding), the
               closed-form evolved weight distribution, and the one search
               kernel (sample, score exactly or by shots, best so far).
@@ -29,7 +28,7 @@ from .amplify import (AccuracyTable, DegenerateAngleError, GroverPlan,
 from .boolcirc import (Gate, GateList, ModelCircuit, RGate, compile_circuit,
                        correct_counts, edge_detection_model, eval_circuit,
                        simplified_ed_model, tiny_mnist_model, toy_xor_model)
-from .datasets import (Dataset, Sample, gen_edge_detection, gen_simplified_ed,
+from .datasets import (Dataset, gen_edge_detection, gen_simplified_ed,
                        make_tiny_mnist, parse_idx, split, write_idx)
 from .statevec import (QuantumState, apply_diffusion, apply_oracle,
                        grover_run, prepare_initial)

@@ -157,11 +157,7 @@ class WeightDistribution:
 
 def accuracy_table(model: ModelCircuit, d: Dataset) -> AccuracyTable:
     """Exact correct counts for every weight (`boolcirc.correct_counts`)."""
-    if model.input_width != d.d_x or model.output_width != d.d_y:
-        raise ValueError("model widths do not match dataset")
-    xs = np.array([s.x for s in d.samples], dtype=bool)
-    ys = np.array([s.y for s in d.samples], dtype=bool)
-    return AccuracyTable(correct_counts(model, xs, ys), len(d),
+    return AccuracyTable(correct_counts(model, d.x, d.y), len(d),
                          model.weight_width)
 
 

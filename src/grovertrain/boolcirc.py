@@ -3,8 +3,8 @@ counts over every weight, and compilation to reversible gate lists.
 
 A model circuit maps a weight bit vector w and an input bit vector x to an
 output bit vector through named single-assignment gates. Bit vectors are
-tuples of 0/1 with index 0 first; `bits_to_index`/`index_to_bits` convert to
-integers with bit j carrying weight 2**j.
+sequences of 0/1 with index 0 first; bit j of a weight vector is bit j
+(weight 2**j) of its weight index.
 
 Ops: NOT (1 input), COPY (1), XOR (>=2), AND (>=2), OR (>=2), MAJ (exactly 3,
 majority vote). Weight wires are w0..w{dw-1}, input wires x0..x{dx-1}; every
@@ -33,25 +33,6 @@ import numpy as np
 
 _OPS = {"NOT": (1, 1), "COPY": (1, 1), "XOR": (2, None), "AND": (2, None),
         "OR": (2, None), "MAJ": (3, 3)}
-
-
-def bits_to_index(bits) -> int:
-    """Little-endian bits -> unsigned integer (bit j weighs 2**j)."""
-    idx = 0
-    for j, b in enumerate(bits):
-        if b not in (0, 1):
-            raise ValueError(f"bit {j} is {b!r}, expected 0 or 1")
-        idx |= b << j
-    return idx
-
-
-def index_to_bits(index: int, width: int) -> tuple[int, ...]:
-    """Unsigned integer -> little-endian bit tuple of the given width."""
-    if width <= 0:
-        raise ValueError("width must be positive")
-    if not 0 <= index < (1 << width):
-        raise ValueError(f"index {index} out of range for width {width}")
-    return tuple((index >> j) & 1 for j in range(width))
 
 
 @dataclass(frozen=True)
@@ -151,10 +132,12 @@ def eval_circuit(circuit: ModelCircuit, w, x) -> tuple[int, ...]:
 # a weight's count is a sum over samples of accept(a, b), where a and b are
 # the patterns on the wires each group hands to those gates. Each group is
 # evaluated over its own 2**|group| weights, and the two meet in one matrix
-# product per pattern of the side with fewer boundary bits: a contraction
-# along a narrow cut. A one-group register is the same contraction against
-# an empty second group, which makes it a gather and a column sum. Products
-# run in float64, exact for counts below 2**53.
+# product per pattern of the side with fewer boundary bits, bar the last:
+# the patterns partition the (sample, weight) pairs, so the last one's share
+# is a column sum and each product takes a pattern's difference from it.
+# That is a contraction along a narrow cut. A one-group register is the same
+# contraction against an empty second group, which makes it a gather and a
+# column sum. Products run in float64, exact for counts below 2**53.
 
 _BINARY = {"XOR": operator.xor, "AND": operator.and_, "OR": operator.or_}
 
@@ -273,11 +256,14 @@ def correct_counts(circuit: ModelCircuit, xs, ys) -> np.ndarray:
         accept = _accept(circuit, cross, boundary, x, y)
         if loop == 0:
             accept = accept.transpose(0, 2, 1)
-        for p in range(accept.shape[2]):
+        got = lambda p: np.take_along_axis(accept[:, :, p], code[rest], axis=1)
+        last = got(accept.shape[2] - 1)
+        counts += last.sum(axis=0)
+        for p in range(accept.shape[2] - 1):
             hit = code[loop] == p
             if hit.any():
-                got = np.take_along_axis(accept[:, :, p], code[rest], axis=1)
-                counts += hit.T.astype(np.float64) @ got.astype(np.float64)
+                counts += hit.T.astype(np.float64) @ np.subtract(
+                    got(p), last, dtype=np.float64)
     # counts[l, r] -> weight index: bit k of l is weight bit bits[loop][k],
     # bit k of r is bits[rest][k]. Runs of consecutive weight bits stay one
     # axis, so when the looped group holds the high bits this is a reshape.

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolcirc import GateList, ModelCircuit, RGate, bits_to_index, compile_circuit
+from .boolcirc import GateList, ModelCircuit, RGate, compile_circuit
 from .datasets import Dataset
 
 MAX_QUBITS = 62  # basis indices and masks stay below the int64 sign bit
@@ -143,10 +143,10 @@ def _copy_register_vector(d: Dataset, n_aux: int
     first and carries its higher bits on the padding qubits above the flag."""
     data_width = d.d_x + d.d_y
     flag_bit = 1 << data_width if n_aux > 0 else 0
-    real = [bits_to_index(s.x + s.y) | flag_bit for s in d.samples]
+    real = np.hstack([d.x, d.y]) @ (1 << np.arange(data_width)) | flag_bit
     p = np.arange(n_aux, dtype=np.int64)
     padded = (p & (flag_bit - 1)) | ((p >> data_width) << (data_width + 1))
-    idx = np.sort(np.concatenate([np.array(real, dtype=np.int64), padded]))
+    idx = np.sort(np.concatenate([real, padded]))
     if np.any(idx[1:] == idx[:-1]):
         # two equal samples would share one basis state and break the norm
         raise ValueError("dataset repeats a sample")

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .boolcirc import (ModelCircuit, edge_detection_model, simplified_ed_model,
                        tiny_mnist_model, toy_xor_model)
-from .datasets import (Dataset, Sample, gen_edge_detection, gen_simplified_ed,
+from .datasets import (Dataset, gen_edge_detection, gen_simplified_ed,
                        make_tiny_mnist, parse_idx, split)
 
 MNIST_DIR_ENV = "GROVERTRAIN_MNIST_DIR"
@@ -72,12 +72,11 @@ def _load_tiny_mnist(mnist_dir: str | None) -> tuple[Dataset, Dataset]:
             "standard IDX files")
     directory = Path(where)
     out = []
-    for split_name in ("train", "test"):
-        img_stem, lab_stem = _IDX_FILES[split_name]
+    for img_stem, lab_stem in _IDX_FILES.values():
         images = _read_idx(directory, img_stem)
         labels = _read_idx(directory, lab_stem)
         try:
-            out.append(make_tiny_mnist(images, labels, split_name))
+            out.append(make_tiny_mnist(images, labels))
         except ValueError as e:
             raise TaskError(f"{img_stem} and {lab_stem} in {directory}: "
                             f"{e}") from e
@@ -89,8 +88,7 @@ def load_task(name: str, mnist_dir: str | None = None,
     """Build the named task. Split sizes are fixed per task; split_seed only
     changes which samples land in train vs test."""
     if name == "toy":
-        d = Dataset(samples=(Sample((0,), (0,)), Sample((1,), (1,))),
-                    d_x=1, d_y=1, class_count=2)
+        d = Dataset(x=[[0], [1]], y=[[0], [1]], class_count=2)
         return TaskBundle("toy", toy_xor_model(), d, d, d)
     if name == "edge":
         full = gen_edge_detection()

@@ -10,6 +10,21 @@ from grovertrain import tasks
 ACCEPTANCE_LINES: list[str] = []
 
 
+def index_to_bits(index: int, width: int) -> tuple[int, ...]:
+    """Little-endian bit tuple of an index: bit j weighs 2**j."""
+    return tuple((index >> j) & 1 for j in range(width))
+
+
+def bits_to_index(bits) -> int:
+    """Inverse of index_to_bits."""
+    return sum(b << j for j, b in enumerate(bits))
+
+
+def samples(d: ds.Dataset) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """A dataset's rows as (x, y) bit tuples, in row order."""
+    return [(tuple(x), tuple(y)) for x, y in zip(d.x.tolist(), d.y.tolist())]
+
+
 def pytest_terminal_summary(terminalreporter):
     if ACCEPTANCE_LINES:
         terminalreporter.section("acceptance criteria")

@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import ACCEPTANCE_LINES
+from conftest import ACCEPTANCE_LINES, index_to_bits
 from grovertrain import amplify as am
 from grovertrain import boolcirc as bc
 from grovertrain import cli
@@ -275,11 +275,11 @@ def _check_compiled_exhaustive(model):
     anc = (set(range(gl.n_qubits)) - set(range(gl.n_w + gl.n_x))
            - set(gl.out_qubits))
     for xi in range(1 << gl.n_x):
-        x_bits = bc.index_to_bits(xi, gl.n_x)
+        x_bits = index_to_bits(xi, gl.n_x)
         planes = _compiled_planes(gl, x_bits, lanes, wplanes)
         want = [0] * len(gl.out_qubits)
         for lane in range(lanes):
-            w_bits = bc.index_to_bits(lane, gl.n_w)
+            w_bits = index_to_bits(lane, gl.n_w)
             for b, bit in enumerate(bc.eval_circuit(model, w_bits, x_bits)):
                 want[b] |= bit << lane
         for b, q in enumerate(gl.out_qubits):

@@ -9,7 +9,7 @@ from grovertrain import amplify as am
 from grovertrain import boolcirc as bc
 from grovertrain import datasets as ds
 from grovertrain import tasks
-from conftest import make_synthetic_idx_dir
+from conftest import index_to_bits, make_synthetic_idx_dir, samples
 from test_boolcirc import FOLDING_CIRCUITS, random_circuits, \
     tiny_mnist_weights
 
@@ -43,18 +43,19 @@ class TestAccuracyTable:
     def test_sweep_matches_pointwise_eval_toy(self, toy_bundle, toy_table):
         m, d = toy_bundle.model, toy_bundle.full
         for wi in range(2 ** m.weight_width):
-            w = bc.index_to_bits(wi, m.weight_width)
-            hits = sum(bc.eval_circuit(m, w, s.x) == s.y for s in d.samples)
+            w = index_to_bits(wi, m.weight_width)
+            hits = sum(bc.eval_circuit(m, w, x) == y for x, y in samples(d))
             assert toy_table.counts[wi] == hits
 
     def test_sweep_matches_pointwise_eval_on_subset(self, edge_bundle):
         m = edge_bundle.model
-        sub = ds.Dataset(edge_bundle.full.samples[140:200], 9, 2, 4)
+        full = edge_bundle.full
+        sub = ds.Dataset(full.x[140:200], full.y[140:200], 4)
         t = am.accuracy_table(m, sub)
         for wi in (0, 1, 136, 137, 200, 255):
-            w = bc.index_to_bits(wi, m.weight_width)
-            hits = sum(int(bc.eval_circuit(m, w, s.x) == s.y)
-                       for s in sub.samples)
+            w = index_to_bits(wi, m.weight_width)
+            hits = sum(int(bc.eval_circuit(m, w, x) == y)
+                       for x, y in samples(sub))
             assert t.counts[wi] == hits
 
     # sample counts from one up to past 256
@@ -71,15 +72,13 @@ class TestAccuracyTable:
         xs = data.draw(st.lists(st.integers(0, (1 << n_x) - 1),
                                 min_size=min(n_samples, 1 << n_x),
                                 max_size=n_samples, unique=True))
-        teacher = bc.index_to_bits(
+        teacher = index_to_bits(
             data.draw(st.integers(0, (1 << n_w) - 1)), n_w)
-        samples = []
-        for xi in xs:
-            x = bc.index_to_bits(xi, n_x)
-            samples.append(ds.Sample(x, bc.eval_circuit(m, teacher, x)))
-        d = ds.Dataset(samples, n_x, m.output_width, 2)
-        want = [sum(bc.eval_circuit(m, bc.index_to_bits(wi, n_w), s.x) == s.y
-                    for s in samples)
+        rows = [index_to_bits(xi, n_x) for xi in xs]
+        d = ds.Dataset(rows, [bc.eval_circuit(m, teacher, x) for x in rows],
+                       2)
+        want = [sum(bc.eval_circuit(m, index_to_bits(wi, n_w), x) == y
+                    for x, y in samples(d))
                 for wi in range(1 << n_w)]
         assert am.accuracy_table(m, d).counts.tolist() == want
 
@@ -91,14 +90,14 @@ class TestAccuracyTable:
         bundle = tasks.load_task("tiny-mnist", mnist_dir=str(idx))
         raw = bc.ModelCircuit(20, 9, bundle.model.gates, ("o0", "o1"))
         want = np.zeros((1024, 1024), dtype=np.int64)
-        for s in bundle.train.samples:
+        for x, y in samples(bundle.train):
             vals = tiny_mnist_weights()
-            vals.update((f"x{j}", np.bool_(b)) for j, b in enumerate(s.x))
+            vals.update((f"x{j}", np.bool_(b)) for j, b in enumerate(x))
             vals = bc.eval_wires(raw.gates, vals)
             o0, o1 = vals["o0"], vals["o1"]
             # weights whose detectors name the label's digit: 1, 2 or 7
             same_digit = {(1, 0): o0, (0, 1): ~o0 & o1,
-                          (0, 0): ~o0 & ~o1}[s.y]
+                          (0, 0): ~o0 & ~o1}[y]
             want += same_digit
         want = want.ravel()
         got = am.accuracy_table(bundle.model, bundle.train).counts

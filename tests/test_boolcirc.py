@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import bits_to_index, index_to_bits
 from grovertrain import boolcirc as bc
+from grovertrain import datasets as ds
 
 
 # tiny-mnist's labels: each digit's canonical output pattern
@@ -43,12 +45,14 @@ class TestIndexBits:
     def test_round_trip(self):
         for width in (1, 3, 8):
             for i in range(1 << width):
-                bits = bc.index_to_bits(i, width)
-                assert bc.bits_to_index(bits) == i
+                bits = index_to_bits(i, width)
+                assert bits_to_index(bits) == i
 
     def test_bit_zero_is_lowest(self):
-        assert bc.bits_to_index((1, 0, 0)) == 1
-        assert bc.index_to_bits(4, 3) == (0, 0, 1)
+        assert bits_to_index((1, 0, 0)) == 1
+        assert index_to_bits(4, 3) == (0, 0, 1)
+        # the grid tasks hold image index i in row i, bit j in column j
+        assert ds.gen_simplified_ed().x[4].tolist() == [0, 0, 1] + [0] * 6
 
 
 class TestGateValidation:
@@ -82,7 +86,7 @@ class TestModelOracles:
 
     def test_edge_detection_perfect_weight(self):
         m = bc.edge_detection_model()
-        w = bc.index_to_bits(136, 8)
+        w = index_to_bits(136, 8)
         x_row = (1, 1, 1, 0, 0, 0, 0, 0, 0)      # one solid row line
         x_col = (1, 0, 0, 1, 0, 0, 1, 0, 0)      # one solid column line
         x_none = (0, 1, 0, 0, 0, 1, 1, 0, 0)
@@ -118,7 +122,7 @@ class TestModelOracles:
         detector wires decode to, on every weight and input."""
         m = bc.tiny_mnist_model()
         raw = bc.ModelCircuit(20, 9, m.gates, ("o0", "o1"))
-        inputs = [bc.index_to_bits(xi, 9) for xi in range(512)]
+        inputs = [index_to_bits(xi, 9) for xi in range(512)]
         assert m.output_wires == ("o0", "c1")
         xi = np.arange(512)
         for chunk in np.array_split(xi, 32):  # all 2^20 weights at once
@@ -136,7 +140,7 @@ class TestModelOracles:
         pairs += [(int(wi), inputs[int(xi)]) for wi, xi in
                   zip(rng.integers(0, 1 << 20, 300), rng.integers(0, 512, 300))]
         for wi, x in pairs:
-            w = bc.index_to_bits(wi, 20)
+            w = index_to_bits(wi, 20)
             out = bc.eval_circuit(m, w, x)
             assert out in DIGIT_PATTERNS.values()
             digit = decode_digit(bc.eval_circuit(raw, w, x))
@@ -242,7 +246,7 @@ FOLDING_CIRCUITS = [
 
 def reference_counts(m, xs, ys):
     """Per-weight counts of exact matches, one eval_circuit call per pair."""
-    return [sum(bc.eval_circuit(m, bc.index_to_bits(wi, m.weight_width), x)
+    return [sum(bc.eval_circuit(m, index_to_bits(wi, m.weight_width), x)
                 == tuple(y) for x, y in zip(xs, ys))
             for wi in range(1 << m.weight_width)]
 
@@ -259,7 +263,7 @@ class TestWeightSweep:
             outs = sweep(m, x)
             for _ in range(16):
                 wi = int(rng.integers(0, n_w))
-                w = bc.index_to_bits(wi, m.weight_width)
+                w = index_to_bits(wi, m.weight_width)
                 assert tuple(map(int, outs[wi])) == bc.eval_circuit(m, w, x)
 
     def test_tiny_mnist_lane_alignment(self):
@@ -268,17 +272,17 @@ class TestWeightSweep:
         x = tuple(int(b) for b in np.random.default_rng(5).integers(0, 2, 9))
         outs = sweep(m, x)
         for wi in (0, 1, 63, 64, 65, 1023, 1024, 2 ** 19, 2 ** 20 - 1):
-            w = bc.index_to_bits(wi, 20)
+            w = index_to_bits(wi, 20)
             assert tuple(map(int, outs[wi])) == bc.eval_circuit(m, w, x)
 
     @pytest.mark.parametrize("m", FOLDING_CIRCUITS)
     def test_folded_outputs_match_pointwise_eval(self, m):
         n_w = 1 << m.weight_width
         for xi in range(1 << m.input_width):
-            x = bc.index_to_bits(xi, m.input_width)
+            x = index_to_bits(xi, m.input_width)
             outs = sweep(m, x)
             for wi in range(n_w):
-                w = bc.index_to_bits(wi, m.weight_width)
+                w = index_to_bits(wi, m.weight_width)
                 assert tuple(map(int, outs[wi])) == bc.eval_circuit(m, w, x)
 
     @settings(max_examples=40, deadline=None)
@@ -315,9 +319,9 @@ class TestCorrectCounts:
         m, a, b = case
         assert bc.weight_groups(m) == sorted([a, b])
         n_x = m.input_width
-        xs = [bc.index_to_bits(xi, n_x) for xi in data.draw(st.lists(
+        xs = [index_to_bits(xi, n_x) for xi in data.draw(st.lists(
             st.integers(0, (1 << n_x) - 1), min_size=1, max_size=12))]
-        ys = [bc.index_to_bits(yi, m.output_width) for yi in data.draw(
+        ys = [index_to_bits(yi, m.output_width) for yi in data.draw(
             st.lists(st.integers(0, (1 << m.output_width) - 1),
                      min_size=len(xs), max_size=len(xs)))]
         want = reference_counts(m, xs, ys)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import index_to_bits, samples
 from grovertrain import boolcirc as bc
 from grovertrain import datasets as ds
-from test_boolcirc import decode_digit
+from test_boolcirc import DIGIT_PATTERNS, decode_digit
 
 
 def img_from_bits(bits):
@@ -19,31 +20,75 @@ def img_from_bits(bits):
 
 def downsample(img):
     """One image's 9 bits, through the tiny-mnist builder."""
-    d = ds.make_tiny_mnist(np.asarray(img)[None], np.array([1], np.uint8),
-                           "train")
-    return d.samples[0].x
+    d = ds.make_tiny_mnist(np.asarray(img)[None], np.array([1], np.uint8))
+    return samples(d)[0][0]
 
 
 class TestDatasetValidation:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            ds.Dataset([], 1, 1, 2)
+            ds.Dataset(np.zeros((0, 1)), np.zeros((0, 1)), 2)
 
     def test_rejects_width_mismatch(self):
+        # rows of one array must share a width
         with pytest.raises(ValueError):
-            ds.Dataset([ds.Sample((0, 1), (0,))], 3, 1, 2)
+            ds.Dataset([(0, 1), (0, 1, 1)], [(0,), (0,)], 2)
         with pytest.raises(ValueError):
-            ds.Dataset([ds.Sample((0, 1), (0, 0))], 2, 1, 2)
+            ds.Dataset([(0, 1), (1, 1)], [(0, 0), (0,)], 2)
+
+    @pytest.mark.parametrize("x,y", [
+        ([(0, 2)], [(0,)]),
+        ([(0, 1)], [(2,)]),
+        ([(0, 1)], [(-1,)]),
+        (np.array([[0, 1]]) * 255, [(1,)]),
+    ])
+    def test_rejects_values_other_than_bits(self, x, y):
+        with pytest.raises(ValueError, match="0 or 1"):
+            ds.Dataset(x, y, 2)
+
+    @pytest.mark.parametrize("x,y", [
+        ([0, 1], [(0,), (1,)]),
+        ([(0,), (1,)], [0, 1]),
+        (np.zeros((2, 1, 1)), np.zeros((2, 1))),
+        (np.zeros((2, 1)), np.zeros((2, 1, 1))),
+        (np.zeros((2, 0)), np.zeros((2, 1))),
+        (np.zeros((2, 1)), np.zeros((2, 0))),
+    ])
+    def test_rejects_arrays_that_are_not_2d(self, x, y):
+        with pytest.raises(ValueError):
+            ds.Dataset(x, y, 2)
+
+    def test_rejects_row_count_mismatch(self):
+        with pytest.raises(ValueError):
+            ds.Dataset([(0, 1), (1, 1)], [(0,)], 2)
+        with pytest.raises(ValueError):
+            ds.Dataset([(0, 1)], [(0,), (1,)], 2)
 
     def test_rejects_conflicting_labels(self):
-        samples = [ds.Sample((0, 1), (0,)), ds.Sample((0, 1), (1,))]
-        with pytest.raises(ValueError):
-            ds.Dataset(samples, 2, 1, 2)
+        with pytest.raises(ValueError, match=r"x=\(0, 1\)"):
+            ds.Dataset([(0, 1), (0, 1)], [(0,), (1,)], 2)
+        # the clashing rows need not be neighbours
+        with pytest.raises(ValueError, match=r"x=\(1, 0\)"):
+            ds.Dataset([(1, 0), (1, 1), (0, 0), (1, 0)],
+                       [(0, 1), (1, 1), (0, 1), (0, 0)], 4)
 
     def test_allows_consistent_duplicates(self):
-        samples = [ds.Sample((0, 1), (0,)), ds.Sample((0, 1), (0,))]
-        d = ds.Dataset(samples, 2, 1, 2)
+        d = ds.Dataset([(0, 1), (0, 1)], [(0,), (0,)], 2)
         assert len(d) == 2
+
+    def test_holds_uint8_arrays_with_derived_widths(self):
+        d = ds.Dataset(np.array([[True, False]]), [(1, 0, 1)], 2)
+        assert d.x.dtype == d.y.dtype == np.uint8
+        assert d.x.tolist() == [[1, 0]] and d.y.tolist() == [[1, 0, 1]]
+        assert (d.d_x, d.d_y, len(d)) == (2, 3, 1)
+
+
+def has_row_line(bits) -> bool:
+    return any(all(bits[3 * i + j] for j in range(3)) for i in range(3))
+
+
+def has_col_line(bits) -> bool:
+    return any(all(bits[3 * j + i] for j in range(3)) for i in range(3))
 
 
 class TestLineDetectionData:
@@ -51,22 +96,23 @@ class TestLineDetectionData:
         d = ds.gen_edge_detection()
         assert len(d) == 512
         assert (d.d_x, d.d_y, d.class_count) == (9, 2, 4)
-        assert len({s.x for s in d.samples}) == 512
+        assert d.x.shape == (512, 9) and d.y.shape == (512, 2)
+        assert len({x for x, _ in samples(d)}) == 512
 
     def test_label_counts(self):
         # no-line-in-3-rows images number 7^3; inclusion-exclusion gives the
         # rest of the 4-way breakdown
         d = ds.gen_edge_detection()
         counts = {}
-        for s in d.samples:
-            counts[s.y] = counts.get(s.y, 0) + 1
+        for _, y in samples(d):
+            counts[y] = counts.get(y, 0) + 1
         assert counts == {(0, 0): 91, (0, 1): 78, (1, 0): 78, (1, 1): 265}
         with_row = counts[(0, 0)] + counts[(0, 1)]
         assert with_row == 512 - 7 ** 3
 
     def test_pinned_labels(self):
         d = ds.gen_edge_detection()
-        by_x = {s.x: s.y for s in d.samples}
+        by_x = dict(samples(d))
         assert by_x[(0,) * 9] == (1, 1)
         assert by_x[(1,) * 9] == (0, 0)
         top_row = tuple(1 if b in (0, 1, 2) else 0 for b in range(9))
@@ -78,12 +124,25 @@ class TestLineDetectionData:
         d = ds.gen_simplified_ed()
         assert len(d) == 512
         assert (d.d_x, d.d_y, d.class_count) == (9, 1, 2)
-        positives = sum(s.y[0] for s in d.samples)
+        positives = sum(y[0] for _, y in samples(d))
         assert positives == 512 - 7 ** 3 == 169
 
+    def test_generators_match_per_image_rule(self):
+        # row i is image index i; labels from scanning its rows and columns
+        edge, sed = [], []
+        for i in range(512):
+            bits = index_to_bits(i, 9)
+            row, col = has_row_line(bits), has_col_line(bits)
+            edge.append((bits, (1 - row, 1 - col)))
+            sed.append((bits, (int(row),)))
+        assert samples(ds.gen_edge_detection()) == edge
+        assert samples(ds.gen_simplified_ed()) == sed
+
     def test_generators_are_deterministic(self):
-        assert ds.gen_edge_detection().samples == ds.gen_edge_detection().samples
-        assert ds.gen_simplified_ed().samples == ds.gen_simplified_ed().samples
+        assert samples(ds.gen_edge_detection()) == \
+            samples(ds.gen_edge_detection())
+        assert samples(ds.gen_simplified_ed()) == \
+            samples(ds.gen_simplified_ed())
 
 
 class TestSplit:
@@ -91,10 +150,18 @@ class TestSplit:
         d = ds.gen_edge_detection()
         train, test = ds.split(d, 400, seed=0)
         assert len(train) == 400 and len(test) == 112
-        train_x = {s.x for s in train.samples}
-        test_x = {s.x for s in test.samples}
+        train_x = {x for x, _ in samples(train)}
+        test_x = {x for x, _ in samples(test)}
         assert not train_x & test_x
-        assert train_x | test_x == {s.x for s in d.samples}
+        assert train_x | test_x == {x for x, _ in samples(d)}
+
+    def test_rows_follow_the_seeded_permutation(self):
+        d = ds.gen_edge_detection()
+        train, test = ds.split(d, 400, seed=7)
+        perm = np.random.default_rng(7).permutation(512)
+        rows = samples(d)
+        assert samples(train) == [rows[i] for i in perm[:400]]
+        assert samples(test) == [rows[i] for i in perm[400:]]
 
     def test_metadata_propagates(self):
         d = ds.gen_edge_detection()
@@ -107,9 +174,9 @@ class TestSplit:
         d = ds.gen_simplified_ed()
         a1, b1 = ds.split(d, 400, seed=0)
         a2, b2 = ds.split(d, 400, seed=0)
-        assert a1.samples == a2.samples and b1.samples == b2.samples
+        assert samples(a1) == samples(a2) and samples(b1) == samples(b2)
         a3, _ = ds.split(d, 400, seed=1)
-        assert a1.samples != a3.samples
+        assert samples(a1) != samples(a3)
 
     def test_bounds(self):
         d = ds.gen_simplified_ed()
@@ -124,12 +191,13 @@ class TestCorrectness:
         # one sample's counts are its per-weight correctness mask
         m = bc.simplified_ed_model()
         d = ds.gen_simplified_ed()
-        for s in d.samples[:16] + d.samples[200:208]:
-            mask = bc.correct_counts(m, [s.x], [s.y])
+        rows = samples(d)
+        for x, y in rows[:16] + rows[200:208]:
+            mask = bc.correct_counts(m, [x], [y])
             for wi in range(2 ** m.weight_width):
-                w = bc.index_to_bits(wi, m.weight_width)
-                yhat = bc.eval_circuit(m, w, s.x)
-                assert mask[wi] == (yhat == s.y)
+                w = index_to_bits(wi, m.weight_width)
+                yhat = bc.eval_circuit(m, w, x)
+                assert mask[wi] == (yhat == y)
 
     def test_packed_mask_matches_scalar_decode(self):
         # exact match on tiny-mnist's outputs is digit equality of its
@@ -142,7 +210,7 @@ class TestCorrectness:
             for x in ((1, 0, 1, 0, 1, 0, 1, 0, 1), (0,) * 9):
                 mask = bc.correct_counts(m, [x], [y])
                 for wi in probe_ws:
-                    w = bc.index_to_bits(wi, m.weight_width)
+                    w = index_to_bits(wi, m.weight_width)
                     yhat = bc.eval_circuit(raw, w, x)
                     assert mask[wi] == (decode_digit(yhat) ==
                                         decode_digit(y))
@@ -225,8 +293,8 @@ class TestDownsample:
                          for i in range(3) for j in range(3))
             assert downsample(img) == want
         labels = np.full(len(imgs), 7, dtype=np.uint8)
-        d = ds.make_tiny_mnist(imgs, labels, "train")
-        assert [s.x for s in d.samples] == list(dict.fromkeys(
+        d = ds.make_tiny_mnist(imgs, labels)
+        assert [x for x, _ in samples(d)] == list(dict.fromkeys(
             downsample(img) for img in imgs))
 
 
@@ -235,62 +303,107 @@ class TestMakeTinyMnist:
         imgs = np.stack([img_from_bits((1,) + (0,) * 8),
                          img_from_bits((0,) * 9)])
         labels = np.array([1, 3], dtype=np.uint8)
-        d = ds.make_tiny_mnist(imgs, labels, "train")
-        assert len(d) == 1
-        assert d.samples[0].y == (1, 0)
+        d = ds.make_tiny_mnist(imgs, labels)
+        assert samples(d) == [((1,) + (0,) * 8, (1, 0))]
 
     def test_rejects_when_nothing_survives(self):
         imgs = np.stack([img_from_bits((0,) * 9)])
         with pytest.raises(ValueError):
-            ds.make_tiny_mnist(imgs, np.array([3], dtype=np.uint8), "train")
-
-    def test_rejects_bad_split_name(self):
-        imgs = np.stack([img_from_bits((0,) * 9)])
-        with pytest.raises(ValueError):
-            ds.make_tiny_mnist(imgs, np.array([1], dtype=np.uint8), "half")
+            ds.make_tiny_mnist(imgs, np.array([3], dtype=np.uint8))
 
     def test_rejects_length_mismatch(self):
         imgs = np.stack([img_from_bits((0,) * 9)])
         with pytest.raises(ValueError):
-            ds.make_tiny_mnist(imgs, np.array([1, 2], dtype=np.uint8), "train")
+            ds.make_tiny_mnist(imgs, np.array([1, 2], dtype=np.uint8))
         with pytest.raises(ValueError):  # a label file that holds images
-            ds.make_tiny_mnist(imgs, np.ones((1, 5, 5), np.uint8), "train")
+            ds.make_tiny_mnist(imgs, np.ones((1, 5, 5), np.uint8))
 
     def test_majority_vote_merges_duplicates(self):
         bits = (1, 0, 1, 0, 0, 0, 0, 0, 0)
         imgs = np.stack([img_from_bits(bits)] * 3)
-        d = ds.make_tiny_mnist(imgs, np.array([1, 2, 2], np.uint8), "train")
+        d = ds.make_tiny_mnist(imgs, np.array([1, 2, 2], np.uint8))
         assert len(d) == 1
-        assert d.samples[0].x == bits
-        assert d.samples[0].y == (0, 1)
+        assert samples(d) == [(bits, (0, 1))]
 
     def test_vote_ties_go_to_smallest_class(self):
         bits = (0, 1, 0, 0, 0, 0, 0, 0, 0)
         imgs = np.stack([img_from_bits(bits)] * 2)
-        d = ds.make_tiny_mnist(imgs, np.array([2, 1], np.uint8), "train")
-        assert d.samples[0].y == (1, 0)
-        d = ds.make_tiny_mnist(imgs, np.array([7, 2], np.uint8), "train")
-        assert d.samples[0].y == (0, 1)
+        d = ds.make_tiny_mnist(imgs, np.array([2, 1], np.uint8))
+        assert samples(d)[0][1] == (1, 0)
+        d = ds.make_tiny_mnist(imgs, np.array([7, 2], np.uint8))
+        assert samples(d)[0][1] == (0, 1)
 
     def test_label_bit_patterns(self):
         patterns = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
         imgs = np.stack([img_from_bits(p + (0,) * 6) for p in patterns])
-        d = ds.make_tiny_mnist(imgs, np.array([1, 2, 7], np.uint8), "train")
-        assert [s.y for s in d.samples] == [(1, 0), (0, 1), (0, 0)]
+        d = ds.make_tiny_mnist(imgs, np.array([1, 2, 7], np.uint8))
+        assert [y for _, y in samples(d)] == [(1, 0), (0, 1), (0, 0)]
         assert d.class_count == 3 and d.d_y == 2
 
     def test_keeps_first_appearance_order(self):
         a = (1,) + (0,) * 8
         b = (0, 1) + (0,) * 7
         imgs = np.stack([img_from_bits(p) for p in (b, a, b)])
-        d = ds.make_tiny_mnist(imgs, np.array([2, 1, 2], np.uint8), "train")
-        assert [s.x for s in d.samples] == [b, a]
+        d = ds.make_tiny_mnist(imgs, np.array([2, 1, 2], np.uint8))
+        assert [x for x, _ in samples(d)] == [b, a]
+
+    def test_vote_matches_dict_tally_reference(self):
+        """Random batches against a per-image dict tally: repeats, ties,
+        other digits and single-pattern batches."""
+        rng = np.random.default_rng(12)
+        grid = np.stack([img_from_bits(index_to_bits(i, 9))
+                         for i in range(512)])
+        ties = 0
+        for trial in range(300):
+            n = int(rng.integers(1, 40))
+            pool = rng.choice(512, size=1 if trial % 5 == 0
+                              else int(rng.integers(1, 12)), replace=False)
+            pats = rng.choice(pool, size=n)
+            labels = rng.choice([1, 2, 7, 0, 3, 9], size=n)
+            if trial % 3 == 0:  # each image twice, the copy with a task
+                # digit: many patterns split evenly over two classes
+                pats = np.repeat(pats, 2)
+                labels = np.stack([labels, rng.choice([1, 2, 7], size=n)],
+                                  axis=1).ravel()
+            want, tied = reference_tiny_mnist(
+                [index_to_bits(int(i), 9) for i in pats], labels.tolist())
+            ties += tied
+            labels = labels.astype(np.uint8)
+            if not want:
+                with pytest.raises(ValueError):
+                    ds.make_tiny_mnist(grid[pats], labels)
+                continue
+            assert samples(ds.make_tiny_mnist(grid[pats], labels)) == want
+        assert ties > 50
+
+
+def reference_tiny_mnist(bits, labels):
+    """make_tiny_mnist's vote as a per-image dict tally: (samples in
+    first-appearance order, number of patterns whose top vote is tied)."""
+    votes = {}
+    for b, lab in zip(bits, labels):
+        if lab in DIGIT_PATTERNS:
+            tally = votes.setdefault(tuple(b), {})
+            tally[lab] = tally.get(lab, 0) + 1
+    out, tied = [], 0
+    for b, tally in votes.items():  # dicts keep first-appearance order
+        best = max(sorted(DIGIT_PATTERNS),
+                   key=lambda c: (tally.get(c, 0), -c))  # ties -> smallest
+        out.append((b, DIGIT_PATTERNS[best]))
+        tied += sum(v == tally[best] for v in tally.values()) > 1
+    return out, tied
 
 
 class TestCsv:
     def test_layout(self):
-        d = ds.Dataset([ds.Sample((1, 0, 1), (0, 1)),
-                        ds.Sample((0, 0, 0), (1, 0))], 3, 2, 4)
+        d = ds.Dataset([(1, 0, 1), (0, 0, 0)], [(0, 1), (1, 0)], 4)
         assert ds.dataset_to_csv(d) == ("x_bits,y_bits\n"
                                         "101,01\n"
                                         "000,10\n")
+
+    def test_matches_per_row_rule(self):
+        d = ds.gen_edge_detection()
+        lines = ["".join(map(str, x)) + "," + "".join(map(str, y))
+                 for x, y in samples(d)]
+        assert ds.dataset_to_csv(d) == "x_bits,y_bits\n" + \
+            "".join(line + "\n" for line in lines)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import bits_to_index, index_to_bits, samples
 from grovertrain import amplify as am
 from grovertrain import boolcirc as bc
 from grovertrain import datasets as ds
@@ -31,11 +32,8 @@ def decode_task():
          bc.Gate("NOT", "n0", ("o0",)),
          bc.Gate("AND", "c1", ("n0", "o1"))]
     model = bc.ModelCircuit(2, 2, g, ("o0", "c1"))
-    samples = [ds.Sample((0, 0), (1, 0)),
-               ds.Sample((1, 0), (1, 0)),
-               ds.Sample((0, 1), (0, 1)),
-               ds.Sample((1, 1), (0, 0))]
-    return model, ds.Dataset(samples, 2, 2, 3)
+    return model, ds.Dataset([(0, 0), (1, 0), (0, 1), (1, 1)],
+                             [(1, 0), (1, 0), (0, 1), (0, 0)], 3)
 
 
 class TestQuantumState:
@@ -140,13 +138,13 @@ class TestLayoutAndPreparation:
         state, lay = sv.prepare_initial(model, d, k=1)
         expected = np.zeros(1 << lay.n_qubits, dtype=np.complex128)
         for wi in (0, 1):
-            w = bc.index_to_bits(wi, 1)
-            for s in d.samples:
-                yhat = bc.eval_circuit(model, w, s.x)
+            w = index_to_bits(wi, 1)
+            for x, y in samples(d):
+                yhat = bc.eval_circuit(model, w, x)
                 idx = wi
-                idx |= bc.bits_to_index(s.x) << lay.copies[0].x[0]
-                idx |= bc.bits_to_index(s.y) << lay.copies[0].y[0]
-                idx |= bc.bits_to_index(yhat) << lay.copies[0].out[0]
+                idx |= bits_to_index(x) << lay.copies[0].x[0]
+                idx |= bits_to_index(y) << lay.copies[0].y[0]
+                idx |= bits_to_index(yhat) << lay.copies[0].out[0]
                 expected[idx] = 0.5
         assert np.allclose(state.dense(), expected, atol=1e-12)
 
@@ -163,16 +161,16 @@ class TestLayoutAndPreparation:
                 x_bits = (p,)  # data-register bit 0 is the x wire
                 yhat = bc.eval_circuit(model, (wi,), x_bits)
                 idx = wi | (p << copy.x[0])
-                idx |= bc.bits_to_index(yhat) << copy.out[0]
+                idx |= bits_to_index(yhat) << copy.out[0]
                 assert amps[idx] == pytest.approx(amp, abs=1e-12)
         # real samples carry the flag
-        s0 = d.samples[0]
+        x0, y0 = samples(d)[0]
         idx = 0
-        idx |= bc.bits_to_index(s0.x) << copy.x[0]
-        idx |= bc.bits_to_index(s0.y) << copy.y[0]
+        idx |= bits_to_index(x0) << copy.x[0]
+        idx |= bits_to_index(y0) << copy.y[0]
         idx |= 1 << copy.flag
-        yhat = bc.eval_circuit(model, (0,), s0.x)
-        idx |= bc.bits_to_index(yhat) << copy.out[0]
+        yhat = bc.eval_circuit(model, (0,), x0)
+        idx |= bits_to_index(yhat) << copy.out[0]
         assert amps[idx] == pytest.approx(amp, abs=1e-12)
         assert abs(state.norm() - 1.0) < 1e-12
 
@@ -195,13 +193,13 @@ class TestLayoutAndPreparation:
         model, d = toy_bundle.model, toy_bundle.full
         with pytest.raises(ValueError):
             sv.prepare_initial(model, d, k=0)
-        one = ds.Dataset([d.samples[0]], d.d_x, d.d_y, d.class_count)
+        one = ds.Dataset(d.x[:1], d.y[:1], d.class_count)
         with pytest.raises(ValueError):
             sv.prepare_initial(model, one, k=1, n_aux=0)
         with pytest.raises(ValueError, match="n_aux"):
             sv.prepare_initial(model, d, k=1, n_aux=-1)
-        twice = ds.Dataset(d.samples + d.samples[:1], d.d_x, d.d_y,
-                           d.class_count)
+        twice = ds.Dataset(np.vstack([d.x, d.x[:1]]),
+                           np.vstack([d.y, d.y[:1]]), d.class_count)
         with pytest.raises(ValueError, match="repeats"):
             sv.prepare_initial(model, twice, k=1)
 
@@ -209,8 +207,8 @@ class TestLayoutAndPreparation:
         # 56 qubits fit an int64 index, but 2^20 weights x 9^2 sample pairs
         # exceed the support cap of 2^26 basis states
         model = bc.tiny_mnist_model()
-        d = ds.Dataset([ds.Sample(bc.index_to_bits(i, 9), (0, i & 1))
-                        for i in range(9)], 9, 2, 3)
+        d = ds.Dataset([index_to_bits(i, 9) for i in range(9)],
+                       [(0, i & 1) for i in range(9)], 3)
         with pytest.raises(ValueError, match="support"):
             sv.prepare_initial(model, d, k=2)
 
@@ -370,16 +368,17 @@ def small_instances(draw):
     outs = draw(st.permutations([g.out for g in gates]))
     n_out = draw(st.integers(1, min(2, len(outs))))
     model = bc.ModelCircuit(n_w, n_x, gates, tuple(outs[:n_out]))
-    teacher = bc.index_to_bits(draw(st.integers(0, (1 << n_w) - 1)), n_w)
+    teacher = index_to_bits(draw(st.integers(0, (1 << n_w) - 1)), n_w)
     xs = draw(st.lists(st.integers(0, (1 << n_x) - 1), min_size=2,
                        max_size=1 << n_x, unique=True))
-    samples = []
+    x_rows, y_rows = [], []
     for xi in xs:
-        x = bc.index_to_bits(xi, n_x)
+        x = index_to_bits(xi, n_x)
         y = bc.eval_circuit(model, teacher, x)
         flip = draw(st.lists(st.booleans(), min_size=len(y), max_size=len(y)))
-        samples.append(ds.Sample(x, tuple(b ^ f for b, f in zip(y, flip))))
-    d = ds.Dataset(samples, n_x, model.output_width, 2)
+        x_rows.append(x)
+        y_rows.append([b ^ f for b, f in zip(y, flip)])
+    d = ds.Dataset(x_rows, y_rows, 2)
     return model, d, draw(st.integers(1, 3))
 
 
