@@ -21,12 +21,15 @@ intermediates are folded away: XOR/NOT/COPY operands of AND/OR/MAJ are written
 temporarily onto one of their own input qubits (compute, use as control,
 restore), and operands of XOR gates are accumulated directly onto the XOR
 target. Remaining intermediates take ancilla qubits, uncomputed after each
-output so the pool is reused.
+output so the pool is reused. A repeated operand collapses by its gate's
+algebra: AND and OR are idempotent, so it is one control, and MAJ(a, a, b) is
+compiled as a; every gate's controls are distinct qubits.
 """
 from __future__ import annotations
 
 import functools
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -383,12 +386,8 @@ class GateList:
     def n_qubits(self) -> int:
         return self.n_w + self.n_x + len(self.out_qubits) + self.n_anc
 
-    def inverse(self) -> list[RGate]:
-        """Formal inverse (every gate is self-inverse, so just reversed)."""
-        return list(reversed(self.gates))
-
     def remap(self, mapping) -> "GateList":
-        """GateList with every qubit index renamed through `mapping`."""
+        """GateList with every qubit q renamed to `mapping[q]`."""
         g = GateList(self.n_w, self.n_x,
                      tuple(mapping[q] for q in self.out_qubits), self.n_anc)
         g.gates = [RGate(tuple(mapping[c] for c in r.controls),
@@ -399,18 +398,13 @@ class GateList:
 class _Compiler:
     def __init__(self, circuit: ModelCircuit):
         self.c = circuit
-        self.qubit: dict[str, int] = {}
-        for i in range(circuit.weight_width):
-            self.qubit[f"w{i}"] = i
-        for j in range(circuit.input_width):
-            self.qubit[f"x{j}"] = circuit.weight_width + j
+        self.qubit = {n: q for q, n in enumerate(circuit._input_wires())}
         self.defs = {g.out: g for g in circuit.gates}
-        self.uses: dict[str, int] = {}
-        for g in circuit.gates:
-            for n in g.ins:
-                self.uses[n] = self.uses.get(n, 0) + 1
-        for n in circuit.output_wires:
-            self.uses[n] = self.uses.get(n, 0) + 1
+        self.uses = Counter(n for g in circuit.gates for n in g.ins)
+        self.uses.update(circuit.output_wires)
+        n_io = len(self.qubit)
+        self.out_qubits = tuple(range(n_io, n_io + circuit.output_width))
+        self.anc_base = n_io + circuit.output_width
         self.out: list[RGate] = []
         self.free_anc: list[int] = []
         self.n_anc = 0
@@ -419,9 +413,8 @@ class _Compiler:
     def _alloc(self) -> int:
         if self.free_anc:
             return self.free_anc.pop()
-        q = -1 - self.n_anc  # placeholder, fixed up at the end
         self.n_anc += 1
-        return q
+        return self.anc_base + self.n_anc - 1
 
     def _materialize(self, name: str) -> int:
         q = self._alloc()
@@ -430,69 +423,46 @@ class _Compiler:
         self.live.append(name)
         return q
 
-    def _resolve_gate_controls(self, g: Gate):
-        """Resolve AND/OR/MAJ operands to pairwise-distinct control qubits.
+    def _controls(self, names) -> tuple[tuple[int, ...], list[RGate]]:
+        """Resolve distinct AND/OR/MAJ operands to control qubits.
 
         Order of emission matters: operands that need computing are
-        materialized first (capturing original input values), realized
-        operands that share a qubit get gate-local copies next, and only then
+        materialized first (capturing original input values), and only then
         are single-use XOR/NOT/COPY operands borrowed in place on an input
         qubit - a borrow mutates its base qubit, so a base may not collide
         with any qubit another operand reads.
 
-        Returns (controls, restore_ops, temp_ancillas)."""
-        resolved: dict[int, int] = {}
-        undo: list[list[RGate]] = []
-        temp_anc: list[int] = []
-        raw_qubits = {self.qubit[n] for n in g.ins if n in self.qubit}
-        borrow_plan: list[tuple[int, str]] = []
-        borrow_bases: set[int] = set()
-        for i, n in enumerate(g.ins):
+        Returns (controls, gates that restore the borrowed bases)."""
+        borrowed: list[str] = []
+        bases: set[int] = set()
+        for n in names:
             if n in self.qubit:
                 continue
             d = self.defs[n]
-            ok = (self.uses.get(n, 0) == 1 and d.op in ("XOR", "NOT", "COPY")
-                  and all(m in self.qubit for m in d.ins))
-            if ok:
-                reads = {self.qubit[m] for m in d.ins}
-                base = self.qubit[d.ins[0]]
-                ok = (base not in raw_qubits
-                      and not reads & borrow_bases
-                      and base not in {self.qubit[m] for m in d.ins[1:]})
-            if ok:
-                borrow_bases.add(base)
-                borrow_plan.append((i, n))
-            else:
-                q = self._materialize(n)
-                resolved[i] = q
-                raw_qubits.add(q)
-        seen = set(resolved.values())
-        for i, n in enumerate(g.ins):
-            if i in resolved or n not in self.qubit:
-                continue
-            q = self.qubit[n]
-            if q in seen:
-                t = self._alloc()
-                cp = RGate((q,), t)
-                self.out.append(cp)
-                undo.append([cp])
-                temp_anc.append(t)
-                resolved[i] = t
-            else:
-                seen.add(q)
-                resolved[i] = q
-        for i, n in borrow_plan:
+            if (self.uses[n] == 1 and d.op in ("XOR", "NOT", "COPY")
+                    and all(m in self.qubit for m in d.ins)):
+                reads = [self.qubit[m] for m in d.ins]
+                # no operand may sit on the base, also not one that an
+                # earlier operand's materialization realized
+                if (reads[0] not in map(self.qubit.get, names)
+                        and reads[0] not in reads[1:]
+                        and bases.isdisjoint(reads)):
+                    bases.add(reads[0])
+                    borrowed.append(n)
+                    continue
+            self._materialize(n)
+        pre: list[RGate] = []
+        for n in borrowed:
             d = self.defs[n]
-            base = self.qubit[d.ins[0]]
-            pre = [RGate((self.qubit[m],), base) for m in d.ins[1:]]
+            base = self.qubit[n] = self.qubit[d.ins[0]]
+            pre += [RGate((self.qubit[m],), base) for m in d.ins[1:]]
             if d.op == "NOT":
                 pre.append(RGate((), base))
-            self.out.extend(pre)
-            undo.append([RGate(r.controls, r.target) for r in reversed(pre)])
-            resolved[i] = base
-        controls = [resolved[i] for i in range(len(g.ins))]
-        restores = [r for seg in reversed(undo) for r in seg]
-        return controls, restores, temp_anc
+        self.out += pre
+        controls = tuple(self.qubit[n] for n in names)
+        for n in borrowed:
+            del self.qubit[n]
+        return controls, pre[::-1]
 
     def _write(self, name: str, target: int) -> None:
         """Emit gates with net effect target ^= value(name)."""
@@ -502,38 +472,32 @@ class _Compiler:
         g = self.defs[name]
         if g.op in ("XOR", "COPY", "NOT"):
             for n in g.ins:
-                if n in self.qubit:
-                    self.out.append(RGate((self.qubit[n],), target))
-                elif self.uses.get(n, 0) == 1:
-                    self._write(n, target)  # fold single-use operand in place
+                if n in self.qubit or self.uses[n] == 1:
+                    self._write(n, target)  # a single-use one folds in place
                 else:
                     self.out.append(RGate((self._materialize(n),), target))
             if g.op == "NOT":
                 self.out.append(RGate((), target))
             return
-        controls, restores, temp_anc = self._resolve_gate_controls(g)
+        names = tuple(dict.fromkeys(g.ins))  # AND and OR are idempotent
+        if g.op == "MAJ" and len(names) < 3:  # MAJ(a, a, b) = a
+            self._write(max(g.ins, key=g.ins.count), target)
+            return
+        controls, restores = self._controls(names)
         if g.op == "AND":
-            self.out.append(RGate(tuple(controls), target))
+            self.out.append(RGate(controls, target))
         elif g.op == "OR":
-            for q in controls:
-                self.out.append(RGate((), q))
-            self.out.append(RGate(tuple(controls), target))
-            self.out.append(RGate((), target))
-            for q in controls:
-                self.out.append(RGate((), q))
+            flips = [RGate((), q) for q in controls]
+            self.out += flips + [RGate(controls, target), RGate((), target)]
+            self.out += flips
         else:  # MAJ
             a, b, c = controls
-            self.out.append(RGate((a, b), target))
-            self.out.append(RGate((a, c), target))
-            self.out.append(RGate((b, c), target))
-        self.out.extend(restores)
-        for q in temp_anc:
-            self.free_anc.append(q)
+            self.out += [RGate((a, b), target), RGate((a, c), target),
+                         RGate((b, c), target)]
+        self.out += restores
 
     def run(self) -> GateList:
-        n_io = self.c.weight_width + self.c.input_width
-        out_qubits = tuple(range(n_io, n_io + len(self.c.output_wires)))
-        for name, oq in zip(self.c.output_wires, out_qubits):
+        for name, oq in zip(self.c.output_wires, self.out_qubits):
             self._write(name, oq)
             # uncompute this output's intermediates in reverse order (later
             # wires may read earlier ones, so earlier must still be live),
@@ -545,13 +509,8 @@ class _Compiler:
                 self.free_anc.append(q)
             # a later output that reads this one reads its output qubit
             self.qubit.setdefault(name, oq)
-        gl = GateList(self.c.weight_width, self.c.input_width, out_qubits,
-                      self.n_anc)
-        anc_base = n_io + len(out_qubits)
-        fix = lambda q: anc_base + (-1 - q) if q < 0 else q
-        gl.gates = [RGate(tuple(fix(c) for c in r.controls), fix(r.target))
-                    for r in self.out]
-        return gl
+        return GateList(self.c.weight_width, self.c.input_width,
+                        self.out_qubits, self.n_anc, self.out)
 
 
 def compile_circuit(circuit: ModelCircuit) -> GateList:

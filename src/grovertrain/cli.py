@@ -47,14 +47,14 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer >= low."""
+def _int_at_least(low: int, kind: str = "an integer"):
+    """argparse type: an integer >= low (`kind` names what it accepts)."""
     def parse(text: str) -> int:
         try:
             n = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(
-                f"needs an integer, got {text!r}") from None
+                f"needs {kind}, got {text!r}") from None
         if n < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {n}")
         return n
@@ -98,35 +98,35 @@ def _config_value(action: argparse.Action | None, key: str, text: str):
 
 
 def _parse_budgets(text: str) -> list[int]:
+    """argparse type: comma-separated positive integers, sorted, no repeats."""
     try:
         budgets = sorted({int(tok) for tok in text.split(",") if tok.strip()})
-    except ValueError as e:
-        raise ConfigError(f"bad budget list {text!r}") from e
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"bad budget list {text!r}") from None
     if not budgets or budgets[0] < 1:
-        raise ConfigError("budgets must be positive integers")
+        raise argparse.ArgumentTypeError("budgets must be positive integers")
     return budgets
 
 
 def _parse_epsilons(text: str) -> list[float]:
+    """argparse type: comma-separated finite nonnegative numbers."""
     try:
         eps = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as e:
-        raise ConfigError(f"bad epsilon list {text!r}") from e
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"bad epsilon list {text!r}") from None
     if not eps or not all(0 <= e < math.inf for e in eps):
-        raise ConfigError("epsilons must be finite nonnegative numbers")
+        raise argparse.ArgumentTypeError(
+            "epsilons must be finite nonnegative numbers")
     return eps
 
 
 def _parse_pad(text: str):
+    """argparse type: 'auto' or a padding count >= 0."""
     if text == "auto":
-        return "auto"
-    try:
-        n = int(text)
-    except ValueError as e:
-        raise ConfigError(f"--pad needs 'auto' or an integer, got {text!r}") from e
-    if n < 0:
-        raise ConfigError("--pad count must be >= 0")
-    return n
+        return text
+    return _int_at_least(0, "'auto' or an integer")(text)
 
 
 def _write(path: Path, data: str | list[bytes]) -> Path:
@@ -197,11 +197,10 @@ def cmd_jtable(args, out: Path):
 
 
 def cmd_distribution(args, out: Path):
-    pad = _parse_pad(args.pad)
     bundle = load_task(args.task, args.mnist_dir)
     table = am.accuracy_table(bundle.model, bundle.full)
     rng = np.random.default_rng(args.seed)
-    plan = am.make_plan(table, args.k, pad=pad, m=args.branch_m,
+    plan = am.make_plan(table, args.k, pad=args.pad, m=args.branch_m,
                         theta_shot_count=args.shots, rng=rng,
                         use_sqrt=not args.strict_ratio_theta)
     dist = am.evolve_distribution(table, plan)
@@ -214,13 +213,12 @@ def cmd_distribution(args, out: Path):
 
 
 def cmd_shots_curve(args, out: Path):
-    budgets = _parse_budgets(args.budget)
-    pad = _parse_pad(args.pad)
+    budgets = args.budget
     bundle = load_task(args.task, args.mnist_dir)
     t_train = am.accuracy_table(bundle.model, bundle.train)
     t_test = am.accuracy_table(bundle.model, bundle.test)
     if args.method == "kpd":
-        plan = am.make_plan(t_train, args.k, pad=pad, m=args.branch_m,
+        plan = am.make_plan(t_train, args.k, pad=args.pad, m=args.branch_m,
                             use_sqrt=not args.strict_ratio_theta)
         dist = am.evolve_distribution(t_train, plan)
         label = f"kpd:{args.k}"
@@ -285,12 +283,11 @@ def cmd_verify_oracle(args, out: Path):
 
 
 def cmd_theory(args, out: Path):
-    epsilons = _parse_epsilons(args.epsilons)
     bundle = load_task(args.task, args.mnist_dir)
     table = am.accuracy_table(bundle.model, bundle.full)
     C = float(bundle.full.class_count)
     rows = []
-    for eps in epsilons:
+    for eps in args.epsilons:
         try:
             alpha, beta = th.alpha_beta(table, eps)
         except ValueError as e:  # epsilon admits every weight, or none scores
@@ -343,7 +340,8 @@ def build_parser(config: dict[str, str] | None = None
     def plan_flags(p):
         p.add_argument("--k", type=positive, default=1,
                        help="parallel dataset copies")
-        p.add_argument("--pad", default="auto", metavar="auto|N",
+        p.add_argument("--pad", type=_parse_pad, default="auto",
+                       metavar="auto|N",
                        help="auxiliary padding samples (auto: pad when the "
                             "rounded iteration count keeps too little mass)")
         p.add_argument("--branch-m", type=nonnegative, default=0,
@@ -370,7 +368,8 @@ def build_parser(config: dict[str, str] | None = None
     plan_flags(p)
     p.add_argument("--method", choices=("kpd", "urs"), default="kpd",
                    help="amplified sampling (kpd) or uniform random search")
-    p.add_argument("--budget", default="1,2,4,8,16,32,64,128",
+    p.add_argument("--budget", type=_parse_budgets,
+                   default="1,2,4,8,16,32,64,128",
                    help="comma-separated measurement budgets")
     p.add_argument("--runs", type=positive, default=20,
                    help="repetitions per budget")
@@ -386,7 +385,7 @@ def build_parser(config: dict[str, str] | None = None
 
     p = command("theory", cmd_theory, "query-count bounds and best k",
                 seed=False)
-    p.add_argument("--epsilons", default="0",
+    p.add_argument("--epsilons", type=_parse_epsilons, default="0",
                    help="comma-separated accuracy slacks")
     p.add_argument("--k-max", type=positive, default=8,
                    help="evaluate bounds for k = 1..k_max")

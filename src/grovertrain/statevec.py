@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolcirc import GateList, ModelCircuit, RGate, compile_circuit
+from .boolcirc import ModelCircuit, RGate, compile_circuit
 from .datasets import Dataset
 
 MAX_QUBITS = 62  # basis indices and masks stay below the int64 sign bit
@@ -154,8 +154,7 @@ def _copy_register_vector(d: Dataset, n_aux: int
                         dtype=np.complex128)
 
 
-def prepare_initial(model: ModelCircuit, d: Dataset, k: int, n_aux: int = 0,
-                    compiled: GateList | None = None
+def prepare_initial(model: ModelCircuit, d: Dataset, k: int, n_aux: int = 0
                     ) -> tuple[QuantumState, SystemLayout]:
     """|Psi_0>: uniform weights, k dataset superpositions, predictions written.
 
@@ -173,7 +172,10 @@ def prepare_initial(model: ModelCircuit, d: Dataset, k: int, n_aux: int = 0,
         raise ValueError("n_aux must be >= 0")
     if len(d) + n_aux < 2:
         raise ValueError("need at least two states per data register")
-    gl = compiled if compiled is not None else compile_circuit(model)
+    if (d.d_x, d.d_y) != (model.input_width, model.output_width):
+        raise ValueError(f"dataset widths ({d.d_x}, {d.d_y}) differ from the "
+                         f"model's ({model.input_width}, {model.output_width})")
+    gl = compile_circuit(model)
     layout = build_layout(model, k, n_aux, gl.n_anc)
     if layout.n_qubits > MAX_QUBITS:
         raise ValueError(
@@ -186,14 +188,12 @@ def prepare_initial(model: ModelCircuit, d: Dataset, k: int, n_aux: int = 0,
     n_w = 1 << model.weight_width
     state = QuantumState(layout.n_qubits, np.arange(n_w),
                          np.full(n_w, 1.0 / math.sqrt(n_w)))
-    anc_base = model.weight_width + model.input_width + len(gl.out_qubits)
     for copy in layout.copies:
         state.idx = ((copy_idx[:, None] << copy.x[0]) | state.idx).ravel()
         state.amps = (copy_amps[:, None] * state.amps).ravel()
-        mapping = dict(enumerate(layout.weight + copy.x))
-        mapping.update(zip(gl.out_qubits, copy.out))
-        mapping.update(enumerate(layout.anc, anc_base))
-        state.apply_gates(gl.remap(mapping).gates)
+        # gate-list qubits are weights, inputs, outputs, then ancillas
+        state.apply_gates(gl.remap(layout.weight + copy.x + copy.out
+                                   + layout.anc).gates)
     return state, layout
 
 
@@ -231,8 +231,7 @@ def apply_diffusion(state: QuantumState, psi0: np.ndarray) -> None:
 
 
 def grover_run(model: ModelCircuit, d: Dataset, k: int, g: int,
-               n_aux: int = 0, compiled: GateList | None = None,
-               return_state: bool = False):
+               n_aux: int = 0, return_state: bool = False):
     """Run g amplification rounds and return the weight-register marginal.
 
     Each round is the phase oracle followed by reflection about the prepared
@@ -241,7 +240,7 @@ def grover_run(model: ModelCircuit, d: Dataset, k: int, g: int,
     """
     if g < 0:
         raise ValueError("iteration count must be >= 0")
-    state, layout = prepare_initial(model, d, k, n_aux, compiled)
+    state, layout = prepare_initial(model, d, k, n_aux)
     psi0 = state.amps.copy()
     for _ in range(g):
         apply_oracle(state, layout)

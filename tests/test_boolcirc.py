@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -228,6 +230,16 @@ CHAINED_OUTPUTS = bc.ModelCircuit(
            bc.Gate("AND", "c", ("n", "w1", "b"))], ("a", "b", "c"))
 
 
+# the OR materializes a, which computes t onto an ancilla on the way; n is a
+# single-use NOT of t, so it may be borrowed in place only on a qubit that
+# no other operand reads, and the OR also reads t
+BORROW_BESIDE_ITS_BASE = bc.ModelCircuit(
+    1, 2, [bc.Gate("AND", "t", ("w0", "x0")),
+           bc.Gate("AND", "a", ("t", "x1")),
+           bc.Gate("NOT", "n", ("t",)),
+           bc.Gate("OR", "o", ("a", "n", "t"))], ("o",))
+
+
 # outputs that some inputs fix: to constants, or to a bare weight bit
 FOLDING_CIRCUITS = [
     bc.ModelCircuit(7, 2, [bc.Gate("AND", "a", ("w6", "x0")),
@@ -390,6 +402,36 @@ class TestCompiler:
         assert [(g.controls, g.target) for g in gl.gates] == [
             ((), 0), ((), 1), ((0, 1), 2), ((), 2), ((), 0), ((), 1)]
 
+    @pytest.mark.parametrize("gate,pairs", [
+        # AND and OR are idempotent, and MAJ(a, a, b) = a: no ancilla
+        (bc.Gate("AND", "o", ("w0", "w0", "x0")), [((0, 1), 2)]),
+        (bc.Gate("OR", "o", ("x0", "x0")),
+         [((), 1), ((1,), 2), ((), 2), ((), 1)]),
+        (bc.Gate("MAJ", "o", ("w0", "w0", "x0")), [((0,), 2)]),
+    ])
+    def test_repeated_operands_collapse(self, gate, pairs):
+        gl = bc.compile_circuit(bc.ModelCircuit(1, 1, [gate], ("o",)))
+        assert gl.n_anc == 0
+        assert [(g.controls, g.target) for g in gl.gates] == pairs
+
+    @pytest.mark.parametrize("model_fn,n_anc,n_gates,digest", [
+        (bc.toy_xor_model, 0, 2,
+         "957d8ce7bae2b1493f261ce1511a055b955dccb6a832fa193bcba0b8c572d959"),
+        (bc.simplified_ed_model, 3, 51,
+         "08f7a37c98a40ef61e85c194263646796f78c9dfb607f4e6700ea67b7a85fb30"),
+        (bc.edge_detection_model, 3, 102,
+         "2a53bcfab027f7452b7416ecdf567752aaa208e6eb44dc2613dbca705a941acc"),
+        (bc.tiny_mnist_model, 10, 102,
+         "b019f97033de89e3952e71d41aa056f2400457a1d534be072604b1807658f75a"),
+    ])
+    def test_task_models_compile_to_pinned_gate_lists(self, model_fn, n_anc,
+                                                      n_gates, digest):
+        # sha256 of repr() of the (controls, target) pairs in order
+        gl = bc.compile_circuit(model_fn())
+        pairs = [(g.controls, g.target) for g in gl.gates]
+        assert (gl.n_anc, len(pairs)) == (n_anc, n_gates)
+        assert hashlib.sha256(repr(pairs).encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("model_fn", [
         bc.toy_xor_model, bc.simplified_ed_model])
     def test_exhaustive_equality_small_models(self, model_fn):
@@ -440,7 +482,7 @@ class TestCompiler:
         m = bc.simplified_ed_model()
         gl = bc.compile_circuit(m)
         both = bc.GateList(gl.n_w, gl.n_x, gl.out_qubits, gl.n_anc,
-                           gl.gates + gl.inverse())
+                           gl.gates + list(reversed(gl.gates)))
         bits = simulate_gatelist_all(both)
         n_in = m.weight_width + m.input_width
         idx = np.arange(1 << n_in)
@@ -453,8 +495,11 @@ class TestCompilerProperty:
     @settings(max_examples=60, deadline=None)
     @given(random_circuits())
     @example(CHAINED_OUTPUTS)
+    @example(BORROW_BESIDE_ITS_BASE)
     def test_random_circuit_compiles_exactly(self, m):
         gl = bc.compile_circuit(m)
+        for g in gl.gates:
+            assert len(set(g.controls)) == len(g.controls), g
         bits = simulate_gatelist_all(gl)
         n_in = m.weight_width + m.input_width
         anc_lo = n_in + len(gl.out_qubits)

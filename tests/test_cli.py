@@ -444,10 +444,12 @@ class TestConfigFile:
         assert run("--config", str(cfg), "gen-data", "--out", out) == 2
         cfg.write_text("just a line\n")
         assert run("--config", str(cfg), "gen-data", "--out", out) == 2
-        cfg.write_text("k=three\n")
-        assert run("--config", str(cfg), "distribution", "--out", out) == 2
-        # a key is checked by its flag even where the command lacks it
-        assert run("--config", str(cfg), "gen-data", "--out", out) == 2
+        for text in ("k=three", "pad=many", "budget=x", "epsilons=x"):
+            cfg.write_text(text + "\n")
+            assert run("--config", str(cfg), "distribution",
+                       "--out", out) == 2
+            # a key is checked by its flag even where the command lacks it
+            assert run("--config", str(cfg), "gen-data", "--out", out) == 2
         cfg.write_text("help=1\n")
         assert run("--config", str(cfg), "gen-data", "--out", out) == 2
         assert run("--config", str(tmp_path / "absent.cfg"), "gen-data",
@@ -525,8 +527,12 @@ class TestOutputDirectory:
 
     def test_rejected_flag_creates_no_directory(self, tmp_path):
         out = tmp_path / "D"
-        assert run("distribution", "--k", "0", "--out", str(out)) == 2
-        assert not out.exists()
+        for argv in (["distribution", "--k", "0"],
+                     ["shots-curve", "--budget", "x"],
+                     ["theory", "--epsilons", "x"],
+                     ["distribution", "--pad", "many"]):
+            assert run(*argv, "--out", str(out)) == 2
+            assert not out.exists()
 
     def test_default_directory_is_named_after_the_command(self, tmp_path,
                                                           monkeypatch):

@@ -189,7 +189,7 @@ class TestLayoutAndPreparation:
         assert not np.any(flag & pad)
         assert sv.build_layout(model, k=1, n_aux=4, n_anc=0).copies[0].pad == ()
 
-    def test_preparation_validation(self, toy_bundle):
+    def test_preparation_validation(self, toy_bundle, sed_bundle):
         model, d = toy_bundle.model, toy_bundle.full
         with pytest.raises(ValueError):
             sv.prepare_initial(model, d, k=0)
@@ -202,6 +202,9 @@ class TestLayoutAndPreparation:
                            np.vstack([d.y, d.y[:1]]), d.class_count)
         with pytest.raises(ValueError, match="repeats"):
             sv.prepare_initial(model, twice, k=1)
+        # a dataset whose widths are not the model's
+        with pytest.raises(ValueError, match="widths"):
+            sv.grover_run(model, sed_bundle.train, k=1, g=1)
 
     def test_qubit_budget_enforced(self):
         # 56 qubits fit an int64 index, but 2^20 weights x 9^2 sample pairs
