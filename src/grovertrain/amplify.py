@@ -37,8 +37,8 @@ _RATIO_SLACK = 1e-12
 AUTO_PAD_TARGET_THETA = math.pi / 6
 AUTO_PAD_RESIDUAL_THRESHOLD = 0.9
 
-# search() holds at most this many shot uniforms at once (one candidate's
-# shots if that is more), however many candidates it scores
+# search() holds at most this many shot uniforms at once, however many
+# candidates it scores and however many shots each takes
 _SHOT_BLOCK = 1 << 20
 
 # CSV writers build at most this many rows per byte block
@@ -47,7 +47,8 @@ _CSV_BLOCK = 1 << 16
 
 class DegenerateAngleError(ValueError):
     """Raised when no rotation angle is usable: the solution set is empty,
-    is everything, or a shot estimate landed on probability 0 or 1."""
+    is everything, a shot estimate landed on probability 0 or 1, or the angle
+    is so small that the plan needs 2**52 rounds or more."""
 
 
 @dataclass
@@ -284,6 +285,9 @@ def make_plan(t: AccuracyTable, k: int, *, pad: str | int = "auto",
         n_aux = pad_auxiliary(stats, AUTO_PAD_TARGET_THETA, use_sqrt)
         if n_aux > 0:
             plan = plan_for(n_aux)
+    if plan.g >= 1 << 52:  # 2*g + 1 is not exact in float64 from here
+        raise DegenerateAngleError(f"theta={plan.theta!r} needs g={plan.g} "
+                                   "rounds, 2**52 or more")
     return plan
 
 
@@ -346,13 +350,17 @@ def search(dist: WeightDistribution, table: AccuracyTable, m_meas: int,
         estimates = scores / table.n_samples
     else:
         j = table.counts[draws] / table.n_samples
-        scores = np.empty(m_meas, dtype=np.int64)
+        scores = np.zeros(m_meas, dtype=np.int64)
+        # blocks of whole rows or of one row's columns, in stream order
         rows = max(1, _SHOT_BLOCK // eval_shots)
+        cols = min(eval_shots, _SHOT_BLOCK)
         for a in range(0, m_meas, rows):
-            shots = rng.random((min(rows, m_meas - a), eval_shots))
-            scores[a:a + rows] = np.count_nonzero(
-                shots < j[a:a + rows, None], axis=1)
-            del shots  # free this block before the next one is drawn
+            for b in range(0, eval_shots, cols):
+                shots = rng.random((min(rows, m_meas - a),
+                                    min(cols, eval_shots - b)))
+                scores[a:a + rows] += np.count_nonzero(
+                    shots < j[a:a + rows, None], axis=1)
+                del shots  # free this block before the next one is drawn
         estimates = scores / eval_shots
     n_w = len(dist.p)
     # one key orders by score, then by smaller index: ties go to the smallest

@@ -130,17 +130,20 @@ def eval_circuit(circuit: ModelCircuit, w, x) -> tuple[int, ...]:
 # correct counts over every weight at once
 #
 # A wire's support is the set of weight bits it reads, directly or through
-# other gates. When the register splits into two groups that meet only in
-# the last gates (tiny-mnist's two detectors, edge's row and column kernels),
-# a weight's count is a sum over samples of accept(a, b), where a and b are
-# the patterns on the wires each group hands to those gates. Each group is
-# evaluated over its own 2**|group| weights, and the two meet in one matrix
-# product per pattern of the side with fewer boundary bits, bar the last:
-# the patterns partition the (sample, weight) pairs, so the last one's share
-# is a column sum and each product takes a pattern's difference from it.
-# That is a contraction along a narrow cut. A one-group register is the same
-# contraction against an empty second group, which makes it a gather and a
-# column sum. Products run in float64, exact for counts below 2**53.
+# other gates. When the register splits into a low and a high run of bits
+# that meet only in the last gates (tiny-mnist's two detectors, edge's row
+# and column kernels), a weight's count is a sum over samples of
+# accept(a, b), where a and b are the patterns on the wires each run hands
+# to those gates. Each run is evaluated over its own 2**|run| weights, and
+# the two meet in one matrix product per pattern of the high run, bar the
+# last: the patterns partition the (sample, weight) pairs, so the last one's
+# share is a column sum and each product takes a pattern's difference from
+# it. That is a contraction along a narrow cut, and counts[high, low] ravels
+# to the weight index. Any other register is one group, the same
+# contraction against an empty high run: a gather and a column sum.
+# Products run in float32. A chunk holds at most _CHUNK_BOOLS >> 1 = 2**21
+# samples when there are two runs, so every partial sum stays below 2**24,
+# where float32 is exact.
 
 _BINARY = {"XOR": operator.xor, "AND": operator.and_, "OR": operator.or_}
 
@@ -180,16 +183,17 @@ def _supports(circuit: ModelCircuit) -> dict[str, int]:
 
 def weight_groups(circuit: ModelCircuit) -> list[tuple[int, ...]]:
     """The weight bits of each group `correct_counts` evaluates on its own:
-    the maximal gate-output supports strictly inside the register when there
-    are exactly two and they partition it, otherwise the whole register."""
-    full = (1 << circuit.weight_width) - 1
+    the low s bits and the rest when those are the two maximal gate-output
+    supports strictly inside the register, otherwise the whole register."""
+    n = circuit.weight_width
     sup = _supports(circuit)
-    inner = {sup[g.out] for g in circuit.gates} - {full}
-    top = [m for m in inner if not any(m != o and (m & o) == m for o in inner)]
-    if not (len(top) == 2 and top[0] | top[1] == full and not top[0] & top[1]):
-        top = [full]
-    return sorted(tuple(i for i in range(circuit.weight_width) if m >> i & 1)
-                  for m in top)
+    inner = {sup[g.out] for g in circuit.gates} - {(1 << n) - 1}
+    top = sorted(m for m in inner
+                 if not any(m != o and (m & o) == m for o in inner))
+    s = top[0].bit_length() if top else 0
+    if top == [(1 << s) - 1, (1 << n) - (1 << s)]:
+        return [tuple(range(s)), tuple(range(s, n))]
+    return [tuple(range(n))]
 
 
 def _boundary_codes(gates, bits, names, xs) -> np.ndarray:
@@ -247,38 +251,22 @@ def correct_counts(circuit: ModelCircuit, xs, ys) -> np.ndarray:
     read = {n for g in cross for n in g.ins}.union(circuit.output_wires)
     boundary = [[n for n in sup if n in read and home[n] == k] for k in (0, 1)]
     gates = [[g for g in circuit.gates if not sup[g.out] & ~m] for m in masks]
-    # the group with fewer boundary bits has its patterns looped over
-    loop = int(len(boundary[1]) <= len(boundary[0]))
-    rest = 1 - loop
-    counts = np.zeros((1 << len(bits[loop]), 1 << len(bits[rest])))
+    counts = np.zeros((1 << len(bits[1]), 1 << len(bits[0])))
     rows = max(1, _CHUNK_BOOLS >> max(map(len, bits)))
     for a in range(0, len(xs), rows):
         x, y = xs[a:a + rows], ys[a:a + rows]
         code = [_boundary_codes(gates[k], bits[k], boundary[k], x)
                 for k in (0, 1)]
         accept = _accept(circuit, cross, boundary, x, y)
-        if loop == 0:
-            accept = accept.transpose(0, 2, 1)
-        got = lambda p: np.take_along_axis(accept[:, :, p], code[rest], axis=1)
+        got = lambda p: np.take_along_axis(accept[:, :, p], code[0], axis=1)
         last = got(accept.shape[2] - 1)
         counts += last.sum(axis=0)
         for p in range(accept.shape[2] - 1):
-            hit = code[loop] == p
+            hit = code[1] == p
             if hit.any():
-                counts += hit.T.astype(np.float64) @ np.subtract(
-                    got(p), last, dtype=np.float64)
-    # counts[l, r] -> weight index: bit k of l is weight bit bits[loop][k],
-    # bit k of r is bits[rest][k]. Runs of consecutive weight bits stay one
-    # axis, so when the looped group holds the high bits this is a reshape.
-    runs: list[list[int]] = []  # [highest weight bit, bit count] per axis
-    for b in bits[loop][::-1] + bits[rest][::-1]:
-        if runs and runs[-1][0] - runs[-1][1] == b:
-            runs[-1][1] += 1
-        else:
-            runs.append([b, 1])
-    perm = sorted(range(len(runs)), key=lambda i: -runs[i][0])
-    return counts.astype(np.int64).reshape([1 << n for _, n in runs]) \
-        .transpose(perm).ravel()
+                counts += hit.T.astype(np.float32) @ np.subtract(
+                    got(p), last, dtype=np.float32)
+    return counts.astype(np.int64).ravel()
 
 
 # ---------------------------------------------------------------------------

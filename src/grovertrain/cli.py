@@ -12,7 +12,8 @@ Configs can come from a flat key=value text file (--config PATH, '#' starts
 a comment, keys match flag names with '-' or '_'); each value is typed and
 checked by the flag it names, and explicit command-line flags override it.
 
-Exit codes: 0 success, 2 configuration error, 3 degenerate rotation angle.
+Exit codes: 0 success, 2 configuration error, 3 degenerate rotation angle
+(none usable, or one so small that the plan needs 2**52 rounds or more).
 """
 from __future__ import annotations
 

@@ -385,6 +385,11 @@ class TestPlansAndEvolution:
         # float(c**k) overflows here, so the per-weight formula cannot run
         t = {"edge": edge_table, "toy": toy_table}[task]
         for pad in ("auto", 0):
+            if task == "toy" and pad == "auto":
+                # one padded sample takes theta to 1.45e-91, and g to 5.4e90
+                with pytest.raises(am.DegenerateAngleError, match="g="):
+                    am.make_plan(t, k, pad=pad)
+                continue
             plan = am.make_plan(t, k, pad=pad)
             p = am.evolve_distribution(t, plan).p
             assert np.all(np.isfinite(p)) and abs(p.sum() - 1.0) <= 1e-12
@@ -506,6 +511,21 @@ class TestSamplingAndSearch:
         for x, y in zip(got, want):
             assert np.array_equal(x, y)
 
+    @pytest.mark.parametrize("shots", [9, 16, 17, 40])
+    def test_one_candidates_shots_come_in_blocks(self, sed_train_table,
+                                                 monkeypatch, shots):
+        # blocks of 8 uniforms: a candidate's 9..40 shots span several
+        t = sed_train_table
+        dist = am.uniform_distribution(t.weight_width)
+        monkeypatch.setattr(am, "_SHOT_BLOCK", 8)
+        rng = SizeRecorder(np.random.default_rng(6))
+        got = am.search(dist, t, 5, rng, shots)
+        assert rng.sizes[0] == 5  # the draws
+        assert max(rng.sizes[1:]) <= 8 and sum(rng.sizes[1:]) == 5 * shots
+        want = reference_search(dist, t, 5, np.random.default_rng(6), shots)
+        for x, y in zip(got, want):
+            assert np.array_equal(x, y)
+
     @settings(max_examples=60, deadline=None)
     @given(small_tables, st.data(), st.integers(1, 40),
            st.one_of(st.none(), st.integers(1, 50)), st.integers(0, 2**32))
@@ -520,6 +540,18 @@ class TestSamplingAndSearch:
                                 shots)
         for x, y in zip(got, want):
             assert np.array_equal(x, y)
+
+
+class SizeRecorder:
+    """A Generator stand-in that records how many uniforms each
+    `random` call asks for."""
+
+    def __init__(self, rng):
+        self.rng, self.sizes = rng, []
+
+    def random(self, size):
+        self.sizes.append(int(np.prod(size)))
+        return self.rng.random(size)
 
 
 def reference_search(dist, t, m_meas, rng, eval_shots):

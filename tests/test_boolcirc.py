@@ -185,13 +185,15 @@ def random_circuits(draw, n_w=st.integers(1, 3), n_x=st.integers(1, 3),
 
 @st.composite
 def two_group_circuits(draw):
-    """Two random sub-circuits on disjoint, interleaved weight registers,
-    each ending in a gate that reads its whole register, joined by a head
-    gate that reads both of those, maybe more of their wires, and maybe an
-    input. Returns (circuit, bits of one group, bits of the other)."""
+    """Two random sub-circuits on disjoint weight registers, the low and the
+    high run of bits or interleaved, each ending in a gate that reads its
+    whole register, joined by a head gate that reads both of those, maybe
+    more of their wires, and maybe an input. Returns (circuit, bits of one
+    register, bits of the other)."""
     n_a, n_b, n_x = draw(st.integers(1, 4)), draw(st.integers(1, 4)), \
         draw(st.integers(1, 3))
-    perm = draw(st.permutations(range(n_a + n_b)))
+    perm = draw(st.one_of(st.just(range(n_a + n_b)),
+                          st.permutations(range(n_a + n_b))))
     regs = (sorted(perm[:n_a]), sorted(perm[n_a:]))
     xs = [f"x{j}" for j in range(n_x)]
     gates, tops, extra = [], [], []
@@ -328,8 +330,13 @@ class TestCorrectCounts:
     @settings(max_examples=150, deadline=None)
     @given(two_group_circuits(), st.data())
     def test_two_groups_match_per_weight_reference(self, case, data):
+        # a low and a high run are the groups; an interleaved split is not
         m, a, b = case
-        assert bc.weight_groups(m) == sorted([a, b])
+        low, high = sorted([a, b])
+        n = m.weight_width
+        assert bc.weight_groups(m) == ([low, high]
+                                       if low == tuple(range(len(low)))
+                                       else [tuple(range(n))])
         n_x = m.input_width
         xs = [index_to_bits(xi, n_x) for xi in data.draw(st.lists(
             st.integers(0, (1 << n_x) - 1), min_size=1, max_size=12))]
@@ -341,6 +348,15 @@ class TestCorrectCounts:
         with pytest.MonkeyPatch.context() as mp:  # one sample per chunk
             mp.setattr(bc, "_CHUNK_BOOLS", 1)
             assert bc.correct_counts(m, xs, ys).tolist() == want
+
+    def test_chunks_add_up(self, edge_bundle):
+        # every image 2**11 times: 2**20 rows in four chunks of 2**18
+        m, d = edge_bundle.model, edge_bundle.full
+        one = bc.correct_counts(m, d.x, d.y)
+        many = bc.correct_counts(m, np.repeat(d.x, 1 << 11, axis=0),
+                                 np.repeat(d.y, 1 << 11, axis=0))
+        assert len(d) << 11 == 1 << 20
+        assert np.array_equal(many, one << 11)
 
     def test_rejects_mismatched_rows(self):
         m = bc.edge_detection_model()

@@ -212,6 +212,18 @@ class TestDistribution:
         assert run("distribution", "--task", "edge", "--k", "4", "--shots",
                    "1", "--seed", "1", "--out", str(tmp_path / "o")) == 3
 
+    @pytest.mark.parametrize("flags, code", [
+        (["--k", "177"], 0),  # g = 4.26e15, below 2**52
+        (["--k", "178"], 3),  # g = 5.22e15, 2**52 or more
+        (["--branch-m", str(2 ** 51)], 3),  # g = 2**52 at theta = pi/4
+    ])
+    def test_plans_of_2_52_rounds_exit_three(self, tmp_path, capsys, flags,
+                                             code):
+        assert run("distribution", "--task", "toy", *flags,
+                   "--out", str(tmp_path / "o")) == code
+        if code == 3:
+            assert "g=" in capsys.readouterr().err
+
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(TASKS), st.integers(-2, 1100),
            st.sampled_from(["auto"] + [str(n) for n in range(21)]),
