@@ -20,6 +20,7 @@ before it becomes a float: small shares may underflow to 0, none overflow.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -41,8 +42,10 @@ AUTO_PAD_RESIDUAL_THRESHOLD = 0.9
 # candidates it scores and however many shots each takes
 _SHOT_BLOCK = 1 << 20
 
-# CSV writers build at most this many rows per byte block
-_CSV_BLOCK = 1 << 16
+# CSV writers build at most this many rows per byte block. It must be a
+# multiple of 10**4: blocks then start on multiples of 10**4, where the
+# index digits above the fourth change
+_CSV_BLOCK = 10 ** 4
 
 
 class DegenerateAngleError(ValueError):
@@ -375,51 +378,68 @@ def _fmt(v: float) -> str:
     return f"{v:.12g}"
 
 
-def _csv(head: str, tails: list[str], counts: np.ndarray) -> list[bytes]:
-    """`head`, then the row f"{i},{tails[counts[i]]}" for every weight i, as
-    a list of byte blocks of at most _CSV_BLOCK rows each.
+def _digit_table(d: int) -> np.ndarray:
+    """The zero-padded d-digit text of 0 .. 10**d - 1, as S{d} items, put
+    together from the ten digit bytes by broadcasting."""
+    digits = np.frombuffer(b"0123456789", dtype=np.uint8)
+    grid = np.empty((10,) * d + (d,), dtype=np.uint8)
+    for col in range(d):
+        grid[..., col] = digits.reshape((10,) + (1,) * (d - 1 - col))
+    return grid.view(f"S{d}").ravel()
+
+
+def _csv(head: str, tails: list[str], counts: np.ndarray
+         ) -> Iterator[bytes]:
+    """Yield `head`, then the row f"{i},{tails[counts[i]]}" for every weight
+    i, in byte blocks of at most _CSV_BLOCK rows.
 
     A row depends on its weight only through the weight's correct count, so
-    each tail is encoded once per count and NUL-padded to a common width.
-    A block is split where the index gains a digit (at 10**d), and each run
-    becomes a uint8 record matrix of fixed-width rows: the index's digits,
-    a comma, the padded tail. Dropping the NULs leaves the run's exact bytes.
-    Indices must fit in uint32.
+    each tail is encoded once per count, NUL-padded to a common width.
+    Blocks start at multiples of 10**4 and where the index gains a digit (at
+    10**d). So a d-digit index is its high d-4 digits, the same for each
+    10**4 rows of a block, then its low digits, the same for every block of
+    a run of d-digit indices. Each run gets one record buffer (high digits,
+    low digits, comma, tail), with the low digits and commas filled in once.
+    A block writes its high digits and gathered tails into the buffer, and
+    dropping the NULs leaves the block's bytes.
     """
-    enc = [t.encode() for t in tails]
-    width = max(map(len, enc))
-    padded = np.zeros((len(enc), width), dtype=np.uint8)
-    for c, tail in enumerate(enc):
-        padded[c, :len(tail)] = np.frombuffer(tail, dtype=np.uint8)
+    yield head.encode()
+    padded = np.array([t.encode() for t in tails])
     n = len(counts)
-    cuts = sorted({*range(0, n, _CSV_BLOCK), n,
-                   *(10 ** d for d in range(1, len(str(n))) if 10 ** d < n)})
-    blocks = [head.encode()]
-    for a, b in zip(cuts, cuts[1:]):
-        d = len(str(a))
-        rec = np.empty((b - a, d + 1 + width), dtype=np.uint8)
-        v = np.arange(a, b, dtype=np.uint32)
-        for col in range(d - 1, -1, -1):
-            v, rec[:, col] = np.divmod(v, 10)
-        rec[:, :d] += ord("0")
-        rec[:, d] = ord(",")
-        rec[:, d + 1:] = padded[counts[a:b]]
-        blocks.append(rec.tobytes().replace(b"\0", b""))
-    return blocks
+    for d in range(1, len(str(n)) + 1):
+        start, stop = 10 ** (d - 1) if d > 1 else 0, min(10 ** d, n)
+        if start >= stop:
+            break
+        hi = max(d - 4, 0)
+        rec = np.empty(min(_CSV_BLOCK, stop - start), dtype=[
+            ("hi", f"S{hi}"), ("lo", f"S{d - hi}"), ("sep", "S1"),
+            ("tail", padded.dtype)])
+        rec["lo"] = np.resize(_digit_table(d - hi)[start % 10 ** 4:],
+                              len(rec))
+        rec["sep"] = b","
+        for a in range(start, stop, _CSV_BLOCK):
+            b = min(a + _CSV_BLOCK, stop)
+            for h in range(a, b, 10 ** 4):  # an empty field below 10**4
+                rec["hi"][h - a:h - a + 10 ** 4] = str(h // 10 ** 4)
+            rec["tail"][:b - a] = padded[counts[a:b]]
+            yield rec[:b - a].tobytes().replace(b"\0", b"")
 
 
-def jtable_csv(t: AccuracyTable) -> list[bytes]:
+def jtable_csv(t: AccuracyTable) -> Iterator[bytes]:
+    """The table's rows as byte blocks, built as they are consumed."""
     n = float(t.n_samples)
     tails = [f"{c},{_fmt(c / n)}\n" for c in range(t.n_samples + 1)]
     return _csv("weight_index,correct_count,accuracy\n", tails, t.counts)
 
 
 def distribution_csv(dist: WeightDistribution,
-                     table: AccuracyTable) -> list[bytes]:
-    """The distribution with the table's normalized accuracy as jhat.
+                     table: AccuracyTable) -> Iterator[bytes]:
+    """The distribution with the table's normalized accuracy as jhat, as
+    byte blocks built as they are consumed.
 
     dist.p must depend on the weight only through its correct count in
-    `table`, as every evolved or uniform distribution does.
+    `table`, as every evolved or uniform distribution does. That is checked
+    here, before the first block is asked for.
     """
     counts = table.counts
     if len(dist.p) != len(counts):

@@ -4,24 +4,28 @@ Subcommands generate datasets, sweep exact accuracy tables, evolve and dump
 weight distributions, run shot-budget curves, cross-check the closed-form
 evolution against the statevector simulator, and evaluate the query-count
 calculators. Every run writes its CSV outputs plus a run_manifest.json
-(config snapshot, seed, version, output list, wall time, and for an
-amplified run the plan) into the output directory. With a fixed (config,
-seed) pair the CSV outputs are byte-identical across reruns.
+(config snapshot, seed, version, output list, wall time, seconds per stage,
+peak RSS, and for an amplified run the plan) into the output directory.
+With a fixed (config, seed) pair the CSV outputs are byte-identical across
+reruns.
 
 Configs can come from a flat key=value text file (--config PATH, '#' starts
 a comment, keys match flag names with '-' or '_'); each value is typed and
 checked by the flag it names, and explicit command-line flags override it.
 
-Exit codes: 0 success, 2 configuration error, 3 degenerate rotation angle
-(none usable, or one so small that the plan needs 2**52 rounds or more).
+Exit codes: 0 success, 2 configuration error (an output that cannot be
+written included), 3 degenerate rotation angle (none usable, or one so
+small that the plan needs 2**52 rounds or more).
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
+import resource
 import sys
 import time
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -130,10 +134,30 @@ def _parse_pad(text: str):
     return _int_at_least(0, "'auto' or an integer")(text)
 
 
-def _write(path: Path, data: str | list[bytes]) -> Path:
-    """Write text, or byte blocks one after another, to path."""
-    with open(path, "wb") as f:
-        f.writelines([data.encode()] if isinstance(data, str) else data)
+class _Stages:
+    """Seconds per stage of one command: calling it with a stage name
+    charges the time since the previous call to that stage, and returns
+    `value`, so `x = lap("table", make_table())` times make_table."""
+
+    def __init__(self):
+        self.seconds: dict[str, float] = {}
+        self._last = time.monotonic()
+
+    def __call__(self, stage: str, value=None):
+        now = time.monotonic()
+        self.seconds[stage] = self.seconds.get(stage, 0.0) + now - self._last
+        self._last = now
+        return value
+
+
+def _write(path: Path, data: str | Iterable[bytes]) -> Path:
+    """Write text, or byte blocks one after another as they are made, to
+    path."""
+    try:
+        with open(path, "wb") as f:
+            f.writelines([data.encode()] if isinstance(data, str) else data)
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e}") from e
     return path
 
 
@@ -147,7 +171,7 @@ def _int_text(n: int) -> str:
 
 
 def _write_manifest(out: Path, args, outputs: list[Path], t0: float,
-                    plan: am.GroverPlan | None) -> None:
+                    plan: am.GroverPlan | None, stages: _Stages) -> None:
     for p in outputs:
         if not p.exists() or p.stat().st_size == 0:
             raise RuntimeError(f"output {p} missing or empty")
@@ -160,6 +184,10 @@ def _write_manifest(out: Path, args, outputs: list[Path], t0: float,
         "version": __version__,
         "outputs": [p.name for p in outputs],
         "wall_time_s": round(time.monotonic() - t0, 3),
+        "stages": {k: round(v, 4) for k, v in stages.seconds.items()},
+        # ru_maxrss is in KiB on Linux
+        "peak_rss_mb": round(
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
     if plan is not None:
         manifest["plan"] = {
@@ -167,29 +195,32 @@ def _write_manifest(out: Path, args, outputs: list[Path], t0: float,
             "n_aux": plan.n_aux, "leakage_bound": plan.leakage_bound,
             "n_solutions": _int_text(plan.n_solutions),
             "n_states": _int_text(plan.n_states)}
-    (out / "run_manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write(out / "run_manifest.json",
+           json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-# Each command writes into `out` and returns (output paths, plan or None).
+# Each command writes into `out`, names its stages to `lap`, and returns
+# (output paths, plan or None).
 
-def cmd_gen_data(args, out: Path):
-    bundle = load_task(args.task, args.mnist_dir, split_seed=args.seed)
-    outputs = [
+def cmd_gen_data(args, out: Path, lap: _Stages):
+    bundle = lap("load", load_task(args.task, args.mnist_dir,
+                                   split_seed=args.seed))
+    outputs = lap("write", [
         _write(out / "dataset.csv", dataset_to_csv(bundle.full)),
         _write(out / "train.csv", dataset_to_csv(bundle.train)),
         _write(out / "test.csv", dataset_to_csv(bundle.test)),
-    ]
+    ])
     print(f"{args.task}: {len(bundle.full)} samples "
           f"({len(bundle.train)} train / {len(bundle.test)} test) -> {out}")
     return outputs, None
 
 
-def cmd_jtable(args, out: Path):
-    bundle = load_task(args.task, args.mnist_dir, split_seed=args.seed)
+def cmd_jtable(args, out: Path, lap: _Stages):
+    bundle = lap("load", load_task(args.task, args.mnist_dir,
+                                   split_seed=args.seed))
     d = getattr(bundle, args.split)  # one of --split's choices
-    table = am.accuracy_table(bundle.model, d)
-    outputs = [_write(out / "jtable.csv", am.jtable_csv(table))]
+    table = lap("table", am.accuracy_table(bundle.model, d))
+    outputs = lap("write", [_write(out / "jtable.csv", am.jtable_csv(table))])
     best = int(np.argmax(table.counts))
     print(f"{args.task}/{args.split}: {len(table.counts)} weights, "
           f"best weight {best} at accuracy "
@@ -197,31 +228,33 @@ def cmd_jtable(args, out: Path):
     return outputs, None
 
 
-def cmd_distribution(args, out: Path):
-    bundle = load_task(args.task, args.mnist_dir)
-    table = am.accuracy_table(bundle.model, bundle.full)
+def cmd_distribution(args, out: Path, lap: _Stages):
+    bundle = lap("load", load_task(args.task, args.mnist_dir))
+    table = lap("table", am.accuracy_table(bundle.model, bundle.full))
     rng = np.random.default_rng(args.seed)
-    plan = am.make_plan(table, args.k, pad=args.pad, m=args.branch_m,
-                        theta_shot_count=args.shots, rng=rng,
-                        use_sqrt=not args.strict_ratio_theta)
-    dist = am.evolve_distribution(table, plan)
-    outputs = [_write(out / "distribution.csv",
-                      am.distribution_csv(dist, table))]
+    plan = lap("plan", am.make_plan(table, args.k, pad=args.pad,
+                                    m=args.branch_m,
+                                    theta_shot_count=args.shots, rng=rng,
+                                    use_sqrt=not args.strict_ratio_theta))
+    dist = lap("evolve", am.evolve_distribution(table, plan))
+    outputs = lap("write", [_write(out / "distribution.csv",
+                                   am.distribution_csv(dist, table))])
     print(f"{args.task} k={plan.k}: n_aux={plan.n_aux} theta={plan.theta:.6g} "
           f"g={plan.g} residual={plan.residual:.6g} "
           f"leakage_bound={plan.leakage_bound:.3g} -> {out}")
     return outputs, plan
 
 
-def cmd_shots_curve(args, out: Path):
+def cmd_shots_curve(args, out: Path, lap: _Stages):
     budgets = args.budget
-    bundle = load_task(args.task, args.mnist_dir)
+    bundle = lap("load", load_task(args.task, args.mnist_dir))
     t_train = am.accuracy_table(bundle.model, bundle.train)
-    t_test = am.accuracy_table(bundle.model, bundle.test)
+    t_test = lap("table", am.accuracy_table(bundle.model, bundle.test))
     if args.method == "kpd":
-        plan = am.make_plan(t_train, args.k, pad=args.pad, m=args.branch_m,
-                            use_sqrt=not args.strict_ratio_theta)
-        dist = am.evolve_distribution(t_train, plan)
+        plan = lap("plan", am.make_plan(t_train, args.k, pad=args.pad,
+                                        m=args.branch_m,
+                                        use_sqrt=not args.strict_ratio_theta))
+        dist = lap("evolve", am.evolve_distribution(t_train, plan))
         label = f"kpd:{args.k}"
     else:
         plan = None
@@ -238,28 +271,31 @@ def cmd_shots_curve(args, out: Path):
         best = best[at_budget]
         train_acc[rep] = t_train.counts[best] / t_train.n_samples
         test_acc[rep] = t_test.counts[best] / t_test.n_samples
+        lap("search")
         if args.dump_traces:
-            outputs.append(_write(out / f"trace_rep{rep}.csv",
-                                  am.trace_csv(draws, estimates)))
+            trace = am.trace_csv(draws, estimates)
+            outputs.append(lap("write", _write(out / f"trace_rep{rep}.csv",
+                                               trace)))
     lines = ["budget,mean_train,std_train,mean_test,std_test"]
     for bi, b in enumerate(budgets):
         lines.append(
             f"{b},{train_acc[:, bi].mean():.12g},{train_acc[:, bi].std():.12g},"
             f"{test_acc[:, bi].mean():.12g},{test_acc[:, bi].std():.12g}")
     outputs.insert(0, _write(out / "shots_curve.csv", "\n".join(lines) + "\n"))
+    lap("write")
     print(f"{args.task} {label}: budgets {budgets} x {args.runs} runs -> {out}")
     return outputs, plan
 
 
-def cmd_verify_oracle(args, out: Path):
+def cmd_verify_oracle(args, out: Path, lap: _Stages):
     report = ["closed-form evolution vs statevector simulation"]
     outputs = []
     worst = 0.0
     for idx, name in enumerate(("toy", "simplified-ed")):
-        bundle = load_task(name)
-        table = am.accuracy_table(bundle.model, bundle.train)
-        plan = am.make_plan(table, 1)
-        predicted = am.evolve_distribution(table, plan).p
+        bundle = lap("load", load_task(name))
+        table = lap("table", am.accuracy_table(bundle.model, bundle.train))
+        plan = lap("plan", am.make_plan(table, 1))
+        predicted = lap("evolve", am.evolve_distribution(table, plan).p)
         marginal, state, layout = sv.grover_run(
             bundle.model, bundle.train, plan.k, plan.g, plan.n_aux,
             return_state=True)
@@ -268,24 +304,25 @@ def cmd_verify_oracle(args, out: Path):
         drift = abs(state.norm() - 1.0)
         rng = np.random.default_rng([args.seed, idx])
         measured = state.measure_register(layout.weight, rng)
+        lap("simulate")
         report.append(
             f"instance={name} n_qubits={layout.n_qubits} k={plan.k} "
             f"n_aux={plan.n_aux} theta={plan.theta:.12g} g={plan.g} "
             f"residual={plan.residual:.12g} max_deviation={dev:.3e} "
             f"norm_drift={drift:.3e} measured_weight={measured}")
         if args.dump_statevector:
-            outputs.append(_write(out / f"statevector_{name}.csv",
-                                  sv.statevector_csv(state)))
+            outputs.append(lap("write", _write(out / f"statevector_{name}.csv",
+                                               sv.statevector_csv(state))))
     text = "\n".join(report) + "\n"
-    outputs.insert(0, _write(out / "verify_oracle.txt", text))
+    outputs.insert(0, lap("write", _write(out / "verify_oracle.txt", text)))
     print(text, end="")
     print(f"worst deviation {worst:.3e} -> {out}")
     return outputs, None
 
 
-def cmd_theory(args, out: Path):
-    bundle = load_task(args.task, args.mnist_dir)
-    table = am.accuracy_table(bundle.model, bundle.full)
+def cmd_theory(args, out: Path, lap: _Stages):
+    bundle = lap("load", load_task(args.task, args.mnist_dir))
+    table = lap("table", am.accuracy_table(bundle.model, bundle.full))
     C = float(bundle.full.class_count)
     rows = []
     for eps in args.epsilons:
@@ -302,7 +339,8 @@ def cmd_theory(args, out: Path):
               f"k_star={k_star} condition_holds={holds}")
         rows += [(eps, alpha, beta, C, k, th.queries_kpd(alpha, beta, C, k),
                   k_star) for k in range(1, args.k_max + 1)]
-    outputs = [_write(out / "theory.csv", th.theory_csv(rows))]
+    lap("bounds")
+    outputs = lap("write", [_write(out / "theory.csv", th.theory_csv(rows))])
     print(f"{args.task}: C={C:g}, {len(rows)} rows -> {out}")
     return outputs, None
 
@@ -421,8 +459,9 @@ def main(argv=None) -> int:
         except OSError as e:
             raise ConfigError(
                 f"cannot create output directory {out}: {e}") from e
-        outputs, plan = args.func(args, out)
-        _write_manifest(out, args, outputs, t0, plan)
+        stages = _Stages()
+        outputs, plan = args.func(args, out, stages)
+        _write_manifest(out, args, outputs, t0, plan, stages)
         return 0
     except am.DegenerateAngleError as e:
         print(f"degenerate angle: {e}", file=sys.stderr)

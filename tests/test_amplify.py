@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -572,7 +573,7 @@ def reference_search(dist, t, m_meas, rng, eval_shots):
 
 
 def text(blocks):
-    """The text a writer's byte blocks make up."""
+    """The text a writer's byte blocks make up (consumes an iterator)."""
     return b"".join(blocks).decode()
 
 
@@ -634,6 +635,8 @@ class TestCsvEmission:
         assert out.splitlines()[2] == "1,0.5,1,0,1,0.875"
 
     def test_distribution_needs_a_matching_table(self):
+        # the call itself raises, before any block is asked for, so the
+        # CLI refuses before it opens the file
         dist = am.WeightDistribution(np.array([0.25, 0.75]), 1, 0, 1.0)
         with pytest.raises(ValueError):  # p differs between equal counts
             am.distribution_csv(dist, table_from_counts([2, 2], 3))
@@ -655,7 +658,7 @@ class TestCsvEmission:
             ) is None
 
     def test_writers_match_reference_across_join_blocks(self):
-        assert am._CSV_BLOCK < 1 << 17
+        assert am._CSV_BLOCK < 1 << 17 and am._CSV_BLOCK % 10 ** 4 == 0
         rng = np.random.default_rng(4)
         t = table_from_counts(rng.integers(0, 300, 1 << 17), 299)
         assert first_difference(text(am.jtable_csv(t)),
@@ -675,10 +678,12 @@ class TestCsvEmission:
         return counts, tails, per_row_csv(tails, counts)
 
     @pytest.mark.parametrize("block, n_rows", [
-        (None, None),      # the writers' own block size, all rows
-        (1000, None),      # blocks start exactly at 10**3 .. 10**6
-        (10, 100_003),     # every block boundary on a multiple of ten
-        (7, 20_011),       # 10**d falls inside a block, runs split there
+        (None, None),          # the writers' own block size, all rows
+        (None, 10 ** 4 - 1),   # the last index has four digits
+        (None, 10 ** 4 + 1),   # one five-digit block of two rows
+        (100_000, None),       # blocks start exactly at 10**5 and 10**6
+        (30_000, 100_003),     # 10**5 falls inside a block, runs split there
+        (20_000, 50_001),      # the last block of a run holds one row
     ])
     def test_records_match_per_row_reference(self, monkeypatch, long_rows,
                                              block, n_rows):
@@ -688,14 +693,29 @@ class TestCsvEmission:
             want = per_row_csv(tails, counts)
         if block is not None:
             monkeypatch.setattr(am, "_CSV_BLOCK", block)
-        blocks = am._csv("head\n", tails, counts)
+        blocks = list(am._csv("head\n", tails, counts))
         assert first_difference(text(blocks), want) is None
         rows = [b.count(b"\n") for b in blocks[1:]]
         assert sum(rows) == len(counts)
         assert max(rows) <= am._CSV_BLOCK
-        for b in blocks[1:]:  # one index width per run
+        for b in blocks[1:]:  # one index width per block
             widths = {len(r.split(b",")[0]) for r in b.splitlines()}
             assert len(widths) == 1
+
+    def test_blocks_are_made_as_they_are_consumed(self):
+        # 2^20 rows, 66 MB of text: a list of the blocks would hold it
+        # all at once
+        rng = np.random.default_rng(5)
+        t = table_from_counts(rng.integers(0, 1201, 1 << 20), 1200)
+        dist = am.evolve_distribution(t, am.make_plan(t, 8))
+        tracemalloc.start()
+        try:
+            n_bytes = sum(len(b) for b in am.distribution_csv(dist, t))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n_bytes > 50 << 20
+        assert peak < 16 << 20, f"peak {peak / 2 ** 20:.1f} MB"
 
     def test_trace_layout(self):
         out = am.trace_csv(np.array([5, 2]), np.array([0.5, 1.0]))

@@ -1,5 +1,6 @@
 import argparse
 import gzip
+import hashlib
 import json
 import math
 import os
@@ -537,6 +538,15 @@ class TestOutputDirectory:
         assert capsys.readouterr().err.startswith(
             "config error: cannot create output directory")
 
+    @pytest.mark.parametrize("blocked", ["jtable.csv", "run_manifest.json"])
+    def test_unwritable_output_file_exits_two(self, tmp_path, capsys,
+                                              blocked):
+        out = tmp_path / "D"
+        (out / blocked).mkdir(parents=True)
+        assert run("jtable", "--task", "toy", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write {out / blocked}")
+
     def test_rejected_flag_creates_no_directory(self, tmp_path):
         out = tmp_path / "D"
         for argv in (["distribution", "--k", "0"],
@@ -552,6 +562,51 @@ class TestOutputDirectory:
         assert run("gen-data", "--task", "toy") == 0
         assert read_manifest(tmp_path / "runs" / "gen-data")["command"] == \
             "gen-data"
+
+
+class TestManifestStages:
+    @pytest.mark.parametrize("argv, stages", [
+        (["gen-data", "--task", "toy"], {"load", "write"}),
+        (["jtable", "--task", "edge"], {"load", "table", "write"}),
+        (["distribution", "--task", "edge", "--k", "4"],
+         {"load", "table", "plan", "evolve", "write"}),
+        (["shots-curve", "--task", "edge", "--k", "4", "--dump-traces"],
+         {"load", "table", "plan", "evolve", "search", "write"}),
+        (["shots-curve", "--task", "edge", "--method", "urs"],
+         {"load", "table", "search", "write"}),
+        (["verify-oracle"],
+         {"load", "table", "plan", "evolve", "simulate", "write"}),
+        (["theory", "--task", "edge"], {"load", "table", "bounds", "write"}),
+    ], ids=["gen-data", "jtable", "distribution", "shots-curve-kpd",
+            "shots-curve-urs", "verify-oracle", "theory"])
+    def test_stage_seconds_and_peak_memory(self, tmp_path, argv, stages):
+        out = tmp_path / "o"
+        assert run(*argv, "--out", str(out)) == 0
+        man = read_manifest(out)
+        assert set(man["stages"]) == stages
+        assert all(v >= 0 for v in man["stages"].values())
+        assert sum(man["stages"].values()) <= man["wall_time_s"] + 1e-3
+        assert man["peak_rss_mb"] > 0
+
+
+class TestLargeOutputsPinned:
+    """sha256 of the 2^20-row CSVs of synthetic tiny-mnist, recorded before
+    the writers streamed their blocks; any byte that moves shows here."""
+
+    JTABLE = "c77d864049744d1d577e9823abf5bb5e73555000d0dcd80fa2676c1fb67fa75f"
+    DISTRIBUTION = \
+        "eb5c282fc3a41dd4a15c4e26910d032be12f43b8d0b1f1c5b6f3610fd2c8a67f"
+
+    def test_jtable_and_distribution_k8(self, tmp_path):
+        idx = make_synthetic_idx_dir(tmp_path / "idx")
+        common = ["--task", "tiny-mnist", "--mnist-dir", str(idx)]
+        assert run("jtable", *common, "--out", str(tmp_path / "j")) == 0
+        assert run("distribution", "--k", "8", *common,
+                   "--out", str(tmp_path / "d")) == 0
+        for path, want in ((tmp_path / "j" / "jtable.csv", self.JTABLE),
+                           (tmp_path / "d" / "distribution.csv",
+                            self.DISTRIBUTION)):
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == want
 
 
 class TestConsoleEntry:
