@@ -11,7 +11,9 @@ Modules:
               closed-form evolved weight distribution, and the one search
               kernel (sample, score exactly or by shots, best so far).
     statevec  Statevector simulation of the same pipeline, stored on the
-              basis states it can reach.
+              basis states it can reach with real amplitudes: model gates
+              on each copy's slice, the oracle as one cached sign, the
+              reflection as inversion about the mean.
     theory    Query-count calculators and the best-parallel-copies rule
               with its brute-force validator.
     tasks     Named model+dataset bundles with fixed splits.
@@ -30,8 +32,8 @@ from .boolcirc import (Gate, GateList, ModelCircuit, RGate, compile_circuit,
                        simplified_ed_model, tiny_mnist_model, toy_xor_model)
 from .datasets import (Dataset, gen_edge_detection, gen_simplified_ed,
                        make_tiny_mnist, parse_idx, split, write_idx)
-from .statevec import (QuantumState, apply_diffusion, apply_oracle,
-                       grover_run, prepare_initial)
+from .statevec import (QuantumState, grover_run, oracle_sign,
+                       prepare_initial, reflect)
 from .tasks import TaskBundle, load_task
 from .theory import (alpha_beta, brute_force_optimal_k, epsilon_optimal_set,
                      optimal_k, queries_1pd, queries_kpd)

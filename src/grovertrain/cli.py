@@ -303,7 +303,7 @@ def cmd_verify_oracle(args, out: Path, lap: _Stages):
         worst = max(worst, dev)
         drift = abs(state.norm() - 1.0)
         rng = np.random.default_rng([args.seed, idx])
-        measured = state.measure_register(layout.weight, rng)
+        measured = int(rng.choice(len(marginal), p=marginal / marginal.sum()))
         lap("simulate")
         report.append(
             f"instance={name} n_qubits={layout.n_qubits} k={plan.k} "

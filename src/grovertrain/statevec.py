@@ -9,8 +9,12 @@ Its weight marginal is the ground truth the closed-form evolution in
 `amplify` is checked against. Every gate is an X, CNOT or multi-controlled X
 and only permutes basis states, so the state never leaves the
 2^d_w * (N + n_aux)^k basis states of |Psi_0>. It is stored on those alone:
-an int64 basis index and a complex128 amplitude each (at most 2^26 of them,
-on at most 62 qubits).
+an int64 basis index and a float64 amplitude each (at most 2^26 of them,
+on at most 62 qubits). Copy j's model gates run on copy j's
+2^d_w * (N + n_aux) slice only. The comparator gates undo themselves, so the
+oracle is one sign per basis state, found once per run. |Psi_0> is uniform
+and real on the support, so the reflection about it is inversion about the
+mean, 2 * mean(amps) - amps (Grover, quant-ph/9605043).
 
 Qubit convention: qubit q is bit q of the basis index (LSB first). The global
 layout puts the weight register at the lowest qubits, so the weight marginal
@@ -64,25 +68,28 @@ def _bit_mask(qubits) -> int:
 
 class QuantumState:
     """State over n_qubits stored on its support: basis index idx[i] (int64)
-    carries amplitude amps[i] (complex128); every other amplitude is zero."""
+    carries the real amplitude amps[i] (float64); every other amplitude is
+    zero."""
 
     def __init__(self, n_qubits: int, idx, amps):
         if n_qubits < 1 or n_qubits > MAX_QUBITS:
             raise ValueError(f"qubit count must lie in [1, {MAX_QUBITS}]")
+        if np.iscomplexobj(amps):
+            raise ValueError("amplitudes must be real")
         self.n_qubits = n_qubits
         self.idx = np.asarray(idx, dtype=np.int64)
-        self.amps = np.asarray(amps, dtype=np.complex128)
+        self.amps = np.asarray(amps, dtype=np.float64)
         if self.idx.shape != self.amps.shape or self.idx.ndim != 1:
             raise ValueError("index and amplitude arrays differ in length")
 
     def dense(self) -> np.ndarray:
         """The full 2**n_qubits amplitude vector (for small states)."""
-        out = np.zeros(1 << self.n_qubits, dtype=np.complex128)
+        out = np.zeros(1 << self.n_qubits)
         out[self.idx] = self.amps
         return out
 
     def norm(self) -> float:
-        return float(np.sqrt((np.abs(self.amps) ** 2).sum()))
+        return float(np.sqrt((self.amps ** 2).sum()))
 
     def apply_gates(self, gates) -> None:
         """Flip each gate's target on basis states where all its controls
@@ -91,24 +98,13 @@ class QuantumState:
             m = _bit_mask(g.controls)
             self.idx ^= ((self.idx & m) == m) << g.target
 
-    def apply_phase_flip(self, qubits) -> None:
-        """Multiply by -1 every basis state with all `qubits` at 1."""
-        m = _bit_mask(qubits)
-        self.amps[(self.idx & m) == m] *= -1.0
-
     def marginal(self, qubits) -> np.ndarray:
         """Probability distribution over a register (its bit 0 first)."""
         sub = np.zeros(len(self.idx), dtype=np.int64)
         for pos, q in enumerate(qubits):
             sub |= ((self.idx >> q) & 1) << pos
-        return np.bincount(sub, weights=np.abs(self.amps) ** 2,
+        return np.bincount(sub, weights=self.amps ** 2,
                            minlength=1 << len(qubits))
-
-    def measure_register(self, qubits, rng: np.random.Generator) -> int:
-        """One Born-rule measurement outcome for the given register."""
-        p = self.marginal(qubits)
-        p = p / p.sum()
-        return int(rng.choice(len(p), p=p))
 
 
 def build_layout(model: ModelCircuit, k: int, n_aux: int,
@@ -135,12 +131,11 @@ def build_layout(model: ModelCircuit, k: int, n_aux: int,
     return SystemLayout(weight, tuple(full), anc, q)
 
 
-def _copy_register_vector(d: Dataset, n_aux: int
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Nonzero amplitudes of one data copy, by ascending basis index: real
-    samples |x, y, flag=1> plus n_aux distinct padded basis states
-    |p, flag=0>, all at equal weight. Padded index p fills the x, y bits
-    first and carries its higher bits on the padding qubits above the flag."""
+def _copy_register_states(d: Dataset, n_aux: int) -> np.ndarray:
+    """Basis states of one data copy, ascending: real samples |x, y, flag=1>
+    plus n_aux distinct padded states |p, flag=0>, all at equal amplitude.
+    Padded index p fills the x, y bits first and carries its higher bits on
+    the padding qubits above the flag."""
     data_width = d.d_x + d.d_y
     flag_bit = 1 << data_width if n_aux > 0 else 0
     real = np.hstack([d.x, d.y]) @ (1 << np.arange(data_width)) | flag_bit
@@ -150,21 +145,18 @@ def _copy_register_vector(d: Dataset, n_aux: int
     if np.any(idx[1:] == idx[:-1]):
         # two equal samples would share one basis state and break the norm
         raise ValueError("dataset repeats a sample")
-    return idx, np.full(len(idx), 1.0 / math.sqrt(len(idx)),
-                        dtype=np.complex128)
+    return idx
 
 
 def prepare_initial(model: ModelCircuit, d: Dataset, k: int, n_aux: int = 0
                     ) -> tuple[QuantumState, SystemLayout]:
     """|Psi_0>: uniform weights, k dataset superpositions, predictions written.
 
-    Builds the product state on its support, one copy at a time: the copy's
-    nonzero basis states are broadcast against the registers below it (so
-    the weight register varies fastest, as with Kronecker products), then
-    the compiled model runs on that copy with weight, input, output, and
-    ancilla qubits remapped into place. The model leaves later copies'
-    registers alone, so running it before they exist saves work and changes
-    nothing.
+    Each copy's compiled model, its qubits remapped into place, runs on that
+    copy's slice: the copy's basis states against every weight. The model
+    leaves weights and ancillas as it found them, so the slice is
+    OR-broadcast against the registers below it, weight by weight (so the
+    weight register varies fastest, as with Kronecker products).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -180,71 +172,61 @@ def prepare_initial(model: ModelCircuit, d: Dataset, k: int, n_aux: int = 0
     if layout.n_qubits > MAX_QUBITS:
         raise ValueError(
             f"system needs {layout.n_qubits} qubits, cap is {MAX_QUBITS}")
-    copy_idx, copy_amps = _copy_register_vector(d, n_aux)
-    support = (1 << model.weight_width) * len(copy_idx) ** k
-    if support > MAX_SUPPORT:
-        raise ValueError(f"system has {support} basis states in its support, "
-                         f"cap is {MAX_SUPPORT}")
-    n_w = 1 << model.weight_width
-    state = QuantumState(layout.n_qubits, np.arange(n_w),
-                         np.full(n_w, 1.0 / math.sqrt(n_w)))
+    copy_idx = _copy_register_states(d, n_aux)
+    n_w, m = 1 << model.weight_width, len(copy_idx)
+    if n_w * m ** k > MAX_SUPPORT:
+        raise ValueError(f"system has {n_w * m ** k} basis states in its "
+                         f"support, cap is {MAX_SUPPORT}")
+    w = np.arange(n_w)
+    idx, amp = w, 1.0 / math.sqrt(n_w)
     for copy in layout.copies:
-        state.idx = ((copy_idx[:, None] << copy.x[0]) | state.idx).ravel()
-        state.amps = (copy_amps[:, None] * state.amps).ravel()
+        part = QuantumState(layout.n_qubits,
+                            ((copy_idx[:, None] << copy.x[0]) | w).ravel(),
+                            np.full(m * n_w, amp / math.sqrt(m)))
         # gate-list qubits are weights, inputs, outputs, then ancillas
-        state.apply_gates(gl.remap(layout.weight + copy.x + copy.out
-                                   + layout.anc).gates)
-    return state, layout
+        part.apply_gates(gl.remap(layout.weight + copy.x + copy.out
+                                  + layout.anc).gates)
+        idx = (part.idx.reshape(m, 1, n_w) | idx.reshape(-1, n_w)).ravel()
+        amp = (1.0 / math.sqrt(m)) * amp
+    return QuantumState(layout.n_qubits, idx, np.full(len(idx), amp)), layout
 
 
-def _comparator_gates(copy: CopyRegisters) -> list[RGate]:
-    """In-place equality bits: out_b <- 1 iff out_b == y_b (self-inverse
-    sequence: CNOT then X per bit)."""
-    gates = []
-    for yq, oq in zip(copy.y, copy.out):
-        gates.append(RGate((yq,), oq))
-        gates.append(RGate((), oq))
-    return gates
-
-
-def apply_oracle(state: QuantumState, layout: SystemLayout) -> None:
-    """Phase-flip basis states where every copy is a real sample whose
-    prediction equals its label. Padded states (flag 0) are never flipped."""
+def oracle_sign(state: QuantumState, layout: SystemLayout) -> np.ndarray:
+    """The phase oracle's diagonal on the support: -1.0 where every copy is
+    a real sample whose prediction equals its label, else 1.0. Padded states
+    (flag 0) are never marked. The comparator gates run on a copy of the
+    indices, so `state` is left untouched."""
+    marked = QuantumState(state.n_qubits, state.idx.copy(), state.amps)
     controls = []
-    forward = []
     for copy in layout.copies:
-        forward.extend(_comparator_gates(copy))
-        controls.extend(copy.out)
-        if copy.flag is not None:
-            controls.append(copy.flag)
-    state.apply_gates(forward)
-    state.apply_phase_flip(controls)
-    state.apply_gates(reversed(forward))
+        for yq, oq in zip(copy.y, copy.out):  # out_b <- 1 iff out_b == y_b
+            marked.apply_gates([RGate((yq,), oq), RGate((), oq)])
+        controls += copy.out + (() if copy.flag is None else (copy.flag,))
+    m = _bit_mask(controls)
+    return np.where((marked.idx & m) == m, -1.0, 1.0)
 
 
-def apply_diffusion(state: QuantumState, psi0: np.ndarray) -> None:
-    """Reflect about the prepared state: psi <- 2 <psi0|psi> psi0 - psi.
-    Each oracle ends with its gates reversed, so state.idx is back in its
-    prepared order and psi0 lines up with state.amps."""
-    overlap = np.vdot(psi0, state.amps)
-    state.amps = 2.0 * overlap * psi0 - state.amps
+def reflect(state: QuantumState) -> None:
+    """Reflect about |Psi_0>, uniform and real on the support: each
+    amplitude becomes 2 * mean(amps) - amps."""
+    np.subtract(2.0 * state.amps.mean(), state.amps, out=state.amps)
 
 
 def grover_run(model: ModelCircuit, d: Dataset, k: int, g: int,
                n_aux: int = 0, return_state: bool = False):
     """Run g amplification rounds and return the weight-register marginal.
 
-    Each round is the phase oracle followed by reflection about the prepared
-    state. With return_state=True the (marginal, state, layout) triple comes
-    back for inspection or measurement.
+    Each round is the phase oracle, one multiplication by the sign found
+    once, followed by the reflection about |Psi_0>. With return_state=True
+    the (marginal, state, layout) triple comes back for inspection.
     """
     if g < 0:
         raise ValueError("iteration count must be >= 0")
     state, layout = prepare_initial(model, d, k, n_aux)
-    psi0 = state.amps.copy()
+    sign = oracle_sign(state, layout)
     for _ in range(g):
-        apply_oracle(state, layout)
-        apply_diffusion(state, psi0)
+        state.amps *= sign
+        reflect(state)
     marginal = state.marginal(layout.weight)
     if return_state:
         return marginal, state, layout
@@ -252,8 +234,9 @@ def grover_run(model: ModelCircuit, d: Dataset, k: int, g: int,
 
 
 def statevector_csv(state: QuantumState) -> str:
-    """CSV dump of the amplitudes: basis_index,re,im (12 significant digits)."""
+    """CSV dump of the amplitudes: basis_index,re,im (12 significant digits;
+    im is 0, every amplitude being real)."""
     lines = ["basis_index,re,im"]
     for i, a in enumerate(state.dense()):
-        lines.append(f"{i},{a.real:.12g},{a.imag:.12g}")
+        lines.append(f"{i},{a:.12g},0")
     return "\n".join(lines) + "\n"

@@ -320,11 +320,10 @@ def test_criterion_8(tmp_path):
     # Reflection applied twice is the identity (<= 1e-12).
     plan = am.make_plan(am.accuracy_table(toy.model, toy.train), 1)
     state, layout = sv.prepare_initial(toy.model, toy.train, 1, plan.n_aux)
-    psi0 = state.amps.copy()
-    sv.apply_oracle(state, layout)
+    state.amps *= sv.oracle_sign(state, layout)
     before = state.amps.copy()
-    sv.apply_diffusion(state, psi0)
-    sv.apply_diffusion(state, psi0)
+    sv.reflect(state)
+    sv.reflect(state)
     invol = float(np.max(np.abs(state.amps - before)))
     if invol > 1e-12:
         problems.append(f"double reflection deviates {invol:.2e}")

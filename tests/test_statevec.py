@@ -14,13 +14,55 @@ from grovertrain import tasks
 
 def from_dense(n_qubits, amps):
     """State holding the nonzero entries of a full amplitude vector."""
-    amps = np.asarray(amps, dtype=np.complex128)
+    amps = np.asarray(amps, dtype=np.float64)
     idx = np.flatnonzero(amps)
     return sv.QuantumState(n_qubits, idx, amps[idx])
 
 
 def basis_state(n_qubits, index):
     return sv.QuantumState(n_qubits, [index], [1.0])
+
+
+def draw(p, rng):
+    """One Born-rule outcome from a marginal, drawn as verify-oracle does."""
+    return int(rng.choice(len(p), p=p / p.sum()))
+
+
+def flip_bits(idx, gates):
+    """Full-support gate action, written out apart from the engine's."""
+    for g in gates:
+        m = sum(1 << q for q in g.controls)
+        idx ^= ((idx & m) == m) << g.target
+
+
+def reference_run(model, d, k, g, n_aux):
+    """The full-support gate path the engine must reproduce: each copy's
+    model gates over the whole support, then per round the comparator gates,
+    the phase flip and their undoing, and the complex reflection about the
+    stored |Psi_0>. Returns (prepared idx, prepared amps, final amps)."""
+    gl = bc.compile_circuit(model)
+    lay = sv.build_layout(model, k, n_aux, gl.n_anc)
+    states = sv._copy_register_states(d, n_aux)
+    copy_amps = np.full(len(states), 1 / math.sqrt(len(states)), complex)
+    n_w = 1 << model.weight_width
+    idx = np.arange(n_w)
+    amps = np.full(n_w, 1 / math.sqrt(n_w), dtype=np.complex128)
+    for copy in lay.copies:
+        idx = ((states[:, None] << copy.x[0]) | idx).ravel()
+        amps = (copy_amps[:, None] * amps).ravel()
+        flip_bits(idx, gl.remap(lay.weight + copy.x + copy.out
+                                + lay.anc).gates)
+    prepared, psi0 = idx.copy(), amps.copy()
+    comparator = [bc.RGate(c, o) for copy in lay.copies
+                  for y, o in zip(copy.y, copy.out) for c in ((y,), ())]
+    m = sum(1 << q for copy in lay.copies
+            for q in copy.out + (() if copy.flag is None else (copy.flag,)))
+    for _ in range(g):
+        flip_bits(idx, comparator)
+        amps[(idx & m) == m] *= -1.0
+        flip_bits(idx, reversed(comparator))
+        amps = 2.0 * np.vdot(psi0, amps) * psi0 - amps
+    return prepared, psi0, amps
 
 
 def decode_task():
@@ -47,7 +89,12 @@ class TestQuantumState:
         s = sv.QuantumState(3, [0], [1.0])
         assert s.dense()[0] == 1.0 and np.count_nonzero(s.dense()) == 1
         with pytest.raises(ValueError):
-            sv.QuantumState(2, [0, 1], np.ones(3, dtype=np.complex128))
+            sv.QuantumState(2, [0, 1], np.ones(3))
+
+    def test_complex_amplitudes_rejected(self):
+        for amps in ([0.5j], np.ones(1, dtype=np.complex128)):
+            with pytest.raises(ValueError, match="amplitudes must be real"):
+                sv.QuantumState(1, [0], amps)
 
     def test_gates_act_like_classical_bit_flips(self):
         gates = [bc.RGate((), 2), bc.RGate((0,), 1), bc.RGate((0, 2), 3),
@@ -64,12 +111,14 @@ class TestQuantumState:
             assert np.count_nonzero(s.dense()) == 1
 
     def test_phase_flip_targets_exactly_matching_states(self):
-        amps = np.full(8, 1 / math.sqrt(8), dtype=np.complex128)
-        s = from_dense(3, amps)
-        s.apply_phase_flip((0, 2))
-        for i in range(8):
-            flipped = (i & 1) and (i >> 2) & 1
-            assert s.dense()[i] == (-amps[i] if flipped else amps[i])
+        # one copy: label on qubit 0, prediction on qubit 1, flag on qubit 2
+        lay = sv.SystemLayout((), (sv.CopyRegisters((), (0,), 2, (1,)),),
+                              (), 3)
+        s = from_dense(3, np.full(8, 1 / math.sqrt(8)))
+        sign = sv.oracle_sign(s, lay)
+        for i, got in zip(s.idx, sign):
+            marked = (i & 1) == (i >> 1) & 1 and (i >> 2) & 1
+            assert got == (-1.0 if marked else 1.0)
 
     def test_marginal_orders_bits_low_first(self):
         s = basis_state(3, 0b010)
@@ -79,7 +128,7 @@ class TestQuantumState:
 
     def test_weight_marginal_matches_generic_marginal(self):
         rng = np.random.default_rng(0)
-        amps = rng.normal(size=32) + 1j * rng.normal(size=32)
+        amps = rng.normal(size=32)
         amps /= np.linalg.norm(amps)
         s = from_dense(5, amps)
         by_reshape = (np.abs(amps) ** 2).reshape(-1, 4).sum(axis=0)
@@ -87,12 +136,12 @@ class TestQuantumState:
 
     def test_measurement_is_deterministic_on_basis_states(self):
         s = basis_state(3, 0b101)
-        assert s.measure_register([0, 1, 2], np.random.default_rng(0)) == 5
-        assert s.measure_register([2], np.random.default_rng(1)) == 1
+        assert draw(s.marginal([0, 1, 2]), np.random.default_rng(0)) == 5
+        assert draw(s.marginal([2]), np.random.default_rng(1)) == 1
 
     def test_gates_preserve_norm(self):
         rng = np.random.default_rng(1)
-        amps = rng.normal(size=16) + 1j * rng.normal(size=16)
+        amps = rng.normal(size=16)
         amps /= np.linalg.norm(amps)
         s = from_dense(4, amps)
         s.apply_gates([bc.RGate((0,), 3), bc.RGate((1, 2), 0),
@@ -106,12 +155,10 @@ class TestHandRolledSearch:
         # exactly 121/128
         n = 3
         marked = 5
-        amps = np.full(8, 1 / math.sqrt(8), dtype=np.complex128)
-        state = from_dense(n, amps)
-        psi0 = state.amps.copy()
+        state = from_dense(n, np.full(8, 1 / math.sqrt(8)))
         for _ in range(2):
             state.amps[state.idx == marked] *= -1.0
-            sv.apply_diffusion(state, psi0)
+            sv.reflect(state)
         p = np.abs(state.dense()) ** 2
         assert p[marked] == pytest.approx(121 / 128, abs=1e-12)
 
@@ -231,60 +278,71 @@ class TestOracles:
     def test_exact_match_phase_pattern(self, toy_bundle):
         model, d = toy_bundle.model, toy_bundle.full
         state, lay = sv.prepare_initial(model, d, k=1)
-        before = state.dense()
-        sv.apply_oracle(state, lay)
-        after = state.dense()
         copy = lay.copies[0]
-        for idx in np.flatnonzero(np.abs(before) > 1e-14):
+        for idx, sign in zip(state.idx, sv.oracle_sign(state, lay)):
             y = (idx >> copy.y[0]) & 1
             out = (idx >> copy.out[0]) & 1
-            sign = -1.0 if y == out else 1.0
-            assert after[idx] == pytest.approx(sign * before[idx], abs=1e-14)
+            assert sign == (-1.0 if y == out else 1.0)
 
     def test_padded_states_never_flip(self, toy_bundle):
         model, d = toy_bundle.model, toy_bundle.full
         state, lay = sv.prepare_initial(model, d, k=1, n_aux=2)
-        before = state.dense()
-        sv.apply_oracle(state, lay)
-        after = state.dense()
-        flag = lay.copies[0].flag
-        for idx in np.flatnonzero(np.abs(before) > 1e-14):
-            if not (idx >> flag) & 1:
-                assert after[idx] == before[idx]
+        sign = sv.oracle_sign(state, lay)
+        padded = (state.idx >> lay.copies[0].flag) & 1 == 0
+        assert padded.sum() == 2 * 2 and np.all(sign[padded] == 1.0)
 
     def test_oracle_applied_twice_is_identity(self, toy_bundle):
         model, d = toy_bundle.model, toy_bundle.full
         state, lay = sv.prepare_initial(model, d, k=2, n_aux=1)
-        before = state.dense()
-        sv.apply_oracle(state, lay)
-        sv.apply_oracle(state, lay)
-        assert np.allclose(state.dense(), before, atol=1e-13)
+        idx, amps = state.idx.copy(), state.amps.copy()
+        sign = sv.oracle_sign(state, lay)
+        assert set(sign.tolist()) == {-1.0, 1.0}
+        assert np.array_equal(sign * sign, np.ones(len(idx)))
+        assert np.array_equal(state.idx, idx)
+        assert np.array_equal(state.amps, amps)
 
     def test_decode_phase_pattern(self):
         model, d = decode_task()
         state, lay = sv.prepare_initial(model, d, k=1)
-        before = state.dense()
-        sv.apply_oracle(state, lay)
-        after = state.dense()
         copy = lay.copies[0]
-        for idx in np.flatnonzero(np.abs(before) > 1e-14):
+        for idx, sign in zip(state.idx, sv.oracle_sign(state, lay)):
             y = tuple((idx >> q) & 1 for q in copy.y)
             out = tuple((idx >> q) & 1 for q in copy.out)
-            sign = -1.0 if out == y else 1.0
-            assert after[idx] == pytest.approx(sign * before[idx], abs=1e-14)
+            assert sign == (-1.0 if out == y else 1.0)
+
+    @pytest.mark.parametrize("task,k", [
+        ("toy", 1), ("toy", 2), ("toy", 3), ("toy", 4),
+        ("simplified-ed", 1), ("decode", 1), ("decode", 2)])
+    def test_engine_matches_full_support_reference(self, task, k):
+        if task == "decode":
+            model, d = decode_task()
+        else:
+            bundle = tasks.load_task(task)
+            model, d = bundle.model, bundle.train
+        plan = am.make_plan(am.accuracy_table(model, d), k)
+        idx, psi0, final = reference_run(model, d, k, plan.g, plan.n_aux)
+        state, _ = sv.prepare_initial(model, d, k, plan.n_aux)
+        assert np.array_equal(state.idx, idx)
+        assert np.array_equal(state.amps, psi0.real) and not psi0.imag.any()
+        _, state, _ = sv.grover_run(model, d, k, plan.g, plan.n_aux,
+                                    return_state=True)
+        assert np.array_equal(state.idx, idx)
+        assert np.max(np.abs(state.amps - final)) <= 1e-12
 
 
 class TestDiffusionAndFullRuns:
     def test_diffusion_is_an_involution(self):
+        # reflection about the uniform state on the 16-state support
         rng = np.random.default_rng(4)
-        psi0 = rng.normal(size=16) + 1j * rng.normal(size=16)
-        psi0 /= np.linalg.norm(psi0)
-        amps = rng.normal(size=16) + 1j * rng.normal(size=16)
+        amps = rng.normal(size=16)
         amps /= np.linalg.norm(amps)
         s = from_dense(4, amps)
-        sv.apply_diffusion(s, psi0)
+        sv.reflect(s)
+        psi0 = np.full(16, 0.25)
+        assert np.allclose(s.amps, 2 * (psi0 @ amps) * psi0 - amps,
+                           atol=1e-15)
         assert abs(s.norm() - 1.0) < 1e-12
-        sv.apply_diffusion(s, psi0)
+        sv.reflect(s)
         assert np.allclose(s.dense(), amps, atol=1e-12)
 
     def test_zero_rounds_keep_weights_uniform(self, toy_bundle):
@@ -336,12 +394,10 @@ class TestDiffusionAndFullRuns:
                                                    toy_table):
         model, d = toy_bundle.model, toy_bundle.full
         plan = am.make_plan(toy_table, 1)
-        marg, state, lay = sv.grover_run(model, d, k=1, g=plan.g,
-                                         n_aux=plan.n_aux, return_state=True)
+        marg = sv.grover_run(model, d, k=1, g=plan.g, n_aux=plan.n_aux)
         assert marg[0] == pytest.approx(1.0, abs=1e-12)
         for seed in range(3):
-            rng = np.random.default_rng(seed)
-            assert state.measure_register(lay.weight, rng) == 0
+            assert draw(marg, np.random.default_rng(seed)) == 0
 
 
 def crosscheck(model, d, k):
@@ -391,7 +447,7 @@ class TestLargeAndRandomInstances:
 
     @pytest.mark.parametrize("task,k,n_qubits", [
         ("edge", 1, 24), ("simplified-ed", 2, 29), ("toy", 8, 33),
-        ("decode", 3, 21)])
+        ("toy", 12, 49), ("decode", 3, 21)])
     def test_matches_closed_form(self, task, k, n_qubits):
         if task == "decode":
             model, d = decode_task()
@@ -415,7 +471,7 @@ class TestLargeAndRandomInstances:
 
 class TestCsv:
     def test_statevector_layout(self):
-        s = from_dense(1, [0.5j, 1.0])
+        s = from_dense(1, [-0.5, 1.0])
         assert sv.statevector_csv(s) == ("basis_index,re,im\n"
-                                         "0,0,0.5\n"
+                                         "0,-0.5,0\n"
                                          "1,1,0\n")
