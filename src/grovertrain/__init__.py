@@ -12,8 +12,9 @@ Modules:
               kernel (sample, score exactly or by shots, best so far).
     statevec  Statevector simulation of the same pipeline, stored on the
               basis states it can reach with real amplitudes: model gates
-              on each copy's slice, the oracle as one cached sign, the
-              reflection as inversion about the mean.
+              on each copy's slice, the oracle as one sign read off the
+              label and prediction bits in place, the reflection as
+              inversion about the mean.
     theory    Query-count calculators and the best-parallel-copies rule
               with its brute-force validator.
     tasks     Named model+dataset bundles with fixed splits.

@@ -388,13 +388,13 @@ def _digit_table(d: int) -> np.ndarray:
     return grid.view(f"S{d}").ravel()
 
 
-def _csv(head: str, tails: list[str], counts: np.ndarray
-         ) -> Iterator[bytes]:
-    """Yield `head`, then the row f"{i},{tails[counts[i]]}" for every weight
+def csv_blocks(head: str, tails: list[str], keys: np.ndarray
+               ) -> Iterator[bytes]:
+    """Yield `head`, then the row f"{i},{tails[keys[i]]}" for every index
     i, in byte blocks of at most _CSV_BLOCK rows.
 
-    A row depends on its weight only through the weight's correct count, so
-    each tail is encoded once per count, NUL-padded to a common width.
+    A row depends on its index only through its key, so each tail is
+    encoded once per key, NUL-padded to a common width.
     Blocks start at multiples of 10**4 and where the index gains a digit (at
     10**d). So a d-digit index is its high d-4 digits, the same for each
     10**4 rows of a block, then its low digits, the same for every block of
@@ -405,7 +405,7 @@ def _csv(head: str, tails: list[str], counts: np.ndarray
     """
     yield head.encode()
     padded = np.array([t.encode() for t in tails])
-    n = len(counts)
+    n = len(keys)
     for d in range(1, len(str(n)) + 1):
         start, stop = 10 ** (d - 1) if d > 1 else 0, min(10 ** d, n)
         if start >= stop:
@@ -421,7 +421,7 @@ def _csv(head: str, tails: list[str], counts: np.ndarray
             b = min(a + _CSV_BLOCK, stop)
             for h in range(a, b, 10 ** 4):  # an empty field below 10**4
                 rec["hi"][h - a:h - a + 10 ** 4] = str(h // 10 ** 4)
-            rec["tail"][:b - a] = padded[counts[a:b]]
+            rec["tail"][:b - a] = padded[keys[a:b]]
             yield rec[:b - a].tobytes().replace(b"\0", b"")
 
 
@@ -429,7 +429,8 @@ def jtable_csv(t: AccuracyTable) -> Iterator[bytes]:
     """The table's rows as byte blocks, built as they are consumed."""
     n = float(t.n_samples)
     tails = [f"{c},{_fmt(c / n)}\n" for c in range(t.n_samples + 1)]
-    return _csv("weight_index,correct_count,accuracy\n", tails, t.counts)
+    return csv_blocks("weight_index,correct_count,accuracy\n", tails,
+                      t.counts)
 
 
 def distribution_csv(dist: WeightDistribution,
@@ -454,7 +455,8 @@ def distribution_csv(dist: WeightDistribution,
     mid = f",{dist.k},{dist.g},{_fmt(dist.residual)},"
     tails = [f"{_fmt(p)}{mid}{_fmt(j)}\n"
              for p, j in zip(p_by_count.tolist(), jhat.tolist())]
-    return _csv("weight_index,probability,k,g,residual,jhat\n", tails, counts)
+    return csv_blocks("weight_index,probability,k,g,residual,jhat\n",
+                      tails, counts)
 
 
 def trace_csv(draws: np.ndarray, estimates: np.ndarray) -> str:

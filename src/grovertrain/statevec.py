@@ -11,10 +11,10 @@ and only permutes basis states, so the state never leaves the
 2^d_w * (N + n_aux)^k basis states of |Psi_0>. It is stored on those alone:
 an int64 basis index and a float64 amplitude each (at most 2^26 of them,
 on at most 62 qubits). Copy j's model gates run on copy j's
-2^d_w * (N + n_aux) slice only. The comparator gates undo themselves, so the
-oracle is one sign per basis state, found once per run. |Psi_0> is uniform
-and real on the support, so the reflection about it is inversion about the
-mean, 2 * mean(amps) - amps (Grover, quant-ph/9605043).
+2^d_w * (N + n_aux) slice only. The oracle is one sign per basis state, found
+once per run by comparing each copy's prediction and label bits in place.
+|Psi_0> is uniform and real on the support, so the reflection about it is
+inversion about the mean, 2 * mean(amps) - amps (Grover, quant-ph/9605043).
 
 Qubit convention: qubit q is bit q of the basis index (LSB first). The global
 layout puts the weight register at the lowest qubits, so the weight marginal
@@ -29,11 +29,13 @@ and label bits have basis states, padding qubits above the flag hold the rest.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .boolcirc import ModelCircuit, RGate, compile_circuit
+from .amplify import csv_blocks
+from .boolcirc import ModelCircuit, compile_circuit
 from .datasets import Dataset
 
 MAX_QUBITS = 62  # basis indices and masks stay below the int64 sign bit
@@ -98,13 +100,11 @@ class QuantumState:
             m = _bit_mask(g.controls)
             self.idx ^= ((self.idx & m) == m) << g.target
 
-    def marginal(self, qubits) -> np.ndarray:
-        """Probability distribution over a register (its bit 0 first)."""
-        sub = np.zeros(len(self.idx), dtype=np.int64)
-        for pos, q in enumerate(qubits):
-            sub |= ((self.idx >> q) & 1) << pos
-        return np.bincount(sub, weights=self.amps ** 2,
-                           minlength=1 << len(qubits))
+    def marginal(self, width: int) -> np.ndarray:
+        """Probability distribution over the lowest `width` qubits, qubit 0
+        as bit 0 (the weight register, in the system layout)."""
+        return np.bincount(self.idx & ((1 << width) - 1),
+                           weights=self.amps ** 2, minlength=1 << width)
 
 
 def build_layout(model: ModelCircuit, k: int, n_aux: int,
@@ -193,17 +193,15 @@ def prepare_initial(model: ModelCircuit, d: Dataset, k: int, n_aux: int = 0
 
 def oracle_sign(state: QuantumState, layout: SystemLayout) -> np.ndarray:
     """The phase oracle's diagonal on the support: -1.0 where every copy is
-    a real sample whose prediction equals its label, else 1.0. Padded states
-    (flag 0) are never marked. The comparator gates run on a copy of the
-    indices, so `state` is left untouched."""
-    marked = QuantumState(state.n_qubits, state.idx.copy(), state.amps)
-    controls = []
-    for copy in layout.copies:
-        for yq, oq in zip(copy.y, copy.out):  # out_b <- 1 iff out_b == y_b
-            marked.apply_gates([RGate((yq,), oq), RGate((), oq)])
-        controls += copy.out + (() if copy.flag is None else (copy.flag,))
-    m = _bit_mask(controls)
-    return np.where((marked.idx & m) == m, -1.0, 1.0)
+    a real sample (flag 1) whose prediction equals its label, else 1.0.
+    `build_layout` puts each copy's prediction block above its label block,
+    as wide, so one shift and XOR compares them. `state` is left untouched."""
+    idx = state.idx
+    flags = _bit_mask(c.flag for c in layout.copies if c.flag is not None)
+    marked = (idx & flags) == flags
+    for c in layout.copies:
+        marked &= ((idx >> (c.out[0] - c.y[0]) ^ idx) & _bit_mask(c.y)) == 0
+    return np.where(marked, -1.0, 1.0)
 
 
 def reflect(state: QuantumState) -> None:
@@ -227,16 +225,17 @@ def grover_run(model: ModelCircuit, d: Dataset, k: int, g: int,
     for _ in range(g):
         state.amps *= sign
         reflect(state)
-    marginal = state.marginal(layout.weight)
+    del sign  # the sign and the marginal's temporaries never meet
+    marginal = state.marginal(len(layout.weight))
     if return_state:
         return marginal, state, layout
     return marginal
 
 
-def statevector_csv(state: QuantumState) -> str:
-    """CSV dump of the amplitudes: basis_index,re,im (12 significant digits;
-    im is 0, every amplitude being real)."""
-    lines = ["basis_index,re,im"]
-    for i, a in enumerate(state.dense()):
-        lines.append(f"{i},{a:.12g},0")
-    return "\n".join(lines) + "\n"
+def statevector_csv(state: QuantumState) -> Iterator[bytes]:
+    """CSV dump of the amplitudes as byte blocks: basis_index,re,im (12
+    significant digits; im is 0, every amplitude being real). Each distinct
+    bit pattern is formatted once, so -0.0 prints apart from 0.0."""
+    bits, keys = np.unique(state.dense().view(np.uint64), return_inverse=True)
+    tails = [f"{a:.12g},0\n" for a in bits.view(np.float64).tolist()]
+    return csv_blocks("basis_index,re,im\n", tails, keys)

@@ -693,7 +693,7 @@ class TestCsvEmission:
             want = per_row_csv(tails, counts)
         if block is not None:
             monkeypatch.setattr(am, "_CSV_BLOCK", block)
-        blocks = list(am._csv("head\n", tails, counts))
+        blocks = list(am.csv_blocks("head\n", tails, counts))
         assert first_difference(text(blocks), want) is None
         rows = [b.count(b"\n") for b in blocks[1:]]
         assert sum(rows) == len(counts)

@@ -360,14 +360,22 @@ class TestVerifyOracle:
             assert fields["g"] == "1" and fields["residual"] == "1"
         assert "worst deviation" in capsys.readouterr().out
 
+    # sha256 of both dumps, recorded while each row was still formatted on
+    # its own
+    DUMPS = {
+        "toy":
+        "d47887b7b013b118731443e7b735e3e10e55c6495bd64f08836f6f52f07b6359",
+        "simplified-ed":
+        "fd848c17a790ac65ffb75cf784ba2de85e70ec0b46d961856241cf961e76ba4a"}
+
     def test_statevector_dump(self, tmp_path):
         out = tmp_path / "o"
         assert run("verify-oracle", "--dump-statevector",
                    "--out", str(out)) == 0
-        for name in ("toy", "simplified-ed"):
-            head = (out / f"statevector_{name}.csv").read_text(
-                ).splitlines()[0]
-            assert head == "basis_index,re,im"
+        for name, want in self.DUMPS.items():
+            data = (out / f"statevector_{name}.csv").read_bytes()
+            assert data.splitlines()[0] == b"basis_index,re,im"
+            assert hashlib.sha256(data).hexdigest() == want
 
     def test_report_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -111,33 +111,49 @@ class TestQuantumState:
             assert np.count_nonzero(s.dense()) == 1
 
     def test_phase_flip_targets_exactly_matching_states(self):
-        # one copy: label on qubit 0, prediction on qubit 1, flag on qubit 2
-        lay = sv.SystemLayout((), (sv.CopyRegisters((), (0,), 2, (1,)),),
-                              (), 3)
-        s = from_dense(3, np.full(8, 1 / math.sqrt(8)))
-        sign = sv.oracle_sign(s, lay)
-        for i, got in zip(s.idx, sign):
-            marked = (i & 1) == (i >> 1) & 1 and (i >> 2) & 1
-            assert got == (-1.0 if marked else 1.0)
+        regs = sv.CopyRegisters
+        layouts = [
+            # one copy: label on qubit 0, prediction on qubit 1, flag on 2
+            sv.SystemLayout((), (regs((), (0,), 2, (1,)),), (), 3),
+            # two copies with 2-bit labels and predictions, flagged
+            sv.SystemLayout((), (regs((), (0, 1), 2, (6, 7)),
+                                 regs((), (3, 4), 5, (8, 9))), (), 10),
+            # the same without flags
+            sv.SystemLayout((), (regs((), (0, 1), None, (4, 5)),
+                                 regs((), (2, 3), None, (6, 7))), (), 8)]
+        for lay in layouts:
+            n = lay.n_qubits
+            s = from_dense(n, np.full(1 << n, 1 / math.sqrt(1 << n)))
+            sign = sv.oracle_sign(s, lay)
+            assert np.array_equal(s.idx, np.arange(1 << n))
+            for i, got in zip(s.idx.tolist(), sign):
+                bit = [(i >> q) & 1 for q in range(n)]
+                marked = all(
+                    all(bit[y] == bit[o] for y, o in zip(c.y, c.out))
+                    and (c.flag is None or bit[c.flag])
+                    for c in lay.copies)
+                assert got == (-1.0 if marked else 1.0)
+            assert (sign == -1.0).sum() == 1 << (n - sum(
+                len(c.y) + (c.flag is not None) for c in lay.copies))
 
     def test_marginal_orders_bits_low_first(self):
         s = basis_state(3, 0b010)
-        assert np.array_equal(s.marginal([1]), [0.0, 1.0])
-        assert np.array_equal(s.marginal([0, 1]), [0.0, 0.0, 1.0, 0.0])
-        assert np.array_equal(s.marginal([1, 0]), [0.0, 1.0, 0.0, 0.0])
+        assert np.array_equal(s.marginal(1), [1.0, 0.0])
+        assert np.array_equal(s.marginal(2), [0.0, 0.0, 1.0, 0.0])
+        assert np.array_equal(s.marginal(3), np.eye(8)[0b010])
 
     def test_weight_marginal_matches_generic_marginal(self):
         rng = np.random.default_rng(0)
         amps = rng.normal(size=32)
         amps /= np.linalg.norm(amps)
         s = from_dense(5, amps)
-        by_reshape = (np.abs(amps) ** 2).reshape(-1, 4).sum(axis=0)
-        assert np.allclose(s.marginal([0, 1]), by_reshape, atol=1e-15)
+        for width in range(6):
+            by_reshape = (amps ** 2).reshape(-1, 1 << width).sum(axis=0)
+            assert np.allclose(s.marginal(width), by_reshape, atol=1e-15)
 
     def test_measurement_is_deterministic_on_basis_states(self):
         s = basis_state(3, 0b101)
-        assert draw(s.marginal([0, 1, 2]), np.random.default_rng(0)) == 5
-        assert draw(s.marginal([2]), np.random.default_rng(1)) == 1
+        assert draw(s.marginal(3), np.random.default_rng(0)) == 5
 
     def test_gates_preserve_norm(self):
         rng = np.random.default_rng(1)
@@ -442,12 +458,12 @@ def small_instances(draw):
 
 
 class TestLargeAndRandomInstances:
-    """Closed form vs gate-level run, within 1e-9, on instances of 21 to 33
-    qubits and on random small ones."""
+    """Closed form vs gate-level run, within 1e-9, on instances of 21 to 49
+    qubits (edge k=2 holds 41M basis states) and on random small ones."""
 
     @pytest.mark.parametrize("task,k,n_qubits", [
-        ("edge", 1, 24), ("simplified-ed", 2, 29), ("toy", 8, 33),
-        ("toy", 12, 49), ("decode", 3, 21)])
+        ("edge", 1, 24), ("edge", 2, 37), ("simplified-ed", 2, 29),
+        ("toy", 8, 33), ("toy", 12, 49), ("decode", 3, 21)])
     def test_matches_closed_form(self, task, k, n_qubits):
         if task == "decode":
             model, d = decode_task()
@@ -471,7 +487,11 @@ class TestLargeAndRandomInstances:
 
 class TestCsv:
     def test_statevector_layout(self):
-        s = from_dense(1, [-0.5, 1.0])
-        assert sv.statevector_csv(s) == ("basis_index,re,im\n"
-                                         "0,-0.5,0\n"
-                                         "1,1,0\n")
+        def text(state):
+            return b"".join(sv.statevector_csv(state)).decode()
+        assert text(from_dense(1, [-0.5, 1.0])) == ("basis_index,re,im\n"
+                                                    "0,-0.5,0\n"
+                                                    "1,1,0\n")
+        # -0.0 prints as itself, apart from the zeros off the support
+        assert text(sv.QuantumState(2, [0, 1], [-0.0, 1.0])) == (
+            "basis_index,re,im\n0,-0,0\n1,1,0\n2,0,0\n3,0,0\n")
