@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .boolcirc import ModelCircuit, correct_counts
+from .boolcirc import ModelCircuit, correct_counts, weight_groups
 from .datasets import Dataset
 
 # relative slack when comparing an exact state ratio against sin(angle)^2:
@@ -163,6 +163,26 @@ def accuracy_table(model: ModelCircuit, d: Dataset) -> AccuracyTable:
     """Exact correct counts for every weight (`boolcirc.correct_counts`)."""
     return AccuracyTable(correct_counts(model, d.x, d.y), len(d),
                          model.weight_width)
+
+
+def counts_at(model: ModelCircuit, d: Dataset, weights) -> np.ndarray:
+    """Exact correct counts at an int array of weight indices, of any shape:
+    `correct_counts` over the grid of their distinct low and high group
+    indices, which is never larger than the full table."""
+    weights = np.asarray(weights)
+    if weights.min() < 0 or weights.max() >> model.weight_width:
+        raise ValueError("weight indices must lie in 0..2**weight_width - 1")
+    groups = weight_groups(model)
+    s = len(groups[0])
+    grid, at = [], []
+    for part, bits in ((weights & ((1 << s) - 1), s),
+                       (weights >> s, model.weight_width - s)):
+        seen = np.zeros(1 << bits, dtype=bool)
+        seen[part] = True
+        grid.append(np.flatnonzero(seen))  # distinct, in order
+        at.append(np.cumsum(seen)[part] - 1)  # each entry's place among them
+    counts = correct_counts(model, d.x, d.y, grid[:len(groups)])
+    return counts.reshape(len(grid[1]), len(grid[0]))[at[1], at[0]]
 
 
 def solution_stats(t: AccuracyTable, k: int, n_aux: int = 0) -> SolutionStats:

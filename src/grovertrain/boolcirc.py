@@ -1,5 +1,5 @@
 """Reversible Boolean model circuits: classical evaluation, exact correct
-counts over every weight, and compilation to reversible gate lists.
+counts over a grid of weights, and compilation to reversible gate lists.
 
 A model circuit maps a weight bit vector w and an input bit vector x to an
 output bit vector through named single-assignment gates. Bit vectors are
@@ -11,8 +11,9 @@ majority vote). Weight wires are w0..w{dw-1}, input wires x0..x{dx-1}; every
 other wire is defined by exactly one gate.
 
 `eval_circuit` evaluates one (w, x) pair and is the reference; `eval_wires`
-runs the gates over broadcastable bool arrays, and `correct_counts` uses it
-to count, for every weight at once, the samples a weight predicts exactly.
+runs the gates over broadcastable bool arrays or packed bit words, and
+`correct_counts` uses it to count, for every weight of a grid, the samples
+a weight predicts exactly.
 
 Compilation targets the reversible gate set {X, CNOT, multi-controlled X}. Each
 Boolean op has a gate sequence whose effect is `target ^= f(inputs)`, so a
@@ -92,83 +93,61 @@ class ModelCircuit:
         return len(self.output_wires)
 
 
+# each op on the list of its operands' bits, one 0/1 each
+_BIT_OPS = {"NOT": lambda a: a[0] ^ 1, "COPY": lambda a: a[0],
+            "XOR": lambda a: sum(a) & 1, "AND": lambda a: int(all(a)),
+            "OR": lambda a: int(any(a)), "MAJ": lambda a: int(sum(a) >= 2)}
+
+
 def eval_circuit(circuit: ModelCircuit, w, x) -> tuple[int, ...]:
     """Evaluate the circuit on one weight / input pair of bit tuples."""
     w, x = tuple(w), tuple(x)
-    if len(w) != circuit.weight_width:
-        raise ValueError(f"weight width {len(w)} != {circuit.weight_width}")
-    if len(x) != circuit.input_width:
-        raise ValueError(f"input width {len(x)} != {circuit.input_width}")
-    vals: dict[str, int] = {}
-    for i, b in enumerate(w):
-        vals[f"w{i}"] = b
-    for j, b in enumerate(x):
-        vals[f"x{j}"] = b
+    if (len(w), len(x)) != (circuit.weight_width, circuit.input_width):
+        raise ValueError(f"weight and input widths {len(w)}, {len(x)} != "
+                         f"{circuit.weight_width}, {circuit.input_width}")
+    vals = dict(zip(circuit._input_wires(), w + x))
     if any(v not in (0, 1) for v in vals.values()):
         raise ValueError("bits must be 0 or 1")
     for g in circuit.gates:
-        a = [vals[n] for n in g.ins]
-        if g.op == "NOT":
-            r = a[0] ^ 1
-        elif g.op == "COPY":
-            r = a[0]
-        elif g.op == "XOR":
-            r = 0
-            for v in a:
-                r ^= v
-        elif g.op == "AND":
-            r = int(all(a))
-        elif g.op == "OR":
-            r = int(any(a))
-        else:  # MAJ
-            r = int(a[0] + a[1] + a[2] >= 2)
-        vals[g.out] = r
+        vals[g.out] = _BIT_OPS[g.op]([vals[n] for n in g.ins])
     return tuple(vals[n] for n in circuit.output_wires)
 
 
 # ---------------------------------------------------------------------------
-# correct counts over every weight at once
+# correct counts over a grid of weights
 #
 # A wire's support is the set of weight bits it reads, directly or through
 # other gates. When the register splits into a low and a high run of bits
 # that meet only in the last gates (tiny-mnist's two detectors, edge's row
 # and column kernels), a weight's count is a sum over samples of
 # accept(a, b), where a and b are the patterns on the wires each run hands
-# to those gates. Each run is evaluated over its own 2**|run| weights, and
-# the two meet in one matrix product per pattern of the high run, bar the
-# last: the patterns partition the (sample, weight) pairs, so the last one's
-# share is a column sum and each product takes a pattern's difference from
-# it. That is a contraction along a narrow cut, and counts[high, low] ravels
-# to the weight index. Any other register is one group, the same
-# contraction against an empty high run: a gather and a column sum.
-# Products run in float32. A chunk holds at most _CHUNK_BOOLS >> 1 = 2**21
-# samples when there are two runs, so every partial sum stays below 2**24,
-# where float32 is exact.
+# to those gates. Per chunk of samples, with base patterns a0 and b0 that
+# occur in the runs, accept(a, b) is accept(a0, b0) plus a row term
+# accept(a, b0) - accept(a0, b0), a column term accept(a0, b) - accept(a0,
+# b0) and delta(a, b), and one float32 product, over the samples where delta
+# != 0 only, adds them up into counts[high, low]. Any other register is one
+# group against an empty high run. A chunk holds at most 2**21 samples,
+# each adding at most 4 to an entry (|delta| <= 2), so every partial sum
+# stays below 2**24, where float32 is exact.
 
-_BINARY = {"XOR": operator.xor, "AND": operator.and_, "OR": operator.or_}
+# each op on the list of its operands' arrays, bitwise
+_ARRAY_OPS = {"NOT": lambda a: ~a[0], "COPY": lambda a: a[0],
+              "XOR": lambda a: functools.reduce(operator.xor, a),
+              "AND": lambda a: functools.reduce(operator.and_, a),
+              "OR": lambda a: functools.reduce(operator.or_, a),
+              "MAJ": lambda a: (a[0] & a[1]) | (a[2] & (a[0] | a[1]))}
 
-# samples are taken in chunks whose group wire arrays hold at most this many
-# booleans each
+# samples are taken in chunks of at most this many (sample, weight) entries
+# per group
 _CHUNK_BOOLS = 1 << 22
 
 
 def eval_wires(gates, vals: dict) -> dict:
-    """Run `gates` in order over broadcastable numpy bool arrays.
-
-    `vals` maps every wire the gates read but do not define to its value;
-    each gate's output wire is added to it, and it is returned.
-    """
+    """Run `gates` in order over broadcastable numpy bool arrays or uint8
+    words of packed bits: `vals` maps every wire they read but do not
+    define to its value, and gains each gate's output; it is returned."""
     for g in gates:
-        a = [vals[n] for n in g.ins]
-        if g.op == "NOT":
-            r = ~a[0]
-        elif g.op == "COPY":
-            r = a[0]
-        elif g.op == "MAJ":
-            r = (a[0] & a[1]) | (a[2] & (a[0] | a[1]))
-        else:
-            r = functools.reduce(_BINARY[g.op], a)
-        vals[g.out] = r
+        vals[g.out] = _ARRAY_OPS[g.op]([vals[n] for n in g.ins])
     return vals
 
 
@@ -196,19 +175,29 @@ def weight_groups(circuit: ModelCircuit) -> list[tuple[int, ...]]:
     return [tuple(range(n))]
 
 
-def _boundary_codes(gates, bits, names, xs) -> np.ndarray:
-    """(samples, 2**len(bits)) ints: bit j is wire names[j] of one group,
-    for each sample and each weight of the group (bit k of the local index
-    is weight bit bits[k])."""
-    local = np.arange(1 << len(bits))
-    vals = {f"w{i}": (local >> k & 1).astype(bool) for k, i in enumerate(bits)}
-    vals.update((f"x{j}", xs[:, j, None]) for j in range(xs.shape[1]))
+def _patterns(gates, bits, names, local, xs) -> tuple[int, list]:
+    """One group's boundary patterns (bit j is wire names[j]) per sample and
+    weight in `local` (bit k of which is weight bit bits[k]): the base, the
+    first sample's at the first weight, and each other one that occurs with
+    its 0/1 float32 matrix. The gates run on uint8 words that pack eight
+    weights; an input bit is a word of all zeros or all ones."""
+    if not names:  # the empty high group of a one-group register
+        return 0, []
+    bit_k = np.reshape(local, (-1, 1)) >> np.arange(len(bits)) & 1
+    lanes = np.packbits(bit_k, axis=0, bitorder="little")
+    vals = {f"w{i}": lanes[:, k] for k, i in enumerate(bits)}
+    ones = xs.view(np.uint8) * np.uint8(255)
+    vals.update((f"x{j}", ones[:, j, None]) for j in range(xs.shape[1]))
     eval_wires(gates, vals)
     dtype = np.min_scalar_type((1 << len(names)) - 1)
     code = np.zeros((len(xs), len(local)), dtype=dtype)
     for j, name in enumerate(names):
-        code |= vals[name].astype(dtype) << j
-    return code
+        bit = np.unpackbits(vals[name], axis=-1, count=len(local),
+                            bitorder="little")
+        code |= np.multiply(bit, 1 << j, dtype=dtype)  # a faster shift
+    base = code[0, 0]
+    return base, [(p, hit.astype(np.float32)) for p in range(1 << len(names))
+                  if p != base and (hit := code == p).any()]
 
 
 def _accept(circuit, gates, boundary, xs, ys) -> np.ndarray:
@@ -227,46 +216,57 @@ def _accept(circuit, gates, boundary, xs, ys) -> np.ndarray:
     return accept
 
 
-def correct_counts(circuit: ModelCircuit, xs, ys) -> np.ndarray:
-    """For every weight index, how many samples the circuit predicts exactly.
-
-    Sample s is input bits xs[s] with label bits ys[s] (0/1 or bool rows).
-    Returns an int64 array of length 2**weight_width.
-    """
-    xs = np.asarray(xs, dtype=bool)
-    ys = np.asarray(ys, dtype=bool)
-    if (xs.ndim != 2 or xs.shape[1] != circuit.input_width
+def correct_counts(circuit: ModelCircuit, xs, ys, grid=None) -> np.ndarray:
+    """How many samples the circuit predicts exactly, for every weight of a
+    grid: one array of local indices per group of `weight_groups(circuit)`,
+    default all of each. Sample s is input bits xs[s] with label bits ys[s]
+    (0/1 or bool rows). Returns the int64 ravel of counts[high, low], so by
+    default entry i is weight i's count."""
+    xs, ys = np.asarray(xs, dtype=bool), np.asarray(ys, dtype=bool)
+    if (xs.ndim != 2 or not len(xs) or xs.shape[1] != circuit.input_width
             or ys.shape != (len(xs), circuit.output_width)):
         raise ValueError(f"expected inputs (n, {circuit.input_width}) and "
-                         f"labels (n, {circuit.output_width}), got "
-                         f"{xs.shape} and {ys.shape}")
-    sup = _supports(circuit)
-    bits = (weight_groups(circuit) + [()])[:2]  # one group: the other is empty
+                         f"labels (n, {circuit.output_width}) with n >= 1, "
+                         f"got {xs.shape} and {ys.shape}")
+    groups = weight_groups(circuit)
+    if grid is None:
+        grid = [np.arange(1 << len(b)) for b in groups]
+    elif len(grid) != len(groups) or any(
+            np.ndim(g) != 1 or not len(g) or np.min(g) < 0
+            or np.max(g) >> len(b) for g, b in zip(grid, groups)):
+        raise ValueError(f"grid needs an index array per group of {groups}")
+    bits, grid = (groups + [()])[:2], (list(grid) + [np.zeros(1, int)])[:2]
     masks = [sum(1 << i for i in b) for b in bits]
-    # the group whose support holds the wire, None for input-only and
-    # crossing wires
+    sup = _supports(circuit)
+    # the group whose support holds the wire, else None (input-only, crossing)
     home = {n: next((k for k, m in enumerate(masks)
                      if s and not s & ~m), None) for n, s in sup.items()}
     cross = [g for g in circuit.gates if home[g.out] is None]
     read = {n for g in cross for n in g.ins}.union(circuit.output_wires)
     boundary = [[n for n in sup if n in read and home[n] == k] for k in (0, 1)]
     gates = [[g for g in circuit.gates if not sup[g.out] & ~m] for m in masks]
-    counts = np.zeros((1 << len(bits[1]), 1 << len(bits[0])))
-    rows = max(1, _CHUNK_BOOLS >> max(map(len, bits)))
-    for a in range(0, len(xs), rows):
-        x, y = xs[a:a + rows], ys[a:a + rows]
-        code = [_boundary_codes(gates[k], bits[k], boundary[k], x)
-                for k in (0, 1)]
-        accept = _accept(circuit, cross, boundary, x, y)
-        got = lambda p: np.take_along_axis(accept[:, :, p], code[0], axis=1)
-        last = got(accept.shape[2] - 1)
-        counts += last.sum(axis=0)
-        for p in range(accept.shape[2] - 1):
-            hit = code[1] == p
-            if hit.any():
-                counts += hit.T.astype(np.float32) @ np.subtract(
-                    got(p), last, dtype=np.float32)
-    return counts.astype(np.int64).ravel()
+    ones = [np.ones((1, len(g)), np.float32) for g in grid]
+    chunk = max(1, _CHUNK_BOOLS >> max(map(len, bits)))
+    for a in range(0, len(xs), chunk):
+        x, y = xs[a:a + chunk], ys[a:a + chunk]
+        (a0, pat0), (b0, pat1) = [_patterns(*group, x) for group in
+                                  zip(gates, bits, boundary, grid)]
+        acc = _accept(circuit, cross, boundary, x, y).astype(np.float32)
+        base = acc[:, a0, b0]
+        row = base.sum() + sum((acc[:, p, b0] - base) @ e for p, e in pat0)
+        col = sum((acc[:, a0, q] - base) @ e for q, e in pat1)
+        # the row and column terms enter the product as two rank-one rows
+        left, right = [ones[1], ones[1] * col], [ones[0] * row, ones[0]]
+        for p, e0 in pat0:
+            for q, e1 in pat1:
+                delta = acc[:, p, q] - acc[:, a0, q] - acc[:, p, b0] + base
+                nz = np.flatnonzero(delta)
+                left.append(e1[nz] * delta[nz, None])
+                right.append(e0[nz])
+        part = (np.concatenate(left).T @ np.concatenate(right)).astype(
+            np.int64)
+        counts = counts + part if a else part
+    return counts.ravel()
 
 
 # ---------------------------------------------------------------------------

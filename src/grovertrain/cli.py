@@ -14,7 +14,8 @@ a comment, keys match flag names with '-' or '_'); each value is typed and
 checked by the flag it names, and explicit command-line flags override it.
 
 Exit codes: 0 success, 2 configuration error (an output that cannot be
-written included), 3 degenerate rotation angle (none usable, or one so
+written included, and a shots-curve budget, or runs x budgets, above
+MAX_CURVE = 2**26), 3 degenerate rotation angle (none usable, or one so
 small that the plan needs 2**52 rounds or more).
 """
 from __future__ import annotations
@@ -36,6 +37,10 @@ from . import statevec as sv
 from . import theory as th
 from .datasets import dataset_to_csv
 from .tasks import TASK_NAMES, TaskError, load_task
+
+# shots-curve refuses a budget, or a runs x budgets grid of best-so-far
+# weights, above this many entries (statevec.MAX_SUPPORT's size)
+MAX_CURVE = 1 << 26
 
 _SWITCH_WORDS = (dict.fromkeys(("1", "true", "yes", "on"), True)
                  | dict.fromkeys(("0", "false", "no", "off"), False))
@@ -111,6 +116,9 @@ def _parse_budgets(text: str) -> list[int]:
             f"bad budget list {text!r}") from None
     if not budgets or budgets[0] < 1:
         raise argparse.ArgumentTypeError("budgets must be positive integers")
+    if budgets[-1] > MAX_CURVE:
+        raise argparse.ArgumentTypeError(
+            f"budget {budgets[-1]} is above the cap of {MAX_CURVE}")
     return budgets
 
 
@@ -248,8 +256,7 @@ def cmd_distribution(args, out: Path, lap: _Stages):
 def cmd_shots_curve(args, out: Path, lap: _Stages):
     budgets = args.budget
     bundle = lap("load", load_task(args.task, args.mnist_dir))
-    t_train = am.accuracy_table(bundle.model, bundle.train)
-    t_test = lap("table", am.accuracy_table(bundle.model, bundle.test))
+    t_train = lap("table", am.accuracy_table(bundle.model, bundle.train))
     if args.method == "kpd":
         plan = lap("plan", am.make_plan(t_train, args.k, pad=args.pad,
                                         m=args.branch_m,
@@ -261,21 +268,22 @@ def cmd_shots_curve(args, out: Path, lap: _Stages):
         dist = am.uniform_distribution(bundle.model.weight_width)
         label = "urs"
     at_budget = np.array(budgets) - 1
-    train_acc = np.zeros((args.runs, len(budgets)))
-    test_acc = np.zeros((args.runs, len(budgets)))
+    best = np.zeros((args.runs, len(budgets)), dtype=np.int64)
     outputs = []
     for rep in range(args.runs):
         rng = np.random.default_rng([args.seed, rep])
-        draws, estimates, best = am.search(dist, t_train, budgets[-1], rng,
-                                           args.eval_shots)
-        best = best[at_budget]
-        train_acc[rep] = t_train.counts[best] / t_train.n_samples
-        test_acc[rep] = t_test.counts[best] / t_test.n_samples
+        draws, estimates, found = am.search(dist, t_train, budgets[-1], rng,
+                                            args.eval_shots)
+        best[rep] = found[at_budget]
         lap("search")
         if args.dump_traces:
             trace = am.trace_csv(draws, estimates)
             outputs.append(lap("write", _write(out / f"trace_rep{rep}.csv",
                                                trace)))
+    train_acc = t_train.counts[best] / t_train.n_samples
+    # the test split is scored only at the weights the runs kept
+    test_acc = lap("table", am.counts_at(bundle.model, bundle.test,
+                                         best)) / len(bundle.test)
     lines = ["budget,mean_train,std_train,mean_test,std_test"]
     for bi, b in enumerate(budgets):
         lines.append(
@@ -452,6 +460,10 @@ def main(argv=None) -> int:
         known, _ = pre.parse_known_args(argv)
         config = parse_config_file(known.config) if known.config else None
         args = build_parser(config).parse_args(argv)
+        curve = getattr(args, "runs", 0) * len(getattr(args, "budget", ()))
+        if curve > MAX_CURVE:  # shots-curve's grid of best-so-far weights
+            raise ConfigError(f"{args.runs} runs x {len(args.budget)} "
+                              f"budgets is above the cap of {MAX_CURVE}")
         t0 = time.monotonic()
         out = Path(args.out or Path("runs") / args.command)
         try:

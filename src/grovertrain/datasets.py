@@ -148,20 +148,21 @@ def write_idx(arr: np.ndarray) -> bytes:
     return head + arr.tobytes()
 
 
-# 3x3 block bands of a 28x28 image: rows/columns 0-8, 9-17 and 18-27
-_BLOCK_STARTS = np.array([0, 9, 18])
-_BLOCK_PIXELS = np.outer([9, 9, 10], [9, 9, 10]).ravel()
+# 3x3 block bands of a 28x28 image: rows/columns 0-8, 9-17 and 18-27, as
+# a 28x3 0/1 matrix, and each block's pixel count
+_BAND = np.repeat(np.eye(3, dtype=np.float32), [9, 9, 10], axis=0)
+_BLOCK_PIXELS = np.outer([9, 9, 10], [9, 9, 10])
 
 
 def _downsample_bits(images: np.ndarray) -> np.ndarray:
     """(n, 28, 28) grayscale -> (n, 9) bits: 3x3 block means (block edges at
     floor(28*i/3): 9/9/10 pixel bands), thresholded at mean >= 127.5 and
-    tested in integers as 2 * sum >= 255 * pixel count."""
+    tested as 2 * sum >= 255 * pixel count. The block sums are two float32
+    products with the band matrix, exact: each is at most 100 * 255 < 2**24."""
     if images.ndim != 3 or images.shape[1:] != (28, 28):
         raise ValueError(f"expected 28x28 images, got {images.shape[1:]}")
-    rows = np.add.reduceat(images, _BLOCK_STARTS, axis=1, dtype=np.int32)
-    sums = np.add.reduceat(rows, _BLOCK_STARTS, axis=2).reshape(-1, 9)
-    return (2 * sums >= 255 * _BLOCK_PIXELS).astype(np.uint8)
+    sums = _BAND.T @ (images.astype(np.float32) @ _BAND)
+    return (2 * sums >= 255 * _BLOCK_PIXELS).reshape(-1, 9).astype(np.uint8)
 
 
 def make_tiny_mnist(images: np.ndarray, labels: np.ndarray) -> Dataset:

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import bits_to_index, index_to_bits
+from conftest import (bits_to_index, index_to_bits, make_synthetic_idx_dir,
+                      samples)
 from grovertrain import boolcirc as bc
 from grovertrain import datasets as ds
+from grovertrain import tasks
 
 
 # tiny-mnist's labels: each digit's canonical output pattern
@@ -366,6 +368,95 @@ class TestCorrectCounts:
             bc.correct_counts(m, [(0,) * 9], [(0,)])
         with pytest.raises(ValueError):
             bc.correct_counts(m, [(0,) * 9] * 2, [(0, 0)])
+        with pytest.raises(ValueError):
+            bc.correct_counts(m, np.zeros((0, 9)), np.zeros((0, 2)))
+
+    # sha256 of each train split's full int64 table, recorded while the
+    # contraction still gathered each pattern's acceptance and summed the
+    # last pattern's column; tiny-mnist on make_synthetic_idx_dir(300, 100)
+    FULL_TABLES = {
+        "toy":
+            "b1535c7783ea8829b6b0cf67704539798b4d16c39bf0bfe09494c5d9f12eee30",
+        "simplified-ed":
+            "c33452e94c1a19c6aef4ed64cb0f64d1378c1572f02aec7196da1dac49d09c3b",
+        "edge":
+            "c84f7f3edff515923b4f20dd1836457712f8929972fc725834955f8f5171adbb",
+        "tiny-mnist":
+            "12291c0b1f984297179c72b271521cf337b7e1bc9c431fc79155bf7bbc105356",
+    }
+
+    @pytest.fixture(scope="class")
+    def bundles(self, tmp_path_factory):
+        idx = make_synthetic_idx_dir(tmp_path_factory.mktemp("idx"),
+                                     n_train=300, n_test=100)
+        return {t: tasks.load_task(t, str(idx)) for t in self.FULL_TABLES}
+
+    @pytest.mark.parametrize("task", list(FULL_TABLES))
+    def test_default_grid_is_the_full_table(self, bundles, task):
+        m, d = bundles[task].model, bundles[task].train
+        got = bc.correct_counts(m, d.x, d.y)
+        full = [np.arange(1 << len(b)) for b in bc.weight_groups(m)]
+        assert np.array_equal(bc.correct_counts(m, d.x, d.y, full), got)
+        assert hashlib.sha256(got.astype("<i8").tobytes()).hexdigest() == \
+            self.FULL_TABLES[task]
+
+    @pytest.mark.parametrize("task", list(FULL_TABLES))
+    def test_grid_matches_pointwise_eval(self, bundles, task):
+        # random index arrays, unsorted and with repeats
+        m, d = bundles[task].model, bundles[task].train
+        groups = bc.weight_groups(m)
+        rng = np.random.default_rng(len(task))
+        grid = [rng.permutation(np.repeat(rng.integers(0, 1 << len(b), 3), 2))
+                for b in groups]
+        got = bc.correct_counts(m, d.x, d.y, grid).reshape(-1, len(grid[0]))
+        high = grid[1] if len(grid) == 2 else [0]
+        assert got.shape == (len(high), len(grid[0]))
+        for i, hi in enumerate(high):
+            for j, lo in enumerate(grid[0]):
+                w = index_to_bits(int(hi) << len(groups[0]) | int(lo),
+                                  m.weight_width)
+                assert got[i, j] == sum(bc.eval_circuit(m, w, x) == y
+                                        for x, y in samples(d))
+
+    def test_two_boundary_wires_per_group(self):
+        # each group hands two wires to the crossing gates, so each side
+        # carries four patterns; where x2 = 0 the output c is 0 whatever the
+        # high group carries, so those samples' delta is 0
+        gates = [bc.Gate("XOR", "la", ("w0", "x0")),
+                 bc.Gate("AND", "lb", ("w0", "w1", "x1")),
+                 bc.Gate("OR", "ha", ("w2", "x2")),
+                 bc.Gate("XOR", "hb", ("w2", "w3", "x1")),
+                 bc.Gate("MAJ", "mj", ("lb", "ha", "hb")),
+                 bc.Gate("AND", "c", ("mj", "x2"))]
+        m = bc.ModelCircuit(4, 3, gates, ("la", "c"))
+        assert bc.weight_groups(m) == [(0, 1), (2, 3)]
+        probe = bc.ModelCircuit(4, 3, gates, ("la", "lb", "ha", "hb"))
+        wires = {bc.eval_circuit(probe, index_to_bits(w, 4),
+                                 index_to_bits(x, 3))
+                 for w in range(16) for x in range(8)}
+        assert len({v[:2] for v in wires}) == len({v[2:] for v in wires}) == 4
+        xs = [index_to_bits(x, 3) for x in range(8)] * 4
+        ys = [index_to_bits(i // 8, 2) for i in range(32)]  # every label
+        want = reference_counts(m, xs, ys)
+        grid = [np.array([3, 0, 3, 1]), np.array([2, 2, 0, 3, 1])]
+        grid_want = [want[hi << 2 | lo] for hi in grid[1] for lo in grid[0]]
+        assert bc.correct_counts(m, xs, ys).tolist() == want
+        assert bc.correct_counts(m, xs, ys, grid).tolist() == grid_want
+        with pytest.MonkeyPatch.context() as mp:  # one sample per chunk
+            mp.setattr(bc, "_CHUNK_BOOLS", 1)
+            assert bc.correct_counts(m, xs, ys).tolist() == want
+            assert bc.correct_counts(m, xs, ys, grid).tolist() == grid_want
+
+    @pytest.mark.parametrize("grid", [
+        [np.arange(16)], [np.arange(16)] * 3,
+        [np.arange(16), np.array([], dtype=int)],
+        [np.arange(16), np.array([16])], [np.array([-1]), np.arange(16)],
+        [np.zeros((2, 2), dtype=int), np.arange(16)]],
+        ids=["one", "three", "empty", "past-end", "negative", "2-d"])
+    def test_rejects_bad_grids(self, grid):
+        m = bc.edge_detection_model()
+        with pytest.raises(ValueError):
+            bc.correct_counts(m, [(0,) * 9], [(0, 0)], grid)
 
 
 def simulate_gatelist(gl, w_bits, x_bits):

@@ -321,6 +321,19 @@ class TestShotsCurve:
         assert run("shots-curve", "--task", "toy", "--eval-shots", "0",
                    "--out", out) == 2
 
+    def test_budget_and_grid_caps(self, tmp_path, capsys):
+        # one entry past the cap is refused before anything is allocated,
+        # the output directory included
+        out = tmp_path / "o"
+        cap = cli.MAX_CURVE
+        assert run("shots-curve", "--task", "toy", "--budget", f"1,{cap + 1}",
+                   "--out", str(out)) == 2
+        assert f"above the cap of {cap}" in capsys.readouterr().err
+        assert run("shots-curve", "--task", "toy", "--budget", "1,2",
+                   "--runs", str(cap // 2 + 1), "--out", str(out)) == 2
+        assert f"above the cap of {cap}" in capsys.readouterr().err
+        assert not out.exists()
+
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from(TASKS), st.sampled_from(["kpd", "urs"]),
            st.integers(-2, 1100),
@@ -604,6 +617,9 @@ class TestLargeOutputsPinned:
     JTABLE = "c77d864049744d1d577e9823abf5bb5e73555000d0dcd80fa2676c1fb67fa75f"
     DISTRIBUTION = \
         "eb5c282fc3a41dd4a15c4e26910d032be12f43b8d0b1f1c5b6f3610fd2c8a67f"
+    # recorded while shots-curve still built the full 2^20-weight test table
+    SHOTS_CURVE = \
+        "38d2e6231953f07b1589bf8b258221b5f351c3d90601ff53453ba4950c2449aa"
 
     def test_jtable_and_distribution_k8(self, tmp_path):
         idx = make_synthetic_idx_dir(tmp_path / "idx")
@@ -616,19 +632,32 @@ class TestLargeOutputsPinned:
                             self.DISTRIBUTION)):
             assert hashlib.sha256(path.read_bytes()).hexdigest() == want
 
+    def test_shots_curve_k8(self, tmp_path):
+        idx = make_synthetic_idx_dir(tmp_path / "idx")
+        assert run("shots-curve", "--task", "tiny-mnist", "--mnist-dir",
+                   str(idx), "--k", "8", "--runs", "20",
+                   "--budget", "1,4,16,64,256", "--out", str(tmp_path)) == 0
+        data = (tmp_path / "shots_curve.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == self.SHOTS_CURVE
+
 
 class TestConsoleEntry:
     """`python -m grovertrain.cli` goes through sys.exit(main())."""
 
     @pytest.mark.parametrize("case", ["bad-flag", "config-choice",
-                                      "unwritable-out"])
+                                      "unwritable-out", "huge-budget",
+                                      "huge-runs"])
     def test_bad_input_exits_two_with_one_line(self, tmp_path, case):
         (tmp_path / "F").write_text("a regular file\n")
         (tmp_path / "bad.cfg").write_text("split=bogus\n")
         argv = {"bad-flag": ["distribution", "--k", "three"],
                 "config-choice": ["--config", "bad.cfg", "jtable"],
                 "unwritable-out": ["gen-data", "--task", "toy",
-                                   "--out", "F/sub"]}[case]
+                                   "--out", "F/sub"],
+                "huge-budget": ["shots-curve", "--task", "toy",
+                                "--budget", "10000000000"],
+                "huge-runs": ["shots-curve", "--task", "toy",
+                              "--runs", "100000000000"]}[case]
         src = str(Path(cli.__file__).resolve().parents[1])
         path = os.environ.get("PYTHONPATH")
         env = dict(os.environ,

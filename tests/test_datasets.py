@@ -265,6 +265,17 @@ class TestDownsample:
         assert downsample(np.full((28, 28), 128, np.uint8)) == (1,) * 9
         assert downsample(np.full((28, 28), 127, np.uint8)) == (0,) * 9
 
+    def test_band_products_match_integer_block_sums(self):
+        # random images, and images whose block means sit near 127.5
+        rng = np.random.default_rng(9)
+        imgs = np.concatenate([rng.integers(lo, hi, (200, 28, 28), np.uint8)
+                               for lo, hi in ((0, 256), (126, 130))])
+        band = [slice(0, 9), slice(9, 18), slice(18, 28)]
+        blocks = [(row, col) for row in band for col in band]
+        want = [[int(2 * img[b].sum(dtype=np.int64) >= 255 * img[b].size)
+                 for b in blocks] for img in imgs]
+        assert ds._downsample_bits(imgs).tolist() == want
+
     def test_block_geometry(self):
         for bit in range(9):
             bits = tuple(int(b == bit) for b in range(9))
