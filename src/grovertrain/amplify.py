@@ -38,9 +38,10 @@ _RATIO_SLACK = 1e-12
 AUTO_PAD_TARGET_THETA = math.pi / 6
 AUTO_PAD_RESIDUAL_THRESHOLD = 0.9
 
-# search() holds at most this many shot uniforms at once, however many
-# candidates it scores and however many shots each takes
+# search() and theta_shots() hold at most this many shot uniforms at once
 _SHOT_BLOCK = 1 << 20
+# cells of the guide table; a power of two, so floor(u * _GUIDE_CELLS) is exact
+_GUIDE_CELLS = 1 << 12
 
 # CSV writers build at most this many rows per byte block. It must be a
 # multiple of 10**4: blocks then start on multiples of 10**4, where the
@@ -158,6 +159,15 @@ class WeightDistribution:
         c /= c[-1]
         return c
 
+    @cached_property
+    def guide(self) -> np.ndarray:
+        """Per cell [c/K, (c+1)/K) of K = _GUIDE_CELLS: #(cdf <= u) for all u
+        in it where #(cdf <= c/K) = #(cdf < (c+1)/K), else -1 (a CDF step)."""
+        edges = np.arange(_GUIDE_CELLS + 1) / _GUIDE_CELLS
+        lo = self.cdf.searchsorted(edges[:-1], side="right")
+        hi = self.cdf.searchsorted(edges[1:], side="left")
+        return np.where(lo == hi, lo, -1)
+
 
 def accuracy_table(model: ModelCircuit, d: Dataset) -> AccuracyTable:
     """Exact correct counts for every weight (`boolcirc.correct_counts`)."""
@@ -212,13 +222,31 @@ def theta_exact(n_solutions: int, n_total: int, use_sqrt: bool = True) -> float:
     return math.asin(math.sqrt(ratio)) if use_sqrt else math.asin(ratio)
 
 
+def _count_hits(p: np.ndarray, shots: int,
+                rng: np.random.Generator) -> np.ndarray:
+    """Hits among `shots` Bernoulli(p[i]) shots per entry, in stream order,
+    in blocks of at most _SHOT_BLOCK uniforms (whole rows, or a row's
+    columns), each an exact int32 byte sum of one reused bool block."""
+    hits = np.zeros(len(p), dtype=np.int64)
+    rows, cols = max(1, _SHOT_BLOCK // shots), min(shots, _SHOT_BLOCK)
+    below = np.empty((min(rows, len(p)), cols), dtype=bool)
+    for a in range(0, len(p), rows):
+        for b in range(0, shots, cols):
+            r, c = min(rows, len(p) - a), min(cols, shots - b)
+            block = np.less(rng.random((r, c)), p[a:a + r, None],
+                            out=below[:r, :c])
+            hits[a:a + r] += block.view(np.uint8).sum(1, dtype=np.int32)
+    return hits
+
+
 def theta_shots(stats: SolutionStats, shots: int, rng: np.random.Generator,
                 use_sqrt: bool = True) -> float:
-    """Rotation angle from `shots` Bernoulli samples of the solution ratio."""
+    """Rotation angle from `shots` Bernoulli samples of the solution ratio,
+    counted in bounded blocks of the stream of rng.random(shots)."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    hits = rng.random(shots) < stats.total / stats.n_states
-    return theta_exact(int(np.count_nonzero(hits)), shots, use_sqrt)
+    hits = _count_hits(np.array([stats.total / stats.n_states]), shots, rng)
+    return theta_exact(int(hits[0]), shots, use_sqrt)
 
 
 def grover_iterations(theta: float, m: int = 0) -> int:
@@ -342,15 +370,18 @@ def uniform_distribution(weight_width: int) -> WeightDistribution:
 
 def sample_weights(dist: WeightDistribution, m_meas: int,
                    rng: np.random.Generator) -> np.ndarray:
-    """m_meas independent weight-index draws from the distribution.
-
-    One uniform per draw is located in the cached CDF, which is the
-    algorithm of rng.choice(len(p), size=m_meas, p=p): the draws and the
-    RNG stream are the same, without re-checking and re-summing p per call.
+    """m_meas independent weight-index draws from the distribution: #(cdf
+    <= u) for one uniform u each, as rng.choice(len(p), size=m_meas, p=p)
+    draws them from the same stream. The guide gives it in one lookup; only
+    uniforms in a cell that a CDF step splits are searched in the CDF.
     """
     if m_meas < 1:
         raise ValueError("measurement budget must be >= 1")
-    return dist.cdf.searchsorted(rng.random(m_meas), side="right")
+    u = rng.random(m_meas)
+    draws = dist.guide[(u * _GUIDE_CELLS).astype(np.intp)]
+    miss = np.flatnonzero(draws < 0)
+    draws[miss] = dist.cdf.searchsorted(u[miss], side="right")
+    return draws
 
 
 def search(dist: WeightDistribution, table: AccuracyTable, m_meas: int,
@@ -359,8 +390,8 @@ def search(dist: WeightDistribution, table: AccuracyTable, m_meas: int,
     """Sample m_meas weights, score each, and track the best so far.
 
     Each draw is scored by its exact correct count, or, with eval_shots, by
-    the hits among eval_shots Bernoulli(J(w)) shots. Returns (draws,
-    estimates, best_so_far): the drawn weight indices, their accuracy
+    the hits among eval_shots Bernoulli(J(w)) shots, in bounded blocks.
+    Returns (draws, estimates, best_so_far): the drawn weight indices, their
     estimates, and after each draw the best weight found up to it. Ties go
     to the smallest weight index. The RNG stream is consumed as all draws
     first, then each candidate's shots in draw order.
@@ -372,18 +403,8 @@ def search(dist: WeightDistribution, table: AccuracyTable, m_meas: int,
         scores = table.counts[draws]
         estimates = scores / table.n_samples
     else:
-        j = table.counts[draws] / table.n_samples
-        scores = np.zeros(m_meas, dtype=np.int64)
-        # blocks of whole rows or of one row's columns, in stream order
-        rows = max(1, _SHOT_BLOCK // eval_shots)
-        cols = min(eval_shots, _SHOT_BLOCK)
-        for a in range(0, m_meas, rows):
-            for b in range(0, eval_shots, cols):
-                shots = rng.random((min(rows, m_meas - a),
-                                    min(cols, eval_shots - b)))
-                scores[a:a + rows] += np.count_nonzero(
-                    shots < j[a:a + rows, None], axis=1)
-                del shots  # free this block before the next one is drawn
+        scores = _count_hits(table.counts[draws] / table.n_samples,
+                             eval_shots, rng)
         estimates = scores / eval_shots
     n_w = len(dist.p)
     # one key orders by score, then by smaller index: ties go to the smallest
@@ -480,7 +501,6 @@ def distribution_csv(dist: WeightDistribution,
 
 
 def trace_csv(draws: np.ndarray, estimates: np.ndarray) -> str:
-    lines = ["draw_index,weight_index,estimate"]
-    for d, (w, est) in enumerate(zip(draws.tolist(), estimates.tolist())):
-        lines.append(f"{d},{w},{_fmt(est)}")
-    return "\n".join(lines) + "\n"
+    return "draw_index,weight_index,estimate\n" + "".join(
+        f"{d},{w},{_fmt(est)}\n"
+        for d, (w, est) in enumerate(zip(draws.tolist(), estimates.tolist())))

@@ -278,17 +278,13 @@ def _scan_rows(gates: list[Gate], kbits: list[str], bias: str, out: str,
 
     cell(i, j) names the input wire at scan line i, position j.
     """
-    rows = []
-    for i in range(3):
-        terms = []
-        for j in range(3):
-            name = f"{tag}e{i}{j}"
-            gates.append(Gate("XOR", name, (kbits[j], cell(i, j))))
-            terms.append(name)
-        row = f"{tag}r{i}"
-        gates.append(Gate("AND", row, tuple(terms)))
-        rows.append(row)
-    gates.append(Gate("OR", f"{tag}m", tuple(rows)))
+    rows = tuple(f"{tag}r{i}" for i in range(3))
+    for i, row in enumerate(rows):
+        terms = tuple(f"{tag}e{i}{j}" for j in range(3))
+        gates += [Gate("XOR", e, (kbits[j], cell(i, j)))
+                  for j, e in enumerate(terms)]
+        gates.append(Gate("AND", row, terms))
+    gates.append(Gate("OR", f"{tag}m", rows))
     gates.append(Gate("XOR", out, (f"{tag}m", bias)))
 
 
@@ -327,12 +323,10 @@ def tiny_mnist_model() -> ModelCircuit:
     20 weight bits, 9 input bits."""
     gates: list[Gate] = []
     for t in range(2):
-        terms = []
-        for c in range(9):
-            name = f"h{t}{c}"
-            gates.append(Gate("AND", name, (f"w{10 * t + c}", f"x{c}")))
-            terms.append(name)
-        gates.append(Gate("OR", f"m{t}", tuple(terms)))
+        terms = tuple(f"h{t}{c}" for c in range(9))
+        gates += [Gate("AND", h, (f"w{10 * t + c}", f"x{c}"))
+                  for c, h in enumerate(terms)]
+        gates.append(Gate("OR", f"m{t}", terms))
         gates.append(Gate("XOR", f"o{t}", (f"m{t}", f"w{10 * t + 9}")))
     gates.append(Gate("NOT", "n0", ("o0",)))
     gates.append(Gate("AND", "c1", ("n0", "o1")))

@@ -14,13 +14,15 @@ a comment, keys match flag names with '-' or '_'); each value is typed and
 checked by the flag it names, and explicit command-line flags override it.
 
 Exit codes: 0 success, 2 configuration error (an output that cannot be
-written included, and a shots-curve budget, or runs x budgets, above
-MAX_CURVE = 2**26), 3 degenerate rotation angle (none usable, or one so
-small that the plan needs 2**52 rounds or more).
+written included, and a shots-curve budget or runs x budgets above MAX_CURVE
+= 2**26, distribution --shots above MAX_SHOTS = 2**32, theory epsilons x
+k-max above MAX_ROWS = 2**20), 3 degenerate rotation angle (none usable, or
+one so small that the plan needs 2**52 rounds or more).
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import resource
@@ -38,9 +40,9 @@ from . import theory as th
 from .datasets import dataset_to_csv
 from .tasks import TASK_NAMES, TaskError, load_task
 
-# shots-curve refuses a budget, or a runs x budgets grid of best-so-far
-# weights, above this many entries (statevec.MAX_SUPPORT's size)
-MAX_CURVE = 1 << 26
+# caps: shots-curve's budget and runs x budgets (statevec.MAX_SUPPORT's
+# size), --shots (about 18 s of uniforms), theory's (epsilon, k) rows
+MAX_CURVE, MAX_SHOTS, MAX_ROWS = 1 << 26, 1 << 32, 1 << 20
 
 _SWITCH_WORDS = (dict.fromkeys(("1", "true", "yes", "on"), True)
                  | dict.fromkeys(("0", "false", "no", "off"), False))
@@ -57,8 +59,8 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _int_at_least(low: int, kind: str = "an integer"):
-    """argparse type: an integer >= low (`kind` names what it accepts)."""
+def _int_at_least(low: int, kind: str = "an integer", cap: float = math.inf):
+    """argparse type: an integer in [low, cap] (`kind` names what it takes)."""
     def parse(text: str) -> int:
         try:
             n = int(text)
@@ -67,6 +69,8 @@ def _int_at_least(low: int, kind: str = "an integer"):
                 f"needs {kind}, got {text!r}") from None
         if n < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {n}")
+        if n > cap:
+            raise argparse.ArgumentTypeError(f"{n} is above the cap of {cap}")
         return n
     return parse
 
@@ -381,7 +385,7 @@ def build_parser(config: dict[str, str] | None = None
             p.add_argument("--seed", type=nonnegative, default=0)
         p.add_argument("--out", metavar="DIR",
                        help="output directory (default runs/<command>)")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func.__name__)  # looked up when a run starts
         return p
 
     def plan_flags(p):
@@ -407,7 +411,7 @@ def build_parser(config: dict[str, str] | None = None
     p = command("distribution", cmd_distribution,
                 "evolved weight distribution for one plan")
     plan_flags(p)
-    p.add_argument("--shots", type=positive, default=None,
+    p.add_argument("--shots", type=_int_at_least(1, cap=MAX_SHOTS),
                    help="estimate the rotation angle from this many samples")
 
     p = command("shots-curve", cmd_shots_curve,
@@ -452,18 +456,31 @@ def build_parser(config: dict[str, str] | None = None
     return parser
 
 
+@functools.cache
+def _parsers() -> tuple[_Parser, argparse.ArgumentParser]:
+    """The --config pre-parser and the parser of runs without a config,
+    built once: each build leaves some 400 objects in reference cycles."""
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config")
+    return pre, build_parser()
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        pre = _Parser(add_help=False)
-        pre.add_argument("--config")
+        pre, parser = _parsers()
         known, _ = pre.parse_known_args(argv)
-        config = parse_config_file(known.config) if known.config else None
-        args = build_parser(config).parse_args(argv)
+        if known.config:
+            parser = build_parser(parse_config_file(known.config))
+        args = parser.parse_args(argv)
         curve = getattr(args, "runs", 0) * len(getattr(args, "budget", ()))
         if curve > MAX_CURVE:  # shots-curve's grid of best-so-far weights
             raise ConfigError(f"{args.runs} runs x {len(args.budget)} "
                               f"budgets is above the cap of {MAX_CURVE}")
+        rows = getattr(args, "k_max", 0) * len(getattr(args, "epsilons", ()))
+        if rows > MAX_ROWS:
+            raise ConfigError(f"{rows} theory rows (epsilons x k-max) are "
+                              f"above the cap of {MAX_ROWS}")
         t0 = time.monotonic()
         out = Path(args.out or Path("runs") / args.command)
         try:
@@ -472,7 +489,7 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"cannot create output directory {out}: {e}") from e
         stages = _Stages()
-        outputs, plan = args.func(args, out, stages)
+        outputs, plan = globals()[args.func](args, out, stages)
         _write_manifest(out, args, outputs, t0, plan, stages)
         return 0
     except am.DegenerateAngleError as e:

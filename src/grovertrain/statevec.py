@@ -18,7 +18,7 @@ inversion about the mean, 2 * mean(amps) - amps (Grover, quant-ph/9605043).
 
 Qubit convention: qubit q is bit q of the basis index (LSB first). The global
 layout puts the weight register at the lowest qubits, so the weight marginal
-is one `bincount` over the low index bits. Then come the k data copies, each
+is a sum over the low index bits. Then come the k data copies, each
 holding input bits, label bits, and (only when auxiliary padding is present)
 one realness flag; then one prediction block per copy; then a shared ancilla
 pool for the compiled model. Auxiliary padding occupies otherwise-unused
@@ -40,6 +40,7 @@ from .datasets import Dataset
 
 MAX_QUBITS = 62  # basis indices and masks stay below the int64 sign bit
 MAX_SUPPORT = 1 << 26
+_MARGINAL_BLOCK = 1 << 20  # support entries the marginal reads at a time
 
 
 @dataclass(frozen=True)
@@ -102,33 +103,31 @@ class QuantumState:
 
     def marginal(self, width: int) -> np.ndarray:
         """Probability distribution over the lowest `width` qubits, qubit 0
-        as bit 0 (the weight register, in the system layout)."""
-        return np.bincount(self.idx & ((1 << width) - 1),
-                           weights=self.amps ** 2, minlength=1 << width)
+        as bit 0 (the weight register), summed in support order by blocks."""
+        out, mask = np.zeros(1 << width), (1 << width) - 1
+        for a in range(0, len(self.idx), _MARGINAL_BLOCK):
+            amps = self.amps[a:a + _MARGINAL_BLOCK]
+            np.add.at(out, self.idx[a:a + _MARGINAL_BLOCK] & mask, amps * amps)
+        return out
 
 
 def build_layout(model: ModelCircuit, k: int, n_aux: int,
                  n_anc: int) -> SystemLayout:
-    has_flag = n_aux > 0
-    data_width = model.input_width + model.output_width
-    n_pad = max(0, (n_aux - 1).bit_length() - data_width) if has_flag else 0
-    q = model.weight_width
-    weight = tuple(range(q))
-    copies = []
-    for _ in range(k):
-        x = tuple(range(q, q + model.input_width)); q += model.input_width
-        y = tuple(range(q, q + model.output_width)); q += model.output_width
-        flag = None
-        if has_flag:
-            flag = q; q += 1
-        pad = tuple(range(q, q + n_pad)); q += n_pad
-        copies.append([x, y, flag, pad])
-    full = []
-    for regs in copies:
-        out = tuple(range(q, q + model.output_width)); q += model.output_width
-        full.append(CopyRegisters(regs[0], regs[1], regs[2], out, regs[3]))
-    anc = tuple(range(q, q + n_anc)); q += n_anc
-    return SystemLayout(weight, tuple(full), anc, q)
+    n_x, n_y, flag = model.input_width, model.output_width, int(n_aux > 0)
+    n_pad = max(0, (n_aux - 1).bit_length() - n_x - n_y) if flag else 0
+    # weights, k copies of (x, y, flag, padding), k prediction blocks, ancillas
+    w, span = model.weight_width, n_x + n_y + flag + n_pad
+    preds, anc = w + k * span, w + k * (span + n_y)
+
+    def run(start: int, width: int) -> tuple[int, ...]:
+        return tuple(range(start, start + width))
+
+    copies = tuple(CopyRegisters(run(q, n_x), run(q + n_x, n_y),
+                                 q + n_x + n_y if flag else None,
+                                 run(preds + j * n_y, n_y),
+                                 run(q + n_x + n_y + flag, n_pad))
+                   for j, q in enumerate(range(w, preds, span)))
+    return SystemLayout(run(0, w), copies, run(anc, n_anc), anc + n_anc)
 
 
 def _copy_register_states(d: Dataset, n_aux: int) -> np.ndarray:

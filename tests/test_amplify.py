@@ -210,6 +210,24 @@ class TestAngles:
         b = am.theta_shots(stats, 100, np.random.default_rng(3))
         assert a == b
 
+    @pytest.mark.parametrize("shots", [1, 8, 9, 100])
+    def test_shot_angle_counts_in_blocks(self, monkeypatch, shots):
+        # blocks of 8 uniforms: the same stream and the same hit count as
+        # one array of every shot's uniform
+        stats = am.solution_stats(table_from_counts([3, 1, 0, 2], 4), 1)
+        ratio = stats.total / stats.n_states
+        hits = int(np.count_nonzero(
+            np.random.default_rng(5).random(shots) < ratio))
+        monkeypatch.setattr(am, "_SHOT_BLOCK", 8)
+        rng = SizeRecorder(np.random.default_rng(5))
+        if hits in (0, shots):
+            with pytest.raises(am.DegenerateAngleError):
+                am.theta_shots(stats, shots, rng)
+        else:
+            assert am.theta_shots(stats, shots, rng) == am.theta_exact(
+                hits, shots)
+        assert max(rng.sizes) <= 8 and sum(rng.sizes) == shots
+
     def test_shot_angle_degenerate_raises(self):
         t = table_from_counts([1] + [0] * 63, 16)  # ratio 1/1024
         rng = np.random.default_rng(0)
@@ -473,6 +491,86 @@ class TestSamplingAndSearch:
             assert rng.random() == want_rng.random()
             assert np.all(dist.p[am.sample_weights(dist, 50, rng)] > 0)
 
+    @pytest.fixture(scope="class")
+    def guide_stress_dists(self, tmp_path_factory):
+        """Distributions whose CDFs stress the guide cells: entries on the
+        cell edges, more weights than cells, runs of zero probability, point
+        masses, and the synthetic tiny-mnist k=8 landscape."""
+        def dist(weights):
+            p = np.asarray(weights, dtype=np.float64)
+            return am.WeightDistribution(p / p.sum(), 0, 0, 0.0)
+
+        ramp = np.arange(1.0, 301.0)
+        dists = {f"uniform-2^{w}": am.uniform_distribution(w)
+                 for w in (8, 12, 13)}
+        dists["zeros-at-start"] = dist(np.r_[np.zeros(500), ramp])
+        dists["zeros-in-middle"] = dist(np.r_[ramp, np.zeros(500), ramp])
+        dists["zeros-at-end"] = dist(np.r_[ramp, np.zeros(500)])
+        dists["mass-on-first"] = dist(np.eye(64)[0])
+        dists["mass-on-last"] = dist(np.eye(64)[-1])
+        bundle = tasks.load_task("tiny-mnist", mnist_dir=str(
+            make_synthetic_idx_dir(tmp_path_factory.mktemp("idx"))))
+        t = am.accuracy_table(bundle.model, bundle.train)
+        dists["tiny-mnist-k8"] = am.evolve_distribution(t, am.make_plan(t, 8))
+        return dists
+
+    def test_guide_draws_match_generator_choice(self, guide_stress_dists):
+        # 2**17 uniforms per distribution reach every one of the 2**12
+        # cells; the draws are Generator.choice's, draw for draw
+        cells = (np.random.default_rng(19).random(1 << 17)
+                 * am._GUIDE_CELLS).astype(int)
+        assert len(np.unique(cells)) == am._GUIDE_CELLS
+        dists, fallback = guide_stress_dists, set()
+        for name, dist in dists.items():
+            rng, want_rng = (np.random.default_rng(19) for _ in range(2))
+            got = am.sample_weights(dist, 1 << 17, rng)
+            want = want_rng.choice(len(dist.p), size=1 << 17, p=dist.p)
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
+            assert rng.random() == want_rng.random(), name
+            if (dist.guide < 0).any():
+                fallback.add(name)
+        # CDF entries exactly on cell edges need no search; 2**13 weights
+        # put a step inside every cell
+        assert "uniform-2^8" not in fallback
+        assert "uniform-2^12" not in fallback
+        assert (dists["uniform-2^13"].guide < 0).all()
+        assert {"zeros-in-middle", "tiny-mnist-k8"} <= fallback
+
+    def test_guide_draws_at_cell_edges_and_cdf_steps(self,
+                                                     guide_stress_dists):
+        # uniforms exactly on the cell edges, on the CDF entries and one ulp
+        # either side draw #(cdf <= u), as Generator.choice's search does
+        for name, dist in guide_stress_dists.items():
+            edges = np.arange(am._GUIDE_CELLS) / am._GUIDE_CELLS
+            u = np.r_[edges, dist.cdf[dist.cdf < 1]]
+            u = np.unique(np.r_[u, np.nextafter(u, 0), np.nextafter(u, 1)])
+            u = u[(u >= 0) & (u < 1)]
+            got = am.sample_weights(dist, len(u), FixedUniforms(u))
+            assert np.array_equal(
+                got, dist.cdf.searchsorted(u, side="right")), name
+
+    @pytest.mark.parametrize("shots", [1, 7, 8, 9, 100, am._SHOT_BLOCK - 1,
+                                       am._SHOT_BLOCK + 3])
+    def test_shot_counts_match_per_draw_loop(self, sed_train_table, shots):
+        t = sed_train_table
+        dist = am.uniform_distribution(t.weight_width)
+        m = 3 if shots > 100 else 40
+        got = am.search(dist, t, m, np.random.default_rng(8), shots)
+        want = reference_search(dist, t, m, np.random.default_rng(8), shots)
+        for x, y in zip(got, want):
+            assert np.array_equal(x, y)
+
+    def test_shot_hits_fall_strictly_below_the_accuracy(self,
+                                                          sed_train_table):
+        # a shot hits when its uniform is below J(w), never when equal
+        t = sed_train_table  # weight 1 has accuracy 0.525
+        dist = am.WeightDistribution(np.eye(len(t.counts))[1], 0, 0, 0.0)
+        j = t.counts[1] / t.n_samples
+        shots = [np.nextafter(j, 0), j, np.nextafter(j, 1), 0.0]
+        _, est, _ = am.search(dist, t, 1, FixedUniforms([0.5] + shots), 4)
+        assert est[0] == 2 / 4
+
     def test_search_toy_finds_perfect_weight(self, toy_bundle):
         t = am.accuracy_table(toy_bundle.model, toy_bundle.train)
         plan = am.make_plan(t, 1)
@@ -568,6 +666,19 @@ class SizeRecorder:
     def random(self, size):
         self.sizes.append(int(np.prod(size)))
         return self.rng.random(size)
+
+
+class FixedUniforms:
+    """A Generator stand-in whose `random` hands out given uniforms in
+    turn."""
+
+    def __init__(self, values):
+        self.values, self.at = np.asarray(values, dtype=np.float64), 0
+
+    def random(self, size):
+        n = int(np.prod(size))
+        self.at += n
+        return self.values[self.at - n:self.at].reshape(size)
 
 
 def reference_search(dist, t, m_meas, rng, eval_shots):

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import gzip
 import hashlib
 import json
@@ -28,6 +29,15 @@ def run(*argv):
 
 def read_manifest(out_dir):
     return json.loads((out_dir / "run_manifest.json").read_text())
+
+
+def console_env():
+    """The environment of a `python -m grovertrain.cli` child: this
+    checkout's sources first on its import path."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ,
+                PYTHONPATH=src + (os.pathsep + path if path else ""))
 
 
 class TestGenData:
@@ -203,6 +213,8 @@ class TestDistribution:
         out = str(tmp_path / "o")
         assert run("distribution", "--task", "toy", "--shots", "0",
                    "--out", out) == 2
+        assert run("distribution", "--task", "toy", "--shots",
+                   str(cli.MAX_SHOTS + 1), "--out", out) == 2
         assert run("distribution", "--task", "toy", "--pad", "-3",
                    "--out", out) == 2
         assert run("distribution", "--task", "toy", "--pad", "many",
@@ -309,6 +321,27 @@ class TestShotsCurve:
                    "--out", str(tmp_path)) == 0
         want = Path(__file__).parent / "data" / f"{golden}.csv"
         assert (tmp_path / "shots_curve.csv").read_bytes() == want.read_bytes()
+
+    # sha256 of the edge-budget curves, recorded while each draw was still a
+    # binary search of the CDF and shots were counted with count_nonzero
+    EDGE_BUDGET = {
+        "kpd": ("e64acd029c8185d5aa84d2908a3eae04"
+                "76080782296b4cd32fdc56075e18016d", ["--k", "4"]),
+        "kpd-shots": ("34805ebedc94054eeefbe9bc2bbda6cf"
+                      "489f9bfd53be412da1a40590953c2e3b",
+                      ["--k", "4", "--eval-shots", "100"]),
+        "urs": ("0bb0337ccbffebead4cf121ef3091458"
+                "edfba9bdb6fad527581c18d43ef1e041", ["--method", "urs"]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(EDGE_BUDGET))
+    def test_edge_budget_curves_pinned(self, tmp_path, name):
+        want, flags = self.EDGE_BUDGET[name]
+        assert run("shots-curve", "--task", "edge", "--runs", "200",
+                   "--budget", "1,2,4,8,16,32,64,128,256,512,1000", *flags,
+                   "--out", str(tmp_path)) == 0
+        data = (tmp_path / "shots_curve.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == want
 
     def test_validation(self, tmp_path):
         out = str(tmp_path / "o")
@@ -430,6 +463,17 @@ class TestTheory:
         assert run("theory", "--task", "edge", "--epsilons", "zero",
                    "--out", out) == 2
 
+    def test_row_cap(self, tmp_path, capsys):
+        # one row past the cap is refused before anything is allocated, the
+        # output directory included
+        out = tmp_path / "o"
+        cap = cli.MAX_ROWS
+        assert run("theory", "--task", "toy", "--epsilons", "0,0.5",
+                   "--k-max", str(cap // 2 + 1), "--out", str(out)) == 2
+        assert (f"rows (epsilons x k-max) are above the cap of {cap}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from(TASKS), st.integers(-2, 12),
            st.lists(st.floats(-0.1, 1.1) | st.floats()
@@ -529,6 +573,56 @@ class TestParserSurface:
             run("--help")
         assert e.value.code == 0
         assert "shots-curve" in capsys.readouterr().out
+
+    def test_back_to_back_commands_match_separate_processes(self, tmp_path):
+        # one parser serves every call of a process; two subcommands run in
+        # turn write what each writes alone in a fresh process
+        calls = {"curve": ["shots-curve", "--task", "edge", "--k", "4",
+                           "--runs", "5", "--eval-shots", "9"],
+                 "dist": ["distribution", "--task", "toy", "--shots", "500"]}
+        names = {"curve": "shots_curve.csv", "dist": "distribution.csv"}
+        for key, argv in calls.items():
+            assert run(*argv, "--out", str(tmp_path / "in" / key)) == 0
+            subprocess.run([sys.executable, "-m", "grovertrain.cli", *argv,
+                            "--out", str(tmp_path / "alone" / key)],
+                           env=console_env(), check=True, timeout=120,
+                           capture_output=True)
+            assert ((tmp_path / "in" / key / names[key]).read_bytes()
+                    == (tmp_path / "alone" / key / names[key]).read_bytes())
+
+    def test_repeated_calls_leave_no_parser_garbage(self, tmp_path):
+        # the parser is built once; later calls leave no argparse object in
+        # a reference cycle for the garbage collector to find
+        argv = ["theory", "--task", "edge", "--out", str(tmp_path)]
+        assert run(*argv) == 0
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for _ in range(3):
+                assert run(*argv) == 0
+            gc.collect()
+            kinds = (argparse.ArgumentParser, argparse.Action,
+                     argparse._ArgumentGroup)
+            left = [o for o in gc.garbage if isinstance(o, kinds)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert left == []
+
+    def test_commands_are_looked_up_when_a_run_starts(self, tmp_path,
+                                                      monkeypatch):
+        # the parser outlives a call, so a command function replaced after
+        # it was built (a wrapper that times it, say) is the one that runs
+        assert run("theory", "--task", "edge", "--out", str(tmp_path)) == 0
+        original, seen = cli.cmd_theory, []
+
+        def wrapped(args, out, lap):
+            seen.append(args.command)
+            return original(args, out, lap)
+
+        monkeypatch.setattr(cli, "cmd_theory", wrapped)
+        assert run("theory", "--task", "edge", "--out", str(tmp_path)) == 0
+        assert seen == ["theory"]
 
     def test_shared_flags_agree_across_subcommands(self):
         # a config value is typed by the first flag with its dest and then
@@ -646,7 +740,8 @@ class TestConsoleEntry:
 
     @pytest.mark.parametrize("case", ["bad-flag", "config-choice",
                                       "unwritable-out", "huge-budget",
-                                      "huge-runs"])
+                                      "huge-runs", "huge-shots",
+                                      "huge-theory"])
     def test_bad_input_exits_two_with_one_line(self, tmp_path, case):
         (tmp_path / "F").write_text("a regular file\n")
         (tmp_path / "bad.cfg").write_text("split=bogus\n")
@@ -657,13 +752,13 @@ class TestConsoleEntry:
                 "huge-budget": ["shots-curve", "--task", "toy",
                                 "--budget", "10000000000"],
                 "huge-runs": ["shots-curve", "--task", "toy",
-                              "--runs", "100000000000"]}[case]
-        src = str(Path(cli.__file__).resolve().parents[1])
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ,
-                   PYTHONPATH=src + (os.pathsep + path if path else ""))
+                              "--runs", "100000000000"],
+                "huge-shots": ["distribution", "--task", "toy",
+                               "--shots", "100000000000000"],
+                "huge-theory": ["theory", "--task", "toy",
+                                "--k-max", "100000000"]}[case]
         proc = subprocess.run([sys.executable, "-m", "grovertrain.cli",
-                               *argv], cwd=tmp_path, env=env,
+                               *argv], cwd=tmp_path, env=console_env(),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr

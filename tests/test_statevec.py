@@ -151,6 +151,18 @@ class TestQuantumState:
             by_reshape = (amps ** 2).reshape(-1, 1 << width).sum(axis=0)
             assert np.allclose(s.marginal(width), by_reshape, atol=1e-15)
 
+    def test_marginal_in_blocks_is_one_bincount(self, monkeypatch):
+        # blocks of 7 support entries, summed in support order: bit for bit
+        # the single bincount over the whole support
+        rng = np.random.default_rng(3)
+        idx = rng.permutation(1 << 9)[:300]
+        s = sv.QuantumState(9, idx, rng.normal(size=300))
+        monkeypatch.setattr(sv, "_MARGINAL_BLOCK", 7)
+        for width in (0, 1, 4, 9):
+            want = np.bincount(idx & ((1 << width) - 1), weights=s.amps ** 2,
+                               minlength=1 << width)
+            assert np.array_equal(s.marginal(width), want)
+
     def test_measurement_is_deterministic_on_basis_states(self):
         s = basis_state(3, 0b101)
         assert draw(s.marginal(3), np.random.default_rng(0)) == 5
