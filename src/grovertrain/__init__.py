@@ -36,5 +36,5 @@ from .datasets import (Dataset, gen_edge_detection, gen_simplified_ed,
 from .statevec import (QuantumState, grover_run, oracle_sign,
                        prepare_initial, reflect)
 from .tasks import TaskBundle, load_task
-from .theory import (alpha_beta, brute_force_optimal_k, epsilon_optimal_set,
-                     optimal_k, queries_1pd, queries_kpd)
+from .theory import (alpha_beta, brute_force_optimal_k, optimal_k,
+                     queries_1pd, queries_kpd)

@@ -20,10 +20,11 @@ before it becomes a float: small shares may underflow to 0, none overflow.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -500,7 +501,10 @@ def distribution_csv(dist: WeightDistribution,
                       tails, counts)
 
 
-def trace_csv(draws: np.ndarray, estimates: np.ndarray) -> str:
-    return "draw_index,weight_index,estimate\n" + "".join(
-        f"{d},{w},{_fmt(est)}\n"
-        for d, (w, est) in enumerate(zip(draws.tolist(), estimates.tolist())))
+def rows_csv(head: str, line: str, rows: Iterable[tuple]) -> Iterator[bytes]:
+    """Yield `head`, then `line.format(*row)` for each row, in byte blocks of
+    at most _CSV_BLOCK rows, built as they are consumed."""
+    yield head.encode()
+    rows = iter(rows)
+    while block := list(islice(rows, _CSV_BLOCK)):
+        yield "".join(line.format(*row) for row in block).encode()

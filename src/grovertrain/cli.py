@@ -16,8 +16,9 @@ checked by the flag it names, and explicit command-line flags override it.
 Exit codes: 0 success, 2 configuration error (an output that cannot be
 written included, and a shots-curve budget or runs x budgets above MAX_CURVE
 = 2**26, distribution --shots above MAX_SHOTS = 2**32, theory epsilons x
-k-max above MAX_ROWS = 2**20), 3 degenerate rotation angle (none usable, or
-one so small that the plan needs 2**52 rounds or more).
+k-max above MAX_ROWS = 2**20, about 4 s of rows, which stream), 3 degenerate
+rotation angle (none usable, or one so small that the plan needs 2**52 rounds
+or more).
 """
 from __future__ import annotations
 
@@ -41,7 +42,7 @@ from .datasets import dataset_to_csv
 from .tasks import TASK_NAMES, TaskError, load_task
 
 # caps: shots-curve's budget and runs x budgets (statevec.MAX_SUPPORT's
-# size), --shots (about 18 s of uniforms), theory's (epsilon, k) rows
+# size), --shots (about 18 s of uniforms), theory's rows (about 4 s)
 MAX_CURVE, MAX_SHOTS, MAX_ROWS = 1 << 26, 1 << 32, 1 << 20
 
 _SWITCH_WORDS = (dict.fromkeys(("1", "true", "yes", "on"), True)
@@ -80,7 +81,7 @@ def parse_config_file(path: str) -> dict[str, str]:
     values = {}
     try:
         text = Path(path).read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config file {path}: {e}") from e
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -281,19 +282,21 @@ def cmd_shots_curve(args, out: Path, lap: _Stages):
         best[rep] = found[at_budget]
         lap("search")
         if args.dump_traces:
-            trace = am.trace_csv(draws, estimates)
+            rows = zip(range(len(draws)), draws.tolist(), estimates.tolist())
+            trace = am.rows_csv("draw_index,weight_index,estimate\n",
+                                "{},{},{:.12g}\n", rows)
             outputs.append(lap("write", _write(out / f"trace_rep{rep}.csv",
                                                trace)))
     train_acc = t_train.counts[best] / t_train.n_samples
     # the test split is scored only at the weights the runs kept
     test_acc = lap("table", am.counts_at(bundle.model, bundle.test,
                                          best)) / len(bundle.test)
-    lines = ["budget,mean_train,std_train,mean_test,std_test"]
-    for bi, b in enumerate(budgets):
-        lines.append(
-            f"{b},{train_acc[:, bi].mean():.12g},{train_acc[:, bi].std():.12g},"
-            f"{test_acc[:, bi].mean():.12g},{test_acc[:, bi].std():.12g}")
-    outputs.insert(0, _write(out / "shots_curve.csv", "\n".join(lines) + "\n"))
+    # one column at a time: mean(axis=0) would sum in another order
+    rows = ((b, tr.mean(), tr.std(), te.mean(), te.std())
+            for b, tr, te in zip(budgets, train_acc.T, test_acc.T))
+    outputs.insert(0, _write(out / "shots_curve.csv", am.rows_csv(
+        "budget,mean_train,std_train,mean_test,std_test\n",
+        "{}" + ",{:.12g}" * 4 + "\n", rows)))
     lap("write")
     print(f"{args.task} {label}: budgets {budgets} x {args.runs} runs -> {out}")
     return outputs, plan
@@ -336,7 +339,7 @@ def cmd_theory(args, out: Path, lap: _Stages):
     bundle = lap("load", load_task(args.task, args.mnist_dir))
     table = lap("table", am.accuracy_table(bundle.model, bundle.full))
     C = float(bundle.full.class_count)
-    rows = []
+    points = []
     for eps in args.epsilons:
         try:
             alpha, beta = th.alpha_beta(table, eps)
@@ -347,13 +350,21 @@ def cmd_theory(args, out: Path, lap: _Stages):
                               f"leaves out (beta = {beta:.6g} > 1)")
         k_star = th.optimal_k(alpha, beta, C)
         holds = th.k_star_condition(alpha, beta, C)
+        why = (" (alpha <= beta: parallel copies cannot help)"
+               if alpha <= beta else "")
         print(f"epsilon={eps:g}: alpha={alpha:.6g} beta={beta:.6g} "
-              f"k_star={k_star} condition_holds={holds}")
-        rows += [(eps, alpha, beta, C, k, th.queries_kpd(alpha, beta, C, k),
-                  k_star) for k in range(1, args.k_max + 1)]
+              f"k_star={k_star} condition_holds={holds}{why}")
+        points.append((eps, alpha, beta, k_star,
+                       [th.queries_kpd(alpha, beta, C, k)
+                        for k in range(1, args.k_max + 1)]))
     lap("bounds")
-    outputs = lap("write", [_write(out / "theory.csv", th.theory_csv(rows))])
-    print(f"{args.task}: C={C:g}, {len(rows)} rows -> {out}")
+    rows = ((eps, alpha, beta, C, k, q, k_star)
+            for eps, alpha, beta, k_star, qs in points
+            for k, q in enumerate(qs, 1))
+    outputs = lap("write", [_write(out / "theory.csv", am.rows_csv(
+        "epsilon,alpha,beta,C,k,bound_value,k_star\n",
+        "{:.12g},{:.12g},{:.12g},{:.12g},{},{:.12g},{}\n", rows))])
+    print(f"{args.task}: C={C:g}, {len(points) * args.k_max} rows -> {out}")
     return outputs, None
 
 

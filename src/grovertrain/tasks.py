@@ -59,7 +59,7 @@ def _read_idx(directory: Path, stem: str):
         data = path.read_bytes()
         return parse_idx(gzip.decompress(data) if path.suffix == ".gz"
                          else data)
-    except (ValueError, EOFError, gzip.BadGzipFile, zlib.error) as e:
+    except (OSError, ValueError, EOFError, zlib.error) as e:
         raise TaskError(f"cannot read IDX file {path}: {e}") from e
 
 

@@ -6,14 +6,15 @@ share of weight count) and evaluate the closed-form query bounds for single
 and k-parallel amplification, including the predicted best k and an
 exhaustive validator for it.
 
-Epsilon-optimality uses absolute slack: a weight is epsilon-optimal when its
-accuracy is within epsilon of the best accuracy. Sums over weight space are
-uniform discrete sums over all 2**d_w assignments.
+Epsilon-optimality is defined per correct count, with absolute slack: a
+count c is epsilon-optimal when its accuracy c/N is within epsilon of the
+best weight's, and a weight is epsilon-optimal when its count is. Sums over
+weight space are uniform discrete sums over all 2**d_w assignments, taken
+over the count histogram.
 """
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
@@ -29,34 +30,29 @@ def _validate(alpha: float, beta: float | None, C: float) -> None:
         raise ValueError("class count C must be >= 2")
 
 
-def epsilon_optimal_set(t: AccuracyTable, epsilon: float) -> list[int]:
-    """Weights whose accuracy is within epsilon of the best one."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
-    j = t.accuracy()
-    cutoff = j.max() - epsilon
-    return [int(i) for i in np.flatnonzero(j >= cutoff)]
-
-
 def alpha_beta(t: AccuracyTable, epsilon: float) -> tuple[float, float]:
     """Accuracy-mass share and count ratio of the epsilon-optimal weights.
 
     alpha = sum of J over the epsilon-optimal set / sum of J over all weights
     beta  = |set| / |complement|
-    Both from exact integer counts; errors when every accuracy is zero or the
-    complement is empty (beta would divide by zero).
+    Both from exact integer sums over the count histogram; errors when
+    epsilon is negative, every accuracy is zero or the complement is empty
+    (beta would divide by zero).
     """
-    total = int(t.counts.sum())
+    if epsilon < 0:
+        raise ValueError("epsilon must be >= 0")
+    hist = t.histogram
+    c = np.arange(len(hist))
+    total = int(c @ hist)
     if total == 0:
         raise ValueError("all accuracies are zero: alpha undefined")
-    members = epsilon_optimal_set(t, epsilon)
-    n_w = 1 << t.weight_width
-    if len(members) == n_w:
+    # c / N is bit for bit what accuracy() gives a weight with count c
+    j = c / t.n_samples
+    keep = j >= j[np.flatnonzero(hist)[-1]] - epsilon
+    n_in, n_out = int(hist[keep].sum()), int(hist[~keep].sum())
+    if n_out == 0:
         raise ValueError("every weight is epsilon-optimal: beta undefined")
-    in_sum = int(t.counts[members].sum())
-    alpha = in_sum / total
-    beta = len(members) / (n_w - len(members))
-    return alpha, beta
+    return int(c[keep] @ hist[keep]) / total, n_in / n_out
 
 
 def queries_1pd(alpha: float, C: float) -> float:
@@ -114,13 +110,9 @@ def k_star_condition(alpha: float, beta: float, C: float) -> bool:
 def optimal_k(alpha: float, beta: float, C: float) -> int:
     """Closed-form best parallel-copy count:
     k* = floor(log_{alpha/beta}(1/alpha)) + 1 when the applicability condition
-    holds, else 1. alpha <= beta makes the log base degenerate: returns 1 with
-    a warning."""
-    m = _k_star(alpha, beta, C)
-    if alpha <= beta:
-        warnings.warn("alpha <= beta: parallel copies cannot help, using k=1",
-                      stacklevel=2)
-    return m or 1
+    holds, else 1. alpha <= beta makes the log base degenerate (parallel
+    copies cannot help): 1 as well."""
+    return _k_star(alpha, beta, C) or 1
 
 
 def brute_force_optimal_k(alpha: float, beta: float, C: float,
@@ -136,12 +128,3 @@ def brute_force_optimal_k(alpha: float, beta: float, C: float,
         if q < best_q:
             best_k, best_q = k, q
     return best_k
-
-
-def theory_csv(rows: list[tuple]) -> str:
-    """CSV of evaluated points, one (epsilon, alpha, beta, C, k, bound_value,
-    k_star) tuple per row."""
-    lines = ["epsilon,alpha,beta,C,k,bound_value,k_star"]
-    lines += [f"{eps:.12g},{alpha:.12g},{beta:.12g},{C:.12g},{k},{b:.12g},{ks}"
-              for eps, alpha, beta, C, k, b, ks in rows]
-    return "\n".join(lines) + "\n"

@@ -844,7 +844,48 @@ class TestCsvEmission:
         assert peak < 16 << 20, f"peak {peak / 2 ** 20:.1f} MB"
 
     def test_trace_layout(self):
-        out = am.trace_csv(np.array([5, 2]), np.array([0.5, 1.0]))
-        assert out == ("draw_index,weight_index,estimate\n"
-                       "0,5,0.5\n"
-                       "1,2,1\n")
+        rows = zip(range(2), [5, 2], [0.5, 1.0])
+        out = am.rows_csv("draw_index,weight_index,estimate\n",
+                          "{},{},{:.12g}\n", rows)
+        assert text(out) == ("draw_index,weight_index,estimate\n"
+                             "0,5,0.5\n"
+                             "1,2,1\n")
+
+    # the hand-written f-string joins that rows_csv replaced, one per table,
+    # with the kind of each column: i an int, f a float
+    ROW_JOINS = {
+        "theory": ("{:.12g},{:.12g},{:.12g},{:.12g},{},{:.12g},{}\n",
+                   "ffffifi",
+                   lambda r: f"{r[0]:.12g},{r[1]:.12g},{r[2]:.12g},"
+                             f"{r[3]:.12g},{r[4]},{r[5]:.12g},{r[6]}"),
+        "trace": ("{},{},{:.12g}\n", "iif",
+                  lambda r: f"{r[0]},{r[1]},{am._fmt(r[2])}"),
+        "curve": ("{}" + ",{:.12g}" * 4 + "\n", "iffff",
+                  lambda r: f"{r[0]},{r[1]:.12g},{r[2]:.12g},"
+                            f"{r[3]:.12g},{r[4]:.12g}"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ROW_JOINS))
+    def test_rows_match_the_f_string_joins(self, name):
+        line, kinds, join = self.ROW_JOINS[name]
+        rng = np.random.default_rng(11)
+        n = 2 * am._CSV_BLOCK + 7
+        floats = [math.inf, -math.inf, -0.0, 0.0, 1e-300, 5e-324, 1.0,
+                  1 / 3, 2.0 ** 60, -123.456]
+        floats += rng.normal(0, 10.0 ** rng.integers(-20, 20, n), n).tolist()
+        ints = rng.integers(-10 ** 6, 10 ** 12, len(floats)).tolist()
+        rows = [tuple(ints[(i + c) % n] if kind == "i"
+                      else floats[(i + 3 * c) % len(floats)]
+                      for c, kind in enumerate(kinds)) for i in range(n)]
+        head = "a,b\n"
+        want = head + "".join(join(r) + "\n" for r in rows)
+        blocks = list(am.rows_csv(head, line, iter(rows)))
+        assert b"".join(blocks) == want.encode()
+        assert blocks[0] == head.encode()
+        sizes = [len(b.splitlines()) for b in blocks[1:]]
+        assert sizes == [am._CSV_BLOCK, am._CSV_BLOCK, 7]
+
+    def test_no_rows_and_rows_from_a_list(self):
+        # a list is read once, not once per block
+        assert list(am.rows_csv("h\n", "{}\n", [])) == [b"h\n"]
+        assert text(am.rows_csv("h\n", "{}\n", [(1,), (2,)])) == "h\n1\n2\n"

@@ -343,6 +343,45 @@ class TestShotsCurve:
         data = (tmp_path / "shots_curve.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == want
 
+    # sha256 of each run's curve and traces, recorded while both were
+    # written by hand-made f-string joins
+    TRACES = {
+        "edge-shots": (["--task", "edge", "--k", "4", "--eval-shots", "5",
+                        "--budget", "1,2,4,8,16,32", "--runs", "3"], {
+            "shots_curve": "b19f4330241e9a29d9413b4132d3606a"
+                           "b726e4ce9ddaab14e82836aa39c276cd",
+            "trace_rep0": "58f99c3140a01cc0c8ac8544ba321f9f"
+                          "35ee24416823455340a44f359f326181",
+            "trace_rep1": "1ea62370c269cb51f8f049606252e42b"
+                          "6f32cca304165e07356d97fe2ed725a2",
+            "trace_rep2": "bd49505be4aac37a41394258b9c30f03"
+                          "a90032221eaf7c0579726bb943bdbb6d"}),
+        "sed-urs": (["--task", "simplified-ed", "--method", "urs",
+                     "--budget", "1,3,9,27", "--runs", "7", "--seed", "5"], {
+            "shots_curve": "db330ab4bbc9f5a027c3de636c81d852"
+                           "f2367a088366714f51b58139b719b768",
+            "trace_rep0": "357f5da799d1cf57e5518abe42b52b91"
+                          "a140ff0d0ed29035939db834f833a632",
+            "trace_rep6": "63e0d3750247dac954a38639bcced552"
+                          "91511e5d2f5a2327a1d40c22a1047484"}),
+        # 25000 draws: a trace of three blocks
+        "edge-long": (["--task", "edge", "--k", "2", "--budget", "25000",
+                       "--runs", "1"], {
+            "shots_curve": "a8a8bcfa546d6d7bf563355cadaf1627"
+                           "d4ec6135efb9f2cc5336f7cb6d791816",
+            "trace_rep0": "11cc9226e19a4f6b2d1b6f5a866da9fa"
+                          "4a3b4485a8e00d605f16e6bbf13d0d96"}),
+    }
+
+    @pytest.mark.parametrize("name", sorted(TRACES))
+    def test_curves_and_traces_pinned(self, tmp_path, name):
+        flags, want = self.TRACES[name]
+        assert run("shots-curve", *flags, "--dump-traces",
+                   "--out", str(tmp_path)) == 0
+        for stem, digest in want.items():
+            data = (tmp_path / f"{stem}.csv").read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, stem
+
     def test_validation(self, tmp_path):
         out = str(tmp_path / "o")
         assert run("shots-curve", "--task", "toy", "--runs", "0",
@@ -445,7 +484,9 @@ class TestTheory:
         assert float(first[3]) == 4.0
         assert float(first[5]) == pytest.approx(128.0, abs=1e-9)
         assert first[6] == "4"
-        assert "condition_holds=True" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert "condition_holds=True" in printed
+        assert "cannot help" not in printed  # alpha > beta here
 
     def test_multiple_epsilons(self, tmp_path):
         out = tmp_path / "o"
@@ -453,6 +494,39 @@ class TestTheory:
                    "0,0.25", "--k-max", "3", "--out", str(out)) == 0
         lines = (out / "theory.csv").read_text().splitlines()
         assert len(lines) == 1 + 2 * 3
+
+    def test_degenerate_ratio_reason_on_stdout(self, tmp_path, capsys):
+        # toy has alpha = beta = 1 at every epsilon that leaves a weight out
+        assert run("theory", "--task", "toy", "--epsilons", "0,0.5",
+                   "--out", str(tmp_path)) == 0
+        got = capsys.readouterr()
+        assert got.err == ""
+        lines = got.out.splitlines()
+        assert [ln.split(":")[0] for ln in lines[:2]] == ["epsilon=0",
+                                                           "epsilon=0.5"]
+        assert all(ln.endswith("k_star=1 condition_holds=False (alpha <= "
+                               "beta: parallel copies cannot help)")
+                   for ln in lines[:2])
+
+    # sha256 of theory.csv, recorded while the rows were held as tuples,
+    # the set of epsilon-optimal weights was a list of indices, and the
+    # file was joined into one string
+    PINS = {
+        "edge": ("1b3b7233b75869e05027c7c5d5304cf2"
+                 "e07228499cdbcab7901ad32210f97247",
+                 ["--task", "edge", "--epsilons", "0,0.05,0.3",
+                  "--k-max", "40"]),
+        "toy": ("85bcef15fb139b8c0627a0b15dd7f4fd"
+                "4d2e093616f1b0f9422634e68ea6e842",
+                ["--task", "toy", "--epsilons", "0,0.5", "--k-max", "3000"]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_rows_pinned(self, tmp_path, name):
+        want, flags = self.PINS[name]
+        assert run("theory", *flags, "--out", str(tmp_path)) == 0
+        data = (tmp_path / "theory.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == want
 
     def test_validation(self, tmp_path):
         out = str(tmp_path / "o")
@@ -741,12 +815,19 @@ class TestConsoleEntry:
     @pytest.mark.parametrize("case", ["bad-flag", "config-choice",
                                       "unwritable-out", "huge-budget",
                                       "huge-runs", "huge-shots",
-                                      "huge-theory"])
+                                      "huge-theory", "config-not-utf8",
+                                      "idx-is-a-directory"])
     def test_bad_input_exits_two_with_one_line(self, tmp_path, case):
         (tmp_path / "F").write_text("a regular file\n")
         (tmp_path / "bad.cfg").write_text("split=bogus\n")
+        (tmp_path / "latin.cfg").write_bytes(b"k=\xff\xfe2\n")
+        (tmp_path / "d" / "train-images-idx3-ubyte").mkdir(parents=True)
         argv = {"bad-flag": ["distribution", "--k", "three"],
                 "config-choice": ["--config", "bad.cfg", "jtable"],
+                "config-not-utf8": ["--config", "latin.cfg", "distribution",
+                                    "--task", "toy"],
+                "idx-is-a-directory": ["jtable", "--task", "tiny-mnist",
+                                       "--mnist-dir", "d"],
                 "unwritable-out": ["gen-data", "--task", "toy",
                                    "--out", "F/sub"],
                 "huge-budget": ["shots-curve", "--task", "toy",

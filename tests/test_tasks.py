@@ -68,6 +68,14 @@ class TestImageTask:
         bundle = tasks.load_task("tiny-mnist", mnist_dir=str(d))
         assert len(bundle.train) > 0
 
+    def test_unreadable_file_reported(self, tmp_path):
+        d = make_synthetic_idx_dir(tmp_path, n_train=300, n_test=100)
+        (d / "train-images-idx3-ubyte").unlink()
+        (d / "train-images-idx3-ubyte").mkdir()  # exists, cannot be read
+        with pytest.raises(tasks.TaskError,
+                           match="cannot read IDX file .*train-images"):
+            tasks.load_task("tiny-mnist", mnist_dir=str(d))
+
     def test_missing_file_reported(self, tmp_path):
         d = make_synthetic_idx_dir(tmp_path, n_train=300, n_test=100)
         (d / "t10k-labels-idx1-ubyte").unlink()

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grovertrain import amplify as am
 from grovertrain import theory as th
@@ -12,23 +14,55 @@ def table_from_counts(counts, n_samples):
     return am.AccuracyTable(np.array(counts, dtype=np.int64), n_samples, width)
 
 
+def reference_alpha_beta(t, epsilon):
+    """Per-weight alpha and beta that the count histogram replaces: the
+    epsilon-optimal weights as a list of indices, sums over them."""
+    j = t.accuracy()
+    members = np.flatnonzero(j >= j.max() - epsilon)
+    n_w = len(t.counts)
+    return (int(t.counts[members].sum()) / int(t.counts.sum()),
+            len(members) / (n_w - len(members)))
+
+
 class TestEpsilonOptimalSet:
+    """The epsilon-optimal set, as alpha and beta see it."""
+
     def test_zero_epsilon_keeps_only_the_best(self):
         t = table_from_counts([3, 7, 7, 1], 8)
-        assert th.epsilon_optimal_set(t, 0.0) == [1, 2]
+        assert th.alpha_beta(t, 0.0) == (14 / 18, 2 / 2)
 
     def test_wide_epsilon_keeps_everything(self):
         t = table_from_counts([3, 7, 7, 1], 8)
-        assert th.epsilon_optimal_set(t, 1.0) == [0, 1, 2, 3]
+        with pytest.raises(ValueError, match="every weight"):
+            th.alpha_beta(t, 1.0)
 
     def test_threshold_is_inclusive(self):
-        t = table_from_counts([4, 8], 8)
-        assert th.epsilon_optimal_set(t, 0.5) == [0, 1]
+        # cutoff 1 - 0.5 keeps count 4 (accuracy exactly 0.5) with 8
+        t = table_from_counts([4, 8, 3, 0], 8)
+        assert th.alpha_beta(t, 0.5) == (12 / 15, 2 / 2)
 
     def test_negative_epsilon_rejected(self):
         t = table_from_counts([4, 8], 8)
-        with pytest.raises(ValueError):
-            th.epsilon_optimal_set(t, -0.1)
+        with pytest.raises(ValueError, match="epsilon"):
+            th.alpha_beta(t, -0.1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 60), st.integers(0, 2 ** 32 - 1),
+           st.integers(0, 60), st.integers(0, 60),
+           st.floats(0, 1.5) | st.sampled_from([0.0, 1e-300, 1e-15]))
+    def test_histogram_matches_per_weight_reference(self, width, n, seed, a,
+                                                    b, epsilon):
+        rng = np.random.default_rng(seed)
+        t = table_from_counts(rng.integers(0, n + 1, 1 << width), n)
+        if a <= n and b <= n:  # a slack exactly between two accuracies
+            epsilon = abs(a / n - b / n)
+        try:
+            want = reference_alpha_beta(t, epsilon)
+        except ZeroDivisionError:  # no accuracy mass, or no complement
+            with pytest.raises(ValueError):
+                th.alpha_beta(t, epsilon)
+            return
+        assert th.alpha_beta(t, epsilon) == want  # bit for bit
 
 
 class TestAlphaBeta:
@@ -116,10 +150,10 @@ class TestBestCopyCount:
         assert not th.k_star_condition(0.4, 0.5, 4)
         assert not th.k_star_condition(0.9, 0.5, 4)  # m degenerates to 1
 
-    def test_degenerate_ratio_warns_and_returns_one(self):
-        with pytest.warns(UserWarning):
+    def test_degenerate_ratio_returns_one_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert th.optimal_k(0.3, 0.3, 4) == 1
-        with pytest.warns(UserWarning):
             assert th.optimal_k(0.2, 0.5, 4) == 1
 
     def test_small_m_returns_one_silently(self):
@@ -157,6 +191,8 @@ class TestBestCopyCount:
 
 class TestTheoryCsv:
     def test_layout(self):
-        out = th.theory_csv([(0.1, 0.5, 0.25, 4, 2, 14.5, 2)])
-        assert out == ("epsilon,alpha,beta,C,k,bound_value,k_star\n"
-                       "0.1,0.5,0.25,4,2,14.5,2\n")
+        out = am.rows_csv("epsilon,alpha,beta,C,k,bound_value,k_star\n",
+                          "{:.12g},{:.12g},{:.12g},{:.12g},{},{:.12g},{}\n",
+                          [(0.1, 0.5, 0.25, 4, 2, 14.5, 2)])
+        assert b"".join(out) == (b"epsilon,alpha,beta,C,k,bound_value,k_star\n"
+                                 b"0.1,0.5,0.25,4,2,14.5,2\n")
