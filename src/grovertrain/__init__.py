@@ -10,11 +10,10 @@ Modules:
     amplify   Amplification planning (angle, iterations, padding), the
               closed-form evolved weight distribution, and the one search
               kernel (sample, score exactly or by shots, best so far).
-    statevec  Statevector simulation of the same pipeline, stored on the
-              basis states it can reach with real amplitudes: model gates
-              on each copy's slice, the oracle as one sign read off the
-              label and prediction bits in place, the reflection as
-              inversion about the mean.
+    statevec  Statevector simulation of the same pipeline on the basis
+              states it can reach: a real amplitude and a one-byte oracle
+              sign per state, model gates and marks on each copy's slice
+              of basis indices, the reflection as inversion about the mean.
     theory    Query-count calculators and the best-parallel-copies rule
               with its brute-force validator.
     tasks     Named model+dataset bundles with fixed splits.
@@ -33,7 +32,7 @@ from .boolcirc import (Gate, GateList, ModelCircuit, RGate, compile_circuit,
                        simplified_ed_model, tiny_mnist_model, toy_xor_model)
 from .datasets import (Dataset, gen_edge_detection, gen_simplified_ed,
                        make_tiny_mnist, parse_idx, split, write_idx)
-from .statevec import (QuantumState, grover_run, oracle_sign,
+from .statevec import (QuantumState, grover_run, oracle_mark,
                        prepare_initial, reflect)
 from .tasks import TaskBundle, load_task
 from .theory import (alpha_beta, brute_force_optimal_k, optimal_k,

@@ -15,10 +15,10 @@ checked by the flag it names, and explicit command-line flags override it.
 
 Exit codes: 0 success, 2 configuration error (an output that cannot be
 written included, and a shots-curve budget or runs x budgets above MAX_CURVE
-= 2**26, distribution --shots above MAX_SHOTS = 2**32, theory epsilons x
-k-max above MAX_ROWS = 2**20, about 4 s of rows, which stream), 3 degenerate
-rotation angle (none usable, or one so small that the plan needs 2**52 rounds
-or more).
+= 2**26, distribution --shots or shots-curve runs x largest budget x
+--eval-shots above MAX_SHOTS = 2**32, theory epsilons x k-max above MAX_ROWS
+= 2**20, about 4 s of rows, which stream), 3 degenerate rotation angle (none
+usable, or one so small that the plan needs 2**52 rounds or more).
 """
 from __future__ import annotations
 
@@ -42,7 +42,7 @@ from .datasets import dataset_to_csv
 from .tasks import TASK_NAMES, TaskError, load_task
 
 # caps: shots-curve's budget and runs x budgets (statevec.MAX_SUPPORT's
-# size), --shots (about 18 s of uniforms), theory's rows (about 4 s)
+# size), uniforms for shots (about 18 s), theory's rows (about 4 s)
 MAX_CURVE, MAX_SHOTS, MAX_ROWS = 1 << 26, 1 << 32, 1 << 20
 
 _SWITCH_WORDS = (dict.fromkeys(("1", "true", "yes", "on"), True)
@@ -488,6 +488,10 @@ def main(argv=None) -> int:
         if curve > MAX_CURVE:  # shots-curve's grid of best-so-far weights
             raise ConfigError(f"{args.runs} runs x {len(args.budget)} "
                               f"budgets is above the cap of {MAX_CURVE}")
+        shots = curve and args.runs * args.budget[-1] * (args.eval_shots or 0)
+        if shots > MAX_SHOTS:  # uniforms of the candidates' --eval-shots
+            raise ConfigError(f"{shots} eval-shots uniforms (runs x budget x "
+                              f"eval-shots) are above the cap of {MAX_SHOTS}")
         rows = getattr(args, "k_max", 0) * len(getattr(args, "epsilons", ()))
         if rows > MAX_ROWS:
             raise ConfigError(f"{rows} theory rows (epsilons x k-max) are "

@@ -1,30 +1,23 @@
 """Statevector simulation of the amplified weight search, on its support.
 
-The simulator runs the full quantum pipeline end to end: uniform weight
-register, k parallel data registers carrying the dataset in superposition,
-the compiled reversible model writing predictions per register, a phase
-oracle marking the states where every copy's prediction equals its label,
-and inversion-about-the-mean diffusion.
-Its weight marginal is the ground truth the closed-form evolution in
-`amplify` is checked against. Every gate is an X, CNOT or multi-controlled X
-and only permutes basis states, so the state never leaves the
-2^d_w * (N + n_aux)^k basis states of |Psi_0>. It is stored on those alone:
-an int64 basis index and a float64 amplitude each (at most 2^26 of them,
-on at most 62 qubits). Copy j's model gates run on copy j's
-2^d_w * (N + n_aux) slice only. The oracle is one sign per basis state, found
-once per run by comparing each copy's prediction and label bits in place.
-|Psi_0> is uniform and real on the support, so the reflection about it is
-inversion about the mean, 2 * mean(amps) - amps (Grover, quant-ph/9605043).
+The full pipeline, end to end: a uniform weight register, k data registers
+holding the dataset in superposition, the compiled reversible model writing
+each register's prediction, a phase oracle marking the states where every
+copy's prediction equals its label, and inversion about the mean. Its weight
+marginal is the ground truth for the closed-form evolution in `amplify`. Every
+gate is an X, CNOT or multi-controlled X, none on a weight qubit, so the state
+stays on the 2^d_w * (N + n_aux)^k basis states of |Psi_0> (at most 2^26, on at
+most 62 qubits), stored as a float64 amplitude and a one-byte oracle sign each.
+Model gates and marks run on each copy's 2^d_w * (N + n_aux) slice of basis
+indices; the full index is built only for dumps and tests. The reflection
+about the uniform, real |Psi_0> is 2 * mean(amps) - amps (quant-ph/9605043).
 
-Qubit convention: qubit q is bit q of the basis index (LSB first). The global
-layout puts the weight register at the lowest qubits, so the weight marginal
-is a sum over the low index bits. Then come the k data copies, each
-holding input bits, label bits, and (only when auxiliary padding is present)
-one realness flag; then one prediction block per copy; then a shared ancilla
-pool for the compiled model. Auxiliary padding occupies otherwise-unused
-basis states of the data registers with the flag at 0, so padded states can
-never satisfy the oracle. When there are more padded samples than the input
-and label bits have basis states, padding qubits above the flag hold the rest.
+Qubit q is bit q of the basis index. The weight register takes the lowest
+qubits, then come k data copies of input bits, label bits and (only with
+auxiliary padding) a realness flag, then one prediction block per copy, then
+the model's shared ancillas. Padded samples fill unused basis states of the
+data registers with the flag at 0, so they never satisfy the oracle; padding
+qubits above the flag hold what the input and label bits cannot.
 """
 from __future__ import annotations
 
@@ -40,7 +33,7 @@ from .datasets import Dataset
 
 MAX_QUBITS = 62  # basis indices and masks stay below the int64 sign bit
 MAX_SUPPORT = 1 << 26
-_MARGINAL_BLOCK = 1 << 20  # support entries the marginal reads at a time
+_BLOCK = 1 << 18  # support entries the marginal and the norm read at once
 
 
 @dataclass(frozen=True)
@@ -62,53 +55,72 @@ class SystemLayout:
     n_qubits: int
 
 
-def _bit_mask(qubits) -> int:
-    mask = 0
-    for q in qubits:
-        mask |= 1 << q
-    return mask
-
-
 class QuantumState:
-    """State over n_qubits stored on its support: basis index idx[i] (int64)
-    carries the real amplitude amps[i] (float64); every other amplitude is
-    zero."""
+    """Real state over n_qubits on the support of |Psi_0>, in support order
+    (weight fastest, then copy 0's slice state, on to copy k-1's slowest).
+    slices[j][s, w] is copy j's basis index at slice state s and weight w;
+    amps[i] is support state i's amplitude and sign[i] the phase oracle's
+    sign on it (int8: -1 where marked, else 1)."""
 
-    def __init__(self, n_qubits: int, idx, amps):
+    def __init__(self, n_qubits: int, slices, amps, sign):
         if n_qubits < 1 or n_qubits > MAX_QUBITS:
             raise ValueError(f"qubit count must lie in [1, {MAX_QUBITS}]")
         if np.iscomplexobj(amps):
             raise ValueError("amplitudes must be real")
         self.n_qubits = n_qubits
-        self.idx = np.asarray(idx, dtype=np.int64)
+        self.slices = tuple(np.asarray(s, dtype=np.int64) for s in slices)
         self.amps = np.asarray(amps, dtype=np.float64)
-        if self.idx.shape != self.amps.shape or self.idx.ndim != 1:
-            raise ValueError("index and amplitude arrays differ in length")
+        self.sign = np.asarray(sign, dtype=np.int8)
+        size = self.slices[0].size * math.prod(len(s) for s in self.slices[1:])
+        if not self.amps.shape == self.sign.shape == (size,):
+            raise ValueError("slice, amplitude and sign sizes differ")
+
+    def index(self) -> np.ndarray:
+        """The basis index of every support state (int64), OR-broadcast from
+        the slices in support order: for dumps and tests, not for rounds."""
+        idx = self.slices[0]
+        for part in self.slices[1:]:
+            idx = (part[:, None] | idx).reshape(-1, idx.shape[1])
+        return idx.ravel()
 
     def dense(self) -> np.ndarray:
         """The full 2**n_qubits amplitude vector (for small states)."""
         out = np.zeros(1 << self.n_qubits)
-        out[self.idx] = self.amps
+        out[self.index()] = self.amps
         return out
 
     def norm(self) -> float:
-        return float(np.sqrt((self.amps ** 2).sum()))
+        return math.sqrt(sum(float((self.amps[a:a + _BLOCK] ** 2).sum())
+                             for a in range(0, len(self.amps), _BLOCK)))
 
-    def apply_gates(self, gates) -> None:
-        """Flip each gate's target on basis states where all its controls
-        are 1. The amplitudes stay where they are; their indices move."""
-        for g in gates:
-            m = _bit_mask(g.controls)
-            self.idx ^= ((self.idx & m) == m) << g.target
+    def marginal(self) -> np.ndarray:
+        """Probability of each weight: the squared rows of amps.reshape(-1,
+        n_w) summed in support order, by blocks that add to the running sum
+        row by row (so the sums are those of one pass over the support)."""
+        rows = self.amps.reshape(-1, self.slices[0].shape[1])
+        step = max(1, _BLOCK // rows.shape[1])
+        buf = np.zeros((min(step, len(rows)) + 1, rows.shape[1]))
+        for a in range(0, len(rows), step):  # buf[0] holds the running sum
+            np.square(rows[a:a + step], out=buf[1:len(rows) - a + 1])
+            buf[0] = buf[:len(rows) - a + 1].sum(axis=0)
+        return buf[0].copy()
 
-    def marginal(self, width: int) -> np.ndarray:
-        """Probability distribution over the lowest `width` qubits, qubit 0
-        as bit 0 (the weight register), summed in support order by blocks."""
-        out, mask = np.zeros(1 << width), (1 << width) - 1
-        for a in range(0, len(self.idx), _MARGINAL_BLOCK):
-            amps = self.amps[a:a + _MARGINAL_BLOCK]
-            np.add.at(out, self.idx[a:a + _MARGINAL_BLOCK] & mask, amps * amps)
-        return out
+
+def apply_gates(idx: np.ndarray, gates) -> None:
+    """Flip, in place, each gate's target in idx where its controls are 1."""
+    for g in gates:
+        m = sum(1 << q for q in g.controls)
+        idx ^= ((idx & m) == m) << g.target
+
+
+def oracle_mark(idx: np.ndarray, copy: CopyRegisters) -> np.ndarray:
+    """Where one copy's basis indices idx are a real sample (flag 1) whose
+    prediction equals its label. `build_layout` puts the prediction block
+    above the label block, as wide, so one shift and XOR compares them."""
+    flag = 0 if copy.flag is None else 1 << copy.flag
+    label = sum(1 << q for q in copy.y)
+    diff = ((idx >> (copy.out[0] - copy.y[0])) ^ idx) & label
+    return (diff | (~idx & flag)) == 0
 
 
 def build_layout(model: ModelCircuit, k: int, n_aux: int,
@@ -152,10 +164,10 @@ def prepare_initial(model: ModelCircuit, d: Dataset, k: int, n_aux: int = 0
     """|Psi_0>: uniform weights, k dataset superpositions, predictions written.
 
     Each copy's compiled model, its qubits remapped into place, runs on that
-    copy's slice: the copy's basis states against every weight. The model
-    leaves weights and ancillas as it found them, so the slice is
-    OR-broadcast against the registers below it, weight by weight (so the
-    weight register varies fastest, as with Kronecker products).
+    copy's slice: its basis states against every weight, weight fastest.
+    The model leaves weights and ancillas as it found them, so the support
+    is the slices' OR-broadcast, as with Kronecker products, and the oracle
+    sign the max-broadcast of the slices' signs (-1 where marked, else 1).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -176,31 +188,19 @@ def prepare_initial(model: ModelCircuit, d: Dataset, k: int, n_aux: int = 0
     if n_w * m ** k > MAX_SUPPORT:
         raise ValueError(f"system has {n_w * m ** k} basis states in its "
                          f"support, cap is {MAX_SUPPORT}")
-    w = np.arange(n_w)
-    idx, amp = w, 1.0 / math.sqrt(n_w)
+    slices, sign, amp = [], np.full(n_w, -1, np.int8), 1.0 / math.sqrt(n_w)
     for copy in layout.copies:
-        part = QuantumState(layout.n_qubits,
-                            ((copy_idx[:, None] << copy.x[0]) | w).ravel(),
-                            np.full(m * n_w, amp / math.sqrt(m)))
+        part = (copy_idx[:, None] << copy.x[0]) | np.arange(n_w)
         # gate-list qubits are weights, inputs, outputs, then ancillas
-        part.apply_gates(gl.remap(layout.weight + copy.x + copy.out
-                                  + layout.anc).gates)
-        idx = (part.idx.reshape(m, 1, n_w) | idx.reshape(-1, n_w)).ravel()
+        apply_gates(part, gl.remap(layout.weight + copy.x + copy.out
+                                   + layout.anc).gates)
+        slices.append(part)
+        mark = np.where(oracle_mark(part, copy), np.int8(-1), np.int8(1))
+        # -1 stays only where this copy and every one before are marked
+        sign = np.maximum(mark[:, None], sign.reshape(-1, n_w)).ravel()
         amp = (1.0 / math.sqrt(m)) * amp
-    return QuantumState(layout.n_qubits, idx, np.full(len(idx), amp)), layout
-
-
-def oracle_sign(state: QuantumState, layout: SystemLayout) -> np.ndarray:
-    """The phase oracle's diagonal on the support: -1.0 where every copy is
-    a real sample (flag 1) whose prediction equals its label, else 1.0.
-    `build_layout` puts each copy's prediction block above its label block,
-    as wide, so one shift and XOR compares them. `state` is left untouched."""
-    idx = state.idx
-    flags = _bit_mask(c.flag for c in layout.copies if c.flag is not None)
-    marked = (idx & flags) == flags
-    for c in layout.copies:
-        marked &= ((idx >> (c.out[0] - c.y[0]) ^ idx) & _bit_mask(c.y)) == 0
-    return np.where(marked, -1.0, 1.0)
+    return QuantumState(layout.n_qubits, slices, np.full(len(sign), amp),
+                        sign), layout
 
 
 def reflect(state: QuantumState) -> None:
@@ -213,22 +213,18 @@ def grover_run(model: ModelCircuit, d: Dataset, k: int, g: int,
                n_aux: int = 0, return_state: bool = False):
     """Run g amplification rounds and return the weight-register marginal.
 
-    Each round is the phase oracle, one multiplication by the sign found
-    once, followed by the reflection about |Psi_0>. With return_state=True
-    the (marginal, state, layout) triple comes back for inspection.
+    Each round is the phase oracle, one multiplication by the one-byte sign,
+    then the reflection about |Psi_0>. With return_state=True the
+    (marginal, state, layout) triple comes back for inspection.
     """
     if g < 0:
         raise ValueError("iteration count must be >= 0")
     state, layout = prepare_initial(model, d, k, n_aux)
-    sign = oracle_sign(state, layout)
     for _ in range(g):
-        state.amps *= sign
+        state.amps *= state.sign
         reflect(state)
-    del sign  # the sign and the marginal's temporaries never meet
-    marginal = state.marginal(len(layout.weight))
-    if return_state:
-        return marginal, state, layout
-    return marginal
+    marginal = state.marginal()
+    return (marginal, state, layout) if return_state else marginal
 
 
 def statevector_csv(state: QuantumState) -> Iterator[bytes]:

@@ -1,6 +1,10 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import grovertrain
 from grovertrain import amplify as am
 from grovertrain import datasets as ds
 from grovertrain import tasks
@@ -18,6 +22,15 @@ def index_to_bits(index: int, width: int) -> tuple[int, ...]:
 def bits_to_index(bits) -> int:
     """Inverse of index_to_bits."""
     return sum(b << j for j, b in enumerate(bits))
+
+
+def console_env():
+    """The environment of a child Python process, such as `python -m
+    grovertrain.cli`: this checkout's sources first on its import path."""
+    src = str(Path(grovertrain.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ,
+                PYTHONPATH=src + (os.pathsep + path if path else ""))
 
 
 def samples(d: ds.Dataset) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:

@@ -320,7 +320,7 @@ def test_criterion_8(tmp_path):
     # Reflection applied twice is the identity (<= 1e-12).
     plan = am.make_plan(am.accuracy_table(toy.model, toy.train), 1)
     state, layout = sv.prepare_initial(toy.model, toy.train, 1, plan.n_aux)
-    state.amps *= sv.oracle_sign(state, layout)
+    state.amps *= state.sign
     before = state.amps.copy()
     sv.reflect(state)
     sv.reflect(state)

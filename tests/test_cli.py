@@ -4,7 +4,6 @@ import gzip
 import hashlib
 import json
 import math
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from grovertrain import amplify as am
 from grovertrain import cli
 from grovertrain import datasets as ds
-from conftest import make_synthetic_idx_dir
+from conftest import console_env, make_synthetic_idx_dir
 from test_amplify import reference_distribution_csv, reference_jtable_csv
 
 
@@ -29,15 +28,6 @@ def run(*argv):
 
 def read_manifest(out_dir):
     return json.loads((out_dir / "run_manifest.json").read_text())
-
-
-def console_env():
-    """The environment of a `python -m grovertrain.cli` child: this
-    checkout's sources first on its import path."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    return dict(os.environ,
-                PYTHONPATH=src + (os.pathsep + path if path else ""))
 
 
 class TestGenData:
@@ -405,6 +395,23 @@ class TestShotsCurve:
                    "--runs", str(cap // 2 + 1), "--out", str(out)) == 2
         assert f"above the cap of {cap}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_eval_shots_cap(self, tmp_path, capsys):
+        # runs x largest budget x eval-shots uniforms just past the cap, or
+        # 10^20 shots per candidate, are refused before anything is drawn
+        out = tmp_path / "o"
+        cap = cli.MAX_SHOTS
+        for runs, budget, shots in ((1, "2", 10 ** 20),
+                                    (3, "1,4", cap // 12 + 1)):
+            assert run("shots-curve", "--task", "edge", "--runs", str(runs),
+                       "--budget", budget, "--eval-shots", str(shots),
+                       "--out", str(out)) == 2
+            assert (f"eval-shots uniforms (runs x budget x eval-shots) are "
+                    f"above the cap of {cap}") in capsys.readouterr().err
+        assert not out.exists()
+        assert run("shots-curve", "--task", "toy", "--runs", "2",
+                   "--budget", "1,3", "--eval-shots", "5", "--out",
+                   str(out)) == 0
 
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from(TASKS), st.sampled_from(["kpd", "urs"]),

@@ -1,10 +1,13 @@
+import inspect
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import bits_to_index, index_to_bits, samples
+from conftest import bits_to_index, console_env, index_to_bits, samples
 from grovertrain import amplify as am
 from grovertrain import boolcirc as bc
 from grovertrain import datasets as ds
@@ -12,15 +15,18 @@ from grovertrain import statevec as sv
 from grovertrain import tasks
 
 
-def from_dense(n_qubits, amps):
-    """State holding the nonzero entries of a full amplitude vector."""
-    amps = np.asarray(amps, dtype=np.float64)
-    idx = np.flatnonzero(amps)
-    return sv.QuantumState(n_qubits, idx, amps[idx])
+def from_dense(n_qubits, amps, width=0, marked=()):
+    """State on every entry of a full amplitude vector, in index order, as
+    one slice whose rows run over the lowest `width` qubits (its weights),
+    with the oracle marking the basis states listed in `marked`."""
+    amps = np.array(amps, dtype=np.float64)
+    idx = np.arange(len(amps)).reshape(-1, 1 << width)
+    sign = np.where(np.isin(idx.ravel(), marked), -1, 1)
+    return sv.QuantumState(n_qubits, (idx,), amps, sign)
 
 
 def basis_state(n_qubits, index):
-    return sv.QuantumState(n_qubits, [index], [1.0])
+    return sv.QuantumState(n_qubits, ([[index]],), [1.0], [1])
 
 
 def draw(p, rng):
@@ -78,37 +84,54 @@ def decode_task():
                              [(1, 0), (1, 0), (0, 1), (0, 0)], 3)
 
 
+def reference_instance(task):
+    """(model, training set) of a built-in task, or of the decode task."""
+    if task == "decode":
+        return decode_task()
+    bundle = tasks.load_task(task)
+    return bundle.model, bundle.train
+
+
 class TestQuantumState:
     def test_qubit_cap(self):
         with pytest.raises(ValueError):
-            sv.QuantumState(0, [0], [1.0])
+            basis_state(0, 0)
         with pytest.raises(ValueError):
-            sv.QuantumState(sv.MAX_QUBITS + 1, [0], [1.0])
+            basis_state(sv.MAX_QUBITS + 1, 0)
 
     def test_initial_state_and_amp_validation(self):
-        s = sv.QuantumState(3, [0], [1.0])
+        s = basis_state(3, 0)
         assert s.dense()[0] == 1.0 and np.count_nonzero(s.dense()) == 1
         with pytest.raises(ValueError):
-            sv.QuantumState(2, [0, 1], np.ones(3))
+            sv.QuantumState(2, ([[0], [1]],), np.ones(3), np.ones(3))
+        with pytest.raises(ValueError):  # one sign short
+            sv.QuantumState(2, ([[0], [1]],), np.ones(2), [1])
+        with pytest.raises(ValueError):  # two slices of 2 states hold 4
+            sv.QuantumState(3, ([[0], [1]], [[0], [2]]), np.ones(2),
+                            np.ones(2))
 
     def test_complex_amplitudes_rejected(self):
         for amps in ([0.5j], np.ones(1, dtype=np.complex128)):
             with pytest.raises(ValueError, match="amplitudes must be real"):
-                sv.QuantumState(1, [0], amps)
+                sv.QuantumState(1, ([[0]],), amps, [1])
 
     def test_gates_act_like_classical_bit_flips(self):
         gates = [bc.RGate((), 2), bc.RGate((0,), 1), bc.RGate((0, 2), 3),
                  bc.RGate((1, 2, 3), 0)]
         for start in range(16):
-            s = basis_state(4, start)
+            idx = np.array([start])
             bits = [(start >> q) & 1 for q in range(4)]
             for g in gates:
-                s.apply_gates([g])
+                sv.apply_gates(idx, [g])
                 if all(bits[c] for c in g.controls):
                     bits[g.target] ^= 1
-            want = sum(b << q for q, b in enumerate(bits))
-            assert s.dense()[want] == 1.0
-            assert np.count_nonzero(s.dense()) == 1
+            assert idx.tolist() == [sum(b << q for q, b in enumerate(bits))]
+        # a (slice state x weight) block flips element by element
+        block = np.arange(16).reshape(4, 4)
+        sv.apply_gates(block, gates)
+        flat = np.arange(16)
+        sv.apply_gates(flat, gates)
+        assert np.array_equal(block.ravel(), flat)
 
     def test_phase_flip_targets_exactly_matching_states(self):
         regs = sv.CopyRegisters
@@ -123,58 +146,72 @@ class TestQuantumState:
                                  regs((), (2, 3), None, (6, 7))), (), 8)]
         for lay in layouts:
             n = lay.n_qubits
-            s = from_dense(n, np.full(1 << n, 1 / math.sqrt(1 << n)))
-            sign = sv.oracle_sign(s, lay)
-            assert np.array_equal(s.idx, np.arange(1 << n))
-            for i, got in zip(s.idx.tolist(), sign):
+            idx = np.arange(1 << n)
+            mark = np.logical_and.reduce(
+                [sv.oracle_mark(idx, c) for c in lay.copies])
+            assert np.array_equal(idx, np.arange(1 << n))  # read, not moved
+            for i, got in zip(idx.tolist(), mark):
                 bit = [(i >> q) & 1 for q in range(n)]
                 marked = all(
                     all(bit[y] == bit[o] for y, o in zip(c.y, c.out))
                     and (c.flag is None or bit[c.flag])
                     for c in lay.copies)
-                assert got == (-1.0 if marked else 1.0)
-            assert (sign == -1.0).sum() == 1 << (n - sum(
+                assert got == marked
+            assert mark.sum() == 1 << (n - sum(
                 len(c.y) + (c.flag is not None) for c in lay.copies))
 
     def test_marginal_orders_bits_low_first(self):
-        s = basis_state(3, 0b010)
-        assert np.array_equal(s.marginal(1), [1.0, 0.0])
-        assert np.array_equal(s.marginal(2), [0.0, 0.0, 1.0, 0.0])
-        assert np.array_equal(s.marginal(3), np.eye(8)[0b010])
+        amps = np.eye(8)[0b010]
+        assert np.array_equal(from_dense(3, amps, 1).marginal(), [1.0, 0.0])
+        assert np.array_equal(from_dense(3, amps, 2).marginal(),
+                              [0.0, 0.0, 1.0, 0.0])
+        assert np.array_equal(from_dense(3, amps, 3).marginal(), amps)
 
     def test_weight_marginal_matches_generic_marginal(self):
         rng = np.random.default_rng(0)
         amps = rng.normal(size=32)
         amps /= np.linalg.norm(amps)
-        s = from_dense(5, amps)
         for width in range(6):
             by_reshape = (amps ** 2).reshape(-1, 1 << width).sum(axis=0)
-            assert np.allclose(s.marginal(width), by_reshape, atol=1e-15)
+            assert np.allclose(from_dense(5, amps, width).marginal(),
+                               by_reshape, atol=1e-15)
 
-    def test_marginal_in_blocks_is_one_bincount(self, monkeypatch):
-        # blocks of 7 support entries, summed in support order: bit for bit
-        # the single bincount over the whole support
-        rng = np.random.default_rng(3)
-        idx = rng.permutation(1 << 9)[:300]
-        s = sv.QuantumState(9, idx, rng.normal(size=300))
-        monkeypatch.setattr(sv, "_MARGINAL_BLOCK", 7)
-        for width in (0, 1, 4, 9):
-            want = np.bincount(idx & ((1 << width) - 1), weights=s.amps ** 2,
-                               minlength=1 << width)
-            assert np.array_equal(s.marginal(width), want)
+    @pytest.mark.parametrize("task,k", [
+        ("toy", 1), ("toy", 2), ("toy", 3), ("toy", 4),
+        ("simplified-ed", 1), ("decode", 1), ("decode", 2), ("edge", 1)])
+    def test_marginal_in_blocks_is_one_bincount(self, monkeypatch, task, k):
+        # blocks of a few rows, each summed from the running sum: bit for
+        # bit one bincount over the low index bits, in support order
+        model, d = reference_instance(task)
+        plan = am.make_plan(am.accuracy_table(model, d), k)
+        monkeypatch.setattr(sv, "_BLOCK", 7)
+        marg, state, _ = sv.grover_run(model, d, k, plan.g, plan.n_aux,
+                                       return_state=True)
+        n_w = 1 << model.weight_width
+        assert len(state.amps) > n_w * max(1, 7 // n_w)  # several blocks
+        want = np.bincount(state.index() & (n_w - 1), weights=state.amps ** 2,
+                           minlength=n_w)
+        assert np.array_equal(state.marginal(), want)
+        assert np.array_equal(marg, want)
+        # the norm reads the same blocks
+        assert abs(state.norm() - math.sqrt((state.amps ** 2).sum())) <= 1e-12
 
     def test_measurement_is_deterministic_on_basis_states(self):
-        s = basis_state(3, 0b101)
-        assert draw(s.marginal(3), np.random.default_rng(0)) == 5
+        s = from_dense(3, np.eye(8)[0b101], 3)
+        assert draw(s.marginal(), np.random.default_rng(0)) == 5
 
     def test_gates_preserve_norm(self):
+        # the gates permute a slice's basis indices and leave the
+        # amplitudes where they are
         rng = np.random.default_rng(1)
         amps = rng.normal(size=16)
         amps /= np.linalg.norm(amps)
         s = from_dense(4, amps)
-        s.apply_gates([bc.RGate((0,), 3), bc.RGate((1, 2), 0),
-                       bc.RGate((), 2)])
-        assert abs(s.norm() - 1.0) < 1e-12
+        sv.apply_gates(s.slices[0], [bc.RGate((0,), 3), bc.RGate((1, 2), 0),
+                                     bc.RGate((), 2)])
+        assert np.array_equal(np.sort(s.index()), np.arange(16))
+        assert not np.array_equal(s.index(), np.arange(16))
+        assert abs(np.linalg.norm(s.dense()) - 1.0) < 1e-12
 
 
 class TestHandRolledSearch:
@@ -183,9 +220,9 @@ class TestHandRolledSearch:
         # exactly 121/128
         n = 3
         marked = 5
-        state = from_dense(n, np.full(8, 1 / math.sqrt(8)))
+        state = from_dense(n, np.full(8, 1 / math.sqrt(8)), marked=[marked])
         for _ in range(2):
-            state.amps[state.idx == marked] *= -1.0
+            state.amps *= state.sign
             sv.reflect(state)
         p = np.abs(state.dense()) ** 2
         assert p[marked] == pytest.approx(121 / 128, abs=1e-12)
@@ -256,10 +293,10 @@ class TestLayoutAndPreparation:
         copy = lay.copies[0]
         assert copy.flag == 3 and copy.pad == (4,)
         assert lay.n_qubits == 1 + 1 + 1 + 1 + 1 + 1
-        assert len(state.idx) == 2 * (2 + 5)
+        assert len(state.index()) == 2 * (2 + 5)
         assert abs(state.norm() - 1.0) < 1e-12
-        flag = (state.idx >> copy.flag) & 1
-        pad = (state.idx >> copy.pad[0]) & 1
+        flag = (state.index() >> copy.flag) & 1
+        pad = (state.index() >> copy.pad[0]) & 1
         assert flag.sum() == 2 * 2 and pad.sum() == 2 * 1
         assert not np.any(flag & pad)
         assert sv.build_layout(model, k=1, n_aux=4, n_anc=0).copies[0].pad == ()
@@ -301,60 +338,80 @@ class TestLayoutAndPreparation:
         lay = sv.build_layout(model, k, 0, bc.compile_circuit(model).n_anc)
         assert lay.n_qubits == n_qubits
 
+    @pytest.mark.parametrize("task", [
+        "toy", "simplified-ed", "edge", "decode", "tiny-mnist"])
+    def test_registers_are_disjoint_and_cover_the_qubits(self, task):
+        # the engine reads the weights as the lowest index bits and each
+        # copy's registers in place: no qubit may serve two registers
+        model = (bc.tiny_mnist_model() if task == "tiny-mnist"
+                 else reference_instance(task)[0])
+        n_anc = bc.compile_circuit(model).n_anc
+        for k in (1, 2, 3):
+            for n_aux in (0, 1, 5, 400):
+                lay = sv.build_layout(model, k, n_aux, n_anc)
+                regs = [lay.weight, lay.anc] + [
+                    r for c in lay.copies
+                    for r in (c.x, c.y, c.pad, c.out,
+                              () if c.flag is None else (c.flag,))]
+                qubits = [q for r in regs for q in r]
+                assert sorted(qubits) == list(range(lay.n_qubits))
+                assert lay.weight == tuple(range(model.weight_width))
+                assert all((c.flag is None) == (n_aux == 0)
+                           for c in lay.copies)
+
 
 class TestOracles:
     def test_exact_match_phase_pattern(self, toy_bundle):
         model, d = toy_bundle.model, toy_bundle.full
         state, lay = sv.prepare_initial(model, d, k=1)
         copy = lay.copies[0]
-        for idx, sign in zip(state.idx, sv.oracle_sign(state, lay)):
+        for idx, sign in zip(state.index(), state.sign):
             y = (idx >> copy.y[0]) & 1
             out = (idx >> copy.out[0]) & 1
-            assert sign == (-1.0 if y == out else 1.0)
+            assert sign == (-1 if y == out else 1)
 
     def test_padded_states_never_flip(self, toy_bundle):
         model, d = toy_bundle.model, toy_bundle.full
         state, lay = sv.prepare_initial(model, d, k=1, n_aux=2)
-        sign = sv.oracle_sign(state, lay)
-        padded = (state.idx >> lay.copies[0].flag) & 1 == 0
-        assert padded.sum() == 2 * 2 and np.all(sign[padded] == 1.0)
+        padded = (state.index() >> lay.copies[0].flag) & 1 == 0
+        assert padded.sum() == 2 * 2 and np.all(state.sign[padded] == 1)
 
     def test_oracle_applied_twice_is_identity(self, toy_bundle):
         model, d = toy_bundle.model, toy_bundle.full
         state, lay = sv.prepare_initial(model, d, k=2, n_aux=1)
-        idx, amps = state.idx.copy(), state.amps.copy()
-        sign = sv.oracle_sign(state, lay)
-        assert set(sign.tolist()) == {-1.0, 1.0}
-        assert np.array_equal(sign * sign, np.ones(len(idx)))
-        assert np.array_equal(state.idx, idx)
+        idx, amps = state.index(), state.amps.copy()
+        # the marks broadcast from the slices are each copy's mark on the
+        # full index, ANDed
+        assert np.array_equal(state.sign == -1, np.logical_and.reduce(
+            [sv.oracle_mark(idx, c) for c in lay.copies]))
+        assert set(state.sign.tolist()) == {-1, 1}
+        for _ in range(2):
+            state.amps *= state.sign
+        assert np.array_equal(state.index(), idx)
         assert np.array_equal(state.amps, amps)
 
     def test_decode_phase_pattern(self):
         model, d = decode_task()
         state, lay = sv.prepare_initial(model, d, k=1)
         copy = lay.copies[0]
-        for idx, sign in zip(state.idx, sv.oracle_sign(state, lay)):
+        for idx, sign in zip(state.index(), state.sign):
             y = tuple((idx >> q) & 1 for q in copy.y)
             out = tuple((idx >> q) & 1 for q in copy.out)
-            assert sign == (-1.0 if out == y else 1.0)
+            assert sign == (-1 if out == y else 1)
 
     @pytest.mark.parametrize("task,k", [
         ("toy", 1), ("toy", 2), ("toy", 3), ("toy", 4),
         ("simplified-ed", 1), ("decode", 1), ("decode", 2)])
     def test_engine_matches_full_support_reference(self, task, k):
-        if task == "decode":
-            model, d = decode_task()
-        else:
-            bundle = tasks.load_task(task)
-            model, d = bundle.model, bundle.train
+        model, d = reference_instance(task)
         plan = am.make_plan(am.accuracy_table(model, d), k)
         idx, psi0, final = reference_run(model, d, k, plan.g, plan.n_aux)
         state, _ = sv.prepare_initial(model, d, k, plan.n_aux)
-        assert np.array_equal(state.idx, idx)
+        assert np.array_equal(state.index(), idx)
         assert np.array_equal(state.amps, psi0.real) and not psi0.imag.any()
         _, state, _ = sv.grover_run(model, d, k, plan.g, plan.n_aux,
                                     return_state=True)
-        assert np.array_equal(state.idx, idx)
+        assert np.array_equal(state.index(), idx)
         assert np.max(np.abs(state.amps - final)) <= 1e-12
 
 
@@ -439,6 +496,23 @@ def crosscheck(model, d, k):
             float(marg.sum()), lay.n_qubits)
 
 
+def crosscheck_fresh(task, k):
+    """crosscheck on a built-in task in a fresh interpreter, plus its peak
+    RSS in MB (ru_maxrss, in KiB on Linux)."""
+    script = "\n".join([
+        "import resource", "import numpy as np",
+        "from grovertrain import amplify as am, statevec as sv, tasks",
+        inspect.getsource(crosscheck),
+        f"b = tasks.load_task({task!r})",
+        f"print(*crosscheck(b.model, b.train, {k}),",
+        "      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)"])
+    proc = subprocess.run([sys.executable, "-c", script], env=console_env(),
+                          check=True, capture_output=True, text=True,
+                          timeout=300)
+    dev, drift, mass, n_qubits, peak_mb = proc.stdout.split()
+    return float(dev), float(drift), float(mass), int(n_qubits), float(peak_mb)
+
+
 @st.composite
 def small_instances(draw):
     """Random small circuit, distinct samples labelled by a random teacher
@@ -473,16 +547,21 @@ class TestLargeAndRandomInstances:
     """Closed form vs gate-level run, within 1e-9, on instances of 21 to 49
     qubits (edge k=2 holds 41M basis states) and on random small ones."""
 
+    # peak RSS bounds (MB), each case run in a fresh interpreter: edge k=2
+    # peaks near 400 MB with a float64 amplitude and a one-byte sign per
+    # state, and near 1050 MB with an int64 index and a float64 sign more
+    PEAK_MB = {("edge", 2): 600}
+
     @pytest.mark.parametrize("task,k,n_qubits", [
         ("edge", 1, 24), ("edge", 2, 37), ("simplified-ed", 2, 29),
         ("toy", 8, 33), ("toy", 12, 49), ("decode", 3, 21)])
     def test_matches_closed_form(self, task, k, n_qubits):
-        if task == "decode":
-            model, d = decode_task()
+        if (task, k) in self.PEAK_MB:
+            dev, drift, mass, got_qubits, peak_mb = crosscheck_fresh(task, k)
+            assert peak_mb < self.PEAK_MB[task, k]
         else:
-            bundle = tasks.load_task(task)
-            model, d = bundle.model, bundle.train
-        dev, drift, mass, got_qubits = crosscheck(model, d, k)
+            dev, drift, mass, got_qubits = crosscheck(
+                *reference_instance(task), k)
         assert got_qubits == n_qubits
         assert dev <= 1e-9 and drift <= 1e-9 and abs(mass - 1.0) <= 1e-9
 
@@ -505,5 +584,6 @@ class TestCsv:
                                                     "0,-0.5,0\n"
                                                     "1,1,0\n")
         # -0.0 prints as itself, apart from the zeros off the support
-        assert text(sv.QuantumState(2, [0, 1], [-0.0, 1.0])) == (
+        assert text(sv.QuantumState(2, ([[0], [1]],), [-0.0, 1.0],
+                                    [1, 1])) == (
             "basis_index,re,im\n0,-0,0\n1,1,0\n2,0,0\n3,0,0\n")
