@@ -14,11 +14,9 @@ a comment, keys match flag names with '-' or '_'); each value is typed and
 checked by the flag it names, and explicit command-line flags override it.
 
 Exit codes: 0 success, 2 configuration error (an output that cannot be
-written included, and a shots-curve budget or runs x budgets above MAX_CURVE
-= 2**26, distribution --shots or shots-curve runs x largest budget x
---eval-shots above MAX_SHOTS = 2**32, theory epsilons x k-max above MAX_ROWS
-= 2**20, about 4 s of rows, which stream), 3 degenerate rotation angle (none
-usable, or one so small that the plan needs 2**52 rounds or more).
+written included, and a run size above its cap: the MAX_* constants, listed
+with what each guards in the README's flags section), 3 degenerate rotation
+angle (none usable, or one so small that the plan needs 2**52 rounds or more).
 """
 from __future__ import annotations
 
@@ -42,8 +40,10 @@ from .datasets import dataset_to_csv
 from .tasks import TASK_NAMES, TaskError, load_task
 
 # caps: shots-curve's budget and runs x budgets (statevec.MAX_SUPPORT's
-# size), uniforms for shots (about 18 s), theory's rows (about 4 s)
+# size), uniforms for shots (about 18 s), theory's rows (about 4 s), --k and
+# an explicit --pad (the plan's exact integers have k times their digits)
 MAX_CURVE, MAX_SHOTS, MAX_ROWS = 1 << 26, 1 << 32, 1 << 20
+MAX_K, MAX_PAD = 1 << 16, 1 << 32
 
 _SWITCH_WORDS = (dict.fromkeys(("1", "true", "yes", "on"), True)
                  | dict.fromkeys(("0", "false", "no", "off"), False))
@@ -60,8 +60,8 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _int_at_least(low: int, kind: str = "an integer", cap: float = math.inf):
-    """argparse type: an integer in [low, cap] (`kind` names what it takes)."""
+def _int_at_least(low: int, kind: str = "an integer"):
+    """argparse type: an integer >= low (`kind` names what it takes)."""
     def parse(text: str) -> int:
         try:
             n = int(text)
@@ -70,8 +70,6 @@ def _int_at_least(low: int, kind: str = "an integer", cap: float = math.inf):
                 f"needs {kind}, got {text!r}") from None
         if n < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {n}")
-        if n > cap:
-            raise argparse.ArgumentTypeError(f"{n} is above the cap of {cap}")
         return n
     return parse
 
@@ -121,9 +119,6 @@ def _parse_budgets(text: str) -> list[int]:
             f"bad budget list {text!r}") from None
     if not budgets or budgets[0] < 1:
         raise argparse.ArgumentTypeError("budgets must be positive integers")
-    if budgets[-1] > MAX_CURVE:
-        raise argparse.ArgumentTypeError(
-            f"budget {budgets[-1]} is above the cap of {MAX_CURVE}")
     return budgets
 
 
@@ -185,11 +180,8 @@ def _int_text(n: int) -> str:
 
 def _write_manifest(out: Path, args, outputs: list[Path], t0: float,
                     plan: am.GroverPlan | None, stages: _Stages) -> None:
-    for p in outputs:
-        if not p.exists() or p.stat().st_size == 0:
-            raise RuntimeError(f"output {p} missing or empty")
     config = {k: (str(v) if isinstance(v, Path) else v)
-              for k, v in sorted(vars(args).items()) if k not in ("func",)}
+              for k, v in sorted(vars(args).items())}
     manifest = {
         "command": args.command,
         "config": config,
@@ -384,7 +376,7 @@ def build_parser(config: dict[str, str] | None = None
     sub = parser.add_subparsers(dest="command", required=True)
     positive, nonnegative = _int_at_least(1), _int_at_least(0)
 
-    def command(name, func, summary, task=True, seed=True):
+    def command(name, summary, task=True, seed=True):
         p = sub.add_parser(name, help=summary)
         if task:
             p.add_argument("--task", default="simplified-ed",
@@ -396,7 +388,6 @@ def build_parser(config: dict[str, str] | None = None
             p.add_argument("--seed", type=nonnegative, default=0)
         p.add_argument("--out", metavar="DIR",
                        help="output directory (default runs/<command>)")
-        p.set_defaults(func=func.__name__)  # looked up when a run starts
         return p
 
     def plan_flags(p):
@@ -413,20 +404,18 @@ def build_parser(config: dict[str, str] | None = None
                        help="set the angle to arcsin of the solution ratio "
                             "itself rather than of its square root")
 
-    command("gen-data", cmd_gen_data, "write dataset/train/test CSVs")
+    command("gen-data", "write dataset/train/test CSVs")
 
-    p = command("jtable", cmd_jtable, "exact accuracy table over all weights")
+    p = command("jtable", "exact accuracy table over all weights")
     p.add_argument("--split", choices=("full", "train", "test"),
                    default="full")
 
-    p = command("distribution", cmd_distribution,
-                "evolved weight distribution for one plan")
+    p = command("distribution", "evolved weight distribution for one plan")
     plan_flags(p)
-    p.add_argument("--shots", type=_int_at_least(1, cap=MAX_SHOTS),
+    p.add_argument("--shots", type=positive,
                    help="estimate the rotation angle from this many samples")
 
-    p = command("shots-curve", cmd_shots_curve,
-                "best-found accuracy vs measurement budget")
+    p = command("shots-curve", "best-found accuracy vs measurement budget")
     plan_flags(p)
     p.add_argument("--method", choices=("kpd", "urs"), default="kpd",
                    help="amplified sampling (kpd) or uniform random search")
@@ -440,13 +429,12 @@ def build_parser(config: dict[str, str] | None = None
     p.add_argument("--dump-traces", action="store_true",
                    help="write per-repetition sampling traces")
 
-    p = command("verify-oracle", cmd_verify_oracle,
+    p = command("verify-oracle",
                 "closed form vs statevector on small instances", task=False)
     p.add_argument("--dump-statevector", action="store_true",
                    help="also write final statevectors (large files)")
 
-    p = command("theory", cmd_theory, "query-count bounds and best k",
-                seed=False)
+    p = command("theory", "query-count bounds and best k", seed=False)
     p.add_argument("--epsilons", type=_parse_epsilons, default="0",
                    help="comma-separated accuracy slacks")
     p.add_argument("--k-max", type=positive, default=8,
@@ -484,18 +472,25 @@ def main(argv=None) -> int:
         if known.config:
             parser = build_parser(parse_config_file(known.config))
         args = parser.parse_args(argv)
-        curve = getattr(args, "runs", 0) * len(getattr(args, "budget", ()))
-        if curve > MAX_CURVE:  # shots-curve's grid of best-so-far weights
-            raise ConfigError(f"{args.runs} runs x {len(args.budget)} "
-                              f"budgets is above the cap of {MAX_CURVE}")
-        shots = curve and args.runs * args.budget[-1] * (args.eval_shots or 0)
-        if shots > MAX_SHOTS:  # uniforms of the candidates' --eval-shots
-            raise ConfigError(f"{shots} eval-shots uniforms (runs x budget x "
-                              f"eval-shots) are above the cap of {MAX_SHOTS}")
-        rows = getattr(args, "k_max", 0) * len(getattr(args, "epsilons", ()))
-        if rows > MAX_ROWS:
-            raise ConfigError(f"{rows} theory rows (epsilons x k-max) are "
-                              f"above the cap of {MAX_ROWS}")
+        # every size a run allocates or loops over, as (value, what, cap),
+        # where a flag the command lacks (or leaves unset) counts as 0
+        get = vars(args).get
+        budgets, runs, pad = get("budget", [0]), get("runs", 0), get("pad", 0)
+        for n, what, cap in (
+                (budgets[-1], "measurements (largest budget)", MAX_CURVE),
+                (runs * len(budgets), "best-so-far weights (runs x budgets)",
+                 MAX_CURVE),
+                (get("shots") or 0, "shots", MAX_SHOTS),
+                (runs * budgets[-1] * (get("eval_shots") or 0),
+                 "eval-shots uniforms (runs x budget x eval-shots)",
+                 MAX_SHOTS),
+                (get("k_max", 0) * len(get("epsilons", ())),
+                 "theory rows (epsilons x k-max)", MAX_ROWS),
+                (get("k", 0), "parallel copies (--k)", MAX_K),
+                (0 if pad == "auto" else pad, "padding samples (--pad)",
+                 MAX_PAD)):
+            if n > cap:
+                raise ConfigError(f"{n} {what} are above the cap of {cap}")
         t0 = time.monotonic()
         out = Path(args.out or Path("runs") / args.command)
         try:
@@ -504,7 +499,8 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"cannot create output directory {out}: {e}") from e
         stages = _Stages()
-        outputs, plan = globals()[args.func](args, out, stages)
+        command = globals()["cmd_" + args.command.replace("-", "_")]
+        outputs, plan = command(args, out, stages)
         _write_manifest(out, args, outputs, t0, plan, stages)
         return 0
     except am.DegenerateAngleError as e:

@@ -705,6 +705,15 @@ class TestParserSurface:
         assert run("theory", "--task", "edge", "--out", str(tmp_path)) == 0
         assert seen == ["theory"]
 
+    def test_every_subcommand_has_a_command_function(self):
+        # main finds a command's function by its name when the run starts,
+        # so a missing one would otherwise show only when that command runs
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert len(sub.choices) == 6
+        for name in sub.choices:
+            assert callable(getattr(cli, "cmd_" + name.replace("-", "_")))
+
     def test_shared_flags_agree_across_subcommands(self):
         # a config value is typed by the first flag with its dest and then
         # becomes the default of every subcommand that has that dest
@@ -723,6 +732,52 @@ class TestParserSurface:
                 assert a.type is first.type, dest
                 assert a.default == first.default, dest
                 assert a.choices == first.choices, dest
+
+
+class TestRunLimits:
+    """Every size flag is checked against its cap in one table in main,
+    whether its value comes from a flag or from a --config file."""
+
+    LIMITS = {
+        "budget": ("shots-curve", {"budget": f"1,{cli.MAX_CURVE + 1}"}),
+        "grid": ("shots-curve", {"budget": "1,2",
+                                 "runs": cli.MAX_CURVE // 2 + 1}),
+        "shots": ("distribution", {"shots": cli.MAX_SHOTS + 1}),
+        "eval-shots": ("shots-curve", {"runs": 3, "budget": "1,4",
+                                       "eval-shots": cli.MAX_SHOTS // 12 + 1}),
+        "rows": ("theory", {"epsilons": "0,0.5",
+                            "k-max": cli.MAX_ROWS // 2 + 1}),
+        "k": ("distribution", {"k": cli.MAX_K + 1}),
+        "k-urs": ("shots-curve", {"method": "urs", "k": cli.MAX_K + 1}),
+        "pad": ("distribution", {"pad": cli.MAX_PAD + 1}),
+    }
+
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    @pytest.mark.parametrize("limit", list(LIMITS))
+    def test_each_cap_refuses_before_the_output_directory(
+            self, tmp_path, capsys, limit, source):
+        command, values = self.LIMITS[limit]
+        if source == "flags":
+            argv = [command] + [t for key, v in values.items()
+                                for t in (f"--{key}", str(v))]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("".join(f"{k}={v}\n" for k, v in values.items()))
+            argv = ["--config", str(cfg), command]
+        out = tmp_path / "o"
+        assert run(*argv, "--task", "toy", "--out", str(out)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert "are above the cap of" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, code", [
+        (["--pad", str(cli.MAX_PAD)], 0),
+        (["--k", str(cli.MAX_K)], 3),  # toy's solution ratio underflows
+    ])
+    def test_caps_are_inclusive(self, tmp_path, flags, code):
+        assert run("distribution", "--task", "toy", *flags,
+                   "--out", str(tmp_path / "o")) == code
 
 
 class TestOutputDirectory:
@@ -822,12 +877,14 @@ class TestConsoleEntry:
     @pytest.mark.parametrize("case", ["bad-flag", "config-choice",
                                       "unwritable-out", "huge-budget",
                                       "huge-runs", "huge-shots",
-                                      "huge-theory", "config-not-utf8",
+                                      "huge-theory", "huge-k", "huge-pad",
+                                      "config-huge-k", "config-not-utf8",
                                       "idx-is-a-directory"])
     def test_bad_input_exits_two_with_one_line(self, tmp_path, case):
         (tmp_path / "F").write_text("a regular file\n")
         (tmp_path / "bad.cfg").write_text("split=bogus\n")
         (tmp_path / "latin.cfg").write_bytes(b"k=\xff\xfe2\n")
+        (tmp_path / "k.cfg").write_text("k=70000\n")
         (tmp_path / "d" / "train-images-idx3-ubyte").mkdir(parents=True)
         argv = {"bad-flag": ["distribution", "--k", "three"],
                 "config-choice": ["--config", "bad.cfg", "jtable"],
@@ -844,7 +901,13 @@ class TestConsoleEntry:
                 "huge-shots": ["distribution", "--task", "toy",
                                "--shots", "100000000000000"],
                 "huge-theory": ["theory", "--task", "toy",
-                                "--k-max", "100000000"]}[case]
+                                "--k-max", "100000000"],
+                "huge-k": ["distribution", "--task", "edge",
+                           "--k", "1000000"],
+                "huge-pad": ["distribution", "--task", "edge", "--k",
+                             "65536", "--pad", str(10 ** 300)],
+                "config-huge-k": ["--config", "k.cfg", "distribution",
+                                  "--task", "edge"]}[case]
         proc = subprocess.run([sys.executable, "-m", "grovertrain.cli",
                                *argv], cwd=tmp_path, env=console_env(),
                               capture_output=True, text=True, timeout=120)
