@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
@@ -41,6 +41,10 @@ AUTO_PAD_RESIDUAL_THRESHOLD = 0.9
 
 # search() and theta_shots() hold at most this many shot uniforms at once
 _SHOT_BLOCK = 1 << 20
+# shots-curve runs its repetitions on every core once a run draws at least
+# this many shot uniforms (largest budget x eval-shots); below it the GIL-bound
+# draw and score steps cost more in thread handoffs than a core saves
+PARALLEL_SHOTS = 1 << 16
 # cells of the guide table; a power of two, so floor(u * _GUIDE_CELLS) is exact
 _GUIDE_CELLS = 1 << 12
 
@@ -62,6 +66,8 @@ class AccuracyTable:
     counts: np.ndarray  # int64, length 2**weight_width
     n_samples: int
     weight_width: int
+    _powers: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=np.int64)
@@ -84,6 +90,16 @@ class AccuracyTable:
     def histogram(self) -> np.ndarray:
         """Number of weights with each correct count 0..N; computed once."""
         return np.bincount(self.counts, minlength=self.n_samples + 1)
+
+    def count_powers(self, k: int) -> tuple[list[int], int]:
+        """(c**k for c = 0..N, 0 where no weight has c; their sum weighted
+        by the histogram) as exact integers; computed once per k."""
+        if k not in self._powers:
+            mult = self.histogram.tolist()
+            pow_by_count = [c ** k if m else 0 for c, m in enumerate(mult)]
+            self._powers[k] = (pow_by_count,
+                               sum(m * s for m, s in zip(mult, pow_by_count)))
+        return self._powers[k]
 
 
 @dataclass(frozen=True)
@@ -198,12 +214,12 @@ def counts_at(model: ModelCircuit, d: Dataset, weights) -> np.ndarray:
 
 def solution_stats(t: AccuracyTable, k: int, n_aux: int = 0) -> SolutionStats:
     """Exact k-parallel solution counts: a weight with c correct samples owns
-    c**k solution states out of (N + n_aux)**k."""
+    c**k solution states out of (N + n_aux)**k. The powers do not depend on
+    n_aux, and the table keeps them per k, so a plan and its evolution
+    share one computation."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    mult = t.histogram.tolist()
-    pow_by_count = [c ** k if m else 0 for c, m in enumerate(mult)]
-    total = sum(m * s for m, s in zip(mult, pow_by_count))
+    pow_by_count, total = t.count_powers(k)
     return SolutionStats(pow_by_count, total, k, 1 << t.weight_width,
                          t.n_samples, n_aux)
 

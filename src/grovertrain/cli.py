@@ -24,8 +24,10 @@ import argparse
 import functools
 import json
 import math
+import os
 import resource
 import sys
+import threading
 import time
 from collections.abc import Iterable
 from pathlib import Path
@@ -40,8 +42,9 @@ from .datasets import dataset_to_csv
 from .tasks import TASK_NAMES, TaskError, load_task
 
 # caps: shots-curve's budget and runs x budgets (statevec.MAX_SUPPORT's
-# size), uniforms for shots (about 18 s), theory's rows (about 4 s), --k and
-# an explicit --pad (the plan's exact integers have k times their digits)
+# size), uniforms for shots (about 11 s on one core), theory's rows (about
+# 4 s), --k and an explicit --pad (the plan's exact integers have k times
+# their digits)
 MAX_CURVE, MAX_SHOTS, MAX_ROWS = 1 << 26, 1 << 32, 1 << 20
 MAX_K, MAX_PAD = 1 << 16, 1 << 32
 
@@ -158,6 +161,14 @@ class _Stages:
         return value
 
 
+def _cores() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
 def _write(path: Path, data: str | Iterable[bytes]) -> Path:
     """Write text, or byte blocks one after another as they are made, to
     path."""
@@ -266,19 +277,51 @@ def cmd_shots_curve(args, out: Path, lap: _Stages):
         label = "urs"
     at_budget = np.array(budgets) - 1
     best = np.zeros((args.runs, len(budgets)), dtype=np.int64)
-    outputs = []
-    for rep in range(args.runs):
-        rng = np.random.default_rng([args.seed, rep])
-        draws, estimates, found = am.search(dist, t_train, budgets[-1], rng,
-                                            args.eval_shots)
-        best[rep] = found[at_budget]
-        lap("search")
-        if args.dump_traces:
-            rows = zip(range(len(draws)), draws.tolist(), estimates.tolist())
-            trace = am.rows_csv("draw_index,weight_index,estimate\n",
-                                "{},{},{:.12g}\n", rows)
-            outputs.append(lap("write", _write(out / f"trace_rep{rep}.csv",
-                                               trace)))
+    outputs = ([out / f"trace_rep{rep}.csv" for rep in range(args.runs)]
+               if args.dump_traces else [])
+
+    # each repetition has its own generator and its own row and trace, so
+    # any split of the runs among threads draws the same uniforms. Each
+    # thread takes the next run not yet taken, so a thread that a busy core
+    # slows takes fewer, and none is taken once a run has failed
+    reps, taking, errors = iter(range(args.runs)), threading.Lock(), []
+
+    def take():
+        with taking:
+            return None if errors else next(reps, None)
+
+    def work(lap=lambda stage, value=None: value):
+        try:
+            while (rep := take()) is not None:
+                rng = np.random.default_rng([args.seed, rep])
+                draws, estimates, found = am.search(
+                    dist, t_train, budgets[-1], rng, args.eval_shots)
+                best[rep] = found[at_budget]
+                lap("search")
+                if args.dump_traces:
+                    rows = zip(range(len(draws)), draws.tolist(),
+                               estimates.tolist())
+                    lap("write", _write(outputs[rep], am.rows_csv(
+                        "draw_index,weight_index,estimate\n",
+                        "{},{},{:.12g}\n", rows)))
+        except BaseException as e:  # raised again once every thread ended
+            errors.append(e)
+
+    # this thread names its own stages; the others' time, trace writes
+    # included, is charged to search when they are joined
+    shots = budgets[-1] * (args.eval_shots or 0)
+    workers = min(args.runs, _cores()) if shots >= am.PARALLEL_SHOTS else 1
+    threads = [threading.Thread(target=work, daemon=True)
+               for _ in range(workers - 1)]
+    dist.guide  # built once, before the threads share it
+    for t in threads:
+        t.start()
+    work(lap)
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
+    lap("search")
     train_acc = t_train.counts[best] / t_train.n_samples
     # the test split is scored only at the weights the runs kept
     test_acc = lap("table", am.counts_at(bundle.model, bundle.test,

@@ -173,6 +173,28 @@ class TestSolutionStats:
             (s.pow_by_count, s.total)
         assert padded.n_states == 4 * 6 ** 3
 
+    @pytest.mark.parametrize("k, pad", [(1, "auto"), (4, "auto"), (4, 7),
+                                        (300, "auto")])
+    def test_powers_are_built_once_per_k(self, edge_bundle, k, pad):
+        # a plan, its padded angle and its evolution share one c**k list;
+        # what they compute is the same as from a table that never saw k
+        def fresh():
+            return am.accuracy_table(edge_bundle.model, edge_bundle.full)
+        t = fresh()
+        first = am.solution_stats(t, k)
+        again = am.solution_stats(t, k, n_aux=5)
+        assert again.pow_by_count is first.pow_by_count
+        assert again.total == first.total
+        plan = am.make_plan(t, k, pad=pad)
+        dist = am.evolve_distribution(t, plan)
+        assert am.solution_stats(t, k, plan.n_aux).pow_by_count \
+            is first.pow_by_count
+        cold = fresh()
+        assert am.make_plan(cold, k, pad=pad) == plan
+        assert np.array_equal(am.evolve_distribution(fresh(), plan).p,
+                              dist.p)
+        assert am.solution_stats(t, k + 1).pow_by_count != first.pow_by_count
+
     def test_validation(self):
         t = table_from_counts([1, 0], 2)
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -364,13 +365,121 @@ class TestShotsCurve:
     }
 
     @pytest.mark.parametrize("name", sorted(TRACES))
-    def test_curves_and_traces_pinned(self, tmp_path, name):
+    def test_curves_and_traces_pinned(self, tmp_path, monkeypatch, name):
+        # each run is below the thread rule, so none starts on any host
+        started = self.spy_threads(monkeypatch, 4)
         flags, want = self.TRACES[name]
         assert run("shots-curve", *flags, "--dump-traces",
                    "--out", str(tmp_path)) == 0
+        assert started == []
         for stem, digest in want.items():
             data = (tmp_path / f"{stem}.csv").read_bytes()
             assert hashlib.sha256(data).hexdigest() == digest, stem
+
+    # above the rule: 32 x 2048 = 2^16 shot uniforms per run
+    THREADED = ["shots-curve", "--task", "edge", "--k", "4", "--runs", "5",
+                "--budget", "1,32", "--eval-shots", "2048", "--dump-traces"]
+
+    @staticmethod
+    def spy_threads(monkeypatch, cores):
+        """Pretend to have `cores` CPUs; returns the list of threads that
+        shots-curve starts."""
+        started = []
+
+        class Spy(cli.threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+        monkeypatch.setattr(cli, "_cores", lambda: cores)
+        monkeypatch.setattr(cli.threading, "Thread", Spy)
+        return started
+
+    def test_threaded_runs_match_one_core(self, tmp_path, monkeypatch):
+        # 8 cores: a thread per run, more threads than this host may have,
+        # switched often, so a lost row or a shared stream would show
+        outs = {}
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for cores in (None, 1, 3, 8):
+                if cores is not None:
+                    monkeypatch.setattr(cli, "_cores", lambda: cores)
+                outs[cores] = tmp_path / str(cores)
+                assert run(*self.THREADED, "--out", str(outs[cores])) == 0
+        finally:
+            sys.setswitchinterval(interval)
+        names = ["shots_curve.csv"] + [f"trace_rep{r}.csv" for r in range(5)]
+        for out in outs.values():
+            assert read_manifest(out)["outputs"] == names
+            for name in names:
+                assert (out / name).read_bytes() == \
+                    (outs[1] / name).read_bytes(), (out, name)
+
+    @pytest.mark.parametrize("cores, runs, budget, shots, threads", [
+        (4, 5, "1,32", 2048, 3),
+        (4, 2, "1,32", 2048, 1),   # workers capped at runs
+        (1, 5, "1,32", 2048, 0),
+        (4, 1, "1,32", 2048, 0),
+        (4, 3, "64", 1024, 2),     # exactly 2^16 shots per run
+        (4, 3, "63", 1040, 0),     # 65520: just below the rule
+        (4, 3, "1,1000", None, 0),  # exact scores
+    ])
+    def test_threads_start_only_above_the_rule(self, tmp_path, monkeypatch,
+                                               cores, runs, budget, shots,
+                                               threads):
+        started = self.spy_threads(monkeypatch, cores)
+        argv = ["shots-curve", "--task", "edge", "--k", "4", "--runs",
+                str(runs), "--budget", budget, "--out", str(tmp_path)]
+        if shots is not None:
+            argv += ["--eval-shots", str(shots)]
+        assert run(*argv) == 0
+        assert len(started) == threads
+
+    def test_threads_end_with_the_run(self, tmp_path, monkeypatch):
+        started = self.spy_threads(monkeypatch, 3)
+        before = cli.threading.active_count()
+        assert run(*self.THREADED, "--out", str(tmp_path)) == 0
+        assert len(started) == 2
+        assert cli.threading.active_count() == before
+
+    @pytest.mark.parametrize("rep", [0, 1, 4])
+    def test_failed_trace_write_in_any_thread_exits_two(
+            self, tmp_path, monkeypatch, capsys, rep):
+        # the failing run may be taken by the calling thread or another one
+        started = self.spy_threads(monkeypatch, 3)
+        write = cli._write
+
+        def failing(path, data):
+            if path.name == f"trace_rep{rep}.csv":
+                raise cli.ConfigError(f"cannot write {path}: refused")
+            return write(path, data)
+        monkeypatch.setattr(cli, "_write", failing)
+        before = cli.threading.active_count()
+        assert run(*self.THREADED, "--out", str(tmp_path)) == 2
+        assert len(started) == 2
+        assert cli.threading.active_count() == before
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines() == [
+            f"config error: cannot write {tmp_path}/trace_rep{rep}.csv: "
+            "refused"]
+
+    def test_no_run_is_taken_after_a_failure(self, tmp_path, monkeypatch):
+        # two threads take runs 0 and 1; run 0 fails while run 1 writes
+        # slowly, and then neither thread takes runs 2..4
+        self.spy_threads(monkeypatch, 2)
+        write = cli._write
+
+        def failing(path, data):
+            if path.name == "trace_rep0.csv":
+                raise cli.ConfigError(f"cannot write {path}: refused")
+            if path.name == "trace_rep1.csv":
+                time.sleep(0.2)
+            return write(path, data)
+        monkeypatch.setattr(cli, "_write", failing)
+        assert run(*self.THREADED, "--out", str(tmp_path)) == 2
+        assert {p.name for p in tmp_path.glob("trace_rep*.csv")} <= \
+            {"trace_rep1.csv"}
 
     def test_validation(self, tmp_path):
         out = str(tmp_path / "o")
@@ -825,12 +934,18 @@ class TestManifestStages:
          {"load", "table", "plan", "evolve", "search", "write"}),
         (["shots-curve", "--task", "edge", "--method", "urs"],
          {"load", "table", "search", "write"}),
+        # two threads: their trace writes are charged to search
+        (TestShotsCurve.THREADED,
+         {"load", "table", "plan", "evolve", "search", "write"}),
         (["verify-oracle"],
          {"load", "table", "plan", "evolve", "simulate", "write"}),
         (["theory", "--task", "edge"], {"load", "table", "bounds", "write"}),
     ], ids=["gen-data", "jtable", "distribution", "shots-curve-kpd",
-            "shots-curve-urs", "verify-oracle", "theory"])
-    def test_stage_seconds_and_peak_memory(self, tmp_path, argv, stages):
+            "shots-curve-urs", "shots-curve-threaded", "verify-oracle",
+            "theory"])
+    def test_stage_seconds_and_peak_memory(self, tmp_path, monkeypatch, argv,
+                                           stages):
+        monkeypatch.setattr(cli, "_cores", lambda: 2)
         out = tmp_path / "o"
         assert run(*argv, "--out", str(out)) == 0
         man = read_manifest(out)
