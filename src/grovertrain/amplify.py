@@ -20,6 +20,7 @@ before it becomes a float: small shares may underflow to 0, none overflow.
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -52,6 +53,10 @@ _GUIDE_CELLS = 1 << 12
 # multiple of 10**4: blocks then start on multiples of 10**4, where the
 # index digits above the fourth change
 _CSV_BLOCK = 10 ** 4
+# CsvBlocks drops a table's NUL padding with a GIL-free byte mask when the
+# padding is at least this share of its record bytes, else with
+# bytes.replace, which holds the GIL but is cheaper on sparse padding
+_MASK_NUL_SHARE = 0.01
 
 
 class DegenerateAngleError(ValueError):
@@ -436,63 +441,130 @@ def _fmt(v: float) -> str:
     return f"{v:.12g}"
 
 
-def _digit_table(d: int) -> np.ndarray:
-    """The zero-padded d-digit text of 0 .. 10**d - 1, as S{d} items, put
-    together from the ten digit bytes by broadcasting."""
+def _low_digits() -> tuple[np.ndarray, np.ndarray]:
+    """The text of 0 .. 9999 as S4 items: zero-padded to four digits, and
+    without leading zeros (NUL-padded), put together from the ten digit
+    bytes by broadcasting."""
     digits = np.frombuffer(b"0123456789", dtype=np.uint8)
-    grid = np.empty((10,) * d + (d,), dtype=np.uint8)
-    for col in range(d):
-        grid[..., col] = digits.reshape((10,) + (1,) * (d - 1 - col))
-    return grid.view(f"S{d}").ravel()
+    padded = np.empty((10,) * 4 + (4,), dtype=np.uint8)
+    for col in range(4):
+        padded[..., col] = digits.reshape((10,) + (1,) * (3 - col))
+    padded = padded.reshape(-1, 4)
+    bare = np.zeros_like(padded)
+    for k in range(4):  # the numbers of k + 1 digits, shifted left
+        rows = slice(10 ** k if k else 0, 10 ** (k + 1))
+        bare[rows, :k + 1] = padded[rows, 3 - k:]
+    return padded.view("S4").ravel(), bare.view("S4").ravel()
 
 
-def csv_blocks(head: str, tails: list[str], keys: np.ndarray
-               ) -> Iterator[bytes]:
-    """Yield `head`, then the row f"{i},{tails[keys[i]]}" for every index
-    i, in byte blocks of at most _CSV_BLOCK rows.
+class CsvBlocks:
+    """The rows f"{i},{tails[keys[i]]}" for every index i after `head`, as
+    byte blocks of at most _CSV_BLOCK rows that any thread can build and
+    write at its own byte offset. Tails hold no NUL byte.
 
-    A row depends on its index only through its key, so each tail is
-    encoded once per key, NUL-padded to a common width.
-    Blocks start at multiples of 10**4 and where the index gains a digit (at
-    10**d). So a d-digit index is its high d-4 digits, the same for each
-    10**4 rows of a block, then its low digits, the same for every block of
-    a run of d-digit indices. Each run gets one record buffer (high digits,
-    low digits, comma, tail), with the low digits and commas filled in once.
-    A block writes its high digits and gathered tails into the buffer, and
-    dropping the NULs leaves the block's bytes.
+    Rows below 10**4 form the first block; their index text has no leading
+    zeros and is NUL-padded to four bytes. Later blocks start at multiples
+    of 10**4 and where the index gains a digit (at 10**d). So a d-digit
+    index is its high d-4 digits, the same for each 10**4 rows of a block,
+    then its low four digits, the same for every block. Each run of equal
+    index width gets one table of whole records per key (high digits, low
+    digits, comma, tail NUL-padded to a common width). A block gathers its
+    records from it in one contiguous take, writes its low and high digits
+    over their fields, and drops the NULs.
+
+    Block i is bytes offsets[i] .. offsets[i + 1] of the file; the head is
+    bytes 0 .. offsets[0]. The offsets are exact integers from the tail
+    lengths of each block's keys and its index width, known before any
+    block is built. Iterating yields the head, then the blocks in order.
     """
-    yield head.encode()
-    padded = np.array([t.encode() for t in tails])
-    n = len(keys)
-    for d in range(1, len(str(n)) + 1):
-        start, stop = 10 ** (d - 1) if d > 1 else 0, min(10 ** d, n)
-        if start >= stop:
-            break
-        hi = max(d - 4, 0)
-        rec = np.empty(min(_CSV_BLOCK, stop - start), dtype=[
-            ("hi", f"S{hi}"), ("lo", f"S{d - hi}"), ("sep", "S1"),
-            ("tail", padded.dtype)])
-        rec["lo"] = np.resize(_digit_table(d - hi)[start % 10 ** 4:],
-                              len(rec))
-        rec["sep"] = b","
-        for a in range(start, stop, _CSV_BLOCK):
-            b = min(a + _CSV_BLOCK, stop)
-            for h in range(a, b, 10 ** 4):  # an empty field below 10**4
-                rec["hi"][h - a:h - a + 10 ** 4] = str(h // 10 ** 4)
-            rec["tail"][:b - a] = padded[keys[a:b]]
-            yield rec[:b - a].tobytes().replace(b"\0", b"")
+
+    def __init__(self, head: str, tails: list[str], keys: np.ndarray):
+        self.head = head.encode()
+        encoded = [t.encode() for t in tails]
+        padded = np.array(encoded)
+        n = len(keys)
+        self._keys, self._blocks = keys, []
+        record_bytes, index_bytes = 0, []
+        padded_digits, bare_digits = _low_digits()
+        for start, stop, hi, lo in [(0, 10 ** 4, 0, bare_digits)] + [
+                (10 ** (d - 1), 10 ** d, d - 4, padded_digits)
+                for d in range(5, len(str(n)) + 1)]:
+            stop = min(stop, n)
+            if start >= stop:
+                break
+            recs = np.zeros(len(tails), dtype=[
+                ("hi", f"S{hi}"), ("lo", "S4"), ("sep", "S1"),
+                ("tail", padded.dtype)])
+            recs["sep"] = b","
+            recs["tail"] = padded
+            lo = np.resize(lo, min(_CSV_BLOCK, stop - start))
+            for a in range(start, stop, _CSV_BLOCK):
+                b = min(a + _CSV_BLOCK, stop)
+                self._blocks.append((recs, lo, a, b))
+                # a comma and a digit per row, and one more digit for
+                # each of 10, 100, ... that the row's index reaches
+                index_bytes.append(2 * (b - a) + sum(
+                    max(0, b - max(a, 10 ** k))
+                    for k in range(1, len(str(b)))))
+            record_bytes += (stop - start) * recs.itemsize
+        # the narrowest integer type that holds the tail lengths makes
+        # their gather over the keys cheapest
+        lengths = [len(t) for t in encoded]
+        lengths = np.array(lengths, np.min_scalar_type(max(lengths)))
+        spans = np.array(index_bytes, dtype=np.int64)
+        if len(spans):
+            spans += np.add.reduceat(lengths[keys],
+                                     [a for _, _, a, _ in self._blocks],
+                                     dtype=np.int64)
+        self.offsets = np.cumsum([len(self.head), *spans.tolist()]).tolist()
+        # the share of record bytes that are NUL padding, to be dropped
+        nul_share = 1 - (self.offsets[-1] - self.offsets[0]) / max(
+            record_bytes, 1)
+        self._mask = nul_share >= _MASK_NUL_SHARE
+        self._local = threading.local()  # each thread's record buffer
+
+    def __len__(self) -> int:
+        return len(self._blocks)
+
+    def __iter__(self) -> Iterator[bytes]:
+        yield self.head
+        for i in range(len(self)):
+            yield bytes(self.build(i))
+
+    def build(self, i: int):
+        """Block i's bytes (a bytes-like object), made in this thread's
+        reused record buffer."""
+        recs, lo, a, b = self._blocks[i]
+        buf = getattr(self._local, "buf", None)
+        if buf is None or len(buf) != (b - a) * recs.itemsize:
+            buf = self._local.buf = bytearray((b - a) * recs.itemsize)
+        rec = np.frombuffer(buf, dtype=recs.dtype)
+        # mode="clip": the default mode would gather into a temporary
+        np.take(recs, self._keys[a:b], out=rec, mode="clip")
+        rec["lo"] = lo[:b - a]
+        for h in range(a, b, 10 ** 4):  # an empty field below 10**4
+            rec["hi"][h - a:h - a + 10 ** 4] = str(h // 10 ** 4)
+        if self._mask:
+            r = np.frombuffer(buf, dtype=np.uint8)
+            data = r[r != 0]
+        else:
+            data = buf.replace(b"\0", b"")
+        if len(data) != self.offsets[i + 1] - self.offsets[i]:
+            raise RuntimeError(f"CSV block {i} has {len(data)} bytes, its "
+                               f"span {self.offsets[i + 1] - self.offsets[i]}")
+        return data
 
 
-def jtable_csv(t: AccuracyTable) -> Iterator[bytes]:
+def jtable_csv(t: AccuracyTable) -> CsvBlocks:
     """The table's rows as byte blocks, built as they are consumed."""
     n = float(t.n_samples)
     tails = [f"{c},{_fmt(c / n)}\n" for c in range(t.n_samples + 1)]
-    return csv_blocks("weight_index,correct_count,accuracy\n", tails,
-                      t.counts)
+    return CsvBlocks("weight_index,correct_count,accuracy\n", tails,
+                     t.counts)
 
 
 def distribution_csv(dist: WeightDistribution,
-                     table: AccuracyTable) -> Iterator[bytes]:
+                     table: AccuracyTable) -> CsvBlocks:
     """The distribution with the table's normalized accuracy as jhat, as
     byte blocks built as they are consumed.
 
@@ -513,8 +585,8 @@ def distribution_csv(dist: WeightDistribution,
     mid = f",{dist.k},{dist.g},{_fmt(dist.residual)},"
     tails = [f"{_fmt(p)}{mid}{_fmt(j)}\n"
              for p, j in zip(p_by_count.tolist(), jhat.tolist())]
-    return csv_blocks("weight_index,probability,k,g,residual,jhat\n",
-                      tails, counts)
+    return CsvBlocks("weight_index,probability,k,g,residual,jhat\n",
+                     tails, counts)
 
 
 def rows_csv(head: str, line: str, rows: Iterable[tuple]) -> Iterator[bytes]:

@@ -169,12 +169,58 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def _write(path: Path, data: str | Iterable[bytes]) -> Path:
+def _on_cores(n: int, workers: int, do) -> None:
+    """Call do(i) for i = 0 .. n-1 on `workers` threads, this one among
+    them. Each thread takes the next i not yet taken, so a thread that a
+    busy core slows takes fewer, and none is taken once a call has raised;
+    the first error is raised here once every thread has ended."""
+    items, taking, errors = iter(range(n)), threading.Lock(), []
+
+    def take():
+        with taking:
+            return None if errors else next(items, None)
+
+    def work():
+        try:
+            while (i := take()) is not None:
+                do(i)
+        except BaseException as e:  # raised again once every thread ended
+            errors.append(e)
+
+    threads = [threading.Thread(target=work, daemon=True)
+               for _ in range(workers - 1)]
+    for t in threads:
+        t.start()
+    work()
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
+
+
+def _pwrite(fd: int, data, offset: int) -> None:
+    """Write all of data at offset: os.pwrite may write less than asked."""
+    view = memoryview(data)
+    while view:
+        n = os.pwrite(fd, view, offset)
+        view, offset = view[n:], offset + n
+
+
+def _write(path: Path, data: str | am.CsvBlocks | Iterable[bytes]) -> Path:
     """Write text, or byte blocks one after another as they are made, to
-    path."""
+    path. A CsvBlocks table is built and written on every core, capped at
+    its block count, each block at its own offset."""
     try:
         with open(path, "wb") as f:
-            f.writelines([data.encode()] if isinstance(data, str) else data)
+            if isinstance(data, am.CsvBlocks):
+                fd = f.fileno()
+                _pwrite(fd, data.head, 0)
+                _on_cores(len(data), min(len(data), _cores()),
+                          lambda i: _pwrite(fd, data.build(i),
+                                            data.offsets[i]))
+            else:
+                f.writelines([data.encode()] if isinstance(data, str)
+                             else data)
     except OSError as e:
         raise ConfigError(f"cannot write {path}: {e}") from e
     return path
@@ -281,46 +327,29 @@ def cmd_shots_curve(args, out: Path, lap: _Stages):
                if args.dump_traces else [])
 
     # each repetition has its own generator and its own row and trace, so
-    # any split of the runs among threads draws the same uniforms. Each
-    # thread takes the next run not yet taken, so a thread that a busy core
-    # slows takes fewer, and none is taken once a run has failed
-    reps, taking, errors = iter(range(args.runs)), threading.Lock(), []
+    # any split of the runs among threads draws the same uniforms. This
+    # thread names its own stages; the others' time, trace writes included,
+    # is charged to search when they are joined
+    caller = threading.current_thread()
 
-    def take():
-        with taking:
-            return None if errors else next(reps, None)
+    def work(rep):
+        stage = (lap if threading.current_thread() is caller
+                 else lambda name, value=None: value)
+        rng = np.random.default_rng([args.seed, rep])
+        draws, estimates, found = am.search(
+            dist, t_train, budgets[-1], rng, args.eval_shots)
+        best[rep] = found[at_budget]
+        stage("search")
+        if args.dump_traces:
+            rows = zip(range(len(draws)), draws.tolist(), estimates.tolist())
+            stage("write", _write(outputs[rep], am.rows_csv(
+                "draw_index,weight_index,estimate\n", "{},{},{:.12g}\n",
+                rows)))
 
-    def work(lap=lambda stage, value=None: value):
-        try:
-            while (rep := take()) is not None:
-                rng = np.random.default_rng([args.seed, rep])
-                draws, estimates, found = am.search(
-                    dist, t_train, budgets[-1], rng, args.eval_shots)
-                best[rep] = found[at_budget]
-                lap("search")
-                if args.dump_traces:
-                    rows = zip(range(len(draws)), draws.tolist(),
-                               estimates.tolist())
-                    lap("write", _write(outputs[rep], am.rows_csv(
-                        "draw_index,weight_index,estimate\n",
-                        "{},{},{:.12g}\n", rows)))
-        except BaseException as e:  # raised again once every thread ended
-            errors.append(e)
-
-    # this thread names its own stages; the others' time, trace writes
-    # included, is charged to search when they are joined
     shots = budgets[-1] * (args.eval_shots or 0)
     workers = min(args.runs, _cores()) if shots >= am.PARALLEL_SHOTS else 1
-    threads = [threading.Thread(target=work, daemon=True)
-               for _ in range(workers - 1)]
     dist.guide  # built once, before the threads share it
-    for t in threads:
-        t.start()
-    work(lap)
-    for t in threads:
-        t.join()
-    if errors:
-        raise errors[0]
+    _on_cores(args.runs, workers, work)
     lap("search")
     train_acc = t_train.counts[best] / t_train.n_samples
     # the test split is scored only at the weights the runs kept

@@ -22,12 +22,11 @@ qubits above the flag hold what the input and label bits cannot.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .amplify import csv_blocks
+from .amplify import CsvBlocks
 from .boolcirc import ModelCircuit, compile_circuit
 from .datasets import Dataset
 
@@ -227,10 +226,10 @@ def grover_run(model: ModelCircuit, d: Dataset, k: int, g: int,
     return (marginal, state, layout) if return_state else marginal
 
 
-def statevector_csv(state: QuantumState) -> Iterator[bytes]:
+def statevector_csv(state: QuantumState) -> CsvBlocks:
     """CSV dump of the amplitudes as byte blocks: basis_index,re,im (12
     significant digits; im is 0, every amplitude being real). Each distinct
     bit pattern is formatted once, so -0.0 prints apart from 0.0."""
     bits, keys = np.unique(state.dense().view(np.uint64), return_inverse=True)
     tails = [f"{a:.12g},0\n" for a in bits.view(np.float64).tolist()]
-    return csv_blocks("basis_index,re,im\n", tails, keys)
+    return CsvBlocks("basis_index,re,im\n", tails, keys)

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from grovertrain import amplify as am
 from grovertrain import boolcirc as bc
+from grovertrain import cli
 from grovertrain import datasets as ds
 from grovertrain import tasks
 from conftest import index_to_bits, make_synthetic_idx_dir, samples
@@ -841,16 +843,20 @@ class TestCsvEmission:
             want = per_row_csv(tails, counts)
         if block is not None:
             monkeypatch.setattr(am, "_CSV_BLOCK", block)
-        blocks = list(am.csv_blocks("head\n", tails, counts))
+        blocks = list(am.CsvBlocks("head\n", tails, counts))
         assert first_difference(text(blocks), want) is None
         rows = [b.count(b"\n") for b in blocks[1:]]
         assert sum(rows) == len(counts)
         assert max(rows) <= am._CSV_BLOCK
-        for b in blocks[1:]:  # one index width per block
+        # the rows below 10**4 are the first block, and every later block
+        # has one index width
+        assert rows[0] == min(len(counts), 10 ** 4)
+        for b in blocks[2:]:
             widths = {len(r.split(b",")[0]) for r in b.splitlines()}
             assert len(widths) == 1
 
-    def test_blocks_are_made_as_they_are_consumed(self):
+    def test_blocks_are_made_as_they_are_consumed(self, tmp_path,
+                                                  monkeypatch):
         # 2^20 rows, 66 MB of text: a list of the blocks would hold it
         # all at once
         rng = np.random.default_rng(5)
@@ -864,6 +870,57 @@ class TestCsvEmission:
             tracemalloc.stop()
         assert n_bytes > 50 << 20
         assert peak < 16 << 20, f"peak {peak / 2 ** 20:.1f} MB"
+        # written by 4 workers, each holding at most its record buffer, the
+        # block made from it and the byte mask: 3 blocks per worker
+        monkeypatch.setattr(cli, "_cores", lambda: 4)
+        table = am.distribution_csv(dist, t)
+        block = max(b - a for a, b in zip(table.offsets, table.offsets[1:]))
+        tracemalloc.start()
+        try:
+            cli._write(tmp_path / "distribution.csv", table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "distribution.csv").stat().st_size == n_bytes
+        assert peak < 4 * 3 * block, \
+            f"peak {peak / 2 ** 20:.1f} MB, blocks of {block / 2 ** 20:.2f} MB"
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_offsets_span_the_blocks(self, data):
+        # tails of 0 to 40 UTF-8 bytes; row counts around each 10**d that
+        # changes the blocks, up to past 2**20
+        tails = data.draw(st.lists(st.text(st.characters(
+            exclude_characters="\0", exclude_categories=("Cs",)),
+            max_size=10), min_size=1, max_size=12))
+        n = data.draw(st.one_of(
+            st.integers(0, 120),
+            st.sampled_from([10 ** 4, 10 ** 5, 10 ** 6, 1 << 20]).flatmap(
+                lambda c: st.integers(c - 2, c + 2))))
+        block = data.draw(st.sampled_from([10 ** 4, 3 * 10 ** 4]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32)))
+        keys = rng.integers(0, len(tails), n)
+        if n:  # the widest tail on the last row, the narrowest on the first
+            widths = [len(tail.encode()) for tail in tails]
+            keys[-1], keys[0] = np.argmax(widths), np.argmin(widths)
+        with mock.patch.object(am, "_CSV_BLOCK", block):
+            table = am.CsvBlocks("head\n", tails, keys)
+            assert table.offsets[0] == len(b"head\n")
+            for i in range(len(table)):
+                assert len(table.build(i)) == \
+                    table.offsets[i + 1] - table.offsets[i]
+            assert table.offsets[-1] == sum(len(b) for b in table)
+        if n <= 120:
+            assert text(table) == per_row_csv(tails, keys)
+
+    def test_a_block_off_its_span_raises(self):
+        table = am.CsvBlocks("head\n", ["a\n", "bc\n"],
+                             np.arange(30_000) % 2)
+        table.offsets[2] += 1
+        table.build(0)
+        for i in (1, 2):
+            with pytest.raises(RuntimeError, match=f"CSV block {i} has"):
+                table.build(i)
 
     def test_trace_layout(self):
         rows = zip(range(2), [5, 2], [0.5, 1.0])

@@ -1,4 +1,5 @@
 import argparse
+import errno
 import gc
 import gzip
 import hashlib
@@ -16,6 +17,8 @@ from hypothesis import given, settings, strategies as st
 from grovertrain import amplify as am
 from grovertrain import cli
 from grovertrain import datasets as ds
+from grovertrain import statevec as sv
+from grovertrain.tasks import load_task
 from conftest import console_env, make_synthetic_idx_dir
 from test_amplify import reference_distribution_csv, reference_jtable_csv
 
@@ -984,6 +987,109 @@ class TestLargeOutputsPinned:
                    "--budget", "1,4,16,64,256", "--out", str(tmp_path)) == 0
         data = (tmp_path / "shots_curve.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == self.SHOTS_CURVE
+
+
+class TestBlockWriter:
+    """cli._write builds and writes a CsvBlocks table on every core, each
+    block at its own offset."""
+
+    @pytest.fixture(scope="class")
+    def idx(self, tmp_path_factory):
+        return make_synthetic_idx_dir(tmp_path_factory.mktemp("idx"))
+
+    def test_outputs_match_at_any_worker_count(self, idx, tmp_path,
+                                               monkeypatch):
+        # the pinned 2^20-row files and statevector dumps, at 1 to 8
+        # workers, with the threads switched often
+        pins = [("j", "jtable.csv", TestLargeOutputsPinned.JTABLE),
+                ("d", "distribution.csv",
+                 TestLargeOutputsPinned.DISTRIBUTION)]
+        pins += [("v", f"statevector_{name}.csv", want)
+                 for name, want in TestVerifyOracle.DUMPS.items()]
+        common = ["--task", "tiny-mnist", "--mnist-dir", str(idx)]
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-5)
+            for cores in (1, 2, 3, 8):
+                monkeypatch.setattr(cli, "_cores", lambda: cores)
+                out = tmp_path / str(cores)
+                assert run("jtable", *common, "--out", str(out / "j")) == 0
+                assert run("distribution", "--k", "8", *common,
+                           "--out", str(out / "d")) == 0
+                assert run("verify-oracle", "--dump-statevector",
+                           "--out", str(out / "v")) == 0
+                for sub, name, want in pins:
+                    data = (out / sub / name).read_bytes()
+                    assert hashlib.sha256(data).hexdigest() == want, \
+                        (cores, name)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_one_block_tables_start_no_thread(self, tmp_path, monkeypatch):
+        started = TestShotsCurve.spy_threads(monkeypatch, 8)
+        assert run("jtable", "--task", "edge", "--out", str(tmp_path)) == 0
+        toy = load_task("toy")
+        plan = am.make_plan(am.accuracy_table(toy.model, toy.train), 1)
+        _, state, _ = sv.grover_run(toy.model, toy.train, plan.k, plan.g,
+                                    plan.n_aux, return_state=True)
+        dump = sv.statevector_csv(state)
+        assert len(dump) == 1
+        cli._write(tmp_path / "statevector_toy.csv", dump)
+        assert started == []
+
+    @pytest.mark.parametrize("cores", [1, 2, 4, 8])
+    def test_large_tables_start_a_thread_per_other_core(
+            self, idx, tmp_path, monkeypatch, cores):
+        started = TestShotsCurve.spy_threads(monkeypatch, cores)
+        before = cli.threading.active_count()
+        assert run("jtable", "--task", "tiny-mnist", "--mnist-dir", str(idx),
+                   "--out", str(tmp_path)) == 0
+        assert len(started) == cores - 1  # 105 blocks, more than the cores
+        assert cli.threading.active_count() == before
+
+    @pytest.mark.parametrize("cores", [1, 3])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_failed_block_write_exits_two(self, idx, tmp_path, monkeypatch,
+                                          capsys, where, cores):
+        # the other blocks are written slowly, so in the moment the failing
+        # write takes to be reported each other thread can take one block
+        # at most; none is taken after that
+        started = TestShotsCurve.spy_threads(monkeypatch, cores)
+        tables, built, failed_at = [], [], []
+        build, pwrite = am.CsvBlocks.build, cli._pwrite
+
+        def spy_build(table, i):
+            tables.append(table)
+            built.append(i)
+            return build(table, i)
+
+        def failing(fd, data, offset):
+            table = tables[0] if tables else None  # none for the head
+            if table is not None and offset in table.offsets:
+                n = len(table)
+                if table.offsets.index(offset) == {
+                        "first": 0, "middle": n // 2, "last": n - 1}[where]:
+                    failed_at.append(len(built))
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                if cores > 1:
+                    time.sleep(0.01)
+            pwrite(fd, data, offset)
+        monkeypatch.setattr(am.CsvBlocks, "build", spy_build)
+        monkeypatch.setattr(cli, "_pwrite", failing)
+        before = cli.threading.active_count()
+        assert run("jtable", "--task", "tiny-mnist", "--mnist-dir", str(idx),
+                   "--out", str(tmp_path)) == 2
+        assert len(started) == cores - 1
+        assert cli.threading.active_count() == before
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines() == [
+            f"config error: cannot write {tmp_path / 'jtable.csv'}: "
+            "[Errno 28] No space left on device"]
+        assert len(failed_at) == 1
+        assert len(built) - failed_at[0] <= cores - 1
+        if cores == 1:  # blocks are taken in order, up to the failing one
+            assert built == list(range(failed_at[0]))
 
 
 class TestConsoleEntry:
