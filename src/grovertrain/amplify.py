@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import threading
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
@@ -51,7 +51,8 @@ _GUIDE_CELLS = 1 << 12
 
 # CSV writers build at most this many rows per byte block. It must be a
 # multiple of 10**4: blocks then start on multiples of 10**4, where the
-# index digits above the fourth change
+# index digits above the fourth change. distribution_csv checks its
+# probabilities in chunks of as many rows
 _CSV_BLOCK = 10 ** 4
 # CsvBlocks drops a table's NUL padding with a GIL-free byte mask when the
 # padding is at least this share of its record bytes, else with
@@ -97,9 +98,13 @@ class AccuracyTable:
         return np.bincount(self.counts, minlength=self.n_samples + 1)
 
     def count_powers(self, k: int) -> tuple[list[int], int]:
-        """(c**k for c = 0..N, 0 where no weight has c; their sum weighted
-        by the histogram) as exact integers; computed once per k."""
+        """(c**k for c = 0..N, 0 where no weight has c; |S|, their sum
+        weighted by the histogram) as exact integers: a weight with c correct
+        samples owns c**k solution states, whatever the padding. Computed
+        once per k."""
         if k not in self._powers:
+            if k < 1:
+                raise ValueError("k must be >= 1")
             mult = self.histogram.tolist()
             pow_by_count = [c ** k if m else 0 for c, m in enumerate(mult)]
             self._powers[k] = (pow_by_count,
@@ -107,37 +112,9 @@ class AccuracyTable:
         return self._powers[k]
 
 
-@dataclass(frozen=True)
-class SolutionStats:
-    """Exact solution-state counts for a k-parallel configuration. Padded
-    samples are never solutions, so only the state counts depend on n_aux."""
-    pow_by_count: list[int]  # c**k for c = 0..N, 0 where no weight has c
-    total: int               # |S| = sum over c of histogram[c] * c**k
-    k: int
-    n_weights: int           # 2**d_w
-    n_samples: int           # N
-    n_aux: int = 0
-
-    def __post_init__(self):
-        if self.n_aux < 0:
-            raise ValueError("n_aux must be >= 0")
-
-    @property
-    def states_per_weight(self) -> int:  # (N + n_aux)**k
-        return (self.n_samples + self.n_aux) ** self.k
-
-    @property
-    def n_states(self) -> int:  # T = 2**d_w * (N + n_aux)**k
-        return self.n_weights * self.states_per_weight
-
-    @property
-    def scale(self) -> int:  # 2**e with T / 2**e < 2**1023: floats stay finite
-        return 1 << max(0, self.n_states.bit_length() - 1023)
-
-
 @dataclass
 class GroverPlan:
-    """One planned amplification: angle, branch, iteration count, padding."""
+    """One amplification plan: angle, branch, iterations, padding, |S|, T."""
     k: int
     n_aux: int
     theta: float
@@ -149,6 +126,8 @@ class GroverPlan:
     leakage_bound: float
 
     def __post_init__(self):
+        if self.k < 1 or self.n_aux < 0:
+            raise ValueError("k must be >= 1 and n_aux >= 0")
         if not 0 < self.theta < math.pi / 2:
             raise ValueError("theta must lie in (0, pi/2)")
         if self.g < 0:
@@ -217,16 +196,11 @@ def counts_at(model: ModelCircuit, d: Dataset, weights) -> np.ndarray:
     return counts.reshape(len(grid[1]), len(grid[0]))[at[1], at[0]]
 
 
-def solution_stats(t: AccuracyTable, k: int, n_aux: int = 0) -> SolutionStats:
-    """Exact k-parallel solution counts: a weight with c correct samples owns
-    c**k solution states out of (N + n_aux)**k. The powers do not depend on
-    n_aux, and the table keeps them per k, so a plan and its evolution
-    share one computation."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    pow_by_count, total = t.count_powers(k)
-    return SolutionStats(pow_by_count, total, k, 1 << t.weight_width,
-                         t.n_samples, n_aux)
+def _n_states(t: AccuracyTable, k: int, n_aux: int) -> int:
+    """T = 2**d_w blocks of (N + n_aux)**k states; T >> d_w is one block."""
+    if n_aux < 0:
+        raise ValueError("n_aux must be >= 0")
+    return (t.n_samples + n_aux) ** k << t.weight_width
 
 
 def theta_exact(n_solutions: int, n_total: int, use_sqrt: bool = True) -> float:
@@ -261,13 +235,14 @@ def _count_hits(p: np.ndarray, shots: int,
     return hits
 
 
-def theta_shots(stats: SolutionStats, shots: int, rng: np.random.Generator,
-                use_sqrt: bool = True) -> float:
-    """Rotation angle from `shots` Bernoulli samples of the solution ratio,
-    counted in bounded blocks of the stream of rng.random(shots)."""
+def theta_shots(n_solutions: int, n_total: int, shots: int,
+                rng: np.random.Generator, use_sqrt: bool = True) -> float:
+    """Rotation angle from `shots` Bernoulli samples of the solution ratio
+    n_solutions / n_total, counted in bounded blocks of the stream of
+    rng.random(shots)."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    hits = _count_hits(np.array([stats.total / stats.n_states]), shots, rng)
+    hits = _count_hits(np.array([n_solutions / n_total]), shots, rng)
     return theta_exact(int(hits[0]), shots, use_sqrt)
 
 
@@ -287,9 +262,10 @@ def rotation_residual(theta: float, g: int) -> float:
     return math.sin((2 * g + 1) * theta) ** 2
 
 
-def pad_auxiliary(stats: SolutionStats, target_max_theta: float,
+def pad_auxiliary(t: AccuracyTable, k: int, target_max_theta: float,
                   use_sqrt: bool = True) -> int:
-    """Smallest auxiliary-sample count bringing the angle down to the target.
+    """Smallest auxiliary-sample count bringing the k-parallel angle down to
+    the target.
 
     The comparison runs in probability space with exact rational arithmetic:
     theta(n) <= target iff |S| / (2**d_w * (N+n)**k) <= sin(target)**2
@@ -298,18 +274,19 @@ def pad_auxiliary(stats: SolutionStats, target_max_theta: float,
     """
     if not 0 < target_max_theta <= math.pi / 4:
         raise ValueError("target angle must lie in (0, pi/4]")
-    if stats.total == 0:
+    total = t.count_powers(k)[1]
+    if total == 0:
         raise DegenerateAngleError("no solution states: padding cannot help")
     s = math.sin(target_max_theta)
     limit = Fraction((s * s if use_sqrt else s) * (1 + _RATIO_SLACK))
 
     def ok(n: int) -> bool:
-        return Fraction(stats.total, replace(stats, n_aux=n).n_states) <= limit
+        return Fraction(total, _n_states(t, k, n)) <= limit
 
     # log-space guess for (N+n)**k >= |S| / (2**d_w * limit), then exact adjust
-    need = math.exp((math.log(stats.total)
-                     - math.log(stats.n_weights * limit)) / stats.k)
-    n = max(0, math.ceil(need) - stats.n_samples - 2)
+    need = math.exp((math.log(total)
+                     - math.log((1 << t.weight_width) * limit)) / k)
+    n = max(0, math.ceil(need) - t.n_samples - 2)
     while not ok(n):
         n += 1
     while n > 0 and ok(n - 1):
@@ -317,13 +294,17 @@ def pad_auxiliary(stats: SolutionStats, target_max_theta: float,
     return n
 
 
-def leakage_bound(stats: SolutionStats, residual: float) -> float:
+def leakage_bound(t: AccuracyTable, k: int, n_aux: int,
+                  residual: float) -> float:
     """Upper bound on |p_i - s_i/|S|| for the evolved distribution: the
     non-solution mass (1 - residual) spread anywhere can move a weight's
     probability by at most its own share plus one full weight's state block."""
-    scale = stats.scale
-    share_max = (max(stats.pow_by_count) / scale) / (stats.total / scale)
-    spill = stats.states_per_weight / (stats.n_states - stats.total)
+    pow_by_count, total = t.count_powers(k)
+    n_states = _n_states(t, k, n_aux)
+    # 2**e with T / 2**e < 2**1023: the floats stay finite
+    scale = 1 << max(0, n_states.bit_length() - 1023)
+    share_max = (max(pow_by_count) / scale) / (total / scale)
+    spill = (n_states >> t.weight_width) / (n_states - total)
     return (1.0 - residual) * (share_max + spill)
 
 
@@ -338,24 +319,25 @@ def make_plan(t: AccuracyTable, k: int, *, pad: str | int = "auto",
     comes from the exact ratio, or from `theta_shot_count` Bernoulli samples
     when given (rng required then).
     """
-    stats = solution_stats(t, k)
+    total = t.count_powers(k)[1]
 
     def plan_for(n_aux: int) -> GroverPlan:
-        padded = replace(stats, n_aux=n_aux)
+        n_states = _n_states(t, k, n_aux)
         if theta_shot_count is None:
-            theta = theta_exact(padded.total, padded.n_states, use_sqrt)
+            theta = theta_exact(total, n_states, use_sqrt)
         elif rng is None:
             raise ValueError("shot-based angle estimation needs an rng")
         else:
-            theta = theta_shots(padded, theta_shot_count, rng, use_sqrt)
+            theta = theta_shots(total, n_states, theta_shot_count, rng,
+                                use_sqrt)
         g = grover_iterations(theta, m)
         residual = rotation_residual(theta, g)
-        return GroverPlan(k, n_aux, theta, m, g, residual, padded.total,
-                          padded.n_states, leakage_bound(padded, residual))
+        return GroverPlan(k, n_aux, theta, m, g, residual, total, n_states,
+                          leakage_bound(t, k, n_aux, residual))
 
     plan = plan_for(0 if pad == "auto" else int(pad))
     if pad == "auto" and plan.residual < AUTO_PAD_RESIDUAL_THRESHOLD:
-        n_aux = pad_auxiliary(stats, AUTO_PAD_TARGET_THETA, use_sqrt)
+        n_aux = pad_auxiliary(t, k, AUTO_PAD_TARGET_THETA, use_sqrt)
         if n_aux > 0:
             plan = plan_for(n_aux)
     if plan.g >= 1 << 52:  # 2*g + 1 is not exact in float64 from here
@@ -368,18 +350,19 @@ def evolve_distribution(t: AccuracyTable, plan: GroverPlan) -> WeightDistributio
     """Closed-form weight distribution after the planned amplification.
 
     p_i = s_i * residual/|S| + ((N+n_aux)**k - s_i) * (1-residual)/(T - |S|)
-    where s_i = c_i**k and T is the total state count, computed once per
-    count c = 0..N and scattered to the weights. At residual exactly 1 this
-    reduces to s_i/|S| with no leakage term (and at k=1 it is then
-    bit-identical to normalized_accuracy)."""
-    stats = solution_stats(t, plan.k, plan.n_aux)
-    theta_exact(stats.total, stats.n_states)  # raises unless 0 < |S|/T < 1
-    scale = stats.scale
-    s = np.array([v / scale for v in stats.pow_by_count])
+    with s_i = c_i**k and |S| from count_powers(k), T from the plan's n_aux,
+    computed once per count c = 0..N and scattered to the weights. At
+    residual exactly 1 this reduces to s_i/|S| with no leakage term (and at
+    k=1 it is then bit-identical to normalized_accuracy)."""
+    pow_by_count, total = t.count_powers(plan.k)
+    n_states = _n_states(t, plan.k, plan.n_aux)
+    theta_exact(total, n_states)  # raises unless 0 < |S|/T < 1
+    scale = 1 << max(0, n_states.bit_length() - 1023)  # as in leakage_bound
+    s = np.array([v / scale for v in pow_by_count])
     if plan.residual != 1.0:
-        a = plan.residual / (stats.total / scale)
-        b = (1.0 - plan.residual) / ((stats.n_states - stats.total) / scale)
-        s = s * a + (stats.states_per_weight / scale - s) * b
+        a = plan.residual / (total / scale)
+        b = (1.0 - plan.residual) / ((n_states - total) / scale)
+        s = s * a + ((n_states >> t.weight_width) / scale - s) * b
     p = s[t.counts]
     p /= p.sum()
     return WeightDistribution(p, plan.k, plan.g, plan.residual)
@@ -577,9 +560,11 @@ def distribution_csv(dist: WeightDistribution,
         raise ValueError("distribution and table sizes differ")
     p_by_count = np.zeros(table.n_samples + 1)
     p_by_count[counts] = dist.p
-    if not np.array_equal(p_by_count[counts], dist.p):
-        raise ValueError("probabilities must depend on the weight only "
-                         "through its correct count")
+    for a in range(0, len(counts), _CSV_BLOCK):
+        b = a + _CSV_BLOCK
+        if not np.array_equal(p_by_count[counts[a:b]], dist.p[a:b]):
+            raise ValueError("probabilities must depend on the weight only "
+                             "through its correct count")
     # c / counts.sum() is bit for bit what normalized_accuracy() gives c
     jhat = np.arange(table.n_samples + 1) / counts.sum()
     mid = f",{dist.k},{dist.g},{_fmt(dist.residual)},"

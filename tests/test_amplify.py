@@ -1,6 +1,9 @@
+import hashlib
+import json
 import math
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -136,26 +139,30 @@ class TestAccuracyTable:
 
 
 class TestSolutionStats:
+    """Exact solution statistics: c**k and |S| from the table's
+    count_powers(k); |S| and T = 2**d_w * (N + n_aux)**k on the plan."""
+
     def test_small_exact(self):
         t = table_from_counts([2, 0, 3, 1], 4)
-        s = am.solution_stats(t, 2, n_aux=1)
+        pow_by_count, total = t.count_powers(2)
         assert t.histogram.tolist() == [1, 1, 1, 1, 0]
-        assert [s.pow_by_count[c] for c in t.counts] == [4, 0, 9, 1]
-        assert s.total == 14
-        assert s.states_per_weight == 25
-        assert s.n_states == 4 * 25
+        assert [pow_by_count[c] for c in t.counts] == [4, 0, 9, 1]
+        assert total == 14
+        plan = am.make_plan(t, 2, pad=1)
+        assert (plan.n_solutions, plan.n_states) == (14, 4 * 25)
+        assert plan.n_states >> t.weight_width == 25
 
     def test_big_integer_path(self):
         t = table_from_counts([512, 100], 512)
-        s = am.solution_stats(t, 8)
+        pow_by_count, total = t.count_powers(8)
         h = t.histogram
         assert np.flatnonzero(h).tolist() == [100, 512]
         assert h[[100, 512]].tolist() == [1, 1]
-        assert (s.pow_by_count[100], s.pow_by_count[512]) == (100 ** 8,
-                                                              512 ** 8)
-        assert sum(s.pow_by_count) == s.total
-        assert s.total == 512 ** 8 + 100 ** 8
-        assert s.n_states == 2 * 512 ** 8
+        assert (pow_by_count[100], pow_by_count[512]) == (100 ** 8, 512 ** 8)
+        assert sum(pow_by_count) == total
+        assert total == 512 ** 8 + 100 ** 8
+        plan = am.make_plan(t, 8, pad=0)
+        assert plan.n_solutions == total and plan.n_states == 2 * 512 ** 8
 
     def test_histogram_groups_repeated_counts(self):
         t = table_from_counts([512, 100, 100, 512, 7, 100, 512, 512], 512)
@@ -163,17 +170,16 @@ class TestSolutionStats:
         assert len(h) == 513 and int(h.sum()) == 8
         assert np.flatnonzero(h).tolist() == [7, 100, 512]
         assert h[[7, 100, 512]].tolist() == [1, 3, 4]
-        s = am.solution_stats(t, 9)
-        assert s.total == 7 ** 9 + 3 * 100 ** 9 + 4 * 512 ** 9
-        assert s.total == sum(int(c) ** 9 for c in t.counts)
+        total = t.count_powers(9)[1]
+        assert total == 7 ** 9 + 3 * 100 ** 9 + 4 * 512 ** 9
+        assert total == sum(int(c) ** 9 for c in t.counts)
 
     def test_padding_changes_only_state_counts(self):
         t = table_from_counts([2, 0, 3, 1], 4)
-        s = am.solution_stats(t, 3)
-        padded = am.solution_stats(t, 3, n_aux=2)
-        assert (padded.pow_by_count, padded.total) == \
-            (s.pow_by_count, s.total)
-        assert padded.n_states == 4 * 6 ** 3
+        plan = am.make_plan(t, 3, pad=0)
+        padded = am.make_plan(t, 3, pad=2)
+        assert padded.n_solutions == plan.n_solutions == t.count_powers(3)[1]
+        assert (plan.n_states, padded.n_states) == (4 * 4 ** 3, 4 * 6 ** 3)
 
     @pytest.mark.parametrize("k, pad", [(1, "auto"), (4, "auto"), (4, 7),
                                         (300, "auto")])
@@ -183,26 +189,38 @@ class TestSolutionStats:
         def fresh():
             return am.accuracy_table(edge_bundle.model, edge_bundle.full)
         t = fresh()
-        first = am.solution_stats(t, k)
-        again = am.solution_stats(t, k, n_aux=5)
-        assert again.pow_by_count is first.pow_by_count
-        assert again.total == first.total
+        first = t.count_powers(k)
+        assert t.count_powers(k) is first
         plan = am.make_plan(t, k, pad=pad)
         dist = am.evolve_distribution(t, plan)
-        assert am.solution_stats(t, k, plan.n_aux).pow_by_count \
-            is first.pow_by_count
+        assert t.count_powers(k) is first
+        assert plan.n_solutions == first[1]
         cold = fresh()
         assert am.make_plan(cold, k, pad=pad) == plan
         assert np.array_equal(am.evolve_distribution(fresh(), plan).p,
                               dist.p)
-        assert am.solution_stats(t, k + 1).pow_by_count != first.pow_by_count
+        assert t.count_powers(k + 1)[0] != first[0]
 
     def test_validation(self):
         t = table_from_counts([1, 0], 2)
-        with pytest.raises(ValueError):
-            am.solution_stats(t, 0)
-        with pytest.raises(ValueError):
-            am.solution_stats(t, 1, n_aux=-1)
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                t.count_powers(k)
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                am.make_plan(t, k)
+        with pytest.raises(ValueError, match="n_aux must be >= 0"):
+            am.make_plan(t, 1, pad=-1)
+        with pytest.raises(ValueError, match="n_aux must be >= 0"):
+            am.leakage_bound(t, 1, -1, 0.5)
+        plan = am.make_plan(t, 1, pad=0)
+        for bad in ({"k": 0}, {"n_aux": -1}):
+            with pytest.raises(ValueError, match="k must be >= 1 and n_aux"):
+                am.GroverPlan(**{**vars(plan), **bad})
+            # a plan altered after construction still fails in evolution
+            hand = am.GroverPlan(**vars(plan))
+            vars(hand).update(bad)
+            with pytest.raises(ValueError):
+                am.evolve_distribution(t, hand)
 
 
 class TestAngles:
@@ -219,9 +237,8 @@ class TestAngles:
             am.theta_exact(8, 8)
 
     def test_shot_angle_concentrates(self):
-        t = table_from_counts([1, 0], 2)  # solution ratio 1/4
         rng = np.random.default_rng(7)
-        theta = am.theta_shots(am.solution_stats(t, 1), 200_000, rng)
+        theta = am.theta_shots(1, 4, 200_000, rng)  # solution ratio 1/4
         # 5 sigma around the exact ratio, pushed through asin(sqrt(.))
         sigma = math.sqrt(0.25 * 0.75 / 200_000)
         lo = math.asin(math.sqrt(0.25 - 5 * sigma))
@@ -229,36 +246,34 @@ class TestAngles:
         assert lo < theta < hi
 
     def test_shot_angle_is_seed_deterministic(self):
-        stats = am.solution_stats(table_from_counts([1, 0], 2), 1)
-        a = am.theta_shots(stats, 100, np.random.default_rng(3))
-        b = am.theta_shots(stats, 100, np.random.default_rng(3))
+        a = am.theta_shots(1, 4, 100, np.random.default_rng(3))
+        b = am.theta_shots(1, 4, 100, np.random.default_rng(3))
         assert a == b
 
     @pytest.mark.parametrize("shots", [1, 8, 9, 100])
     def test_shot_angle_counts_in_blocks(self, monkeypatch, shots):
         # blocks of 8 uniforms: the same stream and the same hit count as
         # one array of every shot's uniform
-        stats = am.solution_stats(table_from_counts([3, 1, 0, 2], 4), 1)
-        ratio = stats.total / stats.n_states
+        plan = am.make_plan(table_from_counts([3, 1, 0, 2], 4), 1, pad=0)
+        ratio = plan.n_solutions / plan.n_states
         hits = int(np.count_nonzero(
             np.random.default_rng(5).random(shots) < ratio))
         monkeypatch.setattr(am, "_SHOT_BLOCK", 8)
         rng = SizeRecorder(np.random.default_rng(5))
         if hits in (0, shots):
             with pytest.raises(am.DegenerateAngleError):
-                am.theta_shots(stats, shots, rng)
+                am.theta_shots(plan.n_solutions, plan.n_states, shots, rng)
         else:
-            assert am.theta_shots(stats, shots, rng) == am.theta_exact(
-                hits, shots)
+            got = am.theta_shots(plan.n_solutions, plan.n_states, shots, rng)
+            assert got == am.theta_exact(hits, shots)
         assert max(rng.sizes) <= 8 and sum(rng.sizes) == shots
 
     def test_shot_angle_degenerate_raises(self):
-        t = table_from_counts([1] + [0] * 63, 16)  # ratio 1/1024
         rng = np.random.default_rng(0)
         with pytest.raises(am.DegenerateAngleError):
-            am.theta_shots(am.solution_stats(t, 1), 1, rng)
+            am.theta_shots(1, 1024, 1, rng)  # ratio 1/1024
         with pytest.raises(ValueError):
-            am.theta_shots(am.solution_stats(t, 1), 0, rng)
+            am.theta_shots(1, 1024, 0, rng)
 
 
 class TestIterationsAndResidual:
@@ -289,7 +304,7 @@ class TestIterationsAndResidual:
 
 
 def pad_for(t, k, target):
-    return am.pad_auxiliary(am.solution_stats(t, k), target)
+    return am.pad_auxiliary(t, k, target)
 
 
 class TestPadding:
@@ -396,24 +411,26 @@ class TestPlansAndEvolution:
 
     def test_leakage_bound_respected(self, edge_table):
         plan = am.make_plan(edge_table, 4)
-        stats = am.solution_stats(edge_table, 4)
+        pow_by_count, total = edge_table.count_powers(4)
         dist = am.evolve_distribution(edge_table, plan)
-        share = (np.array([float(v) for v in stats.pow_by_count])
-                 / stats.total)[edge_table.counts]
+        share = (np.array([float(v) for v in pow_by_count])
+                 / total)[edge_table.counts]
         dev = float(np.max(np.abs(dist.p - share)))
         assert dev <= plan.leakage_bound * (1 + 1e-9) + 1e-15
 
     @settings(max_examples=80, deadline=None)
     @given(small_tables, st.integers(1, 3))
     def test_evolution_properties(self, t, k):
-        stats = am.solution_stats(t, k)
-        if stats.total == 0 or stats.total >= stats.n_states:
+        total = t.count_powers(k)[1]
+        n_states = len(t.counts) * t.n_samples ** k
+        if total == 0 or total >= n_states:
             return
         plan = am.make_plan(t, k, pad=0)
+        assert (plan.n_solutions, plan.n_states) == (total, n_states)
         dist = am.evolve_distribution(t, plan)
         assert abs(float(dist.p.sum()) - 1.0) <= 1e-12
         assert dist.p.min() >= 0.0
-        if plan.residual >= stats.total / stats.n_states:
+        if plan.residual >= total / n_states:
             order = np.argsort(t.counts, kind="stable")
             sorted_p = dist.p[order]
             assert np.all(np.diff(sorted_p) >= -1e-15)
@@ -467,6 +484,57 @@ class TestPlansAndEvolution:
         s = t.counts.astype(np.float64) ** 2
         assert np.array_equal(dist.p, s / s.sum())
         assert dist.p[0] == 0.98
+
+
+PLAN_PINS = Path(__file__).parent / "data" / "plan_pins.json"
+# the variants each (task, k) cell runs at pad "auto", 0 and 3
+PLAN_VARIANTS = {
+    "exact": {},
+    "shots": {"theta_shot_count": 4000},
+    "ratio": {"use_sqrt": False},
+    "m1": {"m": 1},
+}
+
+
+def plan_pin(t, k, pad, variant):
+    """One plan and its evolution as plain data: floats as float.hex(),
+    |S| and T as exact ints, the evolved p as the sha256 of its bytes; or
+    the name of the error raised."""
+    kw = dict(PLAN_VARIANTS[variant])
+    if "theta_shot_count" in kw:
+        kw["rng"] = np.random.default_rng(25)
+    try:
+        plan = am.make_plan(t, k, pad=pad, **kw)
+        p = am.evolve_distribution(t, plan).p
+    except am.DegenerateAngleError:
+        return {"raises": "DegenerateAngleError"}
+    return {"k": plan.k, "n_aux": plan.n_aux, "theta": plan.theta.hex(),
+            "m": plan.m, "g": plan.g, "residual": plan.residual.hex(),
+            "n_solutions": plan.n_solutions, "n_states": plan.n_states,
+            "leakage_bound": plan.leakage_bound.hex(),
+            "p_sha256": hashlib.sha256(p.tobytes()).hexdigest()}
+
+
+class TestPlanPins:
+    """Every plan field and the evolved distribution's bytes on toy,
+    simplified-ed (train split) and edge at k = 1, 2, 4, 8, 40, recorded
+    while the plan still read a separate solution-count record."""
+
+    @pytest.fixture(scope="class")
+    def pins(self):
+        return json.loads(PLAN_PINS.read_text())
+
+    @pytest.mark.parametrize("task", ["toy", "simplified-ed", "edge"])
+    def test_plans_match_pins(self, pins, task, toy_table, sed_train_table,
+                              edge_table):
+        t = {"toy": toy_table, "simplified-ed": sed_train_table,
+             "edge": edge_table}[task]
+        for k in (1, 2, 4, 8, 40):
+            for variant in PLAN_VARIANTS:
+                for pad in ("auto", 0, 3):
+                    key = f"{task} k={k} {variant} pad={pad}"
+                    assert plan_pin(t, k, pad, variant) == pins[key], key
+        assert sum(key.startswith(f"{task} ") for key in pins) == 60
 
 
 def reference_evolve(t, plan):
@@ -792,6 +860,23 @@ class TestCsvEmission:
             am.distribution_csv(dist, table_from_counts([2, 2], 3))
         with pytest.raises(ValueError):
             am.distribution_csv(dist, table_from_counts([0, 1, 2, 3], 3))
+
+    def test_distribution_check_reaches_the_last_chunk(self):
+        # the counts are compared in chunks of _CSV_BLOCK rows; the only
+        # weights whose probability differs at an equal count, the last
+        # two, share the last chunk
+        n = 1 << 15
+        assert n > 3 * am._CSV_BLOCK and (n - 2) // am._CSV_BLOCK == 3
+        counts = np.arange(n) % 7
+        counts[-2:] = 7
+        p = counts + 1.0
+        p[-1] += 0.5
+        dist = am.WeightDistribution(p / p.sum(), 1, 0, 1.0)
+        with pytest.raises(ValueError, match="through its correct count"):
+            am.distribution_csv(dist, table_from_counts(counts, 7))
+        p[-1] -= 0.5
+        dist = am.WeightDistribution(p / p.sum(), 1, 0, 1.0)
+        am.distribution_csv(dist, table_from_counts(counts, 7))
 
     @pytest.mark.parametrize("task", ["toy", "edge", "simplified-ed"])
     def test_writers_match_per_row_reference(self, task, toy_table,

@@ -1136,3 +1136,22 @@ class TestConsoleEntry:
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error: ")
+
+
+DEMOS = sorted((Path(__file__).parents[1] / "demos").glob("0*.py"))
+
+
+class TestDemos:
+    def test_all_five_are_found(self):
+        assert [d.name[:2] for d in DEMOS] == ["01", "02", "03", "04", "05"]
+
+    # demos 01, 02 and 05 call make_plan, evolve_distribution,
+    # sample_weights and search directly
+    @pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.stem)
+    def test_demo_runs_clean(self, tmp_path, demo):
+        proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path,
+                              env=console_env(), capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert proc.stdout
