@@ -12,8 +12,10 @@ Modules:
               kernel (sample, score exactly or by shots, best so far).
     statevec  Statevector simulation of the same pipeline on the basis
               states it can reach: a real amplitude and a one-byte oracle
-              sign per state, model gates and marks on each copy's slice
-              of basis indices, the reflection as inversion about the mean.
+              sign per state; model gates bit-sliced on packed planes, one
+              bit per state per qubit, checked to restore every qubit but
+              the predictions; marks on each copy's slice of basis
+              indices; the reflection as inversion about the mean.
     theory    Query-count calculators and the best-parallel-copies rule
               with its brute-force validator.
     tasks     Named model+dataset bundles with fixed splits.

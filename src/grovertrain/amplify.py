@@ -467,7 +467,11 @@ class CsvBlocks:
         padded = np.array(encoded)
         n = len(keys)
         self._keys, self._blocks = keys, []
-        record_bytes, index_bytes = 0, []
+        # the narrowest integer type that holds the tail lengths makes
+        # their gather over the keys cheapest
+        lengths = [len(t) for t in encoded]
+        lengths = np.array(lengths, np.min_scalar_type(max(lengths)))
+        record_bytes, spans = 0, []
         padded_digits, bare_digits = _low_digits()
         for start, stop, hi, lo in [(0, 10 ** 4, 0, bare_digits)] + [
                 (10 ** (d - 1), 10 ** d, d - 4, padded_digits)
@@ -484,22 +488,15 @@ class CsvBlocks:
             for a in range(start, stop, _CSV_BLOCK):
                 b = min(a + _CSV_BLOCK, stop)
                 self._blocks.append((recs, lo, a, b))
-                # a comma and a digit per row, and one more digit for
-                # each of 10, 100, ... that the row's index reaches
-                index_bytes.append(2 * (b - a) + sum(
+                # a comma and a digit per row, one more digit for each of
+                # 10, 100, ... that the row's index reaches, and its tail
+                # (summed into int64 without an int64 copy of the gather)
+                spans.append(2 * (b - a) + sum(
                     max(0, b - max(a, 10 ** k))
-                    for k in range(1, len(str(b)))))
+                    for k in range(1, len(str(b))))
+                    + int(lengths[keys[a:b]].sum(dtype=np.int64)))
             record_bytes += (stop - start) * recs.itemsize
-        # the narrowest integer type that holds the tail lengths makes
-        # their gather over the keys cheapest
-        lengths = [len(t) for t in encoded]
-        lengths = np.array(lengths, np.min_scalar_type(max(lengths)))
-        spans = np.array(index_bytes, dtype=np.int64)
-        if len(spans):
-            spans += np.add.reduceat(lengths[keys],
-                                     [a for _, _, a, _ in self._blocks],
-                                     dtype=np.int64)
-        self.offsets = np.cumsum([len(self.head), *spans.tolist()]).tolist()
+        self.offsets = np.cumsum([len(self.head), *spans]).tolist()
         # the share of record bytes that are NUL padding, to be dropped
         nul_share = 1 - (self.offsets[-1] - self.offsets[0]) / max(
             record_bytes, 1)

@@ -368,14 +368,6 @@ class GateList:
     def n_qubits(self) -> int:
         return self.n_w + self.n_x + len(self.out_qubits) + self.n_anc
 
-    def remap(self, mapping) -> "GateList":
-        """GateList with every qubit q renamed to `mapping[q]`."""
-        g = GateList(self.n_w, self.n_x,
-                     tuple(mapping[q] for q in self.out_qubits), self.n_anc)
-        g.gates = [RGate(tuple(mapping[c] for c in r.controls),
-                         mapping[r.target]) for r in self.gates]
-        return g
-
 
 class _Compiler:
     def __init__(self, circuit: ModelCircuit):

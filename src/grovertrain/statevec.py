@@ -5,12 +5,17 @@ holding the dataset in superposition, the compiled reversible model writing
 each register's prediction, a phase oracle marking the states where every
 copy's prediction equals its label, and inversion about the mean. Its weight
 marginal is the ground truth for the closed-form evolution in `amplify`. Every
-gate is an X, CNOT or multi-controlled X, none on a weight qubit, so the state
-stays on the 2^d_w * (N + n_aux)^k basis states of |Psi_0> (at most 2^26, on at
-most 62 qubits), stored as a float64 amplitude and a one-byte oracle sign each.
-Model gates and marks run on each copy's 2^d_w * (N + n_aux) slice of basis
-indices; the full index is built only for dumps and tests. The reflection
-about the uniform, real |Psi_0> is 2 * mean(amps) - amps (quant-ph/9605043).
+gate is an X, CNOT or multi-controlled X. Some flip weight qubits (3 of
+simplified-ed's, 6 of edge's) as scratch, but the compiled list restores
+them, and its inputs and ancillas, before it ends; each run checks that. So
+the state stays on the 2^d_w * (N + n_aux)^k basis states of |Psi_0> (at most
+2^26, on at most 62 qubits), stored as a float64 amplitude and a one-byte
+oracle sign each. Model gates run bit-sliced, as in Biham's bitslice DES
+(FSE 1997): one packed bit plane per qubit of the gate list, eight basis
+states a byte, so a gate is one AND/XOR pass over n/8 bytes. Marks run on
+each copy's 2^d_w * (N + n_aux) slice of basis indices; the full index is
+built only for dumps and tests. The reflection about the uniform, real
+|Psi_0> is 2 * mean(amps) - amps (quant-ph/9605043).
 
 Qubit q is bit q of the basis index. The weight register takes the lowest
 qubits, then come k data copies of input bits, label bits and (only with
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amplify import CsvBlocks
-from .boolcirc import ModelCircuit, compile_circuit
+from .boolcirc import GateList, ModelCircuit, compile_circuit
 from .datasets import Dataset
 
 MAX_QUBITS = 62  # basis indices and masks stay below the int64 sign bit
@@ -105,11 +110,26 @@ class QuantumState:
         return buf[0].copy()
 
 
-def apply_gates(idx: np.ndarray, gates) -> None:
-    """Flip, in place, each gate's target in idx where its controls are 1."""
+def apply_gates(planes, gates) -> None:
+    """Flip, in place, each gate's target where its controls are 1, on
+    packed bit planes: planes[q] holds qubit q's bit of every state, eight
+    states a byte. X inverts the target's plane, CNOT XORs in its control's,
+    and a multi-controlled X the AND of its controls', built in one buffer."""
+    buf = None
     for g in gates:
-        m = sum(1 << q for q in g.controls)
-        idx ^= ((idx & m) == m) << g.target
+        target = planes[g.target]
+        if not g.controls:
+            np.invert(target, out=target)
+        elif len(g.controls) == 1:
+            target ^= planes[g.controls[0]]
+        else:
+            if buf is None:
+                buf = np.empty_like(target)
+            np.bitwise_and(planes[g.controls[0]], planes[g.controls[1]],
+                           out=buf)
+            for c in g.controls[2:]:
+                buf &= planes[c]
+            target ^= buf
 
 
 def oracle_mark(idx: np.ndarray, copy: CopyRegisters) -> np.ndarray:
@@ -158,12 +178,52 @@ def _copy_register_states(d: Dataset, n_aux: int) -> np.ndarray:
     return idx
 
 
+def model_slices(gl: GateList, copies, copy_idx: np.ndarray,
+                 weights: np.ndarray) -> list[np.ndarray]:
+    """Each copy's slice of basis indices, prediction written: slice[s, j]
+    is data state copy_idx[s] against weights[j]. All copies hold the same
+    states, so the gates run once, on planes in the gate list's qubit order:
+    weight rows tile the weights' bits over the states, input rows repeat
+    copy_idx's bits over the weights, the rest start at 0 (pad bits past the
+    last state act as one more all-zero state). RuntimeError names any
+    qubit but an output whose plane the gates leave changed."""
+    m, n_w = len(copy_idx), len(weights)
+    n = m * n_w
+    planes = np.zeros((gl.n_qubits, -(-n // 8)), np.uint8)
+    bits = np.empty((m, n_w), bool)
+    for q in range(gl.n_w):
+        bits[:] = (weights >> q) & 1
+        planes[q] = np.packbits(bits, bitorder="little")
+    for i in range(gl.n_x):
+        bits[:] = ((copy_idx >> i) & 1)[:, None]
+        planes[gl.n_w + i] = np.packbits(bits, bitorder="little")
+    start = planes.copy()
+    apply_gates(planes, gl.gates)
+    for q in np.flatnonzero((planes != start).any(axis=1)).tolist():
+        if q not in gl.out_qubits:
+            role = ("weight" if q < gl.n_w else
+                    "input" if q < gl.n_w + gl.n_x else "ancilla")
+            raise RuntimeError(
+                f"model gates leave {role} qubit {q} of the gate list changed")
+    pred = np.zeros(n, np.int64)
+    for i, q in enumerate(gl.out_qubits):
+        pred |= np.unpackbits(planes[q], count=n, bitorder="little"
+                              ).astype(np.int64) << i
+    pred = pred.reshape(m, n_w)
+    slices = []
+    for copy in copies:  # `build_layout` makes each prediction block a run
+        part = (copy_idx[:, None] << copy.x[0]) | weights
+        part |= pred << copy.out[0]
+        slices.append(part)
+    return slices
+
+
 def prepare_initial(model: ModelCircuit, d: Dataset, k: int, n_aux: int = 0
                     ) -> tuple[QuantumState, SystemLayout]:
     """|Psi_0>: uniform weights, k dataset superpositions, predictions written.
 
-    Each copy's compiled model, its qubits remapped into place, runs on that
-    copy's slice: its basis states against every weight, weight fastest.
+    The compiled model writes each copy's prediction on that copy's slice:
+    its basis states against every weight, weight fastest (`model_slices`).
     The model leaves weights and ancillas as it found them, so the support
     is the slices' OR-broadcast, as with Kronecker products, and the oracle
     sign the max-broadcast of the slices' signs (-1 where marked, else 1).
@@ -187,13 +247,9 @@ def prepare_initial(model: ModelCircuit, d: Dataset, k: int, n_aux: int = 0
     if n_w * m ** k > MAX_SUPPORT:
         raise ValueError(f"system has {n_w * m ** k} basis states in its "
                          f"support, cap is {MAX_SUPPORT}")
-    slices, sign, amp = [], np.full(n_w, -1, np.int8), 1.0 / math.sqrt(n_w)
-    for copy in layout.copies:
-        part = (copy_idx[:, None] << copy.x[0]) | np.arange(n_w)
-        # gate-list qubits are weights, inputs, outputs, then ancillas
-        apply_gates(part, gl.remap(layout.weight + copy.x + copy.out
-                                   + layout.anc).gates)
-        slices.append(part)
+    slices = model_slices(gl, layout.copies, copy_idx, np.arange(n_w))
+    sign, amp = np.full(n_w, -1, np.int8), 1.0 / math.sqrt(n_w)
+    for part, copy in zip(slices, layout.copies):
         mark = np.where(oracle_mark(part, copy), np.int8(-1), np.int8(1))
         # -1 stays only where this copy and every one before are marked
         sign = np.maximum(mark[:, None], sign.reshape(-1, n_w)).ravel()

@@ -970,6 +970,20 @@ class TestCsvEmission:
         assert peak < 4 * 3 * block, \
             f"peak {peak / 2 ** 20:.1f} MB, blocks of {block / 2 ** 20:.2f} MB"
 
+    def test_offsets_hold_no_copy_of_the_keys(self):
+        # each block's tail lengths are summed as the block is laid out, so
+        # building the 2^20-row table holds no int64 copy of their gather
+        rng = np.random.default_rng(6)
+        t = table_from_counts(rng.integers(0, 1201, 1 << 20), 1200)
+        tracemalloc.start()
+        try:
+            table = am.jtable_csv(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table) > 100
+        assert peak < 2 << 20, f"peak {peak / 2 ** 20:.1f} MB"
+
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_offsets_span_the_blocks(self, data):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import bits_to_index, console_env, index_to_bits, samples
+from conftest import (bits_to_index, console_env, index_to_bits,
+                      make_synthetic_idx_dir, samples)
 from grovertrain import amplify as am
 from grovertrain import boolcirc as bc
 from grovertrain import datasets as ds
@@ -41,6 +42,18 @@ def flip_bits(idx, gates):
         idx ^= ((idx & m) == m) << g.target
 
 
+def to_planes(idx, n_qubits):
+    """Packed bit planes of basis indices: row q is bit q of each index."""
+    bits = (np.ravel(idx) >> np.arange(n_qubits)[:, None]) & 1
+    return np.packbits(bits.astype(bool), axis=1, bitorder="little")
+
+
+def from_planes(planes, n):
+    """The n basis indices that packed bit planes hold."""
+    bits = np.unpackbits(planes, axis=1, count=n, bitorder="little")
+    return (bits.astype(np.int64) << np.arange(len(planes))[:, None]).sum(0)
+
+
 def reference_run(model, d, k, g, n_aux):
     """The full-support gate path the engine must reproduce: each copy's
     model gates over the whole support, then per round the comparator gates,
@@ -56,8 +69,9 @@ def reference_run(model, d, k, g, n_aux):
     for copy in lay.copies:
         idx = ((states[:, None] << copy.x[0]) | idx).ravel()
         amps = (copy_amps[:, None] * amps).ravel()
-        flip_bits(idx, gl.remap(lay.weight + copy.x + copy.out
-                                + lay.anc).gates)
+        where = lay.weight + copy.x + copy.out + lay.anc
+        flip_bits(idx, [bc.RGate(tuple(where[c] for c in r.controls),
+                                 where[r.target]) for r in gl.gates])
     prepared, psi0 = idx.copy(), amps.copy()
     comparator = [bc.RGate(c, o) for copy in lay.copies
                   for y, o in zip(copy.y, copy.out) for c in ((y,), ())]
@@ -118,20 +132,64 @@ class TestQuantumState:
     def test_gates_act_like_classical_bit_flips(self):
         gates = [bc.RGate((), 2), bc.RGate((0,), 1), bc.RGate((0, 2), 3),
                  bc.RGate((1, 2, 3), 0)]
+        flat = []
         for start in range(16):
-            idx = np.array([start])
+            planes = to_planes([start], 4)
             bits = [(start >> q) & 1 for q in range(4)]
             for g in gates:
-                sv.apply_gates(idx, [g])
+                sv.apply_gates(planes, [g])
                 if all(bits[c] for c in g.controls):
                     bits[g.target] ^= 1
-            assert idx.tolist() == [sum(b << q for q, b in enumerate(bits))]
-        # a (slice state x weight) block flips element by element
-        block = np.arange(16).reshape(4, 4)
-        sv.apply_gates(block, gates)
-        flat = np.arange(16)
-        sv.apply_gates(flat, gates)
-        assert np.array_equal(block.ravel(), flat)
+            flat.append(sum(b << q for q, b in enumerate(bits)))
+            assert from_planes(planes, 1).tolist() == [flat[-1]]
+        # 16 states on one set of planes flip state by state
+        planes = to_planes(np.arange(16), 4)
+        sv.apply_gates(planes, gates)
+        assert from_planes(planes, 16).tolist() == flat
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_plane_engine_matches_index_reference(self, data):
+        # slices of 2^d_w weights against an odd number of data states, so
+        # the planes end in pad bits; gates of 0-3 distinct controls on any
+        # qubit, weight qubits included
+        d_w = data.draw(st.integers(0, 4))
+        n_q = d_w + data.draw(st.integers(1, 5))
+        m = data.draw(st.integers(0, 7)) * 2 + 1
+        states = np.array(data.draw(st.lists(
+            st.integers(0, (1 << (n_q - d_w)) - 1), min_size=m, max_size=m)))
+        idx = ((states[:, None] << d_w) | np.arange(1 << d_w)).ravel()
+        gates = []
+        for _ in range(data.draw(st.integers(0, 8))):
+            target = data.draw(st.integers(0, n_q - 1))
+            controls = data.draw(st.lists(
+                st.integers(0, n_q - 1).filter(lambda q: q != target),
+                max_size=min(3, n_q - 1), unique=True))
+            gates.append(bc.RGate(tuple(controls), target))
+        planes = to_planes(idx, n_q)
+        sv.apply_gates(planes, gates)
+        flip_bits(idx, gates)
+        assert np.array_equal(from_planes(planes, len(idx)), idx)
+
+    def test_unrestored_qubit_raises(self):
+        # o = w XOR x on qubits 0 (w), 1 (x), 2 (o), with one ancilla, 3
+        copies = sv.build_layout(bc.toy_xor_model(), 1, 0, 1).copies
+        states, weights = np.array([0, 1, 2]), np.arange(2)
+        xor = [bc.RGate((0,), 2), bc.RGate((1,), 2)]
+        # an ancilla used as scratch and cleared again passes, pad bits too
+        ok = bc.GateList(1, 1, (2,), 1, [bc.RGate((), 3), *xor,
+                                         bc.RGate((1,), 3), bc.RGate((1,), 3),
+                                         bc.RGate((), 3)])
+        (part,) = sv.model_slices(ok, copies, states, weights)
+        assert np.array_equal(
+            (part >> copies[0].out[0]) & 1,
+            (states[:, None] & 1) ^ weights)  # x is the state's bit 0
+        for gates, role in (([bc.RGate((0,), 3)], "ancilla qubit 3"),
+                            ([bc.RGate((), 0)], "weight qubit 0"),
+                            ([bc.RGate((0,), 1)], "input qubit 1")):
+            bad = bc.GateList(1, 1, (2,), 1, xor + gates)
+            with pytest.raises(RuntimeError, match=role):
+                sv.model_slices(bad, copies, states, weights)
 
     def test_phase_flip_targets_exactly_matching_states(self):
         regs = sv.CopyRegisters
@@ -207,8 +265,10 @@ class TestQuantumState:
         amps = rng.normal(size=16)
         amps /= np.linalg.norm(amps)
         s = from_dense(4, amps)
-        sv.apply_gates(s.slices[0], [bc.RGate((0,), 3), bc.RGate((1, 2), 0),
-                                     bc.RGate((), 2)])
+        planes = to_planes(s.slices[0], 4)
+        sv.apply_gates(planes, [bc.RGate((0,), 3), bc.RGate((1, 2), 0),
+                                bc.RGate((), 2)])
+        s.slices = (from_planes(planes, 16).reshape(s.slices[0].shape),)
         assert np.array_equal(np.sort(s.index()), np.arange(16))
         assert not np.array_equal(s.index(), np.arange(16))
         assert abs(np.linalg.norm(s.dense()) - 1.0) < 1e-12
@@ -337,6 +397,23 @@ class TestLayoutAndPreparation:
         model = bc.tiny_mnist_model()
         lay = sv.build_layout(model, k, 0, bc.compile_circuit(model).n_anc)
         assert lay.n_qubits == n_qubits
+
+    def test_tiny_mnist_marks_count_correct_samples(self, tmp_path):
+        # at k=1 a weight's marked states are its correct samples: the gates
+        # and the oracle on 2^12 seeded weights against every train sample
+        # give the accuracy table's counts exactly
+        bundle = tasks.load_task("tiny-mnist",
+                                 mnist_dir=str(make_synthetic_idx_dir(tmp_path)))
+        model, d = bundle.model, bundle.train
+        gl = bc.compile_circuit(model)
+        lay = sv.build_layout(model, 1, 0, gl.n_anc)
+        weights = np.random.default_rng(3).choice(1 << 20, 1 << 12,
+                                                  replace=False)
+        (part,) = sv.model_slices(gl, lay.copies,
+                                  sv._copy_register_states(d, 0), weights)
+        assert part.shape == (len(d), 1 << 12) and lay.n_qubits == 43
+        marks = sv.oracle_mark(part, lay.copies[0]).sum(axis=0)
+        assert np.array_equal(marks, am.accuracy_table(model, d).counts[weights])
 
     @pytest.mark.parametrize("task", [
         "toy", "simplified-ed", "edge", "decode", "tiny-mnist"])
