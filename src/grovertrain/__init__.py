@@ -11,11 +11,12 @@ Modules:
               closed-form evolved weight distribution, and the one search
               kernel (sample, score exactly or by shots, best so far).
     statevec  Statevector simulation of the same pipeline on the basis
-              states it can reach: a real amplitude and a one-byte oracle
-              sign per state; model gates bit-sliced on packed planes, one
-              bit per state per qubit, checked to restore every qubit but
-              the predictions; marks on each copy's slice of basis
-              indices; the reflection as inversion about the mean.
+              states it can reach: a one-byte oracle sign per state and two
+              real amplitudes, one on the marked states and one on the
+              rest; model gates bit-sliced on packed planes, one bit per
+              state per qubit, checked to restore every qubit but the
+              predictions; marks on each copy's slice of basis indices; the
+              reflection as inversion about the exact mean.
     theory    Query-count calculators and the best-parallel-copies rule
               with its brute-force validator.
     tasks     Named model+dataset bundles with fixed splits.
@@ -35,7 +36,7 @@ from .boolcirc import (Gate, GateList, ModelCircuit, RGate, compile_circuit,
 from .datasets import (Dataset, gen_edge_detection, gen_simplified_ed,
                        make_tiny_mnist, parse_idx, split, write_idx)
 from .statevec import (QuantumState, grover_run, oracle_mark,
-                       prepare_initial, reflect)
+                       phase_oracle, prepare_initial, reflect)
 from .tasks import TaskBundle, load_task
 from .theory import (alpha_beta, brute_force_optimal_k, optimal_k,
                      queries_1pd, queries_kpd)

@@ -5,17 +5,14 @@ holding the dataset in superposition, the compiled reversible model writing
 each register's prediction, a phase oracle marking the states where every
 copy's prediction equals its label, and inversion about the mean. Its weight
 marginal is the ground truth for the closed-form evolution in `amplify`. Every
-gate is an X, CNOT or multi-controlled X. Some flip weight qubits (3 of
-simplified-ed's, 6 of edge's) as scratch, but the compiled list restores
-them, and its inputs and ancillas, before it ends; each run checks that. So
-the state stays on the 2^d_w * (N + n_aux)^k basis states of |Psi_0> (at most
-2^26, on at most 62 qubits), stored as a float64 amplitude and a one-byte
-oracle sign each. Model gates run bit-sliced, as in Biham's bitslice DES
-(FSE 1997): one packed bit plane per qubit of the gate list, eight basis
-states a byte, so a gate is one AND/XOR pass over n/8 bytes. Marks run on
-each copy's 2^d_w * (N + n_aux) slice of basis indices; the full index is
-built only for dumps and tests. The reflection about the uniform, real
-|Psi_0> is 2 * mean(amps) - amps (quant-ph/9605043).
+gate is an X, CNOT or multi-controlled X, run bit-sliced on packed bit planes
+as in Biham's bitslice DES (FSE 1997). The list restores every qubit it uses as
+scratch (weights too: 3 of simplified-ed's, 6 of edge's), and each run checks
+that. So the state stays on the 2^d_w * (N + n_aux)^k basis states of |Psi_0>
+(at most 2^26, on at most 62 qubits), each with a one-byte oracle sign. The
+oracle and the reflection about the uniform, real |Psi_0> (each amplitude a to
+2 * mean - a, quant-ph/9605043) keep equal amplitudes equal, so a round
+updates just two: the marked states' and the rest's (quant-ph/9605034).
 
 Qubit q is bit q of the basis index. The weight register takes the lowest
 qubits, then come k data copies of input bits, label bits and (only with
@@ -36,8 +33,7 @@ from .boolcirc import GateList, ModelCircuit, compile_circuit
 from .datasets import Dataset
 
 MAX_QUBITS = 62  # basis indices and masks stay below the int64 sign bit
-MAX_SUPPORT = 1 << 26
-_BLOCK = 1 << 18  # support entries the marginal and the norm read at once
+MAX_SUPPORT = 1 << 26  # support states, one byte of oracle sign each
 
 
 @dataclass(frozen=True)
@@ -62,22 +58,28 @@ class SystemLayout:
 class QuantumState:
     """Real state over n_qubits on the support of |Psi_0>, in support order
     (weight fastest, then copy 0's slice state, on to copy k-1's slowest).
-    slices[j][s, w] is copy j's basis index at slice state s and weight w;
-    amps[i] is support state i's amplitude and sign[i] the phase oracle's
-    sign on it (int8: -1 where marked, else 1)."""
+    slices[j][s, w] is copy j's basis index at slice state s and weight w,
+    sign[i] the oracle's sign on support state i (int8: -1 where marked,
+    else 1). Marked states hold amplitude a_marked, the others a_unmarked."""
 
-    def __init__(self, n_qubits: int, slices, amps, sign):
+    def __init__(self, n_qubits: int, slices, sign, a_marked, a_unmarked):
         if n_qubits < 1 or n_qubits > MAX_QUBITS:
             raise ValueError(f"qubit count must lie in [1, {MAX_QUBITS}]")
-        if np.iscomplexobj(amps):
+        if np.iscomplexobj(a_marked) or np.iscomplexobj(a_unmarked):
             raise ValueError("amplitudes must be real")
         self.n_qubits = n_qubits
         self.slices = tuple(np.asarray(s, dtype=np.int64) for s in slices)
-        self.amps = np.asarray(amps, dtype=np.float64)
         self.sign = np.asarray(sign, dtype=np.int8)
+        self.a_marked, self.a_unmarked = float(a_marked), float(a_unmarked)
         size = self.slices[0].size * math.prod(len(s) for s in self.slices[1:])
-        if not self.amps.shape == self.sign.shape == (size,):
-            raise ValueError("slice, amplitude and sign sizes differ")
+        if self.sign.shape != (size,):
+            raise ValueError("slice and sign sizes differ")
+        rows = self.sign.reshape(-1, self.slices[0].shape[1])
+        total = np.einsum("ij->j", rows, dtype=np.int64)  # unmarked - marked
+        self.marked = (len(rows) - total) // 2  # per weight
+        self.unmarked = len(rows) - self.marked
+        self.n_marked = int(self.marked.sum())
+        self.n_unmarked = size - self.n_marked
 
     def index(self) -> np.ndarray:
         """The basis index of every support state (int64), OR-broadcast from
@@ -90,24 +92,18 @@ class QuantumState:
     def dense(self) -> np.ndarray:
         """The full 2**n_qubits amplitude vector (for small states)."""
         out = np.zeros(1 << self.n_qubits)
-        out[self.index()] = self.amps
+        out[self.index()] = np.where(self.sign < 0, self.a_marked,
+                                     self.a_unmarked)
         return out
 
     def norm(self) -> float:
-        return math.sqrt(sum(float((self.amps[a:a + _BLOCK] ** 2).sum())
-                             for a in range(0, len(self.amps), _BLOCK)))
+        return math.sqrt(self.n_marked * self.a_marked ** 2
+                         + self.n_unmarked * self.a_unmarked ** 2)
 
     def marginal(self) -> np.ndarray:
-        """Probability of each weight: the squared rows of amps.reshape(-1,
-        n_w) summed in support order, by blocks that add to the running sum
-        row by row (so the sums are those of one pass over the support)."""
-        rows = self.amps.reshape(-1, self.slices[0].shape[1])
-        step = max(1, _BLOCK // rows.shape[1])
-        buf = np.zeros((min(step, len(rows)) + 1, rows.shape[1]))
-        for a in range(0, len(rows), step):  # buf[0] holds the running sum
-            np.square(rows[a:a + step], out=buf[1:len(rows) - a + 1])
-            buf[0] = buf[:len(rows) - a + 1].sum(axis=0)
-        return buf[0].copy()
+        """Probability of each weight, from its marked and unmarked counts."""
+        return (self.marked * self.a_marked ** 2
+                + self.unmarked * self.a_unmarked ** 2)
 
 
 def apply_gates(planes, gates) -> None:
@@ -115,7 +111,7 @@ def apply_gates(planes, gates) -> None:
     packed bit planes: planes[q] holds qubit q's bit of every state, eight
     states a byte. X inverts the target's plane, CNOT XORs in its control's,
     and a multi-controlled X the AND of its controls', built in one buffer."""
-    buf = None
+    buf = np.empty_like(planes[0])
     for g in gates:
         target = planes[g.target]
         if not g.controls:
@@ -123,8 +119,6 @@ def apply_gates(planes, gates) -> None:
         elif len(g.controls) == 1:
             target ^= planes[g.controls[0]]
         else:
-            if buf is None:
-                buf = np.empty_like(target)
             np.bitwise_and(planes[g.controls[0]], planes[g.controls[1]],
                            out=buf)
             for c in g.controls[2:]:
@@ -254,29 +248,32 @@ def prepare_initial(model: ModelCircuit, d: Dataset, k: int, n_aux: int = 0
         # -1 stays only where this copy and every one before are marked
         sign = np.maximum(mark[:, None], sign.reshape(-1, n_w)).ravel()
         amp = (1.0 / math.sqrt(m)) * amp
-    return QuantumState(layout.n_qubits, slices, np.full(len(sign), amp),
-                        sign), layout
+    return QuantumState(layout.n_qubits, slices, sign, amp, amp), layout
+
+
+def phase_oracle(state: QuantumState) -> None:
+    """Negate the amplitude of every marked state."""
+    state.a_marked = -state.a_marked
 
 
 def reflect(state: QuantumState) -> None:
     """Reflect about |Psi_0>, uniform and real on the support: each
-    amplitude becomes 2 * mean(amps) - amps."""
-    np.subtract(2.0 * state.amps.mean(), state.amps, out=state.amps)
+    amplitude a becomes 2 * mean - a, the mean exact from the counts."""
+    n_m, n_u = state.n_marked, state.n_unmarked
+    mean = (n_m * state.a_marked + n_u * state.a_unmarked) / (n_m + n_u)
+    state.a_marked = 2 * mean - state.a_marked
+    state.a_unmarked = 2 * mean - state.a_unmarked
 
 
 def grover_run(model: ModelCircuit, d: Dataset, k: int, g: int,
                n_aux: int = 0, return_state: bool = False):
-    """Run g amplification rounds and return the weight-register marginal.
-
-    Each round is the phase oracle, one multiplication by the one-byte sign,
-    then the reflection about |Psi_0>. With return_state=True the
-    (marginal, state, layout) triple comes back for inspection.
-    """
+    """Run g rounds of `phase_oracle` then `reflect`; return the weight
+    marginal, or with return_state=True (marginal, state, layout)."""
     if g < 0:
         raise ValueError("iteration count must be >= 0")
     state, layout = prepare_initial(model, d, k, n_aux)
     for _ in range(g):
-        state.amps *= state.sign
+        phase_oracle(state)
         reflect(state)
     marginal = state.marginal()
     return (marginal, state, layout) if return_state else marginal
@@ -284,8 +281,8 @@ def grover_run(model: ModelCircuit, d: Dataset, k: int, g: int,
 
 def statevector_csv(state: QuantumState) -> CsvBlocks:
     """CSV dump of the amplitudes as byte blocks: basis_index,re,im (12
-    significant digits; im is 0, every amplitude being real). Each distinct
-    bit pattern is formatted once, so -0.0 prints apart from 0.0."""
-    bits, keys = np.unique(state.dense().view(np.uint64), return_inverse=True)
-    tails = [f"{a:.12g},0\n" for a in bits.view(np.float64).tolist()]
+    significant digits, im 0); -0.0 prints apart from 0.0."""
+    keys = np.full(1 << state.n_qubits, 2, np.uint8)
+    keys[state.index()] = state.sign > 0
+    tails = [f"{a:.12g},0\n" for a in (state.a_marked, state.a_unmarked, 0.0)]
     return CsvBlocks("basis_index,re,im\n", tails, keys)

@@ -320,11 +320,11 @@ def test_criterion_8(tmp_path):
     # Reflection applied twice is the identity (<= 1e-12).
     plan = am.make_plan(am.accuracy_table(toy.model, toy.train), 1)
     state, layout = sv.prepare_initial(toy.model, toy.train, 1, plan.n_aux)
-    state.amps *= state.sign
-    before = state.amps.copy()
+    sv.phase_oracle(state)
+    before = state.dense()
     sv.reflect(state)
     sv.reflect(state)
-    invol = float(np.max(np.abs(state.amps - before)))
+    invol = float(np.max(np.abs(state.dense() - before)))
     if invol > 1e-12:
         problems.append(f"double reflection deviates {invol:.2e}")
 
@@ -333,7 +333,7 @@ def test_criterion_8(tmp_path):
     plan2 = am.make_plan(am.accuracy_table(toy.model, toy.train), 2)
     _, state2, _ = sv.grover_run(toy.model, toy.train, 2, 100,
                                  n_aux=plan2.n_aux, return_state=True)
-    drift = abs(float(np.linalg.norm(state2.amps)) - 1.0)
+    drift = abs(float(np.linalg.norm(state2.dense())) - 1.0)
     if drift > 1e-10:
         problems.append(f"norm drift {drift:.2e} after 100 rounds")
 

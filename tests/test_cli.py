@@ -564,13 +564,14 @@ class TestVerifyOracle:
             assert fields["g"] == "1" and fields["residual"] == "1"
         assert "worst deviation" in capsys.readouterr().out
 
-    # sha256 of both dumps, recorded while each row was still formatted on
-    # its own
+    # sha256 of both dumps: toy's recorded while each row was still
+    # formatted on its own, simplified-ed's since its unmarked rows print
+    # the exact 0 (see test_simplified_ed_dump_values)
     DUMPS = {
         "toy":
         "d47887b7b013b118731443e7b735e3e10e55c6495bd64f08836f6f52f07b6359",
         "simplified-ed":
-        "fd848c17a790ac65ffb75cf784ba2de85e70ec0b46d961856241cf961e76ba4a"}
+        "a0e7e1c4b349d196bfca0d3ce6ce1a7f1771a8fa8f86d9846f1a3be00af65982"}
 
     def test_statevector_dump(self, tmp_path):
         out = tmp_path / "o"
@@ -580,6 +581,28 @@ class TestVerifyOracle:
             data = (out / f"statevector_{name}.csv").read_bytes()
             assert data.splitlines()[0] == b"basis_index,re,im"
             assert hashlib.sha256(data).hexdigest() == want
+
+    def test_simplified_ed_dump_values(self, tmp_path):
+        # at residual 1 one round moves all the mass onto the 3200 marked
+        # states: each holds 2 / sqrt(12800) and each of the 9600 unmarked
+        # ones exactly 0, as do the basis states off the support
+        assert run("verify-oracle", "--dump-statevector",
+                   "--out", str(tmp_path)) == 0
+        rows = (tmp_path / "statevector_simplified-ed.csv").read_text(
+            ).splitlines()[1:]
+        amp = np.array([r.split(",")[1] for r in rows])
+        bundle = load_task("simplified-ed")
+        plan = am.make_plan(am.accuracy_table(bundle.model, bundle.train), 1)
+        _, state, _ = sv.grover_run(bundle.model, bundle.train, 1, plan.g,
+                                    plan.n_aux, return_state=True)
+        idx = state.index()
+        marked, unmarked = idx[state.sign < 0], idx[state.sign > 0]
+        assert (len(marked), len(unmarked)) == (3200, 9600)
+        assert np.all(amp[marked] == "0.0176776695297")
+        assert np.all(amp[unmarked] == "0")
+        off = np.ones(len(amp), bool)
+        off[idx] = False
+        assert np.all(amp[off] == "0")
 
     def test_report_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -16,18 +16,27 @@ from grovertrain import statevec as sv
 from grovertrain import tasks
 
 
-def from_dense(n_qubits, amps, width=0, marked=()):
-    """State on every entry of a full amplitude vector, in index order, as
-    one slice whose rows run over the lowest `width` qubits (its weights),
-    with the oracle marking the basis states listed in `marked`."""
-    amps = np.array(amps, dtype=np.float64)
-    idx = np.arange(len(amps)).reshape(-1, 1 << width)
+def two_valued(n_qubits, a_marked, a_unmarked, width=0, marked=()):
+    """State on every basis index of n_qubits, in index order, as one slice
+    whose rows run over the lowest `width` qubits (its weights): the oracle
+    marks the basis states listed in `marked`, which hold a_marked, and the
+    rest hold a_unmarked."""
+    idx = np.arange(1 << n_qubits).reshape(-1, 1 << width)
     sign = np.where(np.isin(idx.ravel(), marked), -1, 1)
-    return sv.QuantumState(n_qubits, (idx,), amps, sign)
+    return sv.QuantumState(n_qubits, (idx,), sign, a_marked, a_unmarked)
+
+
+def random_two_valued(n_qubits, rng):
+    """A normalized two_valued state with random marks and amplitudes."""
+    marked = np.flatnonzero(rng.random(1 << n_qubits) < rng.random())
+    a = rng.normal(size=2)
+    a /= math.sqrt(len(marked) * a[0] ** 2
+                   + ((1 << n_qubits) - len(marked)) * a[1] ** 2)
+    return two_valued(n_qubits, a[0], a[1], marked=marked)
 
 
 def basis_state(n_qubits, index):
-    return sv.QuantumState(n_qubits, ([[index]],), [1.0], [1])
+    return sv.QuantumState(n_qubits, ([[index]],), [-1], 1.0, 0.0)
 
 
 def draw(p, rng):
@@ -116,18 +125,20 @@ class TestQuantumState:
     def test_initial_state_and_amp_validation(self):
         s = basis_state(3, 0)
         assert s.dense()[0] == 1.0 and np.count_nonzero(s.dense()) == 1
-        with pytest.raises(ValueError):
-            sv.QuantumState(2, ([[0], [1]],), np.ones(3), np.ones(3))
+        with pytest.raises(ValueError):  # one sign too many
+            sv.QuantumState(2, ([[0], [1]],), np.ones(3), 1.0, 1.0)
         with pytest.raises(ValueError):  # one sign short
-            sv.QuantumState(2, ([[0], [1]],), np.ones(2), [1])
+            sv.QuantumState(2, ([[0], [1]],), [1], 1.0, 1.0)
         with pytest.raises(ValueError):  # two slices of 2 states hold 4
-            sv.QuantumState(3, ([[0], [1]], [[0], [2]]), np.ones(2),
-                            np.ones(2))
+            sv.QuantumState(3, ([[0], [1]], [[0], [2]]), np.ones(2), 1.0,
+                            1.0)
 
     def test_complex_amplitudes_rejected(self):
-        for amps in ([0.5j], np.ones(1, dtype=np.complex128)):
-            with pytest.raises(ValueError, match="amplitudes must be real"):
-                sv.QuantumState(1, ([[0]],), amps, [1])
+        for amp in (0.5j, np.complex128(1)):
+            for pair in ((amp, 0.0), (0.0, amp)):
+                with pytest.raises(ValueError,
+                                   match="amplitudes must be real"):
+                    sv.QuantumState(1, ([[0]],), [1], *pair)
 
     def test_gates_act_like_classical_bit_flips(self):
         gates = [bc.RGate((), 2), bc.RGate((0,), 1), bc.RGate((0, 2), 3),
@@ -220,51 +231,54 @@ class TestQuantumState:
 
     def test_marginal_orders_bits_low_first(self):
         amps = np.eye(8)[0b010]
-        assert np.array_equal(from_dense(3, amps, 1).marginal(), [1.0, 0.0])
-        assert np.array_equal(from_dense(3, amps, 2).marginal(),
+        assert np.array_equal(two_valued(3, 1.0, 0.0, 1, [0b010]).marginal(),
+                              [1.0, 0.0])
+        assert np.array_equal(two_valued(3, 1.0, 0.0, 2, [0b010]).marginal(),
                               [0.0, 0.0, 1.0, 0.0])
-        assert np.array_equal(from_dense(3, amps, 3).marginal(), amps)
+        assert np.array_equal(two_valued(3, 1.0, 0.0, 3, [0b010]).marginal(),
+                              amps)
 
     def test_weight_marginal_matches_generic_marginal(self):
         rng = np.random.default_rng(0)
-        amps = rng.normal(size=32)
-        amps /= np.linalg.norm(amps)
-        for width in range(6):
-            by_reshape = (amps ** 2).reshape(-1, 1 << width).sum(axis=0)
-            assert np.allclose(from_dense(5, amps, width).marginal(),
-                               by_reshape, atol=1e-15)
+        for _ in range(20):
+            base = random_two_valued(5, rng)
+            amps, marked = base.dense(), np.flatnonzero(base.sign < 0)
+            for width in range(6):
+                state = two_valued(5, base.a_marked, base.a_unmarked, width,
+                                   marked)
+                by_reshape = (amps ** 2).reshape(-1, 1 << width).sum(axis=0)
+                assert np.allclose(state.marginal(), by_reshape, atol=1e-15)
 
     @pytest.mark.parametrize("task,k", [
         ("toy", 1), ("toy", 2), ("toy", 3), ("toy", 4),
         ("simplified-ed", 1), ("decode", 1), ("decode", 2), ("edge", 1)])
-    def test_marginal_in_blocks_is_one_bincount(self, monkeypatch, task, k):
-        # blocks of a few rows, each summed from the running sum: bit for
-        # bit one bincount over the low index bits, in support order
+    def test_marginal_in_blocks_is_one_bincount(self, task, k):
+        # the marginal from the per-weight counts is the squared amplitudes
+        # summed over the low index bits, and the norm their sum; the
+        # bincount adds up to 800 equal squares one by one, and its rounding
+        # (up to 1.1e-14 relative, on edge k=1) is what the bound allows
         model, d = reference_instance(task)
         plan = am.make_plan(am.accuracy_table(model, d), k)
-        monkeypatch.setattr(sv, "_BLOCK", 7)
         marg, state, _ = sv.grover_run(model, d, k, plan.g, plan.n_aux,
                                        return_state=True)
         n_w = 1 << model.weight_width
-        assert len(state.amps) > n_w * max(1, 7 // n_w)  # several blocks
-        want = np.bincount(state.index() & (n_w - 1), weights=state.amps ** 2,
-                           minlength=n_w)
-        assert np.array_equal(state.marginal(), want)
-        assert np.array_equal(marg, want)
-        # the norm reads the same blocks
-        assert abs(state.norm() - math.sqrt((state.amps ** 2).sum())) <= 1e-12
+        idx = state.index()
+        amps = state.dense()[idx]
+        want = np.bincount(idx & (n_w - 1), weights=amps ** 2, minlength=n_w)
+        assert np.array_equal(state.marked, np.count_nonzero(
+            state.sign.reshape(-1, n_w) == -1, axis=0))
+        assert np.allclose(state.marginal(), want, rtol=1e-13, atol=0)
+        assert np.array_equal(marg, state.marginal())
+        assert abs(state.norm() - math.sqrt((amps ** 2).sum())) <= 1e-12
 
     def test_measurement_is_deterministic_on_basis_states(self):
-        s = from_dense(3, np.eye(8)[0b101], 3)
+        s = two_valued(3, 1.0, 0.0, 3, [0b101])
         assert draw(s.marginal(), np.random.default_rng(0)) == 5
 
     def test_gates_preserve_norm(self):
         # the gates permute a slice's basis indices and leave the
         # amplitudes where they are
-        rng = np.random.default_rng(1)
-        amps = rng.normal(size=16)
-        amps /= np.linalg.norm(amps)
-        s = from_dense(4, amps)
+        s = random_two_valued(4, np.random.default_rng(1))
         planes = to_planes(s.slices[0], 4)
         sv.apply_gates(planes, [bc.RGate((0,), 3), bc.RGate((1, 2), 0),
                                 bc.RGate((), 2)])
@@ -280,9 +294,10 @@ class TestHandRolledSearch:
         # exactly 121/128
         n = 3
         marked = 5
-        state = from_dense(n, np.full(8, 1 / math.sqrt(8)), marked=[marked])
+        state = two_valued(n, 1 / math.sqrt(8), 1 / math.sqrt(8),
+                           marked=[marked])
         for _ in range(2):
-            state.amps *= state.sign
+            sv.phase_oracle(state)
             sv.reflect(state)
         p = np.abs(state.dense()) ** 2
         assert p[marked] == pytest.approx(121 / 128, abs=1e-12)
@@ -456,16 +471,17 @@ class TestOracles:
     def test_oracle_applied_twice_is_identity(self, toy_bundle):
         model, d = toy_bundle.model, toy_bundle.full
         state, lay = sv.prepare_initial(model, d, k=2, n_aux=1)
-        idx, amps = state.index(), state.amps.copy()
+        idx, amps = state.index(), state.dense()
         # the marks broadcast from the slices are each copy's mark on the
         # full index, ANDed
         assert np.array_equal(state.sign == -1, np.logical_and.reduce(
             [sv.oracle_mark(idx, c) for c in lay.copies]))
         assert set(state.sign.tolist()) == {-1, 1}
-        for _ in range(2):
-            state.amps *= state.sign
+        sv.phase_oracle(state)  # once: the marked amplitudes negated
+        assert np.array_equal(state.dense()[idx], amps[idx] * state.sign)
+        sv.phase_oracle(state)
         assert np.array_equal(state.index(), idx)
-        assert np.array_equal(state.amps, amps)
+        assert np.array_equal(state.dense(), amps)
 
     def test_decode_phase_pattern(self):
         model, d = decode_task()
@@ -483,25 +499,31 @@ class TestOracles:
         model, d = reference_instance(task)
         plan = am.make_plan(am.accuracy_table(model, d), k)
         idx, psi0, final = reference_run(model, d, k, plan.g, plan.n_aux)
+        # the premise of the two-amplitude engine, in the reference's own
+        # full amplitude vector: one value on the marked states, one on
+        # the rest
+        assert len(np.unique(final)) <= 2
         state, _ = sv.prepare_initial(model, d, k, plan.n_aux)
         assert np.array_equal(state.index(), idx)
-        assert np.array_equal(state.amps, psi0.real) and not psi0.imag.any()
+        assert np.array_equal(state.dense()[idx], psi0.real)
+        assert not psi0.imag.any()
         _, state, _ = sv.grover_run(model, d, k, plan.g, plan.n_aux,
                                     return_state=True)
         assert np.array_equal(state.index(), idx)
-        assert np.max(np.abs(state.amps - final)) <= 1e-12
+        want = np.zeros(1 << state.n_qubits, complex)
+        want[idx] = final
+        assert np.max(np.abs(state.dense() - want)) <= 1e-12
 
 
 class TestDiffusionAndFullRuns:
     def test_diffusion_is_an_involution(self):
         # reflection about the uniform state on the 16-state support
         rng = np.random.default_rng(4)
-        amps = rng.normal(size=16)
-        amps /= np.linalg.norm(amps)
-        s = from_dense(4, amps)
+        s = random_two_valued(4, rng)
+        amps = s.dense()
         sv.reflect(s)
         psi0 = np.full(16, 0.25)
-        assert np.allclose(s.amps, 2 * (psi0 @ amps) * psi0 - amps,
+        assert np.allclose(s.dense(), 2 * (psi0 @ amps) * psi0 - amps,
                            atol=1e-15)
         assert abs(s.norm() - 1.0) < 1e-12
         sv.reflect(s)
@@ -575,14 +597,16 @@ def crosscheck(model, d, k):
 
 def crosscheck_fresh(task, k):
     """crosscheck on a built-in task in a fresh interpreter, plus its peak
-    RSS in MB (ru_maxrss, in KiB on Linux)."""
+    RSS in MB: VmHWM, in KiB on Linux. ru_maxrss would not do, as exec
+    carries over the forking process's peak, here the whole test run's."""
     script = "\n".join([
-        "import resource", "import numpy as np",
+        "import re", "import numpy as np",
         "from grovertrain import amplify as am, statevec as sv, tasks",
         inspect.getsource(crosscheck),
         f"b = tasks.load_task({task!r})",
-        f"print(*crosscheck(b.model, b.train, {k}),",
-        "      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)"])
+        f"out = crosscheck(b.model, b.train, {k})",
+        "status = open('/proc/self/status').read()",
+        r"print(*out, int(re.search(r'VmHWM:\s*(\d+)', status)[1]) / 1024)"])
     proc = subprocess.run([sys.executable, "-c", script], env=console_env(),
                           check=True, capture_output=True, text=True,
                           timeout=300)
@@ -621,17 +645,19 @@ def small_instances(draw):
 
 
 class TestLargeAndRandomInstances:
-    """Closed form vs gate-level run, within 1e-9, on instances of 21 to 49
-    qubits (edge k=2 holds 41M basis states) and on random small ones."""
+    """Closed form vs gate-level run, within 1e-9, on instances of 21 to 61
+    qubits (edge k=2 holds 41M basis states, toy k=15 29M) and on random
+    small ones."""
 
-    # peak RSS bounds (MB), each case run in a fresh interpreter: edge k=2
-    # peaks near 400 MB with a float64 amplitude and a one-byte sign per
-    # state, and near 1050 MB with an int64 index and a float64 sign more
-    PEAK_MB = {("edge", 2): 600}
+    # peak RSS bounds (MB), each case run in a fresh interpreter. With a
+    # one-byte sign per state and two amplitudes in all, edge k=2 peaks
+    # near 78 MB and toy k=15 near 67 MB; one more byte a state would add
+    # 41 MB and 29 MB, a float64 amplitude a state 328 MB and 230 MB
+    PEAK_MB = {("edge", 2): 110, ("toy", 15): 95}
 
     @pytest.mark.parametrize("task,k,n_qubits", [
         ("edge", 1, 24), ("edge", 2, 37), ("simplified-ed", 2, 29),
-        ("toy", 8, 33), ("toy", 12, 49), ("decode", 3, 21)])
+        ("toy", 8, 33), ("toy", 12, 49), ("toy", 15, 61), ("decode", 3, 21)])
     def test_matches_closed_form(self, task, k, n_qubits):
         if (task, k) in self.PEAK_MB:
             dev, drift, mass, got_qubits, peak_mb = crosscheck_fresh(task, k)
@@ -641,6 +667,22 @@ class TestLargeAndRandomInstances:
                 *reference_instance(task), k)
         assert got_qubits == n_qubits
         assert dev <= 1e-9 and drift <= 1e-9 and abs(mass - 1.0) <= 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_instances())
+    def test_random_instances_match_the_reference(self, instance):
+        # the reference's full amplitude vector holds at most two values,
+        # and the engine's two amplitudes rebuild it
+        model, d, k = instance
+        try:
+            plan = am.make_plan(am.accuracy_table(model, d), k)
+        except am.DegenerateAngleError:
+            assume(False)
+        idx, _, final = reference_run(model, d, k, plan.g, plan.n_aux)
+        assert len(np.unique(final)) <= 2
+        _, state, _ = sv.grover_run(model, d, k, plan.g, plan.n_aux,
+                                    return_state=True)
+        assert np.max(np.abs(state.dense()[idx] - final)) <= 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(small_instances())
@@ -657,10 +699,13 @@ class TestCsv:
     def test_statevector_layout(self):
         def text(state):
             return b"".join(sv.statevector_csv(state)).decode()
-        assert text(from_dense(1, [-0.5, 1.0])) == ("basis_index,re,im\n"
-                                                    "0,-0.5,0\n"
-                                                    "1,1,0\n")
+        assert text(two_valued(1, -0.5, 1.0, marked=[0])) == (
+            "basis_index,re,im\n0,-0.5,0\n1,1,0\n")
         # -0.0 prints as itself, apart from the zeros off the support
-        assert text(sv.QuantumState(2, ([[0], [1]],), [-0.0, 1.0],
-                                    [1, 1])) == (
+        assert text(sv.QuantumState(2, ([[0], [1]],), [-1, 1], -0.0,
+                                    1.0)) == (
             "basis_index,re,im\n0,-0,0\n1,1,0\n2,0,0\n3,0,0\n")
+        # an unmarked amplitude of 0.0 prints like the zeros off the support
+        assert text(sv.QuantumState(2, ([[1], [3]],), [1, -1], 0.5,
+                                    0.0)) == (
+            "basis_index,re,im\n0,0,0\n1,0,0\n2,0,0\n3,0.5,0\n")
