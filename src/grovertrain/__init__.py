@@ -11,12 +11,13 @@ Modules:
               closed-form evolved weight distribution, and the one search
               kernel (sample, score exactly or by shots, best so far).
     statevec  Statevector simulation of the same pipeline on the basis
-              states it can reach: a one-byte oracle sign per state and two
-              real amplitudes, one on the marked states and one on the
-              rest; model gates bit-sliced on packed planes, one bit per
-              state per qubit, checked to restore every qubit but the
-              predictions; marks on each copy's slice of basis indices; the
-              reflection as inversion about the exact mean.
+              states it can reach: each copy's slice of basis indices and
+              its marks, and two real amplitudes, one on the marked states
+              and one on the rest; model gates bit-sliced on packed planes,
+              one bit per state per qubit, checked to restore every qubit
+              but the predictions; a weight's marked count the product of
+              its per-copy counts; the reflection as inversion about the
+              exact mean.
     theory    Query-count calculators and the best-parallel-copies rule
               with its brute-force validator.
     tasks     Named model+dataset bundles with fixed splits.

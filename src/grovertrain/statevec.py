@@ -9,8 +9,9 @@ gate is an X, CNOT or multi-controlled X, run bit-sliced on packed bit planes
 as in Biham's bitslice DES (FSE 1997). The list restores every qubit it uses as
 scratch (weights too: 3 of simplified-ed's, 6 of edge's), and each run checks
 that. So the state stays on the 2^d_w * (N + n_aux)^k basis states of |Psi_0>
-(at most 2^26, on at most 62 qubits), each with a one-byte oracle sign. The
-oracle and the reflection about the uniform, real |Psi_0> (each amplitude a to
+(at most 2^26, on at most 62 qubits), the product of the k copies' slices; a
+weight's marked count is the product of its per-copy counts (c^k). The oracle
+and the reflection about the uniform, real |Psi_0> (each amplitude a to
 2 * mean - a, quant-ph/9605043) keep equal amplitudes equal, so a round
 updates just two: the marked states' and the rest's (quant-ph/9605034).
 
@@ -33,7 +34,7 @@ from .boolcirc import GateList, ModelCircuit, compile_circuit
 from .datasets import Dataset
 
 MAX_QUBITS = 62  # basis indices and masks stay below the int64 sign bit
-MAX_SUPPORT = 1 << 26  # support states, one byte of oracle sign each
+MAX_SUPPORT = 1 << 26  # support states that support() and dumps broadcast
 
 
 @dataclass(frozen=True)
@@ -59,41 +60,41 @@ class QuantumState:
     """Real state over n_qubits on the support of |Psi_0>, in support order
     (weight fastest, then copy 0's slice state, on to copy k-1's slowest).
     slices[j][s, w] is copy j's basis index at slice state s and weight w,
-    sign[i] the oracle's sign on support state i (int8: -1 where marked,
-    else 1). Marked states hold amplitude a_marked, the others a_unmarked."""
+    marks[j][s, w] whether copy j's oracle marks it. States marked in every
+    copy hold amplitude a_marked, the others a_unmarked."""
 
-    def __init__(self, n_qubits: int, slices, sign, a_marked, a_unmarked):
+    def __init__(self, n_qubits: int, slices, marks, a_marked, a_unmarked):
         if n_qubits < 1 or n_qubits > MAX_QUBITS:
             raise ValueError(f"qubit count must lie in [1, {MAX_QUBITS}]")
         if np.iscomplexobj(a_marked) or np.iscomplexobj(a_unmarked):
             raise ValueError("amplitudes must be real")
         self.n_qubits = n_qubits
         self.slices = tuple(np.asarray(s, dtype=np.int64) for s in slices)
-        self.sign = np.asarray(sign, dtype=np.int8)
+        self.marks = tuple(np.asarray(m, dtype=bool) for m in marks)
         self.a_marked, self.a_unmarked = float(a_marked), float(a_unmarked)
-        size = self.slices[0].size * math.prod(len(s) for s in self.slices[1:])
-        if self.sign.shape != (size,):
-            raise ValueError("slice and sign sizes differ")
-        rows = self.sign.reshape(-1, self.slices[0].shape[1])
-        total = np.einsum("ij->j", rows, dtype=np.int64)  # unmarked - marked
-        self.marked = (len(rows) - total) // 2  # per weight
-        self.unmarked = len(rows) - self.marked
+        if [m.shape for m in self.marks] != [s.shape for s in self.slices]:
+            raise ValueError("slice and mark shapes differ")
+        rows = math.prod(len(s) for s in self.slices)
+        self.marked = math.prod(m.sum(0) for m in self.marks)  # per weight
+        self.unmarked = rows - self.marked
         self.n_marked = int(self.marked.sum())
-        self.n_unmarked = size - self.n_marked
+        self.n_unmarked = rows * self.slices[0].shape[1] - self.n_marked
 
-    def index(self) -> np.ndarray:
-        """The basis index of every support state (int64), OR-broadcast from
-        the slices in support order: for dumps and tests, not for rounds."""
-        idx = self.slices[0]
-        for part in self.slices[1:]:
+    def support(self) -> tuple[np.ndarray, np.ndarray]:
+        """The basis index (int64) and oracle mark of every support state,
+        in support order: the slices OR-broadcast and the marks
+        AND-broadcast. For dumps and tests, not for rounds."""
+        idx, mark = self.slices[0], self.marks[0]
+        for part, m in zip(self.slices[1:], self.marks[1:]):
             idx = (part[:, None] | idx).reshape(-1, idx.shape[1])
-        return idx.ravel()
+            mark = (m[:, None] & mark).reshape(-1, mark.shape[1])
+        return idx.ravel(), mark.ravel()
 
     def dense(self) -> np.ndarray:
         """The full 2**n_qubits amplitude vector (for small states)."""
+        idx, mark = self.support()
         out = np.zeros(1 << self.n_qubits)
-        out[self.index()] = np.where(self.sign < 0, self.a_marked,
-                                     self.a_unmarked)
+        out[idx] = np.where(mark, self.a_marked, self.a_unmarked)
         return out
 
     def norm(self) -> float:
@@ -220,7 +221,7 @@ def prepare_initial(model: ModelCircuit, d: Dataset, k: int, n_aux: int = 0
     its basis states against every weight, weight fastest (`model_slices`).
     The model leaves weights and ancillas as it found them, so the support
     is the slices' OR-broadcast, as with Kronecker products, and the oracle
-    sign the max-broadcast of the slices' signs (-1 where marked, else 1).
+    reads each copy's marks on its own slice (`QuantumState`).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -242,13 +243,11 @@ def prepare_initial(model: ModelCircuit, d: Dataset, k: int, n_aux: int = 0
         raise ValueError(f"system has {n_w * m ** k} basis states in its "
                          f"support, cap is {MAX_SUPPORT}")
     slices = model_slices(gl, layout.copies, copy_idx, np.arange(n_w))
-    sign, amp = np.full(n_w, -1, np.int8), 1.0 / math.sqrt(n_w)
+    marks, amp = [], 1.0 / math.sqrt(n_w)
     for part, copy in zip(slices, layout.copies):
-        mark = np.where(oracle_mark(part, copy), np.int8(-1), np.int8(1))
-        # -1 stays only where this copy and every one before are marked
-        sign = np.maximum(mark[:, None], sign.reshape(-1, n_w)).ravel()
+        marks.append(oracle_mark(part, copy))
         amp = (1.0 / math.sqrt(m)) * amp
-    return QuantumState(layout.n_qubits, slices, sign, amp, amp), layout
+    return QuantumState(layout.n_qubits, slices, marks, amp, amp), layout
 
 
 def phase_oracle(state: QuantumState) -> None:
@@ -282,7 +281,8 @@ def grover_run(model: ModelCircuit, d: Dataset, k: int, g: int,
 def statevector_csv(state: QuantumState) -> CsvBlocks:
     """CSV dump of the amplitudes as byte blocks: basis_index,re,im (12
     significant digits, im 0); -0.0 prints apart from 0.0."""
+    idx, mark = state.support()
     keys = np.full(1 << state.n_qubits, 2, np.uint8)
-    keys[state.index()] = state.sign > 0
+    keys[idx] = ~mark
     tails = [f"{a:.12g},0\n" for a in (state.a_marked, state.a_unmarked, 0.0)]
     return CsvBlocks("basis_index,re,im\n", tails, keys)

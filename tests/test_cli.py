@@ -595,8 +595,8 @@ class TestVerifyOracle:
         plan = am.make_plan(am.accuracy_table(bundle.model, bundle.train), 1)
         _, state, _ = sv.grover_run(bundle.model, bundle.train, 1, plan.g,
                                     plan.n_aux, return_state=True)
-        idx = state.index()
-        marked, unmarked = idx[state.sign < 0], idx[state.sign > 0]
+        idx, mark = state.support()
+        marked, unmarked = idx[mark], idx[~mark]
         assert (len(marked), len(unmarked)) == (3200, 9600)
         assert np.all(amp[marked] == "0.0176776695297")
         assert np.all(amp[unmarked] == "0")

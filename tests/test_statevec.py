@@ -22,8 +22,8 @@ def two_valued(n_qubits, a_marked, a_unmarked, width=0, marked=()):
     marks the basis states listed in `marked`, which hold a_marked, and the
     rest hold a_unmarked."""
     idx = np.arange(1 << n_qubits).reshape(-1, 1 << width)
-    sign = np.where(np.isin(idx.ravel(), marked), -1, 1)
-    return sv.QuantumState(n_qubits, (idx,), sign, a_marked, a_unmarked)
+    marks = np.isin(idx, marked)
+    return sv.QuantumState(n_qubits, (idx,), (marks,), a_marked, a_unmarked)
 
 
 def random_two_valued(n_qubits, rng):
@@ -36,7 +36,7 @@ def random_two_valued(n_qubits, rng):
 
 
 def basis_state(n_qubits, index):
-    return sv.QuantumState(n_qubits, ([[index]],), [-1], 1.0, 0.0)
+    return sv.QuantumState(n_qubits, ([[index]],), ([[True]],), 1.0, 0.0)
 
 
 def draw(p, rng):
@@ -125,20 +125,53 @@ class TestQuantumState:
     def test_initial_state_and_amp_validation(self):
         s = basis_state(3, 0)
         assert s.dense()[0] == 1.0 and np.count_nonzero(s.dense()) == 1
-        with pytest.raises(ValueError):  # one sign too many
-            sv.QuantumState(2, ([[0], [1]],), np.ones(3), 1.0, 1.0)
-        with pytest.raises(ValueError):  # one sign short
-            sv.QuantumState(2, ([[0], [1]],), [1], 1.0, 1.0)
-        with pytest.raises(ValueError):  # two slices of 2 states hold 4
-            sv.QuantumState(3, ([[0], [1]], [[0], [2]]), np.ones(2), 1.0,
-                            1.0)
+        ones = np.ones((2, 1), bool)
+        with pytest.raises(ValueError):  # one mark too many
+            sv.QuantumState(2, ([[0], [1]],), (np.ones((3, 1)),), 1.0, 1.0)
+        with pytest.raises(ValueError):  # one mark short
+            sv.QuantumState(2, ([[0], [1]],), ([[True]],), 1.0, 1.0)
+        with pytest.raises(ValueError):  # the slice's shape transposed
+            sv.QuantumState(2, ([[0], [1]],), (ones.T,), 1.0, 1.0)
+        with pytest.raises(ValueError):  # two slices, one mark array
+            sv.QuantumState(3, ([[0], [1]], [[0], [2]]), (ones,), 1.0, 1.0)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_copies_with_different_marks(self, k):
+        # prepared states give every copy the same marks; here each copy
+        # has its own random marks and slice length, so a count or a
+        # broadcast taken over the wrong axis or copy shows
+        rng = np.random.default_rng(k)
+        n_w, lengths = 4, (3, 2, 5)[:k]
+        widths = [(m - 1).bit_length() for m in lengths]
+        shifts = np.cumsum([2] + widths[:-1]).tolist()
+        slices = [(np.arange(m)[:, None] << q) | np.arange(n_w)
+                  for m, q in zip(lengths, shifts)]
+        marks = [rng.random((m, n_w)) < 0.6 for m in lengths]
+        state = sv.QuantumState(2 + sum(widths), slices, marks,
+                                *rng.normal(size=2))
+        idx, mark = state.support()
+        # each support state's mark, read off its bits: ANDed over copies
+        assert np.array_equal(mark, [
+            all(mk[(i >> q) & ((1 << b) - 1), i & (n_w - 1)]
+                for mk, q, b in zip(marks, shifts, widths)) for i in idx])
+        rows = mark.reshape(-1, n_w)
+        assert np.array_equal(state.marked, rows.sum(axis=0))
+        assert np.array_equal(state.unmarked, (~rows).sum(axis=0))
+        assert (state.n_marked, state.n_unmarked) == (mark.sum(),
+                                                      (~mark).sum())
+        amps = state.dense()
+        assert np.count_nonzero(amps) == len(idx) == math.prod(lengths) * n_w
+        want = np.bincount(idx & (n_w - 1), weights=amps[idx] ** 2,
+                           minlength=n_w)
+        assert np.allclose(state.marginal(), want, rtol=1e-13, atol=0)
+        assert math.isclose(state.norm(), np.linalg.norm(amps), rel_tol=1e-13)
 
     def test_complex_amplitudes_rejected(self):
         for amp in (0.5j, np.complex128(1)):
             for pair in ((amp, 0.0), (0.0, amp)):
                 with pytest.raises(ValueError,
                                    match="amplitudes must be real"):
-                    sv.QuantumState(1, ([[0]],), [1], *pair)
+                    sv.QuantumState(1, ([[0]],), ([[False]],), *pair)
 
     def test_gates_act_like_classical_bit_flips(self):
         gates = [bc.RGate((), 2), bc.RGate((0,), 1), bc.RGate((0, 2), 3),
@@ -242,7 +275,8 @@ class TestQuantumState:
         rng = np.random.default_rng(0)
         for _ in range(20):
             base = random_two_valued(5, rng)
-            amps, marked = base.dense(), np.flatnonzero(base.sign < 0)
+            idx, mark = base.support()
+            amps, marked = base.dense(), idx[mark]
             for width in range(6):
                 state = two_valued(5, base.a_marked, base.a_unmarked, width,
                                    marked)
@@ -262,11 +296,11 @@ class TestQuantumState:
         marg, state, _ = sv.grover_run(model, d, k, plan.g, plan.n_aux,
                                        return_state=True)
         n_w = 1 << model.weight_width
-        idx = state.index()
+        idx, mark = state.support()
         amps = state.dense()[idx]
         want = np.bincount(idx & (n_w - 1), weights=amps ** 2, minlength=n_w)
         assert np.array_equal(state.marked, np.count_nonzero(
-            state.sign.reshape(-1, n_w) == -1, axis=0))
+            mark.reshape(-1, n_w), axis=0))
         assert np.allclose(state.marginal(), want, rtol=1e-13, atol=0)
         assert np.array_equal(marg, state.marginal())
         assert abs(state.norm() - math.sqrt((amps ** 2).sum())) <= 1e-12
@@ -283,8 +317,9 @@ class TestQuantumState:
         sv.apply_gates(planes, [bc.RGate((0,), 3), bc.RGate((1, 2), 0),
                                 bc.RGate((), 2)])
         s.slices = (from_planes(planes, 16).reshape(s.slices[0].shape),)
-        assert np.array_equal(np.sort(s.index()), np.arange(16))
-        assert not np.array_equal(s.index(), np.arange(16))
+        idx, _ = s.support()
+        assert np.array_equal(np.sort(idx), np.arange(16))
+        assert not np.array_equal(idx, np.arange(16))
         assert abs(np.linalg.norm(s.dense()) - 1.0) < 1e-12
 
 
@@ -368,10 +403,11 @@ class TestLayoutAndPreparation:
         copy = lay.copies[0]
         assert copy.flag == 3 and copy.pad == (4,)
         assert lay.n_qubits == 1 + 1 + 1 + 1 + 1 + 1
-        assert len(state.index()) == 2 * (2 + 5)
+        idx, _ = state.support()
+        assert len(idx) == 2 * (2 + 5)
         assert abs(state.norm() - 1.0) < 1e-12
-        flag = (state.index() >> copy.flag) & 1
-        pad = (state.index() >> copy.pad[0]) & 1
+        flag = (idx >> copy.flag) & 1
+        pad = (idx >> copy.pad[0]) & 1
         assert flag.sum() == 2 * 2 and pad.sum() == 2 * 1
         assert not np.any(flag & pad)
         assert sv.build_layout(model, k=1, n_aux=4, n_anc=0).copies[0].pad == ()
@@ -457,40 +493,42 @@ class TestOracles:
         model, d = toy_bundle.model, toy_bundle.full
         state, lay = sv.prepare_initial(model, d, k=1)
         copy = lay.copies[0]
-        for idx, sign in zip(state.index(), state.sign):
+        for idx, mark in zip(*state.support()):
             y = (idx >> copy.y[0]) & 1
             out = (idx >> copy.out[0]) & 1
-            assert sign == (-1 if y == out else 1)
+            assert mark == (y == out)
 
     def test_padded_states_never_flip(self, toy_bundle):
         model, d = toy_bundle.model, toy_bundle.full
         state, lay = sv.prepare_initial(model, d, k=1, n_aux=2)
-        padded = (state.index() >> lay.copies[0].flag) & 1 == 0
-        assert padded.sum() == 2 * 2 and np.all(state.sign[padded] == 1)
+        idx, mark = state.support()
+        padded = (idx >> lay.copies[0].flag) & 1 == 0
+        assert padded.sum() == 2 * 2 and not np.any(mark[padded])
 
     def test_oracle_applied_twice_is_identity(self, toy_bundle):
         model, d = toy_bundle.model, toy_bundle.full
         state, lay = sv.prepare_initial(model, d, k=2, n_aux=1)
-        idx, amps = state.index(), state.dense()
+        (idx, mark), amps = state.support(), state.dense()
         # the marks broadcast from the slices are each copy's mark on the
         # full index, ANDed
-        assert np.array_equal(state.sign == -1, np.logical_and.reduce(
+        assert np.array_equal(mark, np.logical_and.reduce(
             [sv.oracle_mark(idx, c) for c in lay.copies]))
-        assert set(state.sign.tolist()) == {-1, 1}
+        assert set(mark.tolist()) == {False, True}
         sv.phase_oracle(state)  # once: the marked amplitudes negated
-        assert np.array_equal(state.dense()[idx], amps[idx] * state.sign)
+        assert np.array_equal(state.dense()[idx],
+                              np.where(mark, -amps[idx], amps[idx]))
         sv.phase_oracle(state)
-        assert np.array_equal(state.index(), idx)
+        assert np.array_equal(state.support()[0], idx)
         assert np.array_equal(state.dense(), amps)
 
     def test_decode_phase_pattern(self):
         model, d = decode_task()
         state, lay = sv.prepare_initial(model, d, k=1)
         copy = lay.copies[0]
-        for idx, sign in zip(state.index(), state.sign):
+        for idx, mark in zip(*state.support()):
             y = tuple((idx >> q) & 1 for q in copy.y)
             out = tuple((idx >> q) & 1 for q in copy.out)
-            assert sign == (-1 if out == y else 1)
+            assert mark == (out == y)
 
     @pytest.mark.parametrize("task,k", [
         ("toy", 1), ("toy", 2), ("toy", 3), ("toy", 4),
@@ -504,12 +542,12 @@ class TestOracles:
         # the rest
         assert len(np.unique(final)) <= 2
         state, _ = sv.prepare_initial(model, d, k, plan.n_aux)
-        assert np.array_equal(state.index(), idx)
+        assert np.array_equal(state.support()[0], idx)
         assert np.array_equal(state.dense()[idx], psi0.real)
         assert not psi0.imag.any()
         _, state, _ = sv.grover_run(model, d, k, plan.g, plan.n_aux,
                                     return_state=True)
-        assert np.array_equal(state.index(), idx)
+        assert np.array_equal(state.support()[0], idx)
         want = np.zeros(1 << state.n_qubits, complex)
         want[idx] = final
         assert np.max(np.abs(state.dense() - want)) <= 1e-12
@@ -649,11 +687,12 @@ class TestLargeAndRandomInstances:
     qubits (edge k=2 holds 41M basis states, toy k=15 29M) and on random
     small ones."""
 
-    # peak RSS bounds (MB), each case run in a fresh interpreter. With a
-    # one-byte sign per state and two amplitudes in all, edge k=2 peaks
-    # near 78 MB and toy k=15 near 67 MB; one more byte a state would add
-    # 41 MB and 29 MB, a float64 amplitude a state 328 MB and 230 MB
-    PEAK_MB = {("edge", 2): 110, ("toy", 15): 95}
+    # peak RSS bounds (MB), each case run in a fresh interpreter. The state
+    # keeps each copy's slice and marks (edge k=2: two of 400 x 256), not
+    # its 41M or 29M support states, so edge k=2 peaks near 41 MB and toy
+    # k=15 near 31 MB, about what the imports and the accuracy table take;
+    # one byte a support state would add 41 MB and 29 MB
+    PEAK_MB = {("edge", 2): 60, ("toy", 15): 45}
 
     @pytest.mark.parametrize("task,k,n_qubits", [
         ("edge", 1, 24), ("edge", 2, 37), ("simplified-ed", 2, 29),
@@ -702,10 +741,10 @@ class TestCsv:
         assert text(two_valued(1, -0.5, 1.0, marked=[0])) == (
             "basis_index,re,im\n0,-0.5,0\n1,1,0\n")
         # -0.0 prints as itself, apart from the zeros off the support
-        assert text(sv.QuantumState(2, ([[0], [1]],), [-1, 1], -0.0,
-                                    1.0)) == (
+        assert text(sv.QuantumState(2, ([[0], [1]],), ([[True], [False]],),
+                                    -0.0, 1.0)) == (
             "basis_index,re,im\n0,-0,0\n1,1,0\n2,0,0\n3,0,0\n")
         # an unmarked amplitude of 0.0 prints like the zeros off the support
-        assert text(sv.QuantumState(2, ([[1], [3]],), [1, -1], 0.5,
-                                    0.0)) == (
+        assert text(sv.QuantumState(2, ([[1], [3]],), ([[False], [True]],),
+                                    0.5, 0.0)) == (
             "basis_index,re,im\n0,0,0\n1,0,0\n2,0,0\n3,0.5,0\n")
