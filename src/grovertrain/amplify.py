@@ -29,7 +29,7 @@ from itertools import islice
 
 import numpy as np
 
-from .boolcirc import ModelCircuit, correct_counts, weight_groups
+from .boolcirc import ModelCircuit, correct_counts
 from .datasets import Dataset
 
 # relative slack when comparing an exact state ratio against sin(angle)^2:
@@ -62,8 +62,8 @@ _MASK_NUL_SHARE = 0.01
 
 class DegenerateAngleError(ValueError):
     """Raised when no rotation angle is usable: the solution set is empty,
-    is everything, a shot estimate landed on probability 0 or 1, or the angle
-    is so small that the plan needs 2**52 rounds or more."""
+    is everything, a shot estimate landed on probability 0 or 1, or the plan
+    needs 2**52 rounds or more (a tiny angle, or a branch m >= 2**52)."""
 
 
 @dataclass
@@ -174,26 +174,6 @@ def accuracy_table(model: ModelCircuit, d: Dataset) -> AccuracyTable:
     """Exact correct counts for every weight (`boolcirc.correct_counts`)."""
     return AccuracyTable(correct_counts(model, d.x, d.y), len(d),
                          model.weight_width)
-
-
-def counts_at(model: ModelCircuit, d: Dataset, weights) -> np.ndarray:
-    """Exact correct counts at an int array of weight indices, of any shape:
-    `correct_counts` over the grid of their distinct low and high group
-    indices, which is never larger than the full table."""
-    weights = np.asarray(weights)
-    if weights.min() < 0 or weights.max() >> model.weight_width:
-        raise ValueError("weight indices must lie in 0..2**weight_width - 1")
-    groups = weight_groups(model)
-    s = len(groups[0])
-    grid, at = [], []
-    for part, bits in ((weights & ((1 << s) - 1), s),
-                       (weights >> s, model.weight_width - s)):
-        seen = np.zeros(1 << bits, dtype=bool)
-        seen[part] = True
-        grid.append(np.flatnonzero(seen))  # distinct, in order
-        at.append(np.cumsum(seen)[part] - 1)  # each entry's place among them
-    counts = correct_counts(model, d.x, d.y, grid[:len(groups)])
-    return counts.reshape(len(grid[1]), len(grid[0]))[at[1], at[0]]
 
 
 def _n_states(t: AccuracyTable, k: int, n_aux: int) -> int:
@@ -319,6 +299,9 @@ def make_plan(t: AccuracyTable, k: int, *, pad: str | int = "auto",
     comes from the exact ratio, or from `theta_shot_count` Bernoulli samples
     when given (rng required then).
     """
+    if m >= 1 << 52:  # g >= m at every angle in (0, pi/2)
+        raise DegenerateAngleError(f"branch m={m} needs g=m rounds or more, "
+                                   "2**52 or more")
     total = t.count_powers(k)[1]
 
     def plan_for(n_aux: int) -> GroverPlan:

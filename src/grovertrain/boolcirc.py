@@ -1,5 +1,5 @@
 """Reversible Boolean model circuits: classical evaluation, exact correct
-counts over a grid of weights, and compilation to reversible gate lists.
+counts at any weight indices, and compilation to reversible gate lists.
 
 A model circuit maps a weight bit vector w and an input bit vector x to an
 output bit vector through named single-assignment gates. Bit vectors are
@@ -12,8 +12,8 @@ other wire is defined by exactly one gate.
 
 `eval_circuit` evaluates one (w, x) pair and is the reference; `eval_wires`
 runs the gates over broadcastable bool arrays or packed bit words, and
-`correct_counts` uses it to count, for every weight of a grid, the samples
-a weight predicts exactly.
+`correct_counts` uses it to count, for every weight or any array of weight
+indices, the samples a weight predicts exactly.
 
 Compilation targets the reversible gate set {X, CNOT, multi-controlled X}. Each
 Boolean op has a gate sequence whose effect is `target ^= f(inputs)`, so a
@@ -114,7 +114,7 @@ def eval_circuit(circuit: ModelCircuit, w, x) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# correct counts over a grid of weights
+# correct counts at weight indices
 #
 # A wire's support is the set of weight bits it reads, directly or through
 # other gates. When the register splits into a low and a high run of bits
@@ -160,12 +160,13 @@ def _supports(circuit: ModelCircuit) -> dict[str, int]:
     return sup
 
 
-def weight_groups(circuit: ModelCircuit) -> list[tuple[int, ...]]:
+def weight_groups(circuit: ModelCircuit, sup=None) -> list[tuple[int, ...]]:
     """The weight bits of each group `correct_counts` evaluates on its own:
     the low s bits and the rest when those are the two maximal gate-output
-    supports strictly inside the register, otherwise the whole register."""
+    supports strictly inside the register, otherwise the whole register.
+    `sup` is `_supports(circuit)`, when the caller has it."""
     n = circuit.weight_width
-    sup = _supports(circuit)
+    sup = sup or _supports(circuit)
     inner = {sup[g.out] for g in circuit.gates} - {(1 << n) - 1}
     top = sorted(m for m in inner
                  if not any(m != o and (m & o) == m for o in inner))
@@ -216,28 +217,34 @@ def _accept(circuit, gates, boundary, xs, ys) -> np.ndarray:
     return accept
 
 
-def correct_counts(circuit: ModelCircuit, xs, ys, grid=None) -> np.ndarray:
-    """How many samples the circuit predicts exactly, for every weight of a
-    grid: one array of local indices per group of `weight_groups(circuit)`,
-    default all of each. Sample s is input bits xs[s] with label bits ys[s]
-    (0/1 or bool rows). Returns the int64 ravel of counts[high, low], so by
-    default entry i is weight i's count."""
+def correct_counts(circuit: ModelCircuit, xs, ys, weights=None) -> np.ndarray:
+    """How many samples the circuit predicts exactly at each index of
+    `weights`, an int array of any shape (default every weight, in index
+    order), as int64 counts of its shape. Sample s is input bits xs[s] with
+    label bits ys[s] (0/1 or bool rows). The groups of `weight_groups` are
+    contracted on the grid of the weights' distinct low and high indices."""
     xs, ys = np.asarray(xs, dtype=bool), np.asarray(ys, dtype=bool)
     if (xs.ndim != 2 or not len(xs) or xs.shape[1] != circuit.input_width
             or ys.shape != (len(xs), circuit.output_width)):
         raise ValueError(f"expected inputs (n, {circuit.input_width}) and "
                          f"labels (n, {circuit.output_width}) with n >= 1, "
                          f"got {xs.shape} and {ys.shape}")
-    groups = weight_groups(circuit)
-    if grid is None:
-        grid = [np.arange(1 << len(b)) for b in groups]
-    elif len(grid) != len(groups) or any(
-            np.ndim(g) != 1 or not len(g) or np.min(g) < 0
-            or np.max(g) >> len(b) for g, b in zip(grid, groups)):
-        raise ValueError(f"grid needs an index array per group of {groups}")
-    bits, grid = (groups + [()])[:2], (list(grid) + [np.zeros(1, int)])[:2]
-    masks = [sum(1 << i for i in b) for b in bits]
     sup = _supports(circuit)
+    bits = (weight_groups(circuit, sup) + [()])[:2]
+    if weights is None:
+        grid = [np.arange(1 << len(b)) for b in bits]
+    else:
+        weights = np.asarray(weights)
+        if weights.min() < 0 or weights.max() >> circuit.weight_width:
+            raise ValueError("weight indices must lie in "
+                             f"0..2**{circuit.weight_width} - 1")
+        low, grid, at = len(bits[0]), [], []
+        for part in (weights & ((1 << low) - 1), weights >> low):
+            seen = np.zeros(int(part.max()) + 1, dtype=bool)
+            seen[part] = True
+            grid.append(np.flatnonzero(seen))  # distinct local indices
+            at.append(np.cumsum(seen)[part] - 1)  # each weight's place in them
+    masks = [sum(1 << i for i in b) for b in bits]
     # the group whose support holds the wire, else None (input-only, crossing)
     home = {n: next((k for k, m in enumerate(masks)
                      if s and not s & ~m), None) for n, s in sup.items()}
@@ -266,7 +273,9 @@ def correct_counts(circuit: ModelCircuit, xs, ys, grid=None) -> np.ndarray:
         part = (np.concatenate(left).T @ np.concatenate(right)).astype(
             np.int64)
         counts = counts + part if a else part
-    return counts.ravel()
+    if weights is None:
+        return counts.ravel()
+    return counts[at[1], at[0]]
 
 
 # ---------------------------------------------------------------------------

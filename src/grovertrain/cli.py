@@ -16,7 +16,7 @@ checked by the flag it names, and explicit command-line flags override it.
 Exit codes: 0 success, 2 configuration error (an output that cannot be
 written included, and a run size above its cap: the MAX_* constants, listed
 with what each guards in the README's flags section), 3 degenerate rotation
-angle (none usable, or one so small that the plan needs 2**52 rounds or more).
+angle (none usable, or a plan of 2**52 rounds or more: a tiny angle or m).
 """
 from __future__ import annotations
 
@@ -36,6 +36,7 @@ import numpy as np
 
 from . import __version__
 from . import amplify as am
+from . import boolcirc
 from . import statevec as sv
 from . import theory as th
 from .datasets import dataset_to_csv
@@ -353,8 +354,8 @@ def cmd_shots_curve(args, out: Path, lap: _Stages):
     lap("search")
     train_acc = t_train.counts[best] / t_train.n_samples
     # the test split is scored only at the weights the runs kept
-    test_acc = lap("table", am.counts_at(bundle.model, bundle.test,
-                                         best)) / len(bundle.test)
+    test_acc = lap("table", boolcirc.correct_counts(
+        bundle.model, bundle.test.x, bundle.test.y, best)) / len(bundle.test)
     # one column at a time: mean(axis=0) would sum in another order
     rows = ((b, tr.mean(), tr.std(), te.mean(), te.std())
             for b, tr, te in zip(budgets, train_acc.T, test_acc.T))

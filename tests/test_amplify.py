@@ -109,21 +109,6 @@ class TestAccuracyTable:
         got = am.accuracy_table(bundle.model, bundle.train).counts
         assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("task", ["toy", "simplified-ed", "edge",
-                                      "tiny-mnist"])
-    def test_counts_at_reads_the_full_table(self, tmp_path, task):
-        idx = make_synthetic_idx_dir(tmp_path, n_train=300, n_test=100)
-        bundle = tasks.load_task(task, mnist_dir=str(idx))
-        m, d = bundle.model, bundle.test
-        w = np.random.default_rng(4).integers(0, 1 << m.weight_width, (7, 5))
-        w[0, 0] = w[3, 1]  # a repeat
-        want = am.accuracy_table(m, d).counts[w]
-        assert np.array_equal(am.counts_at(m, d, w), want)
-        assert np.array_equal(am.counts_at(m, d, w[2]), want[2])
-        for bad in ([-1], [1 << m.weight_width]):
-            with pytest.raises(ValueError):
-                am.counts_at(m, d, bad)
-
     def test_width_mismatch_rejected(self, toy_bundle, sed_bundle):
         with pytest.raises(ValueError):
             am.accuracy_table(toy_bundle.model, sed_bundle.full)

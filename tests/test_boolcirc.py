@@ -345,11 +345,16 @@ class TestCorrectCounts:
         ys = [index_to_bits(yi, m.output_width) for yi in data.draw(
             st.lists(st.integers(0, (1 << m.output_width) - 1),
                      min_size=len(xs), max_size=len(xs)))]
+        w = np.array(data.draw(st.lists(st.integers(0, (1 << n) - 1),
+                                        min_size=1, max_size=8)))
         want = reference_counts(m, xs, ys)
-        assert bc.correct_counts(m, xs, ys).tolist() == want
-        with pytest.MonkeyPatch.context() as mp:  # one sample per chunk
-            mp.setattr(bc, "_CHUNK_BOOLS", 1)
-            assert bc.correct_counts(m, xs, ys).tolist() == want
+        for chunk in (bc._CHUNK_BOOLS, 1):  # then one sample per chunk
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(bc, "_CHUNK_BOOLS", chunk)
+                full = bc.correct_counts(m, xs, ys)
+                assert full.tolist() == want
+                assert np.array_equal(bc.correct_counts(m, xs, ys, w),
+                                      full[w])
 
     def test_chunks_add_up(self, edge_bundle):
         # every image 2**11 times: 2**20 rows in four chunks of 2**18
@@ -395,28 +400,36 @@ class TestCorrectCounts:
     def test_default_grid_is_the_full_table(self, bundles, task):
         m, d = bundles[task].model, bundles[task].train
         got = bc.correct_counts(m, d.x, d.y)
-        full = [np.arange(1 << len(b)) for b in bc.weight_groups(m)]
-        assert np.array_equal(bc.correct_counts(m, d.x, d.y, full), got)
+        every = np.arange(1 << m.weight_width)
+        assert np.array_equal(bc.correct_counts(m, d.x, d.y, every), got)
         assert hashlib.sha256(got.astype("<i8").tobytes()).hexdigest() == \
             self.FULL_TABLES[task]
 
     @pytest.mark.parametrize("task", list(FULL_TABLES))
     def test_grid_matches_pointwise_eval(self, bundles, task):
-        # random index arrays, unsorted and with repeats
+        # random weight arrays, unsorted and with repeats
         m, d = bundles[task].model, bundles[task].train
-        groups = bc.weight_groups(m)
         rng = np.random.default_rng(len(task))
-        grid = [rng.permutation(np.repeat(rng.integers(0, 1 << len(b), 3), 2))
-                for b in groups]
-        got = bc.correct_counts(m, d.x, d.y, grid).reshape(-1, len(grid[0]))
-        high = grid[1] if len(grid) == 2 else [0]
-        assert got.shape == (len(high), len(grid[0]))
-        for i, hi in enumerate(high):
-            for j, lo in enumerate(grid[0]):
-                w = index_to_bits(int(hi) << len(groups[0]) | int(lo),
-                                  m.weight_width)
-                assert got[i, j] == sum(bc.eval_circuit(m, w, x) == y
-                                        for x, y in samples(d))
+        w = rng.permutation(np.repeat(rng.integers(0, 1 << m.weight_width, 5),
+                                      2)).reshape(2, 5)
+        got = bc.correct_counts(m, d.x, d.y, w)
+        assert got.shape == w.shape
+        for wi, count in zip(w.ravel().tolist(), got.ravel().tolist()):
+            bits = index_to_bits(wi, m.weight_width)
+            assert count == sum(bc.eval_circuit(m, bits, x) == y
+                                for x, y in samples(d))
+
+    @pytest.mark.parametrize("task", list(FULL_TABLES))
+    def test_counts_at_reads_the_full_table(self, bundles, task):
+        m, d = bundles[task].model, bundles[task].test
+        w = np.random.default_rng(4).integers(0, 1 << m.weight_width, (7, 5))
+        w[0, 0] = w[3, 1]  # a repeat
+        want = bc.correct_counts(m, d.x, d.y)[w]
+        assert np.array_equal(bc.correct_counts(m, d.x, d.y, w), want)
+        assert np.array_equal(bc.correct_counts(m, d.x, d.y, w[2]), want[2])
+        for bad in ([-1], [1 << m.weight_width]):
+            with pytest.raises(ValueError):
+                bc.correct_counts(m, d.x, d.y, bad)
 
     def test_two_boundary_wires_per_group(self):
         # each group hands two wires to the crossing gates, so each side
@@ -438,25 +451,21 @@ class TestCorrectCounts:
         xs = [index_to_bits(x, 3) for x in range(8)] * 4
         ys = [index_to_bits(i // 8, 2) for i in range(32)]  # every label
         want = reference_counts(m, xs, ys)
-        grid = [np.array([3, 0, 3, 1]), np.array([2, 2, 0, 3, 1])]
-        grid_want = [want[hi << 2 | lo] for hi in grid[1] for lo in grid[0]]
+        w = [hi << 2 | lo for hi in (2, 2, 0, 3, 1) for lo in (3, 0, 3, 1)]
+        w_want = [want[i] for i in w]
         assert bc.correct_counts(m, xs, ys).tolist() == want
-        assert bc.correct_counts(m, xs, ys, grid).tolist() == grid_want
+        assert bc.correct_counts(m, xs, ys, w).tolist() == w_want
         with pytest.MonkeyPatch.context() as mp:  # one sample per chunk
             mp.setattr(bc, "_CHUNK_BOOLS", 1)
             assert bc.correct_counts(m, xs, ys).tolist() == want
-            assert bc.correct_counts(m, xs, ys, grid).tolist() == grid_want
+            assert bc.correct_counts(m, xs, ys, w).tolist() == w_want
 
-    @pytest.mark.parametrize("grid", [
-        [np.arange(16)], [np.arange(16)] * 3,
-        [np.arange(16), np.array([], dtype=int)],
-        [np.arange(16), np.array([16])], [np.array([-1]), np.arange(16)],
-        [np.zeros((2, 2), dtype=int), np.arange(16)]],
-        ids=["one", "three", "empty", "past-end", "negative", "2-d"])
-    def test_rejects_bad_grids(self, grid):
+    @pytest.mark.parametrize("weights", [[], [256], [3, -1]],
+                             ids=["empty", "past-end", "negative"])
+    def test_rejects_bad_grids(self, weights):
         m = bc.edge_detection_model()
         with pytest.raises(ValueError):
-            bc.correct_counts(m, [(0,) * 9], [(0, 0)], grid)
+            bc.correct_counts(m, [(0,) * 9], [(0, 0)], weights)
 
 
 def simulate_gatelist(gl, w_bits, x_bits):

@@ -223,18 +223,20 @@ class TestDistribution:
         (["--k", "177"], 0),  # g = 4.26e15, below 2**52
         (["--k", "178"], 3),  # g = 5.22e15, 2**52 or more
         (["--branch-m", str(2 ** 51)], 3),  # g = 2**52 at theta = pi/4
+        (["--branch-m", str(10 ** 400)], 3),  # g >= m, past the float range
     ])
     def test_plans_of_2_52_rounds_exit_three(self, tmp_path, capsys, flags,
                                              code):
-        assert run("distribution", "--task", "toy", *flags,
-                   "--out", str(tmp_path / "o")) == code
-        if code == 3:
-            assert "g=" in capsys.readouterr().err
+        for argv in (["distribution"], ["shots-curve", "--method", "kpd"]):
+            assert run(*argv, "--task", "toy", *flags,
+                       "--out", str(tmp_path / "o")) == code
+            if code == 3:
+                assert "g=" in capsys.readouterr().err
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(TASKS), st.integers(-2, 1100),
            st.sampled_from(["auto"] + [str(n) for n in range(21)]),
-           st.integers(-2, 3))
+           st.integers(-2, 3) | st.integers(2 ** 52 - 2, 10 ** 400))
     def test_numeric_flags_never_crash(self, tmp_path_factory, task, k, pad,
                                        m):
         out = tmp_path_factory.mktemp("dist")
@@ -530,7 +532,7 @@ class TestShotsCurve:
            st.integers(-2, 1100),
            st.lists(st.integers(-1, 300), min_size=1, max_size=4),
            st.integers(-1, 4), st.none() | st.integers(-1, 200),
-           st.integers(-2, 3))
+           st.integers(-2, 3) | st.integers(2 ** 52 - 2, 10 ** 400))
     def test_numeric_flags_never_crash(self, tmp_path_factory, task, method,
                                        k, budgets, runs, eval_shots, m):
         out = tmp_path_factory.mktemp("curve")
