@@ -14,10 +14,10 @@ Modules:
               states it can reach: each copy's slice of basis indices and
               its marks, and two real amplitudes, one on the marked states
               and one on the rest; model gates bit-sliced on packed planes,
-              one bit per state per qubit, checked to restore every qubit
-              but the predictions; a weight's marked count the product of
-              its per-copy counts; the reflection as inversion about the
-              exact mean.
+              a row per data state with eight weights a byte (boolcirc's
+              layout), checked to restore every qubit but the predictions;
+              a weight's marked count the product of its per-copy counts;
+              the reflection as inversion about the exact mean.
     theory    Query-count calculators and the best-parallel-copies rule
               with its brute-force validator.
     tasks     Named model+dataset bundles with fixed splits.

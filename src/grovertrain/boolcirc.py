@@ -180,8 +180,8 @@ def _patterns(gates, bits, names, local, xs) -> tuple[int, list]:
     """One group's boundary patterns (bit j is wire names[j]) per sample and
     weight in `local` (bit k of which is weight bit bits[k]): the base, the
     first sample's at the first weight, and each other one that occurs with
-    its 0/1 float32 matrix. The gates run on uint8 words that pack eight
-    weights; an input bit is a word of all zeros or all ones."""
+    its 0/1 float32 matrix. The gates run on `statevec.model_slices`' layout:
+    a row per sample, eight weights a byte, an input bit all 0s or all 1s."""
     if not names:  # the empty high group of a one-group register
         return 0, []
     bit_k = np.reshape(local, (-1, 1)) >> np.arange(len(bits)) & 1

@@ -5,14 +5,15 @@ holding the dataset in superposition, the compiled reversible model writing
 each register's prediction, a phase oracle marking the states where every
 copy's prediction equals its label, and inversion about the mean. Its weight
 marginal is the ground truth for the closed-form evolution in `amplify`. Every
-gate is an X, CNOT or multi-controlled X, run bit-sliced on packed bit planes
-as in Biham's bitslice DES (FSE 1997). The list restores every qubit it uses as
-scratch (weights too: 3 of simplified-ed's, 6 of edge's), and each run checks
-that. So the state stays on the 2^d_w * (N + n_aux)^k basis states of |Psi_0>
-(at most 2^26, on at most 62 qubits), the product of the k copies' slices; a
-weight's marked count is the product of its per-copy counts (c^k). The oracle
-and the reflection about the uniform, real |Psi_0> (each amplitude a to
-2 * mean - a, quant-ph/9605043) keep equal amplitudes equal, so a round
+gate is an X, CNOT or multi-controlled X, run bit-sliced (Biham, FSE 1997) on
+packed bit planes: per qubit one row per data state, eight weights a byte, the
+layout `boolcirc` evaluates its circuits on. The list restores every qubit it
+uses as scratch (weights too: 3 of simplified-ed's, 6 of edge's), and each run
+checks that. So the state stays on the 2^d_w * (N + n_aux)^k basis states of
+|Psi_0> (at most 2^26, on at most 62 qubits), the product of the k copies'
+slices; a weight's marked count is the product of its per-copy counts (c^k).
+The oracle and the reflection about the uniform, real |Psi_0> (each amplitude
+a to 2 * mean - a, quant-ph/9605043) keep equal amplitudes equal, so a round
 updates just two: the marked states' and the rest's (quant-ph/9605034).
 
 Qubit q is bit q of the basis index. The weight register takes the lowest
@@ -110,8 +111,8 @@ class QuantumState:
 def apply_gates(planes, gates) -> None:
     """Flip, in place, each gate's target where its controls are 1, on
     packed bit planes: planes[q] holds qubit q's bit of every state, eight
-    states a byte. X inverts the target's plane, CNOT XORs in its control's,
-    and a multi-controlled X the AND of its controls', built in one buffer."""
+    weights a byte along each state's row. X inverts the target's plane, CNOT
+    XORs in its control's, a multi-controlled X the AND of its controls'."""
     buf = np.empty_like(planes[0])
     for g in gates:
         target = planes[g.target]
@@ -177,34 +178,30 @@ def model_slices(gl: GateList, copies, copy_idx: np.ndarray,
                  weights: np.ndarray) -> list[np.ndarray]:
     """Each copy's slice of basis indices, prediction written: slice[s, j]
     is data state copy_idx[s] against weights[j]. All copies hold the same
-    states, so the gates run once, on planes in the gate list's qubit order:
-    weight rows tile the weights' bits over the states, input rows repeat
-    copy_idx's bits over the weights, the rest start at 0 (pad bits past the
-    last state act as one more all-zero state). RuntimeError names any
-    qubit but an output whose plane the gates leave changed."""
+    states, so the gates run once, on planes in the gate list's qubit order
+    and laid out like `boolcirc._patterns`' words: one row per state, eight
+    weights a byte along it (little bit order, pad lanes at weight 0). Weight
+    rows pack the weights' bits, input rows are all ones where copy_idx sets
+    the bit, the rest start at 0. RuntimeError names any qubit but an output
+    whose plane the gates leave changed."""
     m, n_w = len(copy_idx), len(weights)
-    n = m * n_w
-    planes = np.zeros((gl.n_qubits, -(-n // 8)), np.uint8)
-    bits = np.empty((m, n_w), bool)
+    planes = np.zeros((gl.n_qubits, m, -(-n_w // 8)), np.uint8)
     for q in range(gl.n_w):
-        bits[:] = (weights >> q) & 1
-        planes[q] = np.packbits(bits, bitorder="little")
+        planes[q] = np.packbits((weights >> q) & 1, bitorder="little")
     for i in range(gl.n_x):
-        bits[:] = ((copy_idx >> i) & 1)[:, None]
-        planes[gl.n_w + i] = np.packbits(bits, bitorder="little")
+        planes[gl.n_w + i] = (copy_idx[:, None] >> i & 1) * 255
     start = planes.copy()
     apply_gates(planes, gl.gates)
-    for q in np.flatnonzero((planes != start).any(axis=1)).tolist():
+    for q in np.flatnonzero((planes != start).any(axis=(1, 2))).tolist():
         if q not in gl.out_qubits:
             role = ("weight" if q < gl.n_w else
                     "input" if q < gl.n_w + gl.n_x else "ancilla")
             raise RuntimeError(
                 f"model gates leave {role} qubit {q} of the gate list changed")
-    pred = np.zeros(n, np.int64)
+    pred = np.zeros((m, n_w), np.int64)
     for i, q in enumerate(gl.out_qubits):
-        pred |= np.unpackbits(planes[q], count=n, bitorder="little"
+        pred |= np.unpackbits(planes[q], axis=1, count=n_w, bitorder="little"
                               ).astype(np.int64) << i
-    pred = pred.reshape(m, n_w)
     slices = []
     for copy in copies:  # `build_layout` makes each prediction block a run
         part = (copy_idx[:, None] << copy.x[0]) | weights
