@@ -11,13 +11,14 @@ Modules:
               closed-form evolved weight distribution, and the one search
               kernel (sample, score exactly or by shots, best so far).
     statevec  Statevector simulation of the same pipeline on the basis
-              states it can reach: each copy's slice of basis indices and
-              its marks, and two real amplitudes, one on the marked states
-              and one on the rest; model gates bit-sliced on packed planes,
-              a row per data state with eight weights a byte (boolcirc's
-              layout), checked to restore every qubit but the predictions;
-              a weight's marked count the product of its per-copy counts;
-              the reflection as inversion about the exact mean.
+              states it can reach: one marked count per weight (c^k, for
+              c correct samples) and two real amplitudes, one on the marked
+              states and one on the rest; model gates bit-sliced on packed
+              planes, a row per data state with eight weights a byte
+              (boolcirc's layout), per block of weights, checked to restore
+              every qubit but the predictions; the reflection as inversion
+              about the exact mean; the support's basis indices built only
+              for dumps and tests, up to MAX_SUPPORT of them.
     theory    Query-count calculators and the best-parallel-copies rule
               with its brute-force validator.
     tasks     Named model+dataset bundles with fixed splits.

@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -180,7 +180,7 @@ def _patterns(gates, bits, names, local, xs) -> tuple[int, list]:
     """One group's boundary patterns (bit j is wire names[j]) per sample and
     weight in `local` (bit k of which is weight bit bits[k]): the base, the
     first sample's at the first weight, and each other one that occurs with
-    its 0/1 float32 matrix. The gates run on `statevec.model_slices`' layout:
+    its 0/1 float32 matrix. The gates run on `statevec.model_planes`' layout:
     a row per sample, eight weights a byte, an input bit all 0s or all 1s."""
     if not names:  # the empty high group of a one-group register
         return 0, []
@@ -358,7 +358,7 @@ class RGate:
     target: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class GateList:
     """Reversible compilation of a ModelCircuit.
 
@@ -371,7 +371,7 @@ class GateList:
     n_x: int
     out_qubits: tuple[int, ...]
     n_anc: int
-    gates: list[RGate] = field(default_factory=list)
+    gates: tuple[RGate, ...] = ()
 
     @property
     def n_qubits(self) -> int:
@@ -493,9 +493,17 @@ class _Compiler:
             # a later output that reads this one reads its output qubit
             self.qubit.setdefault(name, oq)
         return GateList(self.c.weight_width, self.c.input_width,
-                        self.out_qubits, self.n_anc, self.out)
+                        self.out_qubits, self.n_anc, tuple(self.out))
+
+
+_COMPILED: dict[tuple, GateList] = {}
 
 
 def compile_circuit(circuit: ModelCircuit) -> GateList:
-    """Compile a ModelCircuit to reversible gates (see GateList docstring)."""
-    return _Compiler(circuit).run()
+    """Compile a ModelCircuit to reversible gates (see GateList docstring),
+    once per circuit structure: equal circuits share one frozen GateList."""
+    key = (circuit.weight_width, circuit.input_width, tuple(circuit.gates),
+           tuple(circuit.output_wires))
+    if key not in _COMPILED:
+        _COMPILED[key] = _Compiler(circuit).run()
+    return _COMPILED[key]

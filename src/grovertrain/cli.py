@@ -42,10 +42,10 @@ from . import theory as th
 from .datasets import dataset_to_csv
 from .tasks import TASK_NAMES, TaskError, load_task
 
-# caps: shots-curve's budget and runs x budgets (statevec.MAX_SUPPORT's
-# size), uniforms for shots (about 11 s on one core), theory's rows (about
-# 4 s), --k and an explicit --pad (the plan's exact integers have k times
-# their digits)
+# caps: shots-curve's budget (about 48 bytes a draw) and runs x budgets,
+# uniforms for shots (about 11 s on one core), theory's rows (about 4 s),
+# --k and an explicit --pad (the plan's exact integers have k times their
+# digits)
 MAX_CURVE, MAX_SHOTS, MAX_ROWS = 1 << 26, 1 << 32, 1 << 20
 MAX_K, MAX_PAD = 1 << 16, 1 << 32
 

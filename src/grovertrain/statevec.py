@@ -10,8 +10,9 @@ packed bit planes: per qubit one row per data state, eight weights a byte, the
 layout `boolcirc` evaluates its circuits on. The list restores every qubit it
 uses as scratch (weights too: 3 of simplified-ed's, 6 of edge's), and each run
 checks that. So the state stays on the 2^d_w * (N + n_aux)^k basis states of
-|Psi_0> (at most 2^26, on at most 62 qubits), the product of the k copies'
-slices; a weight's marked count is the product of its per-copy counts (c^k).
+|Psi_0> (on at most 62 qubits), the product of the k copies' equal slices: a
+weight with c correct samples has c^k marked states. Only `support()`,
+`dense()` and dumps build the basis indices, up to 2^26 of them.
 The oracle and the reflection about the uniform, real |Psi_0> (each amplitude
 a to 2 * mean - a, quant-ph/9605043) keep equal amplitudes equal, so a round
 updates just two: the marked states' and the rest's (quant-ph/9605034).
@@ -34,7 +35,7 @@ from .amplify import CsvBlocks
 from .boolcirc import GateList, ModelCircuit, compile_circuit
 from .datasets import Dataset
 
-MAX_QUBITS = 62  # basis indices and masks stay below the int64 sign bit
+MAX_QUBITS = 62  # basis indices, masks and state counts stay below 2**62
 MAX_SUPPORT = 1 << 26  # support states that support() and dumps broadcast
 
 
@@ -58,38 +59,35 @@ class SystemLayout:
 
 
 class QuantumState:
-    """Real state over n_qubits on the support of |Psi_0>, in support order
-    (weight fastest, then copy 0's slice state, on to copy k-1's slowest).
-    slices[j][s, w] is copy j's basis index at slice state s and weight w,
-    marks[j][s, w] whether copy j's oracle marks it. States marked in every
-    copy hold amplitude a_marked, the others a_unmarked."""
+    """Real state over n_qubits on the support of |Psi_0>: `rows` states per
+    weight, marked[w] (int64) of weight w's marked, at a_marked, the rest at
+    a_unmarked. build() gives every support state's basis index (int64) and
+    oracle mark in support order: weight fastest, then copy 0's state, on to
+    copy k-1's slowest."""
 
-    def __init__(self, n_qubits: int, slices, marks, a_marked, a_unmarked):
+    def __init__(self, n_qubits: int, rows: int, marked, a_marked,
+                 a_unmarked, build):
         if n_qubits < 1 or n_qubits > MAX_QUBITS:
             raise ValueError(f"qubit count must lie in [1, {MAX_QUBITS}]")
         if np.iscomplexobj(a_marked) or np.iscomplexobj(a_unmarked):
             raise ValueError("amplitudes must be real")
-        self.n_qubits = n_qubits
-        self.slices = tuple(np.asarray(s, dtype=np.int64) for s in slices)
-        self.marks = tuple(np.asarray(m, dtype=bool) for m in marks)
+        self.n_qubits, self._build = n_qubits, build
+        self.marked = np.asarray(marked, dtype=np.int64)
         self.a_marked, self.a_unmarked = float(a_marked), float(a_unmarked)
-        if [m.shape for m in self.marks] != [s.shape for s in self.slices]:
-            raise ValueError("slice and mark shapes differ")
-        rows = math.prod(len(s) for s in self.slices)
-        self.marked = math.prod(m.sum(0) for m in self.marks)  # per weight
+        if not 0 <= self.marked.min() <= self.marked.max() <= rows:
+            raise ValueError("marked counts must lie in [0, rows]")
         self.unmarked = rows - self.marked
         self.n_marked = int(self.marked.sum())
-        self.n_unmarked = rows * self.slices[0].shape[1] - self.n_marked
+        self.n_unmarked = rows * len(self.marked) - self.n_marked
 
     def support(self) -> tuple[np.ndarray, np.ndarray]:
         """The basis index (int64) and oracle mark of every support state,
-        in support order: the slices OR-broadcast and the marks
-        AND-broadcast. For dumps and tests, not for rounds."""
-        idx, mark = self.slices[0], self.marks[0]
-        for part, m in zip(self.slices[1:], self.marks[1:]):
-            idx = (part[:, None] | idx).reshape(-1, idx.shape[1])
-            mark = (m[:, None] & mark).reshape(-1, mark.shape[1])
-        return idx.ravel(), mark.ravel()
+        in support order. For dumps and tests, not for rounds."""
+        n = self.n_marked + self.n_unmarked
+        if n > MAX_SUPPORT:
+            raise ValueError(f"system has {n} basis states in its support, "
+                             f"cap is {MAX_SUPPORT}")
+        return self._build()
 
     def dense(self) -> np.ndarray:
         """The full 2**n_qubits amplitude vector (for small states)."""
@@ -174,22 +172,21 @@ def _copy_register_states(d: Dataset, n_aux: int) -> np.ndarray:
     return idx
 
 
-def model_slices(gl: GateList, copies, copy_idx: np.ndarray,
-                 weights: np.ndarray) -> list[np.ndarray]:
-    """Each copy's slice of basis indices, prediction written: slice[s, j]
-    is data state copy_idx[s] against weights[j]. All copies hold the same
-    states, so the gates run once, on planes in the gate list's qubit order
-    and laid out like `boolcirc._patterns`' words: one row per state, eight
-    weights a byte along it (little bit order, pad lanes at weight 0). Weight
-    rows pack the weights' bits, input rows are all ones where copy_idx sets
-    the bit, the rest start at 0. RuntimeError names any qubit but an output
-    whose plane the gates leave changed."""
-    m, n_w = len(copy_idx), len(weights)
-    planes = np.zeros((gl.n_qubits, m, -(-n_w // 8)), np.uint8)
+def model_planes(gl: GateList, states: np.ndarray,
+                 weights: np.ndarray) -> np.ndarray:
+    """The packed bit planes, in the gate list's qubit order, after its gates
+    ran on each state in `states` against each weight in `weights`, laid out
+    like `boolcirc._patterns`' words: one row per state, eight weights a byte
+    (little bit order, pad lanes at weight 0). Weight rows pack the weights'
+    bits, input rows are all ones where the state sets the bit, the rest
+    start at 0. RuntimeError names any qubit but an output whose plane the
+    gates leave changed."""
+    planes = np.zeros((gl.n_qubits, len(states), -(-len(weights) // 8)),
+                      np.uint8)
     for q in range(gl.n_w):
         planes[q] = np.packbits((weights >> q) & 1, bitorder="little")
     for i in range(gl.n_x):
-        planes[gl.n_w + i] = (copy_idx[:, None] >> i & 1) * 255
+        planes[gl.n_w + i] = (states[:, None] >> i & 1) * 255
     start = planes.copy()
     apply_gates(planes, gl.gates)
     for q in np.flatnonzero((planes != start).any(axis=(1, 2))).tolist():
@@ -198,27 +195,36 @@ def model_slices(gl: GateList, copies, copy_idx: np.ndarray,
                     "input" if q < gl.n_w + gl.n_x else "ancilla")
             raise RuntimeError(
                 f"model gates leave {role} qubit {q} of the gate list changed")
-    pred = np.zeros((m, n_w), np.int64)
-    for i, q in enumerate(gl.out_qubits):
-        pred |= np.unpackbits(planes[q], axis=1, count=n_w, bitorder="little"
-                              ).astype(np.int64) << i
-    slices = []
-    for copy in copies:  # `build_layout` makes each prediction block a run
-        part = (copy_idx[:, None] << copy.x[0]) | weights
-        part |= pred << copy.out[0]
-        slices.append(part)
-    return slices
+    return planes
+
+
+def _support(gl: GateList, layout: SystemLayout,
+             states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The support's basis indices and oracle marks, in support order: each
+    copy's slice (its states against every weight, prediction written)
+    OR-broadcast, as with Kronecker products, and its marks AND-broadcast."""
+    n_w = 1 << gl.n_w
+    planes = model_planes(gl, states, np.arange(n_w))
+    idx, mark = np.arange(n_w)[None], True
+    for copy in layout.copies:
+        part = (states[:, None] << copy.x[0]) | np.arange(n_w)
+        for q, o in zip(gl.out_qubits, copy.out):
+            part |= np.unpackbits(planes[q], axis=1, count=n_w,
+                                  bitorder="little").astype(np.int64) << o
+        idx = (part[:, None] | idx).reshape(-1, n_w)
+        mark = (oracle_mark(part, copy)[:, None] & mark).reshape(-1, n_w)
+    return idx.ravel(), mark.ravel()
 
 
 def prepare_initial(model: ModelCircuit, d: Dataset, k: int, n_aux: int = 0
                     ) -> tuple[QuantumState, SystemLayout]:
     """|Psi_0>: uniform weights, k dataset superpositions, predictions written.
 
-    The compiled model writes each copy's prediction on that copy's slice:
-    its basis states against every weight, weight fastest (`model_slices`).
-    The model leaves weights and ancillas as it found them, so the support
-    is the slices' OR-broadcast, as with Kronecker products, and the oracle
-    reads each copy's marks on its own slice (`QuantumState`).
+    Every copy's slice holds the same states, so a weight with c correct
+    samples has c^k marked states. The gates count c on the real samples
+    (padded states are never marked) as those where every prediction plane
+    equals the label's row, per 2^14 weights (tiny-mnist's planes stay near
+    32 MB).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -234,17 +240,22 @@ def prepare_initial(model: ModelCircuit, d: Dataset, k: int, n_aux: int = 0
     if layout.n_qubits > MAX_QUBITS:
         raise ValueError(
             f"system needs {layout.n_qubits} qubits, cap is {MAX_QUBITS}")
-    copy_idx = _copy_register_states(d, n_aux)
-    n_w, m = 1 << model.weight_width, len(copy_idx)
-    if n_w * m ** k > MAX_SUPPORT:
-        raise ValueError(f"system has {n_w * m ** k} basis states in its "
-                         f"support, cap is {MAX_SUPPORT}")
-    slices = model_slices(gl, layout.copies, copy_idx, np.arange(n_w))
-    marks, amp = [], 1.0 / math.sqrt(n_w)
-    for part, copy in zip(slices, layout.copies):
-        marks.append(oracle_mark(part, copy))
+    states = _copy_register_states(d, n_aux)
+    n_w, m = 1 << model.weight_width, len(states)
+    real, counts = d.x @ (1 << np.arange(d.d_x)), np.empty(n_w, np.int64)
+    for a in range(0, n_w, 1 << 14):
+        weights = np.arange(a, min(a + (1 << 14), n_w))
+        planes = model_planes(gl, real, weights)
+        wrong = np.zeros_like(planes[0])
+        for i, q in enumerate(gl.out_qubits):
+            wrong |= planes[q] ^ d.y[:, i, None] * np.uint8(255)
+        counts[a:a + len(weights)] = np.unpackbits(
+            ~wrong, axis=1, count=len(weights), bitorder="little").sum(0)
+    amp = 1.0 / math.sqrt(n_w)
+    for _ in layout.copies:
         amp = (1.0 / math.sqrt(m)) * amp
-    return QuantumState(layout.n_qubits, slices, marks, amp, amp), layout
+    return QuantumState(layout.n_qubits, m ** k, counts ** k, amp, amp,
+                        lambda: _support(gl, layout, states)), layout
 
 
 def phase_oracle(state: QuantumState) -> None:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -502,6 +503,20 @@ def simulate_gatelist_all(gl):
 
 
 class TestCompiler:
+    def test_equal_circuits_share_one_frozen_gate_list(self):
+        # each load builds a new model object; the compiled list is keyed on
+        # the circuit's structure, so it is built once and cannot be changed
+        gl = bc.compile_circuit(bc.edge_detection_model())
+        assert bc.compile_circuit(bc.edge_detection_model()) is gl
+        assert isinstance(gl.gates, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            gl.n_anc = 0
+        m = bc.edge_detection_model()
+        m.gates.pop()  # o1's last gate gone: another structure
+        m.gates.append(bc.Gate("XOR", "o1", ("bm", "w3")))
+        assert bc.compile_circuit(m) is not gl
+        assert bc.compile_circuit(m).gates != gl.gates
+
     def test_toy_compiles_to_two_cnots(self):
         gl = bc.compile_circuit(bc.toy_xor_model())
         assert [(g.controls, g.target) for g in gl.gates] == [
@@ -598,7 +613,7 @@ class TestCompiler:
         m = bc.simplified_ed_model()
         gl = bc.compile_circuit(m)
         both = bc.GateList(gl.n_w, gl.n_x, gl.out_qubits, gl.n_anc,
-                           gl.gates + list(reversed(gl.gates)))
+                           gl.gates + gl.gates[::-1])
         bits = simulate_gatelist_all(both)
         n_in = m.weight_width + m.input_width
         idx = np.arange(1 << n_in)

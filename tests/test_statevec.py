@@ -16,14 +16,22 @@ from grovertrain import statevec as sv
 from grovertrain import tasks
 
 
+def by_hand(n_qubits, idx, marks, a_marked, a_unmarked):
+    """A state whose support is the basis indices idx[s, w], one column per
+    weight w, with oracle marks marks[s, w]: counted per weight, and built
+    back on demand as the engine's states are."""
+    idx, marks = np.asarray(idx), np.asarray(marks, dtype=bool)
+    return sv.QuantumState(n_qubits, len(idx), marks.sum(axis=0), a_marked,
+                           a_unmarked, lambda: (idx.ravel(), marks.ravel()))
+
+
 def two_valued(n_qubits, a_marked, a_unmarked, width=0, marked=()):
-    """State on every basis index of n_qubits, in index order, as one slice
-    whose rows run over the lowest `width` qubits (its weights): the oracle
-    marks the basis states listed in `marked`, which hold a_marked, and the
-    rest hold a_unmarked."""
+    """State on every basis index of n_qubits, in index order, with rows
+    running over the lowest `width` qubits (its weights): the oracle marks
+    the basis states listed in `marked`, which hold a_marked, and the rest
+    hold a_unmarked."""
     idx = np.arange(1 << n_qubits).reshape(-1, 1 << width)
-    marks = np.isin(idx, marked)
-    return sv.QuantumState(n_qubits, (idx,), (marks,), a_marked, a_unmarked)
+    return by_hand(n_qubits, idx, np.isin(idx, marked), a_marked, a_unmarked)
 
 
 def random_two_valued(n_qubits, rng):
@@ -36,7 +44,7 @@ def random_two_valued(n_qubits, rng):
 
 
 def basis_state(n_qubits, index):
-    return sv.QuantumState(n_qubits, ([[index]],), ([[True]],), 1.0, 0.0)
+    return by_hand(n_qubits, [[index]], [[True]], 1.0, 0.0)
 
 
 def draw(p, rng):
@@ -107,10 +115,19 @@ def decode_task():
                              [(1, 0), (1, 0), (0, 1), (0, 0)], 3)
 
 
+def nine_digits():
+    """The tiny-mnist model on 9 distinct samples: its 2^20 weights span 64
+    of the blocks that `prepare_initial` counts in."""
+    return bc.tiny_mnist_model(), ds.Dataset(
+        [index_to_bits(i, 9) for i in range(9)],
+        [(0, i & 1) for i in range(9)], 3)
+
+
 def reference_instance(task):
-    """(model, training set) of a built-in task, or of the decode task."""
-    if task == "decode":
-        return decode_task()
+    """(model, training set) of a built-in task, or of the decode or
+    nine-digits task."""
+    if task in ("decode", "nine-digits"):
+        return decode_task() if task == "decode" else nine_digits()
     bundle = tasks.load_task(task)
     return bundle.model, bundle.train
 
@@ -125,42 +142,34 @@ class TestQuantumState:
     def test_initial_state_and_amp_validation(self):
         s = basis_state(3, 0)
         assert s.dense()[0] == 1.0 and np.count_nonzero(s.dense()) == 1
-        ones = np.ones((2, 1), bool)
-        with pytest.raises(ValueError):  # one mark too many
-            sv.QuantumState(2, ([[0], [1]],), (np.ones((3, 1)),), 1.0, 1.0)
-        with pytest.raises(ValueError):  # one mark short
-            sv.QuantumState(2, ([[0], [1]],), ([[True]],), 1.0, 1.0)
-        with pytest.raises(ValueError):  # the slice's shape transposed
-            sv.QuantumState(2, ([[0], [1]],), (ones.T,), 1.0, 1.0)
-        with pytest.raises(ValueError):  # two slices, one mark array
-            sv.QuantumState(3, ([[0], [1]], [[0], [2]]), (ones,), 1.0, 1.0)
+        # two states per weight: a count above that or below 0 is refused
+        for marked in ([3, 0], [0, -1]):
+            with pytest.raises(ValueError, match="marked counts"):
+                sv.QuantumState(3, 2, marked, 1.0, 1.0, None)
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_copies_with_different_marks(self, k):
-        # prepared states give every copy the same marks; here each copy
-        # has its own random marks and slice length, so a count or a
-        # broadcast taken over the wrong axis or copy shows
-        rng = np.random.default_rng(k)
-        n_w, lengths = 4, (3, 2, 5)[:k]
-        widths = [(m - 1).bit_length() for m in lengths]
-        shifts = np.cumsum([2] + widths[:-1]).tolist()
-        slices = [(np.arange(m)[:, None] << q) | np.arange(n_w)
-                  for m, q in zip(lengths, shifts)]
-        marks = [rng.random((m, n_w)) < 0.6 for m in lengths]
-        state = sv.QuantumState(2 + sum(widths), slices, marks,
-                                *rng.normal(size=2))
+        # the copies of a support state sit at different data states, so
+        # one copy's oracle may mark it and another's not; padding makes
+        # the copies' length (5) differ from the weights' (4), so a count
+        # or a broadcast taken over the wrong axis or copy shows
+        model, d = decode_task()
+        state, lay = sv.prepare_initial(model, d, k, n_aux=1)
+        n_w = 1 << model.weight_width
         idx, mark = state.support()
-        # each support state's mark, read off its bits: ANDed over copies
-        assert np.array_equal(mark, [
-            all(mk[(i >> q) & ((1 << b) - 1), i & (n_w - 1)]
-                for mk, q, b in zip(marks, shifts, widths)) for i in idx])
+        # each copy's mark, read off the support state's bits
+        per_copy = np.array([[
+            all((i >> y) & 1 == (i >> o) & 1 for y, o in zip(c.y, c.out))
+            and (i >> c.flag) & 1 == 1 for c in lay.copies] for i in idx])
+        assert np.array_equal(mark, per_copy.all(axis=1))
+        assert (per_copy.any(axis=1) & ~per_copy.all(axis=1)).any()
         rows = mark.reshape(-1, n_w)
         assert np.array_equal(state.marked, rows.sum(axis=0))
         assert np.array_equal(state.unmarked, (~rows).sum(axis=0))
         assert (state.n_marked, state.n_unmarked) == (mark.sum(),
                                                       (~mark).sum())
         amps = state.dense()
-        assert np.count_nonzero(amps) == len(idx) == math.prod(lengths) * n_w
+        assert np.count_nonzero(amps) == len(idx) == 5 ** k * n_w
         want = np.bincount(idx & (n_w - 1), weights=amps[idx] ** 2,
                            minlength=n_w)
         assert np.allclose(state.marginal(), want, rtol=1e-13, atol=0)
@@ -171,7 +180,7 @@ class TestQuantumState:
             for pair in ((amp, 0.0), (0.0, amp)):
                 with pytest.raises(ValueError,
                                    match="amplitudes must be real"):
-                    sv.QuantumState(1, ([[0]],), ([[False]],), *pair)
+                    by_hand(1, [[0]], [[False]], *pair)
 
     def test_gates_act_like_classical_bit_flips(self):
         gates = [bc.RGate((), 2), bc.RGate((0,), 1), bc.RGate((0, 2), 3),
@@ -217,23 +226,22 @@ class TestQuantumState:
 
     def test_unrestored_qubit_raises(self):
         # o = w XOR x on qubits 0 (w), 1 (x), 2 (o), with one ancilla, 3
-        copies = sv.build_layout(bc.toy_xor_model(), 1, 0, 1).copies
         states, weights = np.array([0, 1, 2]), np.arange(2)
-        xor = [bc.RGate((0,), 2), bc.RGate((1,), 2)]
+        xor = (bc.RGate((0,), 2), bc.RGate((1,), 2))
         # an ancilla used as scratch and cleared again passes, pad bits too
-        ok = bc.GateList(1, 1, (2,), 1, [bc.RGate((), 3), *xor,
+        ok = bc.GateList(1, 1, (2,), 1, (bc.RGate((), 3), *xor,
                                          bc.RGate((1,), 3), bc.RGate((1,), 3),
-                                         bc.RGate((), 3)])
-        (part,) = sv.model_slices(ok, copies, states, weights)
+                                         bc.RGate((), 3)))
+        planes = sv.model_planes(ok, states, weights)
         assert np.array_equal(
-            (part >> copies[0].out[0]) & 1,
+            np.unpackbits(planes[2], axis=1, count=2, bitorder="little"),
             (states[:, None] & 1) ^ weights)  # x is the state's bit 0
-        for gates, role in (([bc.RGate((0,), 3)], "ancilla qubit 3"),
-                            ([bc.RGate((), 0)], "weight qubit 0"),
-                            ([bc.RGate((0,), 1)], "input qubit 1")):
+        for gates, role in (((bc.RGate((0,), 3),), "ancilla qubit 3"),
+                            ((bc.RGate((), 0),), "weight qubit 0"),
+                            ((bc.RGate((0,), 1),), "input qubit 1")):
             bad = bc.GateList(1, 1, (2,), 1, xor + gates)
             with pytest.raises(RuntimeError, match=role):
-                sv.model_slices(bad, copies, states, weights)
+                sv.model_planes(bad, states, weights)
 
     def test_phase_flip_targets_exactly_matching_states(self):
         regs = sv.CopyRegisters
@@ -313,10 +321,12 @@ class TestQuantumState:
         # the gates permute a slice's basis indices and leave the
         # amplitudes where they are
         s = random_two_valued(4, np.random.default_rng(1))
-        planes = to_planes(s.slices[0], 4)
+        idx, mark = s.support()
+        planes = to_planes(idx, 4)
         sv.apply_gates(planes, [bc.RGate((0,), 3), bc.RGate((1, 2), 0),
                                 bc.RGate((), 2)])
-        s.slices = (from_planes(planes, 16).reshape(s.slices[0].shape),)
+        s = by_hand(4, from_planes(planes, 16)[:, None], mark[:, None],
+                    s.a_marked, s.a_unmarked)
         idx, _ = s.support()
         assert np.array_equal(np.sort(idx), np.arange(16))
         assert not np.array_equal(idx, np.arange(16))
@@ -430,13 +440,16 @@ class TestLayoutAndPreparation:
             sv.grover_run(model, sed_bundle.train, k=1, g=1)
 
     def test_qubit_budget_enforced(self):
-        # 56 qubits fit an int64 index, but 2^20 weights x 9^2 sample pairs
-        # exceed the support cap of 2^26 basis states
-        model = bc.tiny_mnist_model()
-        d = ds.Dataset([index_to_bits(i, 9) for i in range(9)],
-                       [(0, i & 1) for i in range(9)], 3)
-        with pytest.raises(ValueError, match="support"):
-            sv.prepare_initial(model, d, k=2)
+        # 56 qubits fit an int64 index, and the state keeps one count per
+        # weight, so it prepares; but 2^20 weights x 9^2 sample pairs exceed
+        # the cap of 2^26 support states that a dump may build
+        state, lay = sv.prepare_initial(*nine_digits(), k=2)
+        assert lay.n_qubits == 56
+        for dump in (state.support, state.dense,
+                     lambda: sv.statevector_csv(state)):
+            with pytest.raises(ValueError, match="84934656 basis states in "
+                               "its support, cap is 67108864"):
+                dump()
 
     def test_index_width_enforced(self, edge_bundle):
         # edge at k=4 needs 63 qubits, one more than an int64 index holds
@@ -451,23 +464,19 @@ class TestLayoutAndPreparation:
 
     def test_tiny_mnist_marks_count_correct_samples(self, tmp_path):
         # at k=1 a weight's marked states are its correct samples: the gates
-        # and the oracle on 2^12 seeded weights against every train sample
-        # give the accuracy table's counts exactly; so do the first 2^12 - 3
-        # of them plus a repeat, whose rows end in pad lanes
+        # on every train sample, in 64 blocks of 2^14 weights, give the
+        # accuracy table's counts exactly, and the run its closed form
         bundle = tasks.load_task("tiny-mnist",
                                  mnist_dir=str(make_synthetic_idx_dir(tmp_path)))
         model, d = bundle.model, bundle.train
-        gl = bc.compile_circuit(model)
-        lay = sv.build_layout(model, 1, 0, gl.n_anc)
-        counts = am.accuracy_table(model, d).counts
-        seeded = np.random.default_rng(3).choice(1 << 20, 1 << 12,
-                                                 replace=False)
-        for weights in (seeded, np.append(seeded[:-3], seeded[5])):
-            (part,) = sv.model_slices(gl, lay.copies,
-                                      sv._copy_register_states(d, 0), weights)
-            assert part.shape == (len(d), len(weights)) and lay.n_qubits == 43
-            marks = sv.oracle_mark(part, lay.copies[0]).sum(axis=0)
-            assert np.array_equal(marks, counts[weights])
+        table = am.accuracy_table(model, d)
+        plan = am.make_plan(table, 1, pad=0)
+        p = am.evolve_distribution(table, plan).p
+        marg, state, lay = sv.grover_run(model, d, 1, plan.g,
+                                         return_state=True)
+        assert lay.n_qubits == 43
+        assert np.array_equal(state.marked, table.counts)
+        assert np.max(np.abs(marg - p)) <= 1e-9
 
     @pytest.mark.parametrize("task", [
         "toy", "simplified-ed", "edge", "decode", "tiny-mnist"])
@@ -686,20 +695,22 @@ def small_instances(draw):
 
 
 class TestLargeAndRandomInstances:
-    """Closed form vs gate-level run, within 1e-9, on instances of 21 to 61
-    qubits (edge k=2 holds 41M basis states, toy k=15 29M) and on random
-    small ones."""
+    """Closed form vs gate-level run, within 1e-9, on instances of 21 to 62
+    qubits (edge k=2 holds 41M basis states, toy k=15 29M, simplified-ed
+    k=5 4.2e17) and on random small ones."""
 
     # peak RSS bounds (MB), each case run in a fresh interpreter. The state
-    # keeps each copy's slice and marks (edge k=2: two of 400 x 256), not
-    # its 41M or 29M support states, so edge k=2 peaks near 41 MB and toy
-    # k=15 near 31 MB, about what the imports and the accuracy table take;
-    # one byte a support state would add 41 MB and 29 MB
+    # keeps one count per weight, not its 41M or 29M support states, so
+    # edge k=2 peaks near 41 MB and toy k=15 near 31 MB, about what the
+    # imports and the accuracy table take; one byte a support state would
+    # add 41 MB and 29 MB
     PEAK_MB = {("edge", 2): 60, ("toy", 15): 45}
 
-    @pytest.mark.parametrize("task,k,n_qubits", [
+    INSTANCES = [
         ("edge", 1, 24), ("edge", 2, 37), ("simplified-ed", 2, 29),
-        ("toy", 8, 33), ("toy", 12, 49), ("toy", 15, 61), ("decode", 3, 21)])
+        ("toy", 8, 33), ("toy", 12, 49), ("toy", 15, 61), ("decode", 3, 21)]
+
+    @pytest.mark.parametrize("task,k,n_qubits", INSTANCES)
     def test_matches_closed_form(self, task, k, n_qubits):
         if (task, k) in self.PEAK_MB:
             dev, drift, mass, got_qubits, peak_mb = crosscheck_fresh(task, k)
@@ -709,6 +720,29 @@ class TestLargeAndRandomInstances:
                 *reference_instance(task), k)
         assert got_qubits == n_qubits
         assert dev <= 1e-9 and drift <= 1e-9 and abs(mass - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("task,k,pad", [
+        (task, k, "auto") for task, k, _ in INSTANCES] + [
+        ("simplified-ed", 3, "auto"), ("simplified-ed", 4, "auto"),
+        ("simplified-ed", 5, "auto"), ("edge", 3, "auto"),
+        ("nine-digits", 1, 0), ("nine-digits", 2, 0),
+        ("nine-digits", 1, 7), ("nine-digits", 2, 7)])
+    def test_counts_are_exact_powers(self, task, k, pad):
+        # a weight's gate-level marked count is its table count to the k,
+        # as an exact integer, and the totals are the plan's |S| and T; the
+        # instances past the first seven have more support states than a
+        # dump may build (2^26), and nine-digits runs 64 weight blocks
+        model, d = reference_instance(task)
+        table = am.accuracy_table(model, d)
+        plan = am.make_plan(table, k, pad=pad)
+        p = am.evolve_distribution(table, plan).p
+        marg, state, _ = sv.grover_run(model, d, k, plan.g, plan.n_aux,
+                                       return_state=True)
+        assert np.array_equal(state.marked, table.counts ** k)
+        assert state.n_marked == plan.n_solutions
+        assert state.n_marked + state.n_unmarked == plan.n_states
+        assert np.max(np.abs(marg - p)) <= 1e-9
+        assert abs(state.norm() - 1.0) <= 1e-9
 
     @settings(max_examples=60, deadline=None)
     @given(small_instances())
@@ -744,10 +778,8 @@ class TestCsv:
         assert text(two_valued(1, -0.5, 1.0, marked=[0])) == (
             "basis_index,re,im\n0,-0.5,0\n1,1,0\n")
         # -0.0 prints as itself, apart from the zeros off the support
-        assert text(sv.QuantumState(2, ([[0], [1]],), ([[True], [False]],),
-                                    -0.0, 1.0)) == (
+        assert text(by_hand(2, [[0], [1]], [[True], [False]], -0.0, 1.0)) == (
             "basis_index,re,im\n0,-0,0\n1,1,0\n2,0,0\n3,0,0\n")
         # an unmarked amplitude of 0.0 prints like the zeros off the support
-        assert text(sv.QuantumState(2, ([[1], [3]],), ([[False], [True]],),
-                                    0.5, 0.0)) == (
+        assert text(by_hand(2, [[1], [3]], [[False], [True]], 0.5, 0.0)) == (
             "basis_index,re,im\n0,0,0\n1,0,0\n2,0,0\n3,0.5,0\n")
