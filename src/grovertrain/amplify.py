@@ -51,8 +51,7 @@ _GUIDE_CELLS = 1 << 12
 
 # CSV writers build at most this many rows per byte block. It must be a
 # multiple of 10**4: blocks then start on multiples of 10**4, where the
-# index digits above the fourth change. distribution_csv checks its
-# probabilities in chunks of as many rows
+# index digits above the fourth change
 _CSV_BLOCK = 10 ** 4
 # CsvBlocks drops a table's NUL padding with a GIL-free byte mask when the
 # padding is at least this share of its record bytes, else with
@@ -140,9 +139,6 @@ class GroverPlan:
 class WeightDistribution:
     """Measurable distribution over all weight assignments."""
     p: np.ndarray
-    k: int
-    g: int
-    residual: float
 
     def __post_init__(self):
         self.p = np.asarray(self.p, dtype=np.float64)
@@ -242,22 +238,19 @@ def rotation_residual(theta: float, g: int) -> float:
     return math.sin((2 * g + 1) * theta) ** 2
 
 
-def pad_auxiliary(t: AccuracyTable, k: int, target_max_theta: float,
-                  use_sqrt: bool = True) -> int:
+def pad_auxiliary(t: AccuracyTable, k: int, use_sqrt: bool = True) -> int:
     """Smallest auxiliary-sample count bringing the k-parallel angle down to
-    the target.
+    AUTO_PAD_TARGET_THETA.
 
     The comparison runs in probability space with exact rational arithmetic:
     theta(n) <= target iff |S| / (2**d_w * (N+n)**k) <= sin(target)**2
     (or sin(target) when use_sqrt is False), with 1e-12 relative slack for the
     float rounding of the target angle itself.
     """
-    if not 0 < target_max_theta <= math.pi / 4:
-        raise ValueError("target angle must lie in (0, pi/4]")
     total = t.count_powers(k)[1]
     if total == 0:
         raise DegenerateAngleError("no solution states: padding cannot help")
-    s = math.sin(target_max_theta)
+    s = math.sin(AUTO_PAD_TARGET_THETA)
     limit = Fraction((s * s if use_sqrt else s) * (1 + _RATIO_SLACK))
 
     def ok(n: int) -> bool:
@@ -320,7 +313,7 @@ def make_plan(t: AccuracyTable, k: int, *, pad: str | int = "auto",
 
     plan = plan_for(0 if pad == "auto" else int(pad))
     if pad == "auto" and plan.residual < AUTO_PAD_RESIDUAL_THRESHOLD:
-        n_aux = pad_auxiliary(t, k, AUTO_PAD_TARGET_THETA, use_sqrt)
+        n_aux = pad_auxiliary(t, k, use_sqrt)
         if n_aux > 0:
             plan = plan_for(n_aux)
     if plan.g >= 1 << 52:  # 2*g + 1 is not exact in float64 from here
@@ -329,14 +322,15 @@ def make_plan(t: AccuracyTable, k: int, *, pad: str | int = "auto",
     return plan
 
 
-def evolve_distribution(t: AccuracyTable, plan: GroverPlan) -> WeightDistribution:
-    """Closed-form weight distribution after the planned amplification.
+def _count_shares(t: AccuracyTable, plan: GroverPlan) -> np.ndarray:
+    """Unnormalized probability of one weight with each count c = 0..N
+    after the planned amplification:
 
-    p_i = s_i * residual/|S| + ((N+n_aux)**k - s_i) * (1-residual)/(T - |S|)
-    with s_i = c_i**k and |S| from count_powers(k), T from the plan's n_aux,
-    computed once per count c = 0..N and scattered to the weights. At
-    residual exactly 1 this reduces to s_i/|S| with no leakage term (and at
-    k=1 it is then bit-identical to normalized_accuracy)."""
+    s_c * residual/|S| + ((N+n_aux)**k - s_c) * (1-residual)/(T - |S|)
+    with s_c = c**k and |S| from count_powers(k), T from the plan's n_aux,
+    all scaled by one power of two. At residual exactly 1 this reduces to
+    s_c with no leakage term (and at k=1 the normalized shares are then
+    bit-identical to normalized_accuracy)."""
     pow_by_count, total = t.count_powers(plan.k)
     n_states = _n_states(t, plan.k, plan.n_aux)
     theta_exact(total, n_states)  # raises unless 0 < |S|/T < 1
@@ -346,14 +340,20 @@ def evolve_distribution(t: AccuracyTable, plan: GroverPlan) -> WeightDistributio
         a = plan.residual / (total / scale)
         b = (1.0 - plan.residual) / ((n_states - total) / scale)
         s = s * a + ((n_states >> t.weight_width) / scale - s) * b
-    p = s[t.counts]
+    return s
+
+
+def evolve_distribution(t: AccuracyTable, plan: GroverPlan) -> WeightDistribution:
+    """Closed-form weight distribution after the planned amplification:
+    `_count_shares` gathered to the weights and normalized."""
+    p = _count_shares(t, plan)[t.counts]
     p /= p.sum()
-    return WeightDistribution(p, plan.k, plan.g, plan.residual)
+    return WeightDistribution(p)
 
 
 def uniform_distribution(weight_width: int) -> WeightDistribution:
     n = 1 << weight_width
-    return WeightDistribution(np.full(n, 1.0 / n), 0, 0, 0.0)
+    return WeightDistribution(np.full(n, 1.0 / n))
 
 
 def sample_weights(dist: WeightDistribution, m_meas: int,
@@ -526,32 +526,19 @@ def jtable_csv(t: AccuracyTable) -> CsvBlocks:
                      t.counts)
 
 
-def distribution_csv(dist: WeightDistribution,
-                     table: AccuracyTable) -> CsvBlocks:
-    """The distribution with the table's normalized accuracy as jhat, as
-    byte blocks built as they are consumed.
-
-    dist.p must depend on the weight only through its correct count in
-    `table`, as every evolved or uniform distribution does. That is checked
-    here, before the first block is asked for.
-    """
-    counts = table.counts
-    if len(dist.p) != len(counts):
-        raise ValueError("distribution and table sizes differ")
-    p_by_count = np.zeros(table.n_samples + 1)
-    p_by_count[counts] = dist.p
-    for a in range(0, len(counts), _CSV_BLOCK):
-        b = a + _CSV_BLOCK
-        if not np.array_equal(p_by_count[counts[a:b]], dist.p[a:b]):
-            raise ValueError("probabilities must depend on the weight only "
-                             "through its correct count")
+def evolved_csv(t: AccuracyTable, plan: GroverPlan) -> CsvBlocks:
+    """The evolved distribution (what `evolve_distribution` gives each
+    weight, bit for bit) with the table's normalized accuracy as jhat, as
+    byte blocks built as they are consumed; one row text per count."""
+    s = _count_shares(t, plan)
+    p_by_count = s / s[t.counts].sum()
     # c / counts.sum() is bit for bit what normalized_accuracy() gives c
-    jhat = np.arange(table.n_samples + 1) / counts.sum()
-    mid = f",{dist.k},{dist.g},{_fmt(dist.residual)},"
+    jhat = np.arange(t.n_samples + 1) / t.counts.sum()
+    mid = f",{plan.k},{plan.g},{_fmt(plan.residual)},"
     tails = [f"{_fmt(p)}{mid}{_fmt(j)}\n"
              for p, j in zip(p_by_count.tolist(), jhat.tolist())]
     return CsvBlocks("weight_index,probability,k,g,residual,jhat\n",
-                     tails, counts)
+                     tails, t.counts)
 
 
 def rows_csv(head: str, line: str, rows: Iterable[tuple]) -> Iterator[bytes]:

@@ -299,9 +299,8 @@ def cmd_distribution(args, out: Path, lap: _Stages):
                                     m=args.branch_m,
                                     theta_shot_count=args.shots, rng=rng,
                                     use_sqrt=not args.strict_ratio_theta))
-    dist = lap("evolve", am.evolve_distribution(table, plan))
-    outputs = lap("write", [_write(out / "distribution.csv",
-                                   am.distribution_csv(dist, table))])
+    rows = lap("evolve", am.evolved_csv(table, plan))
+    outputs = lap("write", [_write(out / "distribution.csv", rows)])
     print(f"{args.task} k={plan.k}: n_aux={plan.n_aux} theta={plan.theta:.6g} "
           f"g={plan.g} residual={plan.residual:.6g} "
           f"leakage_bound={plan.leakage_bound:.3g} -> {out}")

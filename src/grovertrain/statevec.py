@@ -178,19 +178,19 @@ def model_planes(gl: GateList, states: np.ndarray,
     ran on each state in `states` against each weight in `weights`, laid out
     like `boolcirc._patterns`' words: one row per state, eight weights a byte
     (little bit order, pad lanes at weight 0). Weight rows pack the weights'
-    bits, input rows are all ones where the state sets the bit, the rest
-    start at 0. RuntimeError names any qubit but an output whose plane the
-    gates leave changed."""
+    bits, input rows are all ones where the state sets the bit, the rest start
+    at 0. RuntimeError names a non-output target the gates leave changed."""
     planes = np.zeros((gl.n_qubits, len(states), -(-len(weights) // 8)),
                       np.uint8)
     for q in range(gl.n_w):
         planes[q] = np.packbits((weights >> q) & 1, bitorder="little")
     for i in range(gl.n_x):
         planes[gl.n_w + i] = (states[:, None] >> i & 1) * 255
-    start = planes.copy()
+    kept = sorted({g.target for g in gl.gates} - set(gl.out_qubits))
+    start = planes[kept]
     apply_gates(planes, gl.gates)
-    for q in np.flatnonzero((planes != start).any(axis=(1, 2))).tolist():
-        if q not in gl.out_qubits:
+    for q, before in zip(kept, start):
+        if (planes[q] != before).any():
             role = ("weight" if q < gl.n_w else
                     "input" if q < gl.n_w + gl.n_x else "ancilla")
             raise RuntimeError(

@@ -288,35 +288,26 @@ class TestIterationsAndResidual:
                 assert res >= math.cos(theta) ** 2 - 1e-12
 
 
-def pad_for(t, k, target):
-    return am.pad_auxiliary(t, k, target)
-
-
 class TestPadding:
     def test_pinned_pad_counts(self, toy_table, sed_train_table):
-        assert pad_for(toy_table, 1, am.AUTO_PAD_TARGET_THETA) == 2
-        assert pad_for(sed_train_table, 1, am.AUTO_PAD_TARGET_THETA) == 400
+        assert am.pad_auxiliary(toy_table, 1) == 2
+        assert am.pad_auxiliary(sed_train_table, 1) == 400
 
     def test_no_padding_when_angle_already_small(self, edge_table):
-        assert pad_for(edge_table, 1, am.AUTO_PAD_TARGET_THETA) == 0
+        assert am.pad_auxiliary(edge_table, 1) == 0
 
-    def test_validation(self, toy_table):
-        with pytest.raises(ValueError):
-            pad_for(toy_table, 1, 0.0)
-        with pytest.raises(ValueError):
-            pad_for(toy_table, 1, math.pi / 3)
+    def test_validation(self):
         empty = table_from_counts([0, 0], 2)
         with pytest.raises(am.DegenerateAngleError):
-            pad_for(empty, 1, am.AUTO_PAD_TARGET_THETA)
+            am.pad_auxiliary(empty, 1)
 
     @settings(max_examples=60, deadline=None)
     @given(small_tables, st.integers(1, 3))
     def test_result_is_minimal(self, t, k):
         if int(t.counts.sum()) == 0:
             return
-        target = am.AUTO_PAD_TARGET_THETA
-        n = pad_for(t, k, target)
-        limit = Fraction(math.sin(target) ** 2 * (1 + 1e-12))
+        n = am.pad_auxiliary(t, k)
+        limit = Fraction(math.sin(am.AUTO_PAD_TARGET_THETA) ** 2 * (1 + 1e-12))
         n_w = 1 << t.weight_width
         total = Fraction(sum(int(c) ** k for c in t.counts))
 
@@ -557,7 +548,7 @@ class TestSamplingAndSearch:
                   for k in (1, 4, 8)]
         for p in ([0.0, 0.5, 0.0, 0.5], [0.0, 0.0, 0.0, 1.0],
                   [0.25, 0.0, 0.75, 0.0, 0.0], [1.0, 0.0]):
-            dists.append(am.WeightDistribution(np.array(p), 0, 0, 0.0))
+            dists.append(am.WeightDistribution(np.array(p)))
         for dist in dists:
             rng, want_rng = (np.random.default_rng(seed) for _ in range(2))
             for m in (1, 5, 300):  # repeated calls reuse one cached cdf
@@ -575,7 +566,7 @@ class TestSamplingAndSearch:
         masses, and the synthetic tiny-mnist k=8 landscape."""
         def dist(weights):
             p = np.asarray(weights, dtype=np.float64)
-            return am.WeightDistribution(p / p.sum(), 0, 0, 0.0)
+            return am.WeightDistribution(p / p.sum())
 
         ramp = np.arange(1.0, 301.0)
         dists = {f"uniform-2^{w}": am.uniform_distribution(w)
@@ -642,7 +633,7 @@ class TestSamplingAndSearch:
                                                           sed_train_table):
         # a shot hits when its uniform is below J(w), never when equal
         t = sed_train_table  # weight 1 has accuracy 0.525
-        dist = am.WeightDistribution(np.eye(len(t.counts))[1], 0, 0, 0.0)
+        dist = am.WeightDistribution(np.eye(len(t.counts))[1])
         j = t.counts[1] / t.n_samples
         shots = [np.nextafter(j, 0), j, np.nextafter(j, 1), 0.0]
         _, est, _ = am.search(dist, t, 1, FixedUniforms([0.5] + shots), 4)
@@ -686,7 +677,7 @@ class TestSamplingAndSearch:
 
     def test_shot_evaluation_concentrates(self, sed_train_table):
         t = sed_train_table  # weight 1 has accuracy 0.525
-        dist = am.WeightDistribution(np.eye(len(t.counts))[1], 0, 0, 0.0)
+        dist = am.WeightDistribution(np.eye(len(t.counts))[1])
         _, est, _ = am.search(dist, t, 1, np.random.default_rng(11), 50_000)
         j = t.counts[1] / t.n_samples
         sigma = math.sqrt(max(j * (1 - j), 0.25) / 50_000)
@@ -725,7 +716,7 @@ class TestSamplingAndSearch:
                                      max_size=len(t.counts))
                             .filter(lambda ws: sum(ws) > 0))
         p = np.array(weights, dtype=np.float64)
-        dist = am.WeightDistribution(p / p.sum(), 0, 0, 0.0)
+        dist = am.WeightDistribution(p / p.sum())
         got = am.search(dist, t, m_meas, np.random.default_rng(seed), shots)
         want = reference_search(dist, t, m_meas, np.random.default_rng(seed),
                                 shots)
@@ -801,11 +792,14 @@ def reference_jtable_csv(t):
     return "\n".join(lines) + "\n"
 
 
-def reference_distribution_csv(dist, jhat):
+def reference_distribution_csv(t, plan):
+    """Each weight's evolved probability, the plan's k, g and residual, and
+    the weight's normalized accuracy, one row per weight."""
+    p, jhat = am.evolve_distribution(t, plan).p, t.normalized_accuracy()
     lines = ["weight_index,probability,k,g,residual,jhat"]
-    for i, p in enumerate(dist.p):
-        lines.append(f"{i},{am._fmt(p)},{dist.k},{dist.g},"
-                     f"{am._fmt(dist.residual)},{am._fmt(jhat[i])}")
+    for i in range(len(p)):
+        lines.append(f"{i},{am._fmt(p[i])},{plan.k},{plan.g},"
+                     f"{am._fmt(plan.residual)},{am._fmt(jhat[i])}")
     return "\n".join(lines) + "\n"
 
 
@@ -823,45 +817,45 @@ class TestCsvEmission:
             "1,3,1\n")
 
     def test_distribution_layout(self):
-        dist = am.WeightDistribution(np.array([0.25, 0.75]), 2, 3, 0.5)
+        # residual 1: the probabilities are the counts normalized, and the
+        # plan's k, g and residual are printed as they are
         t = table_from_counts([1, 3], 3)
-        assert text(am.distribution_csv(dist, t)) == (
+        plan = am.GroverPlan(1, 0, 0.5, 0, 3, 1.0, 4, 8, 0.0)
+        assert text(am.evolved_csv(t, plan)) == (
             "weight_index,probability,k,g,residual,jhat\n"
-            "0,0.25,2,3,0.5,0.25\n"
-            "1,0.75,2,3,0.5,0.75\n")
+            "0,0.25,1,3,1,0.25\n"
+            "1,0.75,1,3,1,0.75\n")
 
     def test_distribution_layout_with_overlay(self):
-        dist = am.WeightDistribution(np.array([0.5, 0.5]), 1, 0, 1.0)
-        out = text(am.distribution_csv(dist, table_from_counts([1, 7], 7)))
+        plan = am.GroverPlan(1, 0, 0.5, 0, 0, 1.0, 8, 16, 0.0)
+        out = text(am.evolved_csv(table_from_counts([1, 7], 7), plan))
         assert out.splitlines()[0] == "weight_index,probability,k,g,residual,jhat"
-        assert out.splitlines()[1] == "0,0.5,1,0,1,0.125"
-        assert out.splitlines()[2] == "1,0.5,1,0,1,0.875"
+        assert out.splitlines()[1] == "0,0.125,1,0,1,0.125"
+        assert out.splitlines()[2] == "1,0.875,1,0,1,0.875"
 
-    def test_distribution_needs_a_matching_table(self):
-        # the call itself raises, before any block is asked for, so the
-        # CLI refuses before it opens the file
-        dist = am.WeightDistribution(np.array([0.25, 0.75]), 1, 0, 1.0)
-        with pytest.raises(ValueError):  # p differs between equal counts
-            am.distribution_csv(dist, table_from_counts([2, 2], 3))
-        with pytest.raises(ValueError):
-            am.distribution_csv(dist, table_from_counts([0, 1, 2, 3], 3))
+    def test_distribution_layout_padded(self, toy_table):
+        # toy k=3 pads to n_aux=1 and leaves mass off the solution states
+        plan = am.make_plan(toy_table, 3)
+        assert plan.n_aux == 1 and plan.residual < 1
+        out = text(am.evolved_csv(toy_table, plan))
+        assert out == (
+            "weight_index,probability,k,g,residual,jhat\n"
+            "0,0.917009602195,3,1,0.858608951887,1\n"
+            "1,0.0829903978052,3,1,0.858608951887,0\n")
+        assert out == reference_distribution_csv(toy_table, plan)
 
-    def test_distribution_check_reaches_the_last_chunk(self):
-        # the counts are compared in chunks of _CSV_BLOCK rows; the only
-        # weights whose probability differs at an equal count, the last
-        # two, share the last chunk
-        n = 1 << 15
-        assert n > 3 * am._CSV_BLOCK and (n - 2) // am._CSV_BLOCK == 3
-        counts = np.arange(n) % 7
-        counts[-2:] = 7
-        p = counts + 1.0
-        p[-1] += 0.5
-        dist = am.WeightDistribution(p / p.sum(), 1, 0, 1.0)
-        with pytest.raises(ValueError, match="through its correct count"):
-            am.distribution_csv(dist, table_from_counts(counts, 7))
-        p[-1] -= 0.5
-        dist = am.WeightDistribution(p / p.sum(), 1, 0, 1.0)
-        am.distribution_csv(dist, table_from_counts(counts, 7))
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_counts_no_weight_has_are_never_written(self, k):
+        # counts 1, 3 and 4 of 0..5 have no weight; at residual < 1 their
+        # shares are computed all the same, and only the jhat column tells
+        # their rows from count 0's
+        t = table_from_counts([0, 2, 2, 5], 5)
+        plan = am.make_plan(t, k, pad=0)
+        assert plan.residual < 1
+        out = text(am.evolved_csv(t, plan))
+        assert out == reference_distribution_csv(t, plan)
+        jhat = {row.rsplit(",", 1)[1] for row in out.splitlines()[1:]}
+        assert jhat == {am._fmt(c / 9) for c in (0, 2, 5)}
 
     @pytest.mark.parametrize("task", ["toy", "edge", "simplified-ed"])
     def test_writers_match_per_row_reference(self, task, toy_table,
@@ -871,11 +865,10 @@ class TestCsvEmission:
         assert first_difference(text(am.jtable_csv(t)),
                                 reference_jtable_csv(t)) is None
         for k in ((1, 4, 8) if task == "edge" else (1, 4)):
-            dist = am.evolve_distribution(t, am.make_plan(t, k))
+            plan = am.make_plan(t, k)
             assert first_difference(
-                text(am.distribution_csv(dist, t)),
-                reference_distribution_csv(dist, t.normalized_accuracy())
-            ) is None
+                text(am.evolved_csv(t, plan)),
+                reference_distribution_csv(t, plan)) is None
 
     def test_writers_match_reference_across_join_blocks(self):
         assert am._CSV_BLOCK < 1 << 17 and am._CSV_BLOCK % 10 ** 4 == 0
@@ -883,11 +876,9 @@ class TestCsvEmission:
         t = table_from_counts(rng.integers(0, 300, 1 << 17), 299)
         assert first_difference(text(am.jtable_csv(t)),
                                 reference_jtable_csv(t)) is None
-        dist = am.evolve_distribution(t, am.make_plan(t, 3))
-        assert first_difference(
-            text(am.distribution_csv(dist, t)),
-            reference_distribution_csv(dist, t.normalized_accuracy())
-        ) is None
+        plan = am.make_plan(t, 3)
+        assert first_difference(text(am.evolved_csv(t, plan)),
+                                reference_distribution_csv(t, plan)) is None
 
     @pytest.fixture(scope="class")
     def long_rows(self):
@@ -931,10 +922,10 @@ class TestCsvEmission:
         # all at once
         rng = np.random.default_rng(5)
         t = table_from_counts(rng.integers(0, 1201, 1 << 20), 1200)
-        dist = am.evolve_distribution(t, am.make_plan(t, 8))
+        plan = am.make_plan(t, 8)
         tracemalloc.start()
         try:
-            n_bytes = sum(len(b) for b in am.distribution_csv(dist, t))
+            n_bytes = sum(len(b) for b in am.evolved_csv(t, plan))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -943,7 +934,7 @@ class TestCsvEmission:
         # written by 4 workers, each holding at most its record buffer, the
         # block made from it and the byte mask: 3 blocks per worker
         monkeypatch.setattr(cli, "_cores", lambda: 4)
-        table = am.distribution_csv(dist, t)
+        table = am.evolved_csv(t, plan)
         block = max(b - a for a, b in zip(table.offsets, table.offsets[1:]))
         tracemalloc.start()
         try:

@@ -157,12 +157,34 @@ class TestDistribution:
         assert run("jtable", "--task", "edge", "--out", str(a)) == 0
         assert run("distribution", "--task", "edge", "--k", "4",
                    "--out", str(b)) == 0
-        dist = am.evolve_distribution(edge_table, am.make_plan(edge_table, 4))
         assert (a / "jtable.csv").read_bytes() == \
             reference_jtable_csv(edge_table).encode()
         assert (b / "distribution.csv").read_bytes() == \
-            reference_distribution_csv(
-                dist, edge_table.normalized_accuracy()).encode()
+            reference_distribution_csv(edge_table,
+                                       am.make_plan(edge_table, 4)).encode()
+
+    # sha256 of distribution.csv, recorded while the rows still came from a
+    # per-weight distribution scattered back to its counts
+    PINS = {
+        "edge-k4": ("292b4696706aed6bd1fab1f405e795a3"
+                    "0f07b904e84bc0ce81b5a5f1b1eafe0b",
+                    ["--task", "edge", "--k", "4"]),
+        # padded to n_aux=1, residual 0.858609
+        "toy-k3": ("c19d4c3bbb4ba864a49862606603f025"
+                   "58199891bb79e2c125a2e499ef4658ad",
+                   ["--task", "toy", "--k", "3"]),
+        "simplified-ed-k2-shots": ("b316c86db6f7d53825fbcd0ef9c7fed1"
+                                   "968080b8d604e564842a18e2fd97125b",
+                                   ["--task", "simplified-ed", "--k", "2",
+                                    "--shots", "5000", "--seed", "3"]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_rows_pinned(self, tmp_path, name):
+        want, flags = self.PINS[name]
+        assert run("distribution", *flags, "--out", str(tmp_path)) == 0
+        data = (tmp_path / "distribution.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == want
 
     def test_manifest_records_the_plan(self, tmp_path, edge_table):
         out = tmp_path / "o"
@@ -247,8 +269,8 @@ class TestDistribution:
             rows = (out / "distribution.csv").read_text().splitlines()[1:]
             p = [float(r.split(",")[1]) for r in rows]
             assert all(math.isfinite(v) for v in p)
-            # in memory the sum is 1 within 1e-12 (WeightDistribution checks
-            # it); 12 significant digits per row move it by up to 5e-12
+            # the shares are divided by their sum over the weights; 12
+            # significant digits per row move the sum by up to 5e-12
             assert abs(math.fsum(p) - 1.0) <= 1e-11
 
 
