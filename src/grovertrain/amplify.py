@@ -23,7 +23,6 @@ import math
 import threading
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from itertools import islice
 
@@ -42,16 +41,10 @@ AUTO_PAD_RESIDUAL_THRESHOLD = 0.9
 
 # search() and theta_shots() hold at most this many shot uniforms at once
 _SHOT_BLOCK = 1 << 20
-# shots-curve runs its repetitions on every core once a run draws at least
-# this many shot uniforms (largest budget x eval-shots); below it the GIL-bound
-# draw and score steps cost more in thread handoffs than a core saves
-PARALLEL_SHOTS = 1 << 16
 # cells of the guide table; a power of two, so floor(u * _GUIDE_CELLS) is exact
 _GUIDE_CELLS = 1 << 12
 
-# CSV writers build at most this many rows per byte block. It must be a
-# multiple of 10**4: blocks then start on multiples of 10**4, where the
-# index digits above the fourth change
+# rows_csv builds at most this many rows per byte block
 _CSV_BLOCK = 10 ** 4
 # CsvBlocks drops a table's NUL padding with a GIL-free byte mask when the
 # padding is at least this share of its record bytes, else with
@@ -242,19 +235,20 @@ def pad_auxiliary(t: AccuracyTable, k: int, use_sqrt: bool = True) -> int:
     """Smallest auxiliary-sample count bringing the k-parallel angle down to
     AUTO_PAD_TARGET_THETA.
 
-    The comparison runs in probability space with exact rational arithmetic:
-    theta(n) <= target iff |S| / (2**d_w * (N+n)**k) <= sin(target)**2
-    (or sin(target) when use_sqrt is False), with 1e-12 relative slack for the
-    float rounding of the target angle itself.
+    The comparison is exact, in integers: theta(n) <= target iff
+    |S| * den <= num * 2**d_w * (N+n)**k, where num / den is the float
+    sin(target)**2 (or sin(target) when use_sqrt is False) with 1e-12
+    relative slack for the float rounding of the target angle itself.
     """
     total = t.count_powers(k)[1]
     if total == 0:
         raise DegenerateAngleError("no solution states: padding cannot help")
     s = math.sin(AUTO_PAD_TARGET_THETA)
-    limit = Fraction((s * s if use_sqrt else s) * (1 + _RATIO_SLACK))
+    limit = (s * s if use_sqrt else s) * (1 + _RATIO_SLACK)
+    num, den = limit.as_integer_ratio()
 
     def ok(n: int) -> bool:
-        return Fraction(total, _n_states(t, k, n)) <= limit
+        return total * den <= num * _n_states(t, k, n)
 
     # log-space guess for (N+n)**k >= |S| / (2**d_w * limit), then exact adjust
     need = math.exp((math.log(total)
@@ -425,18 +419,19 @@ def _low_digits() -> tuple[np.ndarray, np.ndarray]:
 
 class CsvBlocks:
     """The rows f"{i},{tails[keys[i]]}" for every index i after `head`, as
-    byte blocks of at most _CSV_BLOCK rows that any thread can build and
-    write at its own byte offset. Tails hold no NUL byte.
+    byte blocks that any thread can build and write at its own byte offset.
+    Tails hold no NUL byte.
 
     Rows below 10**4 form the first block; their index text has no leading
-    zeros and is NUL-padded to four bytes. Later blocks start at multiples
-    of 10**4 and where the index gains a digit (at 10**d). So a d-digit
-    index is its high d-4 digits, the same for each 10**4 rows of a block,
-    then its low four digits, the same for every block. Each run of equal
-    index width gets one table of whole records per key (high digits, low
-    digits, comma, tail NUL-padded to a common width). A block gathers its
-    records from it in one contiguous take, writes its low and high digits
-    over their fields, and drops the NULs.
+    zeros and is NUL-padded to four bytes. Every later block is one run of
+    10**4 rows that share their high digits, from a multiple of 10**4 on,
+    so none spans a change of index width (each 10**d, d >= 5, is such a
+    multiple). A d-digit index is then its high d-4 digits, one string per
+    block, and its low four digits, the same for every block. Each index
+    width gets one table of whole records per key (high digits, low digits,
+    then the tail with its comma, NUL-padded to a common width). A block
+    gathers its records from it in one contiguous take, writes its low and
+    high digits over their fields, and drops the NULs.
 
     Block i is bytes offsets[i] .. offsets[i + 1] of the file; the head is
     bytes 0 .. offsets[0]. The offsets are exact integers from the tail
@@ -446,7 +441,7 @@ class CsvBlocks:
 
     def __init__(self, head: str, tails: list[str], keys: np.ndarray):
         self.head = head.encode()
-        encoded = [t.encode() for t in tails]
+        encoded = [b"," + t.encode() for t in tails]
         padded = np.array(encoded)
         n = len(keys)
         self._keys, self._blocks = keys, []
@@ -463,18 +458,15 @@ class CsvBlocks:
             if start >= stop:
                 break
             recs = np.zeros(len(tails), dtype=[
-                ("hi", f"S{hi}"), ("lo", "S4"), ("sep", "S1"),
-                ("tail", padded.dtype)])
-            recs["sep"] = b","
+                ("hi", f"S{hi}"), ("lo", "S4"), ("tail", padded.dtype)])
             recs["tail"] = padded
-            lo = np.resize(lo, min(_CSV_BLOCK, stop - start))
-            for a in range(start, stop, _CSV_BLOCK):
-                b = min(a + _CSV_BLOCK, stop)
+            for a in range(start, stop, 10 ** 4):
+                b = min(a + 10 ** 4, stop)
                 self._blocks.append((recs, lo, a, b))
-                # a comma and a digit per row, one more digit for each of
-                # 10, 100, ... that the row's index reaches, and its tail
-                # (summed into int64 without an int64 copy of the gather)
-                spans.append(2 * (b - a) + sum(
+                # a digit per row, one more for each of 10, 100, ... that
+                # the row's index reaches, and its tail (summed into int64
+                # without an int64 copy of the gather)
+                spans.append(b - a + sum(
                     max(0, b - max(a, 10 ** k))
                     for k in range(1, len(str(b))))
                     + int(lengths[keys[a:b]].sum(dtype=np.int64)))
@@ -505,8 +497,7 @@ class CsvBlocks:
         # mode="clip": the default mode would gather into a temporary
         np.take(recs, self._keys[a:b], out=rec, mode="clip")
         rec["lo"] = lo[:b - a]
-        for h in range(a, b, 10 ** 4):  # an empty field below 10**4
-            rec["hi"][h - a:h - a + 10 ** 4] = str(h // 10 ** 4)
+        rec["hi"] = str(a // 10 ** 4)  # an empty field below 10**4
         if self._mask:
             r = np.frombuffer(buf, dtype=np.uint8)
             data = r[r != 0]

@@ -147,15 +147,19 @@ def _parse_pad(text: str):
 
 
 class _Stages:
-    """Seconds per stage of one command: calling it with a stage name
-    charges the time since the previous call to that stage, and returns
+    """Seconds per stage of one command, counted on the thread that made
+    it: a call from that thread charges the time since its previous call to
+    the named stage; a call from any other records nothing. Either returns
     `value`, so `x = lap("table", make_table())` times make_table."""
 
     def __init__(self):
         self.seconds: dict[str, float] = {}
         self._last = time.monotonic()
+        self._owner = threading.current_thread()
 
     def __call__(self, stage: str, value=None):
+        if threading.current_thread() is not self._owner:
+            return value
         now = time.monotonic()
         self.seconds[stage] = self.seconds.get(stage, 0.0) + now - self._last
         self._last = now
@@ -168,6 +172,12 @@ def _cores() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity on this platform
         return os.cpu_count() or 1
+
+
+# shots-curve runs its repetitions on every core once a run draws at least
+# this many shot uniforms (largest budget x eval-shots); below it the GIL-bound
+# draw and score steps cost more in thread handoffs than a core saves
+PARALLEL_SHOTS = 1 << 16
 
 
 def _on_cores(n: int, workers: int, do) -> None:
@@ -327,27 +337,21 @@ def cmd_shots_curve(args, out: Path, lap: _Stages):
                if args.dump_traces else [])
 
     # each repetition has its own generator and its own row and trace, so
-    # any split of the runs among threads draws the same uniforms. This
-    # thread names its own stages; the others' time, trace writes included,
-    # is charged to search when they are joined
-    caller = threading.current_thread()
-
+    # any split of the runs among threads draws the same uniforms
     def work(rep):
-        stage = (lap if threading.current_thread() is caller
-                 else lambda name, value=None: value)
         rng = np.random.default_rng([args.seed, rep])
         draws, estimates, found = am.search(
             dist, t_train, budgets[-1], rng, args.eval_shots)
         best[rep] = found[at_budget]
-        stage("search")
+        lap("search")
         if args.dump_traces:
             rows = zip(range(len(draws)), draws.tolist(), estimates.tolist())
-            stage("write", _write(outputs[rep], am.rows_csv(
+            lap("write", _write(outputs[rep], am.rows_csv(
                 "draw_index,weight_index,estimate\n", "{},{},{:.12g}\n",
                 rows)))
 
     shots = budgets[-1] * (args.eval_shots or 0)
-    workers = min(args.runs, _cores()) if shots >= am.PARALLEL_SHOTS else 1
+    workers = min(args.runs, _cores()) if shots >= PARALLEL_SHOTS else 1
     dist.guide  # built once, before the threads share it
     _on_cores(args.runs, workers, work)
     lap("search")
@@ -382,7 +386,8 @@ def cmd_verify_oracle(args, out: Path, lap: _Stages):
         worst = max(worst, dev)
         drift = abs(state.norm() - 1.0)
         rng = np.random.default_rng([args.seed, idx])
-        measured = int(rng.choice(len(marginal), p=marginal / marginal.sum()))
+        measured = int(am.sample_weights(
+            am.WeightDistribution(marginal / marginal.sum()), 1, rng)[0])
         lap("simulate")
         report.append(
             f"instance={name} n_qubits={layout.n_qubits} k={plan.k} "

@@ -12,7 +12,8 @@ uses as scratch (weights too: 3 of simplified-ed's, 6 of edge's), and each run
 checks that. So the state stays on the 2^d_w * (N + n_aux)^k basis states of
 |Psi_0> (on at most 62 qubits), the product of the k copies' equal slices: a
 weight with c correct samples has c^k marked states. Only `support()`,
-`dense()` and dumps build the basis indices, up to 2^26 of them.
+`dense()` and dumps build the basis indices, up to 2^26 of them, and the
+last two refuse a basis of more than 2^26 states.
 The oracle and the reflection about the uniform, real |Psi_0> (each amplitude
 a to 2 * mean - a, quant-ph/9605043) keep equal amplitudes equal, so a round
 updates just two: the marked states' and the rest's (quant-ph/9605034).
@@ -89,12 +90,21 @@ class QuantumState:
                              f"cap is {MAX_SUPPORT}")
         return self._build()
 
+    def _keys(self) -> np.ndarray:
+        """The uint8 key of every basis state, in index order: 0 marked, 1
+        unmarked, 2 off the support. Refuses more than MAX_SUPPORT basis
+        states (support() first refuses a support above it)."""
+        if self.n_marked + self.n_unmarked <= MAX_SUPPORT < 1 << self.n_qubits:
+            raise ValueError(f"system has 2**{self.n_qubits} basis states, "
+                             f"cap is {MAX_SUPPORT}")
+        idx, mark = self.support()
+        keys = np.full(1 << self.n_qubits, 2, np.uint8)
+        keys[idx] = ~mark
+        return keys
+
     def dense(self) -> np.ndarray:
         """The full 2**n_qubits amplitude vector (for small states)."""
-        idx, mark = self.support()
-        out = np.zeros(1 << self.n_qubits)
-        out[idx] = np.where(mark, self.a_marked, self.a_unmarked)
-        return out
+        return np.array([self.a_marked, self.a_unmarked, 0.0])[self._keys()]
 
     def norm(self) -> float:
         return math.sqrt(self.n_marked * self.a_marked ** 2
@@ -289,8 +299,5 @@ def grover_run(model: ModelCircuit, d: Dataset, k: int, g: int,
 def statevector_csv(state: QuantumState) -> CsvBlocks:
     """CSV dump of the amplitudes as byte blocks: basis_index,re,im (12
     significant digits, im 0); -0.0 prints apart from 0.0."""
-    idx, mark = state.support()
-    keys = np.full(1 << state.n_qubits, 2, np.uint8)
-    keys[idx] = ~mark
     tails = [f"{a:.12g},0\n" for a in (state.a_marked, state.a_unmarked, 0.0)]
-    return CsvBlocks("basis_index,re,im\n", tails, keys)
+    return CsvBlocks("basis_index,re,im\n", tails, state._keys())

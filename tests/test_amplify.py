@@ -4,7 +4,6 @@ import math
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -871,7 +870,6 @@ class TestCsvEmission:
                 reference_distribution_csv(t, plan)) is None
 
     def test_writers_match_reference_across_join_blocks(self):
-        assert am._CSV_BLOCK < 1 << 17 and am._CSV_BLOCK % 10 ** 4 == 0
         rng = np.random.default_rng(4)
         t = table_from_counts(rng.integers(0, 300, 1 << 17), 299)
         assert first_difference(text(am.jtable_csv(t)),
@@ -888,30 +886,25 @@ class TestCsvEmission:
         tails = [f"{c},{'9' * (c % 13)}\n" for c in range(40)]
         return counts, tails, per_row_csv(tails, counts)
 
-    @pytest.mark.parametrize("block, n_rows", [
-        (None, None),          # the writers' own block size, all rows
-        (None, 10 ** 4 - 1),   # the last index has four digits
-        (None, 10 ** 4 + 1),   # one five-digit block of two rows
-        (100_000, None),       # blocks start exactly at 10**5 and 10**6
-        (30_000, 100_003),     # 10**5 falls inside a block, runs split there
-        (20_000, 50_001),      # the last block of a run holds one row
+    @pytest.mark.parametrize("n_rows", [
+        None,            # all rows: blocks start exactly at 10**5 and 10**6
+        10 ** 4 - 1,     # the last index has four digits
+        10 ** 4 + 1,     # one five-digit block of two rows
+        100_003,         # the last block holds the first three six-digit rows
+        50_001,          # the last block holds one row
     ])
-    def test_records_match_per_row_reference(self, monkeypatch, long_rows,
-                                             block, n_rows):
+    def test_records_match_per_row_reference(self, long_rows, n_rows):
         counts, tails, want = long_rows
         if n_rows is not None:
             counts = counts[:n_rows]
             want = per_row_csv(tails, counts)
-        if block is not None:
-            monkeypatch.setattr(am, "_CSV_BLOCK", block)
         blocks = list(am.CsvBlocks("head\n", tails, counts))
         assert first_difference(text(blocks), want) is None
+        # the rows below 10**4 are the first block, then every block is one
+        # run of 10**4 rows, of one index width
         rows = [b.count(b"\n") for b in blocks[1:]]
-        assert sum(rows) == len(counts)
-        assert max(rows) <= am._CSV_BLOCK
-        # the rows below 10**4 are the first block, and every later block
-        # has one index width
-        assert rows[0] == min(len(counts), 10 ** 4)
+        n = len(counts)
+        assert rows == [min(10 ** 4, n - a) for a in range(0, n, 10 ** 4)]
         for b in blocks[2:]:
             widths = {len(r.split(b",")[0]) for r in b.splitlines()}
             assert len(widths) == 1
@@ -972,19 +965,17 @@ class TestCsvEmission:
             st.integers(0, 120),
             st.sampled_from([10 ** 4, 10 ** 5, 10 ** 6, 1 << 20]).flatmap(
                 lambda c: st.integers(c - 2, c + 2))))
-        block = data.draw(st.sampled_from([10 ** 4, 3 * 10 ** 4]))
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32)))
         keys = rng.integers(0, len(tails), n)
         if n:  # the widest tail on the last row, the narrowest on the first
             widths = [len(tail.encode()) for tail in tails]
             keys[-1], keys[0] = np.argmax(widths), np.argmin(widths)
-        with mock.patch.object(am, "_CSV_BLOCK", block):
-            table = am.CsvBlocks("head\n", tails, keys)
-            assert table.offsets[0] == len(b"head\n")
-            for i in range(len(table)):
-                assert len(table.build(i)) == \
-                    table.offsets[i + 1] - table.offsets[i]
-            assert table.offsets[-1] == sum(len(b) for b in table)
+        table = am.CsvBlocks("head\n", tails, keys)
+        assert table.offsets[0] == len(b"head\n")
+        for i in range(len(table)):
+            assert len(table.build(i)) == \
+                table.offsets[i + 1] - table.offsets[i]
+        assert table.offsets[-1] == sum(len(b) for b in table)
         if n <= 120:
             assert text(table) == per_row_csv(tails, keys)
 

@@ -7,6 +7,7 @@ import json
 import math
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -597,6 +598,15 @@ class TestVerifyOracle:
         "simplified-ed":
         "a0e7e1c4b349d196bfca0d3ce6ce1a7f1771a8fa8f86d9846f1a3be00af65982"}
 
+    # sha256 of verify_oracle.txt at seed 0, recorded while measured_weight
+    # was drawn with Generator.choice
+    REPORT = "1f04fd0ed0bfe9667a8d2517de310cfbbaa2d2e513a19f6d80e847ba4c63c330"
+
+    def test_report_pinned(self, tmp_path):
+        assert run("verify-oracle", "--seed", "0", "--out", str(tmp_path)) == 0
+        data = (tmp_path / "verify_oracle.txt").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == self.REPORT
+
     def test_statevector_dump(self, tmp_path):
         out = tmp_path / "o"
         assert run("verify-oracle", "--dump-statevector",
@@ -1003,6 +1013,24 @@ class TestManifestStages:
         assert all(v >= 0 for v in man["stages"].values())
         assert sum(man["stages"].values()) <= man["wall_time_s"] + 1e-3
         assert man["peak_rss_mb"] > 0
+
+
+    def test_other_threads_record_nothing(self):
+        # a call from another thread returns its value and records nothing;
+        # the owner's next call charges it the time that thread took
+        lap, got = cli._Stages(), []
+
+        def other():
+            time.sleep(0.05)
+            got.append(lap("other", 7))
+        t = threading.Thread(target=other)
+        t.start()
+        t.join(timeout=10)
+        assert not t.is_alive()
+        assert got == [7] and lap.seconds == {}
+        assert lap("search", "v") == "v"
+        assert list(lap.seconds) == ["search"]
+        assert lap.seconds["search"] >= 0.05
 
 
 class TestLargeOutputsPinned:

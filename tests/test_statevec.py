@@ -2,6 +2,7 @@ import inspect
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,7 +49,8 @@ def basis_state(n_qubits, index):
 
 
 def draw(p, rng):
-    """One Born-rule outcome from a marginal, drawn as verify-oracle does."""
+    """One Born-rule outcome from a marginal, by Generator.choice, which
+    verify-oracle's `amplify.sample_weights` matches draw for draw."""
     return int(rng.choice(len(p), p=p / p.sum()))
 
 
@@ -450,6 +452,25 @@ class TestLayoutAndPreparation:
             with pytest.raises(ValueError, match="84934656 basis states in "
                                "its support, cap is 67108864"):
                 dump()
+
+    @pytest.mark.parametrize("k, n_qubits", [(10, 31), (15, 46)])
+    def test_basis_budget_enforced(self, toy_bundle, k, n_qubits):
+        # toy's support is 2 * 2^k states, under the cap, but a dense vector
+        # or a dump holds all 2^n_qubits basis states: both refuse before
+        # they allocate them
+        state, lay = sv.prepare_initial(toy_bundle.model, toy_bundle.train, k)
+        assert lay.n_qubits == n_qubits
+        assert len(state.support()[0]) == 2 << k
+        tracemalloc.start()
+        try:
+            for dump in (state.dense, lambda: sv.statevector_csv(state)):
+                with pytest.raises(ValueError, match=rf"2\*\*{n_qubits} basis "
+                                   "states, cap is 67108864"):
+                    dump()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, f"peak {peak / 2 ** 20:.1f} MB"
 
     def test_index_width_enforced(self, edge_bundle):
         # edge at k=4 needs 63 qubits, one more than an int64 index holds
