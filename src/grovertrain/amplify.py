@@ -402,18 +402,16 @@ def _fmt(v: float) -> str:
 
 
 def _low_digits() -> tuple[np.ndarray, np.ndarray]:
-    """The text of 0 .. 9999 as S4 items: zero-padded to four digits, and
-    without leading zeros (NUL-padded), put together from the ten digit
-    bytes by broadcasting."""
+    """The text of 0 .. 9999 as S4 items, put together from the ten digit
+    bytes by broadcasting: zero-padded to four digits, and with its leading
+    zeros turned into NULs, which a block drops."""
     digits = np.frombuffer(b"0123456789", dtype=np.uint8)
     padded = np.empty((10,) * 4 + (4,), dtype=np.uint8)
     for col in range(4):
         padded[..., col] = digits.reshape((10,) + (1,) * (3 - col))
     padded = padded.reshape(-1, 4)
-    bare = np.zeros_like(padded)
-    for k in range(4):  # the numbers of k + 1 digits, shifted left
-        rows = slice(10 ** k if k else 0, 10 ** (k + 1))
-        bare[rows, :k + 1] = padded[rows, 3 - k:]
+    bare = padded.copy()  # a last digit stays, for 0 itself
+    bare[:, :3][np.logical_and.accumulate(bare[:, :3] == ord("0"), axis=1)] = 0
     return padded.view("S4").ravel(), bare.view("S4").ravel()
 
 
@@ -436,7 +434,7 @@ class CsvBlocks:
     Block i is bytes offsets[i] .. offsets[i + 1] of the file; the head is
     bytes 0 .. offsets[0]. The offsets are exact integers from the tail
     lengths of each block's keys and its index width, known before any
-    block is built. Iterating yields the head, then the blocks in order.
+    block is built.
     """
 
     def __init__(self, head: str, tails: list[str], keys: np.ndarray):
@@ -480,11 +478,6 @@ class CsvBlocks:
 
     def __len__(self) -> int:
         return len(self._blocks)
-
-    def __iter__(self) -> Iterator[bytes]:
-        yield self.head
-        for i in range(len(self)):
-            yield bytes(self.build(i))
 
     def build(self, i: int):
         """Block i's bytes (a bytes-like object), made in this thread's

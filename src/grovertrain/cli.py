@@ -248,11 +248,9 @@ def _int_text(n: int) -> str:
 
 def _write_manifest(out: Path, args, outputs: list[Path], t0: float,
                     plan: am.GroverPlan | None, stages: _Stages) -> None:
-    config = {k: (str(v) if isinstance(v, Path) else v)
-              for k, v in sorted(vars(args).items())}
     manifest = {
         "command": args.command,
-        "config": config,
+        "config": vars(args),
         "seed": getattr(args, "seed", None),
         "version": __version__,
         "outputs": [p.name for p in outputs],

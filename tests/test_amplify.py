@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tempfile
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -205,6 +206,13 @@ class TestSolutionStats:
             vars(hand).update(bad)
             with pytest.raises(ValueError):
                 am.evolve_distribution(t, hand)
+        for bad, why in (({"theta": 0.0}, "theta"),
+                         ({"theta": math.pi / 2}, "theta"),
+                         ({"g": -1}, "iteration count"),
+                         ({"residual": -0.1}, "residual"),
+                         ({"residual": 1.1}, "residual")):
+            with pytest.raises(ValueError, match=why):
+                am.GroverPlan(**{**vars(plan), **bad})
 
 
 class TestAngles:
@@ -674,6 +682,11 @@ class TestSamplingAndSearch:
         with pytest.raises(ValueError):
             am.search(dist, toy_table, 4, rng, eval_shots=0)
 
+    @pytest.mark.parametrize("p", [[1.5, -0.5], [0.5, 0.5 + 2e-12]])
+    def test_distribution_validation(self, p):
+        with pytest.raises(ValueError, match="nonnegative and sum to 1"):
+            am.WeightDistribution(np.array(p))
+
     def test_shot_evaluation_concentrates(self, sed_train_table):
         t = sed_train_table  # weight 1 has accuracy 0.525
         dist = am.WeightDistribution(np.eye(len(t.counts))[1])
@@ -765,9 +778,10 @@ def reference_search(dist, t, m_meas, rng, eval_shots):
     return draws, np.array(est), np.array(best)
 
 
-def text(blocks):
-    """The text a writer's byte blocks make up (consumes an iterator)."""
-    return b"".join(blocks).decode()
+def text(table):
+    """The text that `cli._write` writes for a table or a text's blocks."""
+    with tempfile.TemporaryDirectory() as d:
+        return cli._write(Path(d) / "table.csv", table).read_bytes().decode()
 
 
 def first_difference(got, want):
@@ -791,7 +805,7 @@ def reference_jtable_csv(t):
     return "\n".join(lines) + "\n"
 
 
-def reference_distribution_csv(t, plan):
+def reference_evolved_csv(t, plan):
     """Each weight's evolved probability, the plan's k, g and residual, and
     the weight's normalized accuracy, one row per weight."""
     p, jhat = am.evolve_distribution(t, plan).p, t.normalized_accuracy()
@@ -841,7 +855,7 @@ class TestCsvEmission:
             "weight_index,probability,k,g,residual,jhat\n"
             "0,0.917009602195,3,1,0.858608951887,1\n"
             "1,0.0829903978052,3,1,0.858608951887,0\n")
-        assert out == reference_distribution_csv(toy_table, plan)
+        assert out == reference_evolved_csv(toy_table, plan)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_counts_no_weight_has_are_never_written(self, k):
@@ -852,7 +866,7 @@ class TestCsvEmission:
         plan = am.make_plan(t, k, pad=0)
         assert plan.residual < 1
         out = text(am.evolved_csv(t, plan))
-        assert out == reference_distribution_csv(t, plan)
+        assert out == reference_evolved_csv(t, plan)
         jhat = {row.rsplit(",", 1)[1] for row in out.splitlines()[1:]}
         assert jhat == {am._fmt(c / 9) for c in (0, 2, 5)}
 
@@ -867,7 +881,7 @@ class TestCsvEmission:
             plan = am.make_plan(t, k)
             assert first_difference(
                 text(am.evolved_csv(t, plan)),
-                reference_distribution_csv(t, plan)) is None
+                reference_evolved_csv(t, plan)) is None
 
     def test_writers_match_reference_across_join_blocks(self):
         rng = np.random.default_rng(4)
@@ -876,7 +890,7 @@ class TestCsvEmission:
                                 reference_jtable_csv(t)) is None
         plan = am.make_plan(t, 3)
         assert first_difference(text(am.evolved_csv(t, plan)),
-                                reference_distribution_csv(t, plan)) is None
+                                reference_evolved_csv(t, plan)) is None
 
     @pytest.fixture(scope="class")
     def long_rows(self):
@@ -898,36 +912,29 @@ class TestCsvEmission:
         if n_rows is not None:
             counts = counts[:n_rows]
             want = per_row_csv(tails, counts)
-        blocks = list(am.CsvBlocks("head\n", tails, counts))
-        assert first_difference(text(blocks), want) is None
+        table = am.CsvBlocks("head\n", tails, counts)
+        assert first_difference(text(table), want) is None
         # the rows below 10**4 are the first block, then every block is one
         # run of 10**4 rows, of one index width
-        rows = [b.count(b"\n") for b in blocks[1:]]
+        blocks = [bytes(table.build(i)) for i in range(len(table))]
+        rows = [b.count(b"\n") for b in blocks]
         n = len(counts)
         assert rows == [min(10 ** 4, n - a) for a in range(0, n, 10 ** 4)]
-        for b in blocks[2:]:
+        for b in blocks[1:]:
             widths = {len(r.split(b",")[0]) for r in b.splitlines()}
             assert len(widths) == 1
 
     def test_blocks_are_made_as_they_are_consumed(self, tmp_path,
                                                   monkeypatch):
-        # 2^20 rows, 66 MB of text: a list of the blocks would hold it
-        # all at once
+        # 2^20 rows, 66 MB of text, written by 4 workers, each holding at
+        # most its record buffer, the block made from it and the byte
+        # mask: 3 blocks per worker
         rng = np.random.default_rng(5)
         t = table_from_counts(rng.integers(0, 1201, 1 << 20), 1200)
-        plan = am.make_plan(t, 8)
-        tracemalloc.start()
-        try:
-            n_bytes = sum(len(b) for b in am.evolved_csv(t, plan))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert n_bytes > 50 << 20
-        assert peak < 16 << 20, f"peak {peak / 2 ** 20:.1f} MB"
-        # written by 4 workers, each holding at most its record buffer, the
-        # block made from it and the byte mask: 3 blocks per worker
         monkeypatch.setattr(cli, "_cores", lambda: 4)
-        table = am.evolved_csv(t, plan)
+        table = am.evolved_csv(t, am.make_plan(t, 8))
+        n_bytes = table.offsets[-1]
+        assert n_bytes > 50 << 20
         block = max(b - a for a, b in zip(table.offsets, table.offsets[1:]))
         tracemalloc.start()
         try:
@@ -975,7 +982,6 @@ class TestCsvEmission:
         for i in range(len(table)):
             assert len(table.build(i)) == \
                 table.offsets[i + 1] - table.offsets[i]
-        assert table.offsets[-1] == sum(len(b) for b in table)
         if n <= 120:
             assert text(table) == per_row_csv(tails, keys)
 
@@ -1025,7 +1031,7 @@ class TestCsvEmission:
         head = "a,b\n"
         want = head + "".join(join(r) + "\n" for r in rows)
         blocks = list(am.rows_csv(head, line, iter(rows)))
-        assert b"".join(blocks) == want.encode()
+        assert text(blocks) == want
         assert blocks[0] == head.encode()
         sizes = [len(b.splitlines()) for b in blocks[1:]]
         assert sizes == [am._CSV_BLOCK, am._CSV_BLOCK, 7]

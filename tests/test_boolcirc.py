@@ -79,6 +79,23 @@ class TestGateValidation:
         with pytest.raises(ValueError):
             bc.ModelCircuit(1, 1, [bc.Gate("NOT", "u", ("nowhere",))], ("u",))
 
+    def test_circuit_validation(self):
+        g = [bc.Gate("XOR", "t", ("w0", "x0"))]
+        for widths in ((0, 1), (1, 0)):
+            with pytest.raises(ValueError, match="widths must be positive"):
+                bc.ModelCircuit(*widths, [], ("w0",))
+        with pytest.raises(ValueError, match="output wire 'u' undefined"):
+            bc.ModelCircuit(1, 1, g, ("t", "u"))
+        with pytest.raises(ValueError, match="at least one output wire"):
+            bc.ModelCircuit(1, 1, g, ())
+        m = bc.ModelCircuit(1, 1, g, ("t",))
+        for w, x in (((0, 1), (0,)), ((0,), ())):
+            with pytest.raises(ValueError, match="input widths"):
+                bc.eval_circuit(m, w, x)
+        for w, x in (((2,), (0,)), ((0,), (-1,))):
+            with pytest.raises(ValueError, match="bits must be 0 or 1"):
+                bc.eval_circuit(m, w, x)
+
 
 class TestModelOracles:
     """Frozen input/output pairs computed by independent bitwise evaluation."""
@@ -421,7 +438,7 @@ class TestCorrectCounts:
                                 for x, y in samples(d))
 
     @pytest.mark.parametrize("task", list(FULL_TABLES))
-    def test_counts_at_reads_the_full_table(self, bundles, task):
+    def test_chosen_weights_read_the_full_table(self, bundles, task):
         m, d = bundles[task].model, bundles[task].test
         w = np.random.default_rng(4).integers(0, 1 << m.weight_width, (7, 5))
         w[0, 0] = w[3, 1]  # a repeat

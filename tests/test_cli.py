@@ -21,7 +21,7 @@ from grovertrain import datasets as ds
 from grovertrain import statevec as sv
 from grovertrain.tasks import load_task
 from conftest import console_env, make_synthetic_idx_dir
-from test_amplify import reference_distribution_csv, reference_jtable_csv
+from test_amplify import reference_evolved_csv, reference_jtable_csv
 
 
 TASKS = ["toy", "edge", "simplified-ed"]
@@ -161,8 +161,8 @@ class TestDistribution:
         assert (a / "jtable.csv").read_bytes() == \
             reference_jtable_csv(edge_table).encode()
         assert (b / "distribution.csv").read_bytes() == \
-            reference_distribution_csv(edge_table,
-                                       am.make_plan(edge_table, 4)).encode()
+            reference_evolved_csv(edge_table,
+                                  am.make_plan(edge_table, 4)).encode()
 
     # sha256 of distribution.csv, recorded while the rows still came from a
     # per-weight distribution scattered back to its counts
@@ -704,7 +704,7 @@ class TestTheory:
         data = (tmp_path / "theory.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == want
 
-    def test_validation(self, tmp_path):
+    def test_validation(self, tmp_path, capsys):
         out = str(tmp_path / "o")
         assert run("theory", "--task", "edge", "--epsilons", "-1",
                    "--out", out) == 2
@@ -712,6 +712,13 @@ class TestTheory:
                    "--out", out) == 2
         assert run("theory", "--task", "edge", "--epsilons", "zero",
                    "--out", out) == 2
+        capsys.readouterr()
+        # epsilon 1 leaves no weight out; at 0.8 more are in than out
+        for eps, why in (("1", "every weight is epsilon-optimal"),
+                         ("0.8", "beta = 6.75758 > 1")):
+            assert run("theory", "--task", "edge", "--epsilons", eps,
+                       "--out", out) == 2
+            assert why in capsys.readouterr().err
 
     def test_row_cap(self, tmp_path, capsys):
         # one row past the cap is refused before anything is allocated, the

@@ -235,6 +235,9 @@ class TestIdxFormat:
             ds.parse_idx(b"\x00\x01")
         with pytest.raises(ValueError):
             ds.parse_idx(b"\xff\xff\xff\xff" + b"\x00" * 20)
+        labels = ds.write_idx(np.zeros(4, dtype=np.uint8))
+        with pytest.raises(ValueError, match="truncated IDX label dimension"):
+            ds.parse_idx(labels[:7])
 
     def test_parse_rejects_size_mismatch(self):
         good = ds.write_idx(np.zeros((2, 3, 3), dtype=np.uint8))

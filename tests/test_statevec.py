@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import (bits_to_index, console_env, index_to_bits,
                       make_synthetic_idx_dir, samples)
@@ -15,6 +15,7 @@ from grovertrain import boolcirc as bc
 from grovertrain import datasets as ds
 from grovertrain import statevec as sv
 from grovertrain import tasks
+from test_amplify import text
 
 
 def by_hand(n_qubits, idx, marks, a_marked, a_unmarked):
@@ -715,6 +716,15 @@ def small_instances(draw):
     return model, d, draw(st.integers(1, 3))
 
 
+def wide_instance():
+    """A small_instances draw on 27 qubits, a basis above the cap of
+    `dense()`, whose support is 216 states: outputs (NOT w0, NOT w0), two
+    samples labelled 11, and k=3, which pads to n_aux=1."""
+    gates = [bc.Gate("NOT", f"t{i}", ("w0",)) for i in range(5)]
+    model = bc.ModelCircuit(3, 3, gates, ("t0", "t1"))
+    return model, ds.Dataset([(0, 0, 0), (1, 0, 0)], [(1, 1), (1, 1)], 2), 3
+
+
 class TestLargeAndRandomInstances:
     """Closed form vs gate-level run, within 1e-9, on instances of 21 to 62
     qubits (edge k=2 holds 41M basis states, toy k=15 29M, simplified-ed
@@ -767,9 +777,11 @@ class TestLargeAndRandomInstances:
 
     @settings(max_examples=60, deadline=None)
     @given(small_instances())
+    @example(wide_instance())
     def test_random_instances_match_the_reference(self, instance):
-        # the reference's full amplitude vector holds at most two values,
-        # and the engine's two amplitudes rebuild it
+        # the reference's amplitudes hold at most two values, and the
+        # engine's two amplitudes rebuild them on its support, which is the
+        # reference's, in the same order
         model, d, k = instance
         try:
             plan = am.make_plan(am.accuracy_table(model, d), k)
@@ -779,7 +791,10 @@ class TestLargeAndRandomInstances:
         assert len(np.unique(final)) <= 2
         _, state, _ = sv.grover_run(model, d, k, plan.g, plan.n_aux,
                                     return_state=True)
-        assert np.max(np.abs(state.dense()[idx] - final)) <= 1e-12
+        support, mark = state.support()
+        assert np.array_equal(support, idx)
+        got = np.where(mark, state.a_marked, state.a_unmarked)
+        assert np.max(np.abs(got - final)) <= 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(small_instances())
@@ -794,13 +809,13 @@ class TestLargeAndRandomInstances:
 
 class TestCsv:
     def test_statevector_layout(self):
-        def text(state):
-            return b"".join(sv.statevector_csv(state)).decode()
-        assert text(two_valued(1, -0.5, 1.0, marked=[0])) == (
+        def dump(state):
+            return text(sv.statevector_csv(state))
+        assert dump(two_valued(1, -0.5, 1.0, marked=[0])) == (
             "basis_index,re,im\n0,-0.5,0\n1,1,0\n")
         # -0.0 prints as itself, apart from the zeros off the support
-        assert text(by_hand(2, [[0], [1]], [[True], [False]], -0.0, 1.0)) == (
+        assert dump(by_hand(2, [[0], [1]], [[True], [False]], -0.0, 1.0)) == (
             "basis_index,re,im\n0,-0,0\n1,1,0\n2,0,0\n3,0,0\n")
         # an unmarked amplitude of 0.0 prints like the zeros off the support
-        assert text(by_hand(2, [[1], [3]], [[False], [True]], 0.5, 0.0)) == (
+        assert dump(by_hand(2, [[1], [3]], [[False], [True]], 0.5, 0.0)) == (
             "basis_index,re,im\n0,0,0\n1,0,0\n2,0,0\n3,0.5,0\n")

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from grovertrain import amplify as am
 from grovertrain import theory as th
+from test_amplify import text
 
 
 def table_from_counts(counts, n_samples):
@@ -194,5 +195,5 @@ class TestTheoryCsv:
         out = am.rows_csv("epsilon,alpha,beta,C,k,bound_value,k_star\n",
                           "{:.12g},{:.12g},{:.12g},{:.12g},{},{:.12g},{}\n",
                           [(0.1, 0.5, 0.25, 4, 2, 14.5, 2)])
-        assert b"".join(out) == (b"epsilon,alpha,beta,C,k,bound_value,k_star\n"
-                                 b"0.1,0.5,0.25,4,2,14.5,2\n")
+        assert text(out) == ("epsilon,alpha,beta,C,k,bound_value,k_star\n"
+                             "0.1,0.5,0.25,4,2,14.5,2\n")
