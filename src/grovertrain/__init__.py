@@ -2,7 +2,7 @@
 amplification, simulated two ways: a closed-form evolution over exact
 accuracy tables and a statevector simulator, which must agree.
 
-Modules:
+Modules (`import grovertrain` binds each but cli, and no name from them):
     boolcirc  Boolean circuit IR, exact correct counts for every weight
               (contracted at the weight groups), reversible compilation to
               X/CNOT/multi-controlled-X gates.
@@ -28,17 +28,3 @@ Modules:
 __version__ = "0.1.0"
 
 from . import amplify, boolcirc, datasets, statevec, tasks, theory
-from .amplify import (AccuracyTable, DegenerateAngleError, GroverPlan,
-                      WeightDistribution, accuracy_table, evolve_distribution,
-                      grover_iterations, make_plan, pad_auxiliary,
-                      sample_weights, search, theta_exact, theta_shots)
-from .boolcirc import (Gate, GateList, ModelCircuit, RGate, compile_circuit,
-                       correct_counts, edge_detection_model, eval_circuit,
-                       simplified_ed_model, tiny_mnist_model, toy_xor_model)
-from .datasets import (Dataset, gen_edge_detection, gen_simplified_ed,
-                       make_tiny_mnist, parse_idx, split, write_idx)
-from .statevec import (QuantumState, grover_run, oracle_mark,
-                       phase_oracle, prepare_initial, reflect)
-from .tasks import TaskBundle, load_task
-from .theory import (alpha_beta, brute_force_optimal_k, optimal_k,
-                     queries_1pd, queries_kpd)

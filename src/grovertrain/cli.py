@@ -531,22 +531,19 @@ def build_parser(config: dict[str, str] | None = None
 
 
 @functools.cache
-def _parsers() -> tuple[_Parser, argparse.ArgumentParser]:
-    """The --config pre-parser and the parser of runs without a config,
-    built once: each build leaves some 400 objects in reference cycles."""
-    pre = _Parser(add_help=False)
-    pre.add_argument("--config")
-    return pre, build_parser()
+def _parser() -> argparse.ArgumentParser:
+    """The parser of runs without a config, built once: each build leaves
+    some 400 objects in reference cycles."""
+    return build_parser()
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        pre, parser = _parsers()
-        known, _ = pre.parse_known_args(argv)
-        if known.config:
-            parser = build_parser(parse_config_file(known.config))
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
+        if args.config:
+            parser = build_parser(parse_config_file(args.config))
+            args = parser.parse_args(argv)
         # every size a run allocates or loops over, as (value, what, cap),
         # where a flag the command lacks (or leaves unset) counts as 0
         get = vars(args).get

@@ -175,11 +175,7 @@ def _copy_register_states(d: Dataset, n_aux: int) -> np.ndarray:
     real = np.hstack([d.x, d.y]) @ (1 << np.arange(data_width)) | flag_bit
     p = np.arange(n_aux, dtype=np.int64)
     padded = (p & (flag_bit - 1)) | ((p >> data_width) << (data_width + 1))
-    idx = np.sort(np.concatenate([real, padded]))
-    if np.any(idx[1:] == idx[:-1]):
-        # two equal samples would share one basis state and break the norm
-        raise ValueError("dataset repeats a sample")
-    return idx
+    return np.sort(np.concatenate([real, padded]))
 
 
 def model_planes(gl: GateList, states: np.ndarray,
@@ -208,12 +204,12 @@ def model_planes(gl: GateList, states: np.ndarray,
     return planes
 
 
-def _support(gl: GateList, layout: SystemLayout,
-             states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _support(gl: GateList, layout: SystemLayout, d: Dataset,
+             n_aux: int) -> tuple[np.ndarray, np.ndarray]:
     """The support's basis indices and oracle marks, in support order: each
     copy's slice (its states against every weight, prediction written)
     OR-broadcast, as with Kronecker products, and its marks AND-broadcast."""
-    n_w = 1 << gl.n_w
+    n_w, states = 1 << gl.n_w, _copy_register_states(d, n_aux)
     planes = model_planes(gl, states, np.arange(n_w))
     idx, mark = np.arange(n_w)[None], True
     for copy in layout.copies:
@@ -250,9 +246,11 @@ def prepare_initial(model: ModelCircuit, d: Dataset, k: int, n_aux: int = 0
     if layout.n_qubits > MAX_QUBITS:
         raise ValueError(
             f"system needs {layout.n_qubits} qubits, cap is {MAX_QUBITS}")
-    states = _copy_register_states(d, n_aux)
-    n_w, m = 1 << model.weight_width, len(states)
+    n_w, m = 1 << model.weight_width, len(d) + n_aux
     real, counts = d.x @ (1 << np.arange(d.d_x)), np.empty(n_w, np.int64)
+    if (np.diff(np.sort(real)) == 0).any():  # equal x means equal y (Dataset)
+        # two equal samples would share one basis state and break the norm
+        raise ValueError("dataset repeats a sample")
     for a in range(0, n_w, 1 << 14):
         weights = np.arange(a, min(a + (1 << 14), n_w))
         planes = model_planes(gl, real, weights)
@@ -265,7 +263,7 @@ def prepare_initial(model: ModelCircuit, d: Dataset, k: int, n_aux: int = 0
     for _ in layout.copies:
         amp = (1.0 / math.sqrt(m)) * amp
     return QuantumState(layout.n_qubits, m ** k, counts ** k, amp, amp,
-                        lambda: _support(gl, layout, states)), layout
+                        lambda: _support(gl, layout, d, n_aux)), layout
 
 
 def phase_oracle(state: QuantumState) -> None:

@@ -123,7 +123,7 @@ class TestAccuracyTable:
         assert int(sed_full.counts.sum()) == 8 * 512
 
 
-class TestSolutionStats:
+class TestCountPowers:
     """Exact solution statistics: c**k and |S| from the table's
     count_powers(k); |S| and T = 2**d_w * (N + n_aux)**k on the plan."""
 

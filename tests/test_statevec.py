@@ -442,6 +442,20 @@ class TestLayoutAndPreparation:
         with pytest.raises(ValueError, match="widths"):
             sv.grover_run(model, sed_bundle.train, k=1, g=1)
 
+    def test_preparation_does_not_build_the_padding(self, toy_bundle):
+        # 2^22 padded states per data register are counted, not built: only
+        # support() and the dumps build a register's basis states
+        tracemalloc.start()
+        try:
+            state, _ = sv.prepare_initial(toy_bundle.model, toy_bundle.train,
+                                          1, n_aux=1 << 22)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, f"peak {peak / 2 ** 20:.1f} MB"
+        rows = len(toy_bundle.train) + (1 << 22)
+        assert state.n_marked + state.n_unmarked == 2 * rows
+
     def test_qubit_budget_enforced(self):
         # 56 qubits fit an int64 index, and the state keeps one count per
         # weight, so it prepares; but 2^20 weights x 9^2 sample pairs exceed
