@@ -28,7 +28,7 @@ from itertools import islice
 
 import numpy as np
 
-from .boolcirc import ModelCircuit, correct_counts
+from .boolcirc import ModelCircuit, correct_counts, structure_key
 from .datasets import Dataset
 
 # relative slack when comparing an exact state ratio against sin(angle)^2:
@@ -150,9 +150,12 @@ class WeightDistribution:
         return c
 
     @cached_property
-    def guide(self) -> np.ndarray:
+    def guide(self) -> np.ndarray | None:
         """Per cell [c/K, (c+1)/K) of K = _GUIDE_CELLS: #(cdf <= u) for all u
-        in it where #(cdf <= c/K) = #(cdf < (c+1)/K), else -1 (a CDF step)."""
+        in it where #(cdf <= c/K) = #(cdf < (c+1)/K), else -1 (a CDF step).
+        None from K weights on, where most cells hold a step."""
+        if len(self.p) >= _GUIDE_CELLS:
+            return None
         edges = np.arange(_GUIDE_CELLS + 1) / _GUIDE_CELLS
         lo = self.cdf.searchsorted(edges[:-1], side="right")
         hi = self.cdf.searchsorted(edges[1:], side="left")
@@ -160,9 +163,17 @@ class WeightDistribution:
 
 
 def accuracy_table(model: ModelCircuit, d: Dataset) -> AccuracyTable:
-    """Exact correct counts for every weight (`boolcirc.correct_counts`)."""
-    return AccuracyTable(correct_counts(model, d.x, d.y), len(d),
-                         model.weight_width)
+    """Exact correct counts for every weight (`boolcirc.correct_counts`),
+    computed once per circuit structure and kept on `d`, so the table lives
+    as long as the dataset; its counts are read-only."""
+    key = structure_key(model)
+    t = d._tables.get(key)
+    if t is None:
+        t = AccuracyTable(correct_counts(model, d.x, d.y), len(d),
+                          model.weight_width)
+        t.counts.flags.writeable = False
+        t = d._tables.setdefault(key, t)  # one table, even if built twice
+    return t
 
 
 def _n_states(t: AccuracyTable, k: int, n_aux: int) -> int:
@@ -354,12 +365,15 @@ def sample_weights(dist: WeightDistribution, m_meas: int,
                    rng: np.random.Generator) -> np.ndarray:
     """m_meas independent weight-index draws from the distribution: #(cdf
     <= u) for one uniform u each, as rng.choice(len(p), size=m_meas, p=p)
-    draws them from the same stream. The guide gives it in one lookup; only
-    uniforms in a cell that a CDF step splits are searched in the CDF.
+    draws them from the same stream. Where there is a guide it gives that in
+    one lookup, and only uniforms in a cell that a CDF step splits are
+    searched in the CDF; without one every uniform is.
     """
     if m_meas < 1:
         raise ValueError("measurement budget must be >= 1")
     u = rng.random(m_meas)
+    if dist.guide is None:
+        return dist.cdf.searchsorted(u, side="right")
     draws = dist.guide[(u * _GUIDE_CELLS).astype(np.intp)]
     miss = np.flatnonzero(draws < 0)
     draws[miss] = dist.cdf.searchsorted(u[miss], side="right")

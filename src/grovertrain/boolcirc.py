@@ -496,14 +496,20 @@ class _Compiler:
                         self.out_qubits, self.n_anc, tuple(self.out))
 
 
+def structure_key(circuit: ModelCircuit) -> tuple:
+    """A hashable snapshot of what the circuit computes: equal for equal
+    circuits, whichever object holds them."""
+    return (circuit.weight_width, circuit.input_width, tuple(circuit.gates),
+            tuple(circuit.output_wires))
+
+
 _COMPILED: dict[tuple, GateList] = {}
 
 
 def compile_circuit(circuit: ModelCircuit) -> GateList:
     """Compile a ModelCircuit to reversible gates (see GateList docstring),
     once per circuit structure: equal circuits share one frozen GateList."""
-    key = (circuit.weight_width, circuit.input_width, tuple(circuit.gates),
-           tuple(circuit.output_wires))
+    key = structure_key(circuit)
     if key not in _COMPILED:
         _COMPILED[key] = _Compiler(circuit).run()
     return _COMPILED[key]

@@ -350,7 +350,7 @@ def cmd_shots_curve(args, out: Path, lap: _Stages):
 
     shots = budgets[-1] * (args.eval_shots or 0)
     workers = min(args.runs, _cores()) if shots >= PARALLEL_SHOTS else 1
-    dist.guide  # built once, before the threads share it
+    dist.cdf, dist.guide  # built once, before the threads share them
     _on_cores(args.runs, workers, work)
     lap("search")
     train_acc = t_train.counts[best] / t_train.n_samples

@@ -11,7 +11,7 @@ there is digit equality.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,10 +26,14 @@ _CLASS_BITS = np.array([(1, 0), (0, 1), (0, 0)], dtype=np.uint8)
 @dataclass
 class Dataset:
     """Samples as rows of x (n, d_x) and y (n, d_y), uint8 0/1 arrays; rows
-    that repeat an x must repeat its y."""
+    that repeat an x must repeat its y. The arrays are the dataset's own
+    read-only copies, so what is computed from them (`amplify.accuracy_table`
+    keeps its tables in `_tables`) stays true of them."""
     x: np.ndarray
     y: np.ndarray
     class_count: int
+    _tables: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         x, y = np.asarray(self.x), np.asarray(self.y)
@@ -40,6 +44,7 @@ class Dataset:
         if not (((x == 0) | (x == 1)).all() and ((y == 0) | (y == 1)).all()):
             raise ValueError("sample bits must be 0 or 1")
         self.x, self.y = x.astype(np.uint8), y.astype(np.uint8)
+        self.x.flags.writeable = self.y.flags.writeable = False
         _, first, group = np.unique(_row_keys(self.x), return_index=True,
                                     return_inverse=True)
         clash = (self.y != self.y[first[group]]).any(axis=1)

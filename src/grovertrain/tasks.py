@@ -7,11 +7,15 @@ its default of 0 is part of each task's definition.
 
 The tiny image-classification task reads the standard IDX files
 (train-images-idx3-ubyte and friends, optionally gzipped) from a directory
-given explicitly or through the GROVERTRAIN_MNIST_DIR environment variable;
-everything else is generated in process.
+given explicitly or through the GROVERTRAIN_MNIST_DIR environment variable,
+afresh on every call. Everything else is generated in process, once per
+process for each split seed: repeated calls return the same bundle, whose
+dataset arrays are read-only (as every `Dataset`'s are), and each accuracy
+table of a dataset is kept on that dataset.
 """
 from __future__ import annotations
 
+import functools
 import gzip
 import os
 import zlib
@@ -83,25 +87,30 @@ def _load_tiny_mnist(mnist_dir: str | None) -> tuple[Dataset, Dataset]:
     return out[0], out[1]
 
 
-def load_task(name: str, mnist_dir: str | None = None,
-              split_seed: int = 0) -> TaskBundle:
-    """Build the named task. Split sizes are fixed per task; split_seed only
-    changes which samples land in train vs test."""
+# the size bounds the distinct (name, split_seed) pairs kept at once
+@functools.lru_cache(maxsize=8)
+def _generated_task(name: str, split_seed: int) -> TaskBundle:
     if name == "toy":
         d = Dataset(x=[[0], [1]], y=[[0], [1]], class_count=2)
         return TaskBundle("toy", toy_xor_model(), d, d, d)
     if name == "edge":
-        full = gen_edge_detection()
-        train, test = split(full, 400, seed=split_seed)
-        return TaskBundle("edge", edge_detection_model(), full, train, test)
-    if name == "simplified-ed":
-        full = gen_simplified_ed()
-        train, test = split(full, 400, seed=split_seed)
-        return TaskBundle("simplified-ed", simplified_ed_model(), full, train,
-                          test)
+        full, model = gen_edge_detection(), edge_detection_model()
+    else:
+        full, model = gen_simplified_ed(), simplified_ed_model()
+    train, test = split(full, 400, seed=split_seed)
+    return TaskBundle(name, model, full, train, test)
+
+
+def load_task(name: str, mnist_dir: str | None = None,
+              split_seed: int = 0) -> TaskBundle:
+    """The named task. Split sizes are fixed per task; split_seed only
+    changes which samples land in train vs test. A generated task is built
+    once per (name, split_seed) and shared; tiny-mnist is read anew."""
     if name == "tiny-mnist":
         train, test = _load_tiny_mnist(mnist_dir)
         # no merged view: the same downsampled image may carry different
         # majority labels in the two source splits, so "full" means train
         return TaskBundle("tiny-mnist", tiny_mnist_model(), train, train, test)
+    if name in TASK_NAMES:
+        return _generated_task(name, split_seed)
     raise TaskError(f"unknown task {name!r}; choose from {', '.join(TASK_NAMES)}")

@@ -109,6 +109,25 @@ class TestAccuracyTable:
         got = am.accuracy_table(bundle.model, bundle.train).counts
         assert np.array_equal(got, want)
 
+    def test_one_table_per_dataset_and_circuit_structure(self, edge_bundle):
+        d = edge_bundle.full
+        t = am.accuracy_table(edge_bundle.model, d)
+        assert am.accuracy_table(edge_bundle.model, d) is t
+        # an equal circuit built anew shares the table
+        assert am.accuracy_table(bc.edge_detection_model(), d) is t
+        with pytest.raises(ValueError, match="read-only"):
+            t.counts[0] = 0
+        other = bc.edge_detection_model()
+        other.gates.pop()  # o1's last gate gone: another structure
+        other.gates.append(bc.Gate("XOR", "o1", ("bm", "w3")))
+        u = am.accuracy_table(other, d)
+        assert u is not t and not np.array_equal(u.counts, t.counts)
+        assert am.accuracy_table(other, d) is u
+        # another dataset with the same samples computes its own
+        copy = ds.Dataset(d.x, d.y, d.class_count)
+        fresh = am.accuracy_table(edge_bundle.model, copy)
+        assert fresh is not t and np.array_equal(fresh.counts, t.counts)
+
     def test_width_mismatch_rejected(self, toy_bundle, sed_bundle):
         with pytest.raises(ValueError):
             am.accuracy_table(toy_bundle.model, sed_bundle.full)
@@ -171,8 +190,11 @@ class TestCountPowers:
     def test_powers_are_built_once_per_k(self, edge_bundle, k, pad):
         # a plan, its padded angle and its evolution share one c**k list;
         # what they compute is the same as from a table that never saw k
+        # (a new dataset, since each keeps its own tables)
         def fresh():
-            return am.accuracy_table(edge_bundle.model, edge_bundle.full)
+            d = edge_bundle.full
+            return am.accuracy_table(edge_bundle.model,
+                                     ds.Dataset(d.x, d.y, d.class_count))
         t = fresh()
         first = t.count_powers(k)
         assert t.count_powers(k) is first
@@ -595,7 +617,7 @@ class TestSamplingAndSearch:
         cells = (np.random.default_rng(19).random(1 << 17)
                  * am._GUIDE_CELLS).astype(int)
         assert len(np.unique(cells)) == am._GUIDE_CELLS
-        dists, fallback = guide_stress_dists, set()
+        dists, fallback, unguided = guide_stress_dists, set(), set()
         for name, dist in dists.items():
             rng, want_rng = (np.random.default_rng(19) for _ in range(2))
             got = am.sample_weights(dist, 1 << 17, rng)
@@ -603,14 +625,33 @@ class TestSamplingAndSearch:
             assert got.dtype == want.dtype, name
             assert np.array_equal(got, want), name
             assert rng.random() == want_rng.random(), name
-            if (dist.guide < 0).any():
+            if dist.guide is None:
+                unguided.add(name)
+            elif (dist.guide < 0).any():
                 fallback.add(name)
-        # CDF entries exactly on cell edges need no search; 2**13 weights
-        # put a step inside every cell
+        # CDF entries exactly on cell edges need no search; from as many
+        # weights as cells on there is no guide
         assert "uniform-2^8" not in fallback
-        assert "uniform-2^12" not in fallback
-        assert (dists["uniform-2^13"].guide < 0).all()
-        assert {"zeros-in-middle", "tiny-mnist-k8"} <= fallback
+        assert "zeros-in-middle" in fallback
+        assert unguided == {"uniform-2^12", "uniform-2^13", "tiny-mnist-k8"}
+
+    def test_draws_with_and_without_guide_match_generator_choice(
+            self, guide_stress_dists, edge_table):
+        # a 2**20-weight register has no guide and searches every uniform,
+        # edge k=4's 256 weights have one; either way each call, one draw
+        # or many, draws Generator.choice's weights from the same stream
+        big = guide_stress_dists["tiny-mnist-k8"]
+        edge = am.evolve_distribution(edge_table, am.make_plan(edge_table, 4))
+        assert (len(big), big.guide) == (1 << 20, None)
+        assert len(edge) == 256 and edge.guide is not None
+        for name, dist in (("2^20", big), ("edge-k4", edge)):
+            rng, want_rng = (np.random.default_rng(29) for _ in range(2))
+            for m in [1] * 40 + [5000]:
+                got = am.sample_weights(dist, m, rng)
+                want = want_rng.choice(len(dist), size=m, p=dist.p)
+                assert got.dtype == want.dtype, name
+                assert np.array_equal(got, want), name
+            assert rng.random() == want_rng.random(), name
 
     def test_guide_draws_at_cell_edges_and_cdf_steps(self,
                                                      guide_stress_dists):

@@ -660,6 +660,23 @@ class TestDiffusionAndFullRuns:
                                     return_state=True)
         assert abs(state.norm() - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("task, k", [("toy", 2), ("simplified-ed", 1)])
+    def test_gates_count_without_any_table(self, monkeypatch, task, k):
+        # the shared bundle already holds its table; the gate-level run
+        # must count with the compiled gates, never read a table
+        b = tasks.load_task(task)
+        table = am.accuracy_table(b.model, b.train)
+        plan = am.make_plan(table, k)
+        p = am.evolve_distribution(table, plan).p
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the gate-level run asked for a table")
+        for owner, name in ((bc, "correct_counts"), (am, "correct_counts"),
+                            (am, "accuracy_table")):
+            monkeypatch.setattr(owner, name, refuse)
+        marg = sv.grover_run(b.model, b.train, k, plan.g, plan.n_aux)
+        assert float(np.max(np.abs(marg - p))) <= 1e-9
+
     def test_lossless_run_measures_the_best_weight(self, toy_bundle,
                                                    toy_table):
         model, d = toy_bundle.model, toy_bundle.full

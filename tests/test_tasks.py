@@ -2,6 +2,7 @@ import gzip
 
 import pytest
 
+from grovertrain import datasets as ds
 from grovertrain import tasks
 from conftest import make_synthetic_idx_dir, samples
 
@@ -33,8 +34,32 @@ class TestBuiltinTasks:
         assert samples(a.train) == samples(again.train)
 
     def test_unknown_name(self):
-        with pytest.raises(tasks.TaskError):
-            tasks.load_task("mnist-full")
+        for _ in range(2):  # a refusal is never remembered as a task
+            with pytest.raises(tasks.TaskError):
+                tasks.load_task("mnist-full")
+
+
+class TestMemoizedTasks:
+    def test_repeated_load_returns_the_same_bundle(self):
+        for name in ("toy", "edge", "simplified-ed"):
+            assert tasks.load_task(name) is tasks.load_task(name)
+        a = tasks.load_task("edge")
+        assert tasks.load_task("edge", split_seed=0) is a
+
+    def test_another_split_seed_is_another_bundle(self):
+        a = tasks.load_task("edge")
+        b = tasks.load_task("edge", split_seed=1)
+        assert b is not a
+        assert tasks.load_task("edge", split_seed=1) is b
+
+    @pytest.mark.parametrize("name", ["toy", "edge", "simplified-ed"])
+    def test_shared_arrays_are_read_only(self, name):
+        b = tasks.load_task(name)
+        for d in (b.full, b.train, b.test):
+            for arr in (d.x, d.y):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0, 0] = 1 - arr[0, 0]
+        assert samples(tasks.load_task(name).full) == samples(b.full)
 
 
 class TestImageTask:
@@ -75,6 +100,20 @@ class TestImageTask:
         with pytest.raises(tasks.TaskError,
                            match="cannot read IDX file .*train-images"):
             tasks.load_task("tiny-mnist", mnist_dir=str(d))
+
+    def test_files_are_read_on_every_call(self, tmp_path):
+        # the same directory, rewritten with other digits, loads the new
+        # samples: tiny-mnist is never memoized
+        d = make_synthetic_idx_dir(tmp_path, n_train=300, n_test=100)
+        first = tasks.load_task("tiny-mnist", mnist_dir=str(d))
+        make_synthetic_idx_dir(tmp_path, n_train=300, n_test=100, seed=1)
+        again = tasks.load_task("tiny-mnist", mnist_dir=str(d))
+        want = ds.make_tiny_mnist(*(ds.parse_idx((d / stem).read_bytes())
+                                    for stem in ("train-images-idx3-ubyte",
+                                                 "train-labels-idx1-ubyte")))
+        assert samples(again.train) == samples(want)
+        assert samples(again.train) != samples(first.train)
+        assert again.train is not first.train
 
     def test_missing_file_reported(self, tmp_path):
         d = make_synthetic_idx_dir(tmp_path, n_train=300, n_test=100)
