@@ -11,9 +11,9 @@ layout `boolcirc` evaluates its circuits on. The list restores every qubit it
 uses as scratch (weights too: 3 of simplified-ed's, 6 of edge's), and each run
 checks that. So the state stays on the 2^d_w * (N + n_aux)^k basis states of
 |Psi_0> (on at most 62 qubits), the product of the k copies' equal slices: a
-weight with c correct samples has c^k marked states. Only `support()`,
-`dense()` and dumps build the basis indices, up to 2^26 of them, and the
-last two refuse a basis of more than 2^26 states.
+weight with c correct samples has c^k marked states. Only `support()` and
+dumps build the basis indices, up to 2^26 of them, and dumps refuse a basis
+of more than 2^26 states.
 The oracle and the reflection about the uniform, real |Psi_0> (each amplitude
 a to 2 * mean - a, quant-ph/9605043) keep equal amplitudes equal, so a round
 updates just two: the marked states' and the rest's (quant-ph/9605034).
@@ -61,10 +61,10 @@ class SystemLayout:
 
 class QuantumState:
     """Real state over n_qubits on the support of |Psi_0>: `rows` states per
-    weight, marked[w] (int64) of weight w's marked, at a_marked, the rest at
-    a_unmarked. build() gives every support state's basis index (int64) and
-    oracle mark in support order: weight fastest, then copy 0's state, on to
-    copy k-1's slowest."""
+    weight, marked[w] (int64) of weight w's marked, at a_marked, the other
+    rows - marked[w] at a_unmarked. build() gives every support state's basis
+    index (int64) and oracle mark in support order: weight fastest, then copy
+    0's state, on to copy k-1's slowest."""
 
     def __init__(self, n_qubits: int, rows: int, marked, a_marked,
                  a_unmarked, build):
@@ -72,12 +72,11 @@ class QuantumState:
             raise ValueError(f"qubit count must lie in [1, {MAX_QUBITS}]")
         if np.iscomplexobj(a_marked) or np.iscomplexobj(a_unmarked):
             raise ValueError("amplitudes must be real")
-        self.n_qubits, self._build = n_qubits, build
+        self.n_qubits, self.rows, self._build = n_qubits, rows, build
         self.marked = np.asarray(marked, dtype=np.int64)
         self.a_marked, self.a_unmarked = float(a_marked), float(a_unmarked)
         if not 0 <= self.marked.min() <= self.marked.max() <= rows:
             raise ValueError("marked counts must lie in [0, rows]")
-        self.unmarked = rows - self.marked
         self.n_marked = int(self.marked.sum())
         self.n_unmarked = rows * len(self.marked) - self.n_marked
 
@@ -90,22 +89,6 @@ class QuantumState:
                              f"cap is {MAX_SUPPORT}")
         return self._build()
 
-    def _keys(self) -> np.ndarray:
-        """The uint8 key of every basis state, in index order: 0 marked, 1
-        unmarked, 2 off the support. Refuses more than MAX_SUPPORT basis
-        states (support() first refuses a support above it)."""
-        if self.n_marked + self.n_unmarked <= MAX_SUPPORT < 1 << self.n_qubits:
-            raise ValueError(f"system has 2**{self.n_qubits} basis states, "
-                             f"cap is {MAX_SUPPORT}")
-        idx, mark = self.support()
-        keys = np.full(1 << self.n_qubits, 2, np.uint8)
-        keys[idx] = ~mark
-        return keys
-
-    def dense(self) -> np.ndarray:
-        """The full 2**n_qubits amplitude vector (for small states)."""
-        return np.array([self.a_marked, self.a_unmarked, 0.0])[self._keys()]
-
     def norm(self) -> float:
         return math.sqrt(self.n_marked * self.a_marked ** 2
                          + self.n_unmarked * self.a_unmarked ** 2)
@@ -113,7 +96,7 @@ class QuantumState:
     def marginal(self) -> np.ndarray:
         """Probability of each weight, from its marked and unmarked counts."""
         return (self.marked * self.a_marked ** 2
-                + self.unmarked * self.a_unmarked ** 2)
+                + (self.rows - self.marked) * self.a_unmarked ** 2)
 
 
 def apply_gates(planes, gates) -> None:
@@ -295,7 +278,15 @@ def grover_run(model: ModelCircuit, d: Dataset, k: int, g: int,
 
 
 def statevector_csv(state: QuantumState) -> CsvBlocks:
-    """CSV dump of the amplitudes as byte blocks: basis_index,re,im (12
-    significant digits, im 0); -0.0 prints apart from 0.0."""
+    """CSV dump of every basis state's amplitude as byte blocks:
+    basis_index,re,im (12 significant digits, im 0); -0.0 prints apart from
+    0.0. Refuses more than MAX_SUPPORT basis states (support() first refuses a
+    support above it)."""
+    n = state.n_qubits
+    if state.n_marked + state.n_unmarked <= MAX_SUPPORT < 1 << n:
+        raise ValueError(f"system has 2**{n} basis states, cap is {MAX_SUPPORT}")
+    idx, mark = state.support()
+    keys = np.full(1 << n, 2, np.uint8)  # 0 marked, 1 unmarked, 2 off support
+    keys[idx] = ~mark
     tails = [f"{a:.12g},0\n" for a in (state.a_marked, state.a_unmarked, 0.0)]
-    return CsvBlocks("basis_index,re,im\n", tails, state._keys())
+    return CsvBlocks("basis_index,re,im\n", tails, keys)

@@ -24,6 +24,15 @@ def bits_to_index(bits) -> int:
     return sum(b << j for j, b in enumerate(bits))
 
 
+def dense(state) -> np.ndarray:
+    """The full 2**n_qubits amplitude vector of a small statevec state, from
+    its support: the marked states' amplitude, the rest's, 0 off it."""
+    idx, mark = state.support()
+    amps = np.zeros(1 << state.n_qubits)
+    amps[idx] = np.where(mark, state.a_marked, state.a_unmarked)
+    return amps
+
+
 def console_env():
     """The environment of a child Python process, such as `python -m
     grovertrain.cli`: this checkout's sources first on its import path."""

@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import ACCEPTANCE_LINES, index_to_bits
+from conftest import ACCEPTANCE_LINES, dense, index_to_bits
 from grovertrain import amplify as am
 from grovertrain import boolcirc as bc
 from grovertrain import cli
@@ -321,10 +321,10 @@ def test_criterion_8(tmp_path):
     plan = am.make_plan(am.accuracy_table(toy.model, toy.train), 1)
     state, layout = sv.prepare_initial(toy.model, toy.train, 1, plan.n_aux)
     sv.phase_oracle(state)
-    before = state.dense()
+    before = dense(state)
     sv.reflect(state)
     sv.reflect(state)
-    invol = float(np.max(np.abs(state.dense() - before)))
+    invol = float(np.max(np.abs(dense(state) - before)))
     if invol > 1e-12:
         problems.append(f"double reflection deviates {invol:.2e}")
 
@@ -333,7 +333,7 @@ def test_criterion_8(tmp_path):
     plan2 = am.make_plan(am.accuracy_table(toy.model, toy.train), 2)
     _, state2, _ = sv.grover_run(toy.model, toy.train, 2, 100,
                                  n_aux=plan2.n_aux, return_state=True)
-    drift = abs(float(np.linalg.norm(state2.dense())) - 1.0)
+    drift = abs(float(np.linalg.norm(dense(state2))) - 1.0)
     if drift > 1e-10:
         problems.append(f"norm drift {drift:.2e} after 100 rounds")
 

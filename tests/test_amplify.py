@@ -5,6 +5,7 @@ import tempfile
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -317,6 +318,22 @@ class TestIterationsAndResidual:
                 assert res >= math.cos(theta) ** 2 - 1e-12
 
 
+def assert_smallest_pad(t, k) -> int:
+    """Check, in exact fractions, that pad_auxiliary(t, k) is the smallest
+    padding whose angle reaches the target; returns it."""
+    n = am.pad_auxiliary(t, k)
+    limit = Fraction(math.sin(am.AUTO_PAD_TARGET_THETA) ** 2 * (1 + 1e-12))
+    n_w = 1 << t.weight_width
+    total = Fraction(sum(int(c) ** k for c in t.counts))
+
+    def ok(extra):
+        return total / (n_w * (t.n_samples + extra) ** k) <= limit
+
+    assert ok(n)
+    assert n == 0 or not ok(n - 1)
+    return n
+
+
 class TestPadding:
     def test_pinned_pad_counts(self, toy_table, sed_train_table):
         assert am.pad_auxiliary(toy_table, 1) == 2
@@ -330,21 +347,28 @@ class TestPadding:
         with pytest.raises(am.DegenerateAngleError):
             am.pad_auxiliary(empty, 1)
 
+    def test_overshooting_guess_steps_down(self, monkeypatch, toy_table,
+                                           sed_train_table, edge_table):
+        # a log-space guess far above the answer is walked down, one sample
+        # at a time, to the smallest padding that reaches the target
+        guesses = []
+
+        def exp(x):
+            guesses.append(10 * math.exp(x) + 100)
+            return guesses[-1]
+        monkeypatch.setattr(am, "math", SimpleNamespace(
+            **{**vars(math), "exp": exp}))
+        for t, k in ((toy_table, 1), (toy_table, 2), (sed_train_table, 1),
+                     (edge_table, 1), (edge_table, 2)):
+            n = assert_smallest_pad(t, k)
+            assert math.ceil(guesses[-1]) - t.n_samples - 2 > n
+
     @settings(max_examples=60, deadline=None)
     @given(small_tables, st.integers(1, 3))
     def test_result_is_minimal(self, t, k):
         if int(t.counts.sum()) == 0:
             return
-        n = am.pad_auxiliary(t, k)
-        limit = Fraction(math.sin(am.AUTO_PAD_TARGET_THETA) ** 2 * (1 + 1e-12))
-        n_w = 1 << t.weight_width
-        total = Fraction(sum(int(c) ** k for c in t.counts))
-
-        def ok(extra):
-            return total / (n_w * (t.n_samples + extra) ** k) <= limit
-
-        assert ok(n)
-        assert n == 0 or not ok(n - 1)
+        assert_smallest_pad(t, k)
 
 
 class TestPlansAndEvolution:

@@ -422,6 +422,15 @@ class TestShotsCurve:
         monkeypatch.setattr(cli.threading, "Thread", Spy)
         return started
 
+    def test_cores_without_affinity(self, monkeypatch):
+        # where the platform has no sched_getaffinity, the CPU count, and
+        # one core where even that is unknown
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        assert cli._cores() == 3
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        assert cli._cores() == 1
+
     def test_threaded_runs_match_one_core(self, tmp_path, monkeypatch):
         # 8 cores: a thread per run, more threads than this host may have,
         # switched often, so a lost row or a shared stream would show

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import (bits_to_index, console_env, index_to_bits,
+from conftest import (bits_to_index, console_env, dense, index_to_bits,
                       make_synthetic_idx_dir, samples)
 from grovertrain import amplify as am
 from grovertrain import boolcirc as bc
@@ -144,7 +144,7 @@ class TestQuantumState:
 
     def test_initial_state_and_amp_validation(self):
         s = basis_state(3, 0)
-        assert s.dense()[0] == 1.0 and np.count_nonzero(s.dense()) == 1
+        assert dense(s)[0] == 1.0 and np.count_nonzero(dense(s)) == 1
         # two states per weight: a count above that or below 0 is refused
         for marked in ([3, 0], [0, -1]):
             with pytest.raises(ValueError, match="marked counts"):
@@ -168,10 +168,11 @@ class TestQuantumState:
         assert (per_copy.any(axis=1) & ~per_copy.all(axis=1)).any()
         rows = mark.reshape(-1, n_w)
         assert np.array_equal(state.marked, rows.sum(axis=0))
-        assert np.array_equal(state.unmarked, (~rows).sum(axis=0))
+        assert state.rows == len(rows) == 5 ** k
+        assert np.array_equal(state.rows - state.marked, (~rows).sum(axis=0))
         assert (state.n_marked, state.n_unmarked) == (mark.sum(),
                                                       (~mark).sum())
-        amps = state.dense()
+        amps = dense(state)
         assert np.count_nonzero(amps) == len(idx) == 5 ** k * n_w
         want = np.bincount(idx & (n_w - 1), weights=amps[idx] ** 2,
                            minlength=n_w)
@@ -287,7 +288,7 @@ class TestQuantumState:
         for _ in range(20):
             base = random_two_valued(5, rng)
             idx, mark = base.support()
-            amps, marked = base.dense(), idx[mark]
+            amps, marked = dense(base), idx[mark]
             for width in range(6):
                 state = two_valued(5, base.a_marked, base.a_unmarked, width,
                                    marked)
@@ -308,7 +309,7 @@ class TestQuantumState:
                                        return_state=True)
         n_w = 1 << model.weight_width
         idx, mark = state.support()
-        amps = state.dense()[idx]
+        amps = dense(state)[idx]
         want = np.bincount(idx & (n_w - 1), weights=amps ** 2, minlength=n_w)
         assert np.array_equal(state.marked, np.count_nonzero(
             mark.reshape(-1, n_w), axis=0))
@@ -333,7 +334,7 @@ class TestQuantumState:
         idx, _ = s.support()
         assert np.array_equal(np.sort(idx), np.arange(16))
         assert not np.array_equal(idx, np.arange(16))
-        assert abs(np.linalg.norm(s.dense()) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(dense(s)) - 1.0) < 1e-12
 
 
 class TestHandRolledSearch:
@@ -347,7 +348,7 @@ class TestHandRolledSearch:
         for _ in range(2):
             sv.phase_oracle(state)
             sv.reflect(state)
-        p = np.abs(state.dense()) ** 2
+        p = np.abs(dense(state)) ** 2
         assert p[marked] == pytest.approx(121 / 128, abs=1e-12)
 
 
@@ -381,12 +382,12 @@ class TestLayoutAndPreparation:
                 idx |= bits_to_index(y) << lay.copies[0].y[0]
                 idx |= bits_to_index(yhat) << lay.copies[0].out[0]
                 expected[idx] = 0.5
-        assert np.allclose(state.dense(), expected, atol=1e-12)
+        assert np.allclose(dense(state), expected, atol=1e-12)
 
     def test_prepared_state_with_padding(self, toy_bundle):
         model, d = toy_bundle.model, toy_bundle.full
         state, lay = sv.prepare_initial(model, d, k=1, n_aux=2)
-        amps = state.dense()
+        amps = dense(state)
         copy = lay.copies[0]
         amp = (1 / math.sqrt(2)) * (1 / math.sqrt(4))
         # padded basis states keep flag=0; the model still writes its
@@ -456,32 +457,43 @@ class TestLayoutAndPreparation:
         rows = len(toy_bundle.train) + (1 << 22)
         assert state.n_marked + state.n_unmarked == 2 * rows
 
+    def test_prepared_state_keeps_one_count_per_weight(self):
+        # 2^20 weights: the state keeps each weight's marked count, one int64
+        # (8 MB in all), and the row count, not a second per-weight array
+        model, d = nine_digits()
+        bc.compile_circuit(model)  # its cached gate list is not the state's
+        tracemalloc.start()
+        try:
+            state, _ = sv.prepare_initial(model, d, 1)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert state.marked.nbytes == 8 << 20
+        assert retained < 12 << 20, f"retained {retained / 2 ** 20:.1f} MB"
+
     def test_qubit_budget_enforced(self):
         # 56 qubits fit an int64 index, and the state keeps one count per
         # weight, so it prepares; but 2^20 weights x 9^2 sample pairs exceed
         # the cap of 2^26 support states that a dump may build
         state, lay = sv.prepare_initial(*nine_digits(), k=2)
         assert lay.n_qubits == 56
-        for dump in (state.support, state.dense,
-                     lambda: sv.statevector_csv(state)):
+        for dump in (state.support, lambda: sv.statevector_csv(state)):
             with pytest.raises(ValueError, match="84934656 basis states in "
                                "its support, cap is 67108864"):
                 dump()
 
     @pytest.mark.parametrize("k, n_qubits", [(10, 31), (15, 46)])
     def test_basis_budget_enforced(self, toy_bundle, k, n_qubits):
-        # toy's support is 2 * 2^k states, under the cap, but a dense vector
-        # or a dump holds all 2^n_qubits basis states: both refuse before
-        # they allocate them
+        # toy's support is 2 * 2^k states, under the cap, but a dump holds
+        # all 2^n_qubits basis states: it refuses before it allocates them
         state, lay = sv.prepare_initial(toy_bundle.model, toy_bundle.train, k)
         assert lay.n_qubits == n_qubits
         assert len(state.support()[0]) == 2 << k
         tracemalloc.start()
         try:
-            for dump in (state.dense, lambda: sv.statevector_csv(state)):
-                with pytest.raises(ValueError, match=rf"2\*\*{n_qubits} basis "
-                                   "states, cap is 67108864"):
-                    dump()
+            with pytest.raises(ValueError, match=rf"2\*\*{n_qubits} basis "
+                               "states, cap is 67108864"):
+                sv.statevector_csv(state)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -556,18 +568,18 @@ class TestOracles:
     def test_oracle_applied_twice_is_identity(self, toy_bundle):
         model, d = toy_bundle.model, toy_bundle.full
         state, lay = sv.prepare_initial(model, d, k=2, n_aux=1)
-        (idx, mark), amps = state.support(), state.dense()
+        (idx, mark), amps = state.support(), dense(state)
         # the marks broadcast from the slices are each copy's mark on the
         # full index, ANDed
         assert np.array_equal(mark, np.logical_and.reduce(
             [sv.oracle_mark(idx, c) for c in lay.copies]))
         assert set(mark.tolist()) == {False, True}
         sv.phase_oracle(state)  # once: the marked amplitudes negated
-        assert np.array_equal(state.dense()[idx],
+        assert np.array_equal(dense(state)[idx],
                               np.where(mark, -amps[idx], amps[idx]))
         sv.phase_oracle(state)
         assert np.array_equal(state.support()[0], idx)
-        assert np.array_equal(state.dense(), amps)
+        assert np.array_equal(dense(state), amps)
 
     def test_decode_phase_pattern(self):
         model, d = decode_task()
@@ -591,14 +603,14 @@ class TestOracles:
         assert len(np.unique(final)) <= 2
         state, _ = sv.prepare_initial(model, d, k, plan.n_aux)
         assert np.array_equal(state.support()[0], idx)
-        assert np.array_equal(state.dense()[idx], psi0.real)
+        assert np.array_equal(dense(state)[idx], psi0.real)
         assert not psi0.imag.any()
         _, state, _ = sv.grover_run(model, d, k, plan.g, plan.n_aux,
                                     return_state=True)
         assert np.array_equal(state.support()[0], idx)
         want = np.zeros(1 << state.n_qubits, complex)
         want[idx] = final
-        assert np.max(np.abs(state.dense() - want)) <= 1e-12
+        assert np.max(np.abs(dense(state) - want)) <= 1e-12
 
 
 class TestDiffusionAndFullRuns:
@@ -606,14 +618,14 @@ class TestDiffusionAndFullRuns:
         # reflection about the uniform state on the 16-state support
         rng = np.random.default_rng(4)
         s = random_two_valued(4, rng)
-        amps = s.dense()
+        amps = dense(s)
         sv.reflect(s)
         psi0 = np.full(16, 0.25)
-        assert np.allclose(s.dense(), 2 * (psi0 @ amps) * psi0 - amps,
+        assert np.allclose(dense(s), 2 * (psi0 @ amps) * psi0 - amps,
                            atol=1e-15)
         assert abs(s.norm() - 1.0) < 1e-12
         sv.reflect(s)
-        assert np.allclose(s.dense(), amps, atol=1e-12)
+        assert np.allclose(dense(s), amps, atol=1e-12)
 
     def test_zero_rounds_keep_weights_uniform(self, toy_bundle):
         model, d = toy_bundle.model, toy_bundle.full
@@ -748,8 +760,8 @@ def small_instances(draw):
 
 
 def wide_instance():
-    """A small_instances draw on 27 qubits, a basis above the cap of
-    `dense()`, whose support is 216 states: outputs (NOT w0, NOT w0), two
+    """A small_instances draw on 27 qubits, a basis above the cap of a
+    dump, whose support is 216 states: outputs (NOT w0, NOT w0), two
     samples labelled 11, and k=3, which pads to n_aux=1."""
     gates = [bc.Gate("NOT", f"t{i}", ("w0",)) for i in range(5)]
     model = bc.ModelCircuit(3, 3, gates, ("t0", "t1"))
